@@ -8,13 +8,17 @@ is retained for diagnostics only: its value grows with every added
 connection, which is exactly the manipulation the corrected denominator
 removes.
 
-Numerical contract: per-person row sums use fixed reduction trees and
-the cross-person total uses exact rounding (math.fsum).  Row sums are
+Numerical contract: every aggregate is evaluated through the
+coefficient form of :mod:`netpoverty.weights` in one N x d pass, with
+no N x d x d neighbor sums.  Per-person counts and row sums use fixed
+per-row reductions (never a per-person BLAS product) and the
+cross-person total uses exact rounding (math.fsum).  Row sums are
 therefore bit-identical under row permutation and the total is
 permutation invariant, which makes the symmetry and focus axioms hold
-exactly, not just to tolerance.  The censored score matrix (rows of the
-non-poor zeroed) is materialized and hashed so results can be traced to
-the exact arithmetic inputs.
+exactly, not just to tolerance.  The censored matrix of
+coefficient-weighted gaps (rows of the non-poor zeroed) is
+materialized and hashed so results can be traced to the exact
+arithmetic inputs.
 """
 
 from __future__ import annotations
@@ -26,19 +30,23 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .bounds import upper_bound, weighted_upper_bound
+from .bounds import weighted_upper_bound
 from .core import (
     DependenceStructure,
     MethodologyConfig,
     WeightVector,
     as_achievement_matrix,
-    as_cutoff_vector,
-    as_dependence_structure,
     as_weight_vector,
 )
-from .deprivation import DeprivationCounts, _check_alpha, _gap_values, _score_values
-from .errors import InvalidPartition, ShapeMismatch
-from .identification import PovertyStatusVector, identify
+from .deprivation import (
+    _check_alpha,
+    _coefficient_values,
+    _consistent_inputs,
+    _count_values,
+    _gap_values,
+)
+from .errors import InvalidPartition
+from .identification import identify
 
 #: equality band for decomposition checks
 RECOMBINATION_TOL = 1e-12
@@ -74,37 +82,36 @@ def _censored_hash(censored: NDArray[np.float64]) -> str:
     return h.hexdigest()
 
 
-def _evaluate(
-    y: NDArray[np.float64],
-    z: NDArray[np.float64],
-    off_diag: NDArray[np.float64],
-    w: NDArray[np.float64] | None,
+def _coefficient_pass(
+    achievements,
+    cutoffs,
+    structure: DependenceStructure,
+    weights: WeightVector | None,
     alpha: float,
-    statuses: NDArray[np.int64],
-    ceiling: float,
-) -> tuple[float, NDArray[np.float64]]:
-    """Aggregate value and censored matrix from raw arrays (pre-validated)."""
-    scores = _score_values(_gap_values(y, z, alpha), off_diag)
-    if w is not None:
-        scores = scores * w
-    censored = scores * statuses[:, None]
-    n = y.shape[0]
-    value = math.fsum(np.sum(censored, axis=1)) / (n * ceiling)
-    return value, censored
-
-
-def _statuses_raw(
-    y: NDArray[np.float64],
-    z: NDArray[np.float64],
-    off_diag: NDArray[np.float64],
-    w: NDArray[np.float64] | None,
     k: float,
-    ceiling: float,
-) -> PovertyStatusVector:
-    counts = _score_values(_gap_values(y, z, 0.0), off_diag)
-    if w is not None:
-        counts = counts * w
-    return identify(DeprivationCounts(np.sum(counts, axis=1)), k, upper=ceiling)
+    kind: str,
+) -> FgtResult:
+    """Counts, identification and the aggregate in one N x d pass.
+
+    The naive kind divides by N * d instead of N times the ceiling.
+    """
+    alpha = _check_alpha(alpha)
+    ym, zc, ms = _consistent_inputs(achievements, cutoffs, structure)
+    wv = as_weight_vector(weights, ms.d)
+    ceiling = weighted_upper_bound(ms, wv)
+    coef = _coefficient_values(ms, wv.values)
+    y, z = ym.values, zc.values
+    statuses = identify(_count_values(y, z, coef), k, upper=ceiling)
+    censored = (_gap_values(y, z, alpha) * coef) * statuses.statuses[:, None]
+    denominator = ym.n * (ms.d if kind == "naive" else ceiling)
+    return FgtResult(
+        value=math.fsum(np.sum(censored, axis=1)) / denominator,
+        alpha=alpha,
+        k=statuses.k,
+        denominator=denominator,
+        censored_matrix_hash=_censored_hash(censored),
+        kind=kind,
+    )
 
 
 def fgt_network_adjusted(
@@ -121,29 +128,8 @@ def fgt_network_adjusted(
     weighted count ceiling.  With a disconnected structure and uniform
     weights this is the classic adjusted FGT value.
     """
-    alpha = _check_alpha(alpha)
-    ym = as_achievement_matrix(achievements)
-    zc = as_cutoff_vector(cutoffs)
-    ms = as_dependence_structure(structure)
-    if not (ym.d == zc.d == ms.d):
-        raise ShapeMismatch(
-            f"inconsistent dimensions: achievements {ym.d}, cutoffs {zc.d}, "
-            f"structure {ms.d}"
-        )
-    wv = as_weight_vector(weights, ms.d)
-    off = ms.off_diagonal()
-    ceiling = weighted_upper_bound(ms, wv)
-    statuses = _statuses_raw(ym.values, zc.values, off, wv.values, k, ceiling)
-    value, censored = _evaluate(
-        ym.values, zc.values, off, wv.values, alpha, statuses.statuses, ceiling
-    )
-    return FgtResult(
-        value=value,
-        alpha=alpha,
-        k=statuses.k,
-        denominator=ym.n * ceiling,
-        censored_matrix_hash=_censored_hash(censored),
-        kind="network_adjusted",
+    return _coefficient_pass(
+        achievements, cutoffs, structure, weights, alpha, k, "network_adjusted"
     )
 
 
@@ -161,29 +147,7 @@ def fgt_naive(
     uses the unweighted counts, and k is validated against the same
     ceiling the corrected form would use (uniform weights).
     """
-    alpha = _check_alpha(alpha)
-    ym = as_achievement_matrix(achievements)
-    zc = as_cutoff_vector(cutoffs)
-    ms = as_dependence_structure(structure)
-    if not (ym.d == zc.d == ms.d):
-        raise ShapeMismatch(
-            f"inconsistent dimensions: achievements {ym.d}, cutoffs {zc.d}, "
-            f"structure {ms.d}"
-        )
-    off = ms.off_diagonal()
-    ceiling = upper_bound(ms)
-    statuses = _statuses_raw(ym.values, zc.values, off, None, k, ceiling)
-    scores = _score_values(_gap_values(ym.values, zc.values, alpha), off)
-    censored = scores * statuses.statuses[:, None]
-    value = math.fsum(np.sum(censored, axis=1)) / (ym.n * ms.d)
-    return FgtResult(
-        value=value,
-        alpha=alpha,
-        k=statuses.k,
-        denominator=ym.n * ms.d,
-        censored_matrix_hash=_censored_hash(censored),
-        kind="naive",
-    )
+    return _coefficient_pass(achievements, cutoffs, structure, None, alpha, k, "naive")
 
 
 def decompose_by_group(

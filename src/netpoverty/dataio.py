@@ -1,10 +1,11 @@
 """File formats: dataset ingestion, methodology configs, poverty reports.
 
-Dataset (CSV, UTF-8, comma-delimited, '.' decimal separator, no
-thousands separators): a required header row of dimension names followed
-by one row per person.  A first column headed ``id`` (case-insensitive)
-is treated as a person identifier; every other cell must parse as a
-finite nonnegative real.  Missing cells are rejected, never imputed:
+Dataset (CSV, UTF-8 with an optional byte-order mark, comma-delimited,
+'.' decimal separator, no thousands or digit separators): a required
+header row of unique dimension names followed by one row per person.  A
+first column headed ``id`` (case-insensitive) is treated as a person
+identifier and must be unique; every other cell must parse as a finite
+nonnegative real.  Missing cells are rejected, never imputed:
 imputation would silently change poverty counts.
 
 Config (JSON object):
@@ -19,6 +20,8 @@ Config (JSON object):
       "dependence": [[...], ...],           optional, default identity
       "weights":    [w1, ..., wd]           optional, default uniform
     }
+
+Values must be JSON numbers in exactly the array shape shown, or are rejected.
 
 Report (JSON object, fixed key order): fgt_value, headcount_ratio,
 d_bar, d_under, d_tilde, deltas, optional naive_diagnostic, dimensions,
@@ -58,6 +61,7 @@ from .errors import (
     EmptyDataset,
     MissingField,
     NegativeAchievement,
+    NotSquare,
     ParseError,
     RaggedRow,
     ValidationError,
@@ -106,7 +110,8 @@ def load_dataset(path) -> Dataset:
     Row and column numbers in errors are 1-based and count data rows and
     achievement columns (the header and any id column excluded).
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    # utf-8-sig drops a byte-order mark that would otherwise hide the id header
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise EmptyDataset(f"{path}: file is empty")
@@ -117,6 +122,7 @@ def load_dataset(path) -> Dataset:
     names = header[1:] if has_ids else header
     if not names:
         raise EmptyDataset(f"{path}: no achievement columns")
+    _reject_duplicates(path, names, "dimension name")
 
     ids: list[str] = []
     data: list[list[float]] = []
@@ -133,6 +139,8 @@ def load_dataset(path) -> Dataset:
         for c, cell in enumerate(cells, start=1):
             text = cell.strip()
             try:
+                if "_" in text:  # float() accepts digit grouping, the format does not
+                    raise ValueError
                 value = float(text)
             except ValueError:
                 raise ParseError(
@@ -156,11 +164,21 @@ def load_dataset(path) -> Dataset:
         data.append(parsed)
     if not data:
         raise EmptyDataset(f"{path}: no data rows")
+    if has_ids:
+        _reject_duplicates(path, ids, "person id")
     return Dataset(
         achievements=AchievementMatrix(np.array(data)),
         dimension_names=tuple(names),
         person_ids=tuple(ids) if has_ids else None,
     )
+
+
+def _reject_duplicates(path, values: list[str], what: str) -> None:
+    seen: set[str] = set()
+    for value in values:
+        if value in seen:
+            raise ValidationError(f"{path}: duplicate {what} {value!r}")
+        seen.add(value)
 
 
 def _require(doc: dict, key: str):
@@ -169,11 +187,26 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
+def _numbers(path, value, field: str, depth: int):
+    """JSON numbers nested ``depth`` arrays deep (0: one number).
+
+    Parsing with ``parse_int=float`` makes every JSON number, and nothing else, a float.
+    """
+    if depth == 0 and isinstance(value, float):
+        return value
+    if depth == 0 or not isinstance(value, list):
+        kind = "a number" if depth == 0 else "an array"
+        raise ValidationError(
+            f"{path}: config field {field!r} must be {kind}, got {json.dumps(value)}"
+        )
+    return [_numbers(path, v, f"{field}[{i}]", depth - 1) for i, v in enumerate(value)]
+
+
 def load_config_document(path) -> ConfigDocument:
     """Parse a config file and run core validation on each piece."""
     with open(path, encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_int=float)
         except json.JSONDecodeError as exc:
             raise ParseError(
                 f"{path}: invalid JSON: {exc.msg}", row=exc.lineno, column=exc.colno
@@ -181,10 +214,13 @@ def load_config_document(path) -> ConfigDocument:
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: config must be a JSON object")
 
-    cutoffs = as_cutoff_vector(np.asarray(_require(doc, "cutoffs"), dtype=float))
+    cutoffs = as_cutoff_vector(_numbers(path, _require(doc, "cutoffs"), "cutoffs", 1))
     d = cutoffs.d
     if "dependence" in doc:
-        structure = as_dependence_structure(np.asarray(doc["dependence"], dtype=float))
+        rows = _numbers(path, doc["dependence"], "dependence", 2)
+        if len({len(row) for row in rows}) > 1:
+            raise NotSquare(f"{path}: dependence rows differ in length")
+        structure = as_dependence_structure(rows)
     else:
         structure = DependenceStructure.identity(d)
     if structure.d != d:
@@ -192,11 +228,11 @@ def load_config_document(path) -> ConfigDocument:
             f"{path}: dependence is {structure.d}x{structure.d}, cutoffs have d = {d}"
         )
     if "weights" in doc:
-        weights = validate_weights(np.asarray(doc["weights"], dtype=float), d)
+        weights = validate_weights(_numbers(path, doc["weights"], "weights", 1), d)
     else:
         weights = WeightVector.uniform(d)
 
-    alpha = float(doc["alpha"]) if "alpha" in doc else None
+    alpha = _numbers(path, doc["alpha"], "alpha", 0) if "alpha" in doc else None
     k_mode: str | None = None
     k_value: float | None = None
     if "k" in doc:
@@ -207,10 +243,10 @@ def load_config_document(path) -> ConfigDocument:
                 raise ValidationError(f"{path}: unknown k mode {k_mode!r}")
             if "value" not in k_field:
                 raise MissingField("config field k.value is required")
-            k_value = float(k_field["value"])
+            k_value = _numbers(path, k_field["value"], "k.value", 0)
         else:
             k_mode = "absolute"
-            k_value = float(k_field)
+            k_value = _numbers(path, k_field, "k", 0)
     return ConfigDocument(
         cutoffs=cutoffs,
         structure=structure,

@@ -127,6 +127,19 @@ def _gap_values(
     return np.where(deprived, base**alpha, 0.0)
 
 
+def _consistent_inputs(achievements, cutoffs, structure):
+    """Coerce achievements, cutoffs and structure; check they share one d."""
+    y = as_achievement_matrix(achievements)
+    z = as_cutoff_vector(cutoffs)
+    structure = as_dependence_structure(structure)
+    if not (y.d == z.d == structure.d):
+        raise ShapeMismatch(
+            f"inconsistent dimensions: achievements {y.d}, cutoffs {z.d}, "
+            f"structure {structure.d}"
+        )
+    return y, z, structure
+
+
 def gap_matrix(achievements, cutoffs, alpha: float) -> GapMatrix:
     """Normalized gaps for a whole population at a fixed exponent."""
     alpha = _check_alpha(alpha)
@@ -189,20 +202,28 @@ def deprivation_matrix(
     the score is formed, and the result is flagged ``weighted``.
     """
     alpha = _check_alpha(alpha)
-    y = as_achievement_matrix(achievements)
-    z = as_cutoff_vector(cutoffs)
-    structure = as_dependence_structure(structure)
-    if not (y.d == z.d == structure.d):
-        raise ShapeMismatch(
-            f"inconsistent dimensions: achievements {y.d}, cutoffs {z.d}, "
-            f"structure {structure.d}"
-        )
+    y, z, structure = _consistent_inputs(achievements, cutoffs, structure)
     gaps = _gap_values(y.values, z.values, alpha)
     scores = _score_values(gaps, structure.off_diagonal())
     if weights is None:
         return DeprivationMatrix(alpha=alpha, weighted=False, values=scores)
     w = as_weight_vector(weights, structure.d)
     return DeprivationMatrix(alpha=alpha, weighted=True, values=scores * w.values)
+
+
+def _coefficient_values(
+    structure: DependenceStructure, w: NDArray[np.float64]
+) -> NDArray[np.float64]:
+    """Effective coefficients on plain gaps (see :mod:`netpoverty.weights`)."""
+    # column j of the off-diagonal entries, weighted by the source dimension
+    return w + (structure.off_diagonal().T @ w) / (structure.d - 1)
+
+
+def _count_values(
+    y: NDArray[np.float64], z: NDArray[np.float64], coef: NDArray[np.float64]
+) -> NDArray[np.float64]:
+    """Per-person counts: the coefficients of the deprived dimensions, summed."""
+    return np.sum(np.where(y < z, coef, 0.0), axis=1)
 
 
 def deprivation_counts(
@@ -213,11 +234,13 @@ def deprivation_counts(
 ) -> DeprivationCounts:
     """Per-person sums of (weighted) indicator-level scores.
 
-    With a disconnected structure and unit weights this is the classic
-    count of deprived dimensions.
+    Same coefficient-form route the aggregates identify the poor by, so
+    a count exactly at k is classified alike.  With a disconnected
+    structure and unit weights this is the classic deprived-dimension count.
     """
-    scored = deprivation_matrix(achievements, cutoffs, structure, 0.0, weights)
-    return DeprivationCounts(values=np.sum(scored.values, axis=1))
+    y, z, structure = _consistent_inputs(achievements, cutoffs, structure)
+    coef = _coefficient_values(structure, as_weight_vector(weights, structure.d).values)
+    return DeprivationCounts(values=_count_values(y.values, z.values, coef))
 
 
 def gap_sensitivity(structure: DependenceStructure, j: int, j_prime: int) -> float:

@@ -8,8 +8,11 @@ with an effective coefficient
 (column-indexed: what j exerts on the others comes back through the
 neighbor averages).  The aggregate equals the coefficient-weighted gap
 sum over the same denominator, which is the route used to prove the
-transfer property and, more practically, a strong cross-check: both
-routes must agree to 1e-12.
+transfer property and the route every aggregate and count in this
+package is evaluated by, since it needs N * d work instead of N * d * d.
+The numerically independent route is the score form kept in
+:func:`netpoverty.deprivation.deprivation_matrix` and
+:func:`netpoverty.dataio.recompute_fgt_value`; both must agree to 1e-12.
 
 When the structure is symmetric, the coefficients sum to the weighted
 count ceiling for every weight choice, so a symmetric structure with no
@@ -27,20 +30,18 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .aggregation import FgtResult, _censored_hash, _statuses_raw
+from .aggregation import FgtResult, _coefficient_pass
 from .bounds import dimension_jumps, upper_bound, weighted_upper_bound
 from .core import (
     SYMMETRY_TOL,
     DependenceStructure,
     WeightVector,
-    as_achievement_matrix,
-    as_cutoff_vector,
     as_dependence_structure,
     as_weight_vector,
     check_dimension_index,
 )
-from .deprivation import _check_alpha, _gap_values
-from .errors import NotSymmetric, ShapeMismatch
+from .deprivation import _coefficient_values
+from .errors import NotSymmetric
 
 #: band for the symmetric-structure coefficient identity
 CONSISTENCY_TOL = 1e-9
@@ -69,11 +70,7 @@ def aggregation_coefficients(
 ) -> NDArray[np.float64]:
     """Effective per-dimension coefficients on plain gaps, as an array."""
     structure = as_dependence_structure(structure)
-    d = structure.d
-    w = as_weight_vector(weights, d)
-    off = structure.off_diagonal()
-    # column j of the off-diagonal entries, weighted by the source dimension
-    return w.values + (off.T @ w.values) / (d - 1)
+    return _coefficient_values(structure, as_weight_vector(weights, structure.d).values)
 
 
 def aggregation_coefficient(
@@ -95,36 +92,15 @@ def fgt_via_coefficients(
 ) -> FgtResult:
     """Aggregate through the coefficient-on-gaps rewriting.
 
-    Must match :func:`netpoverty.aggregation.fgt_network_adjusted` to
-    1e-12 on any valid input; the two compute the same quantity along
-    algebraically equal but numerically independent routes.
+    Evaluates exactly as :func:`netpoverty.aggregation.fgt_network_adjusted`
+    does, labelled as the coefficient form.  The numerically independent
+    route is the score form of
+    :func:`netpoverty.deprivation.deprivation_matrix` (and
+    :func:`netpoverty.dataio.recompute_fgt_value` on a report), which
+    must agree with this one to 1e-12 on any valid input.
     """
-    alpha = _check_alpha(alpha)
-    ym = as_achievement_matrix(achievements)
-    zc = as_cutoff_vector(cutoffs)
-    ms = as_dependence_structure(structure)
-    if not (ym.d == zc.d == ms.d):
-        raise ShapeMismatch(
-            f"inconsistent dimensions: achievements {ym.d}, cutoffs {zc.d}, "
-            f"structure {ms.d}"
-        )
-    wv = as_weight_vector(weights, ms.d)
-    ceiling = weighted_upper_bound(ms, wv)
-    statuses = _statuses_raw(
-        ym.values, zc.values, ms.off_diagonal(), wv.values, k, ceiling
-    )
-    coef = aggregation_coefficients(ms, wv)
-    gaps = _gap_values(ym.values, zc.values, alpha)
-    censored = (gaps * coef) * statuses.statuses[:, None]
-    value = math.fsum(np.sum(censored, axis=1)) / (ym.n * ceiling)
-    return FgtResult(
-        value=value,
-        alpha=alpha,
-        k=statuses.k,
-        denominator=ym.n * ceiling,
-        censored_matrix_hash=_censored_hash(censored),
-        kind="network_adjusted_coefficient_form",
-    )
+    kind = "network_adjusted_coefficient_form"
+    return _coefficient_pass(achievements, cutoffs, structure, weights, alpha, k, kind)
 
 
 def implied_weights(structure: DependenceStructure) -> ImpliedWeights:

@@ -7,9 +7,14 @@ from netpoverty import (
     DependenceStructure,
     MethodologyConfig,
     decompose_by_group,
+    deprivation_counts,
+    deprivation_matrix,
     fgt_naive,
     fgt_network_adjusted,
+    identify,
+    upper_bound,
     validate_dependence_structure,
+    weighted_upper_bound,
 )
 from netpoverty.errors import CutoffOutOfRange, InvalidPartition, ShapeMismatch
 
@@ -115,6 +120,32 @@ class TestNetworkAdjusted:
             base = fgt_network_adjusted(y, z, m, w, 1.0, 0.8).value
             perm = rng.permutation(15)
             assert fgt_network_adjusted(y[perm], z, m, w, 1.0, 0.8).value == base
+
+    def test_matches_score_form_oracle(self, rng):
+        """Coefficient-form kernel against fsum over the poor rows of the scores."""
+        from conftest import random_structure, random_weights
+
+        for _ in range(50):
+            d = int(rng.integers(2, 6))
+            n = int(rng.integers(1, 21))
+            m = random_structure(rng, d, symmetric=bool(rng.integers(0, 2)))
+            w = random_weights(rng, d) if rng.random() < 0.7 else None
+            z = rng.uniform(0.5, 10, d)
+            y = rng.uniform(0, 2 * z, (n, d))
+            alpha = float(rng.choice([0.0, 0.5, 1.0, 2.0]))
+            ceiling = weighted_upper_bound(m, w)
+            k = float(rng.uniform(0.05, 1.0)) * ceiling
+            poor = identify(deprivation_counts(y, z, m, w), k).statuses == 1
+            scores = deprivation_matrix(y, z, m, alpha, w).values
+            want = math.fsum(scores[poor].ravel()) / (n * ceiling)
+            assert fgt_network_adjusted(y, z, m, w, alpha, k).value == pytest.approx(
+                want, abs=1e-12
+            )
+            k = float(rng.uniform(0.05, 1.0)) * upper_bound(m)
+            poor = identify(deprivation_counts(y, z, m), k).statuses == 1
+            scores = deprivation_matrix(y, z, m, alpha).values
+            want = math.fsum(scores[poor].ravel()) / (n * d)
+            assert fgt_naive(y, z, m, alpha, k).value == pytest.approx(want, abs=1e-12)
 
     def test_replication_invariance(self, rng):
         from conftest import random_structure

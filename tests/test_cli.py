@@ -84,6 +84,32 @@ class TestCompute:
         assert main(["compute", "--dataset", str(data), "--config", str(bad)]) == 1
 
 
+class TestConfigBoundary:
+    """Malformed config fields end in one error line and exit code 1."""
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"alpha": True},
+            {"alpha": [1]},
+            {"alpha": 10**400},
+            {"k": "1"},
+            {"k": {"mode": "absolute", "value": None}},
+            {"dependence": [[1, 0], [0]]},
+            {"cutoffs": [[5, 5], [5, 5]]},
+            {"weights": [[1, 1]]},
+        ],
+    )
+    def test_rejected_without_traceback(self, worked, tmp_path, capsys, override):
+        data, _ = worked
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(WORKED_CONFIG, **override)), encoding="utf-8")
+        assert main(["compute", "--dataset", str(data), "--config", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestBounds:
     def test_bounds_payload(self, worked, capsys):
         _, config = worked

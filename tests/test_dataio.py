@@ -81,6 +81,24 @@ class TestLoadDataset:
         with pytest.raises(ParseError):
             load_dataset(write(tmp_path, "d.csv", "h,e\n5,inf\n"))
 
+    def test_byte_order_mark_does_not_hide_id_header(self, tmp_path):
+        ds = load_dataset(write(tmp_path, "d.csv", "\ufeffid,h,e\np1,5,10\n"))
+        assert ds.person_ids == ("p1",)
+        assert ds.dimension_names == ("h", "e")
+
+    def test_digit_separator_rejected(self, tmp_path):
+        with pytest.raises(ParseError) as info:
+            load_dataset(write(tmp_path, "d.csv", "h,e\n5,10\n7,1_000\n"))
+        assert info.value.row == 2 and info.value.column == 2
+
+    def test_duplicate_dimension_names_rejected(self, tmp_path):
+        with pytest.raises(ValidationError, match="duplicate dimension name 'h'"):
+            load_dataset(write(tmp_path, "d.csv", "id,h,e,h\np1,5,10,7\n"))
+
+    def test_duplicate_person_ids_rejected(self, tmp_path):
+        with pytest.raises(ValidationError, match="duplicate person id 'p1'"):
+            load_dataset(write(tmp_path, "d.csv", "id,h,e\np1,5,10\np2,1,1\np1,6,10\n"))
+
     def test_header_only_is_empty(self, tmp_path):
         with pytest.raises(EmptyDataset):
             load_dataset(write(tmp_path, "d.csv", "h,e\n"))
@@ -141,6 +159,11 @@ class TestLoadConfig:
     def test_invalid_json_located(self, tmp_path):
         with pytest.raises(ParseError):
             load_config(write(tmp_path, "c.json", "{not json"))
+
+    def test_nested_cutoffs_not_flattened(self, tmp_path):
+        doc = {"cutoffs": [[5, 5], [5, 5]], "alpha": 1, "k": 1}
+        with pytest.raises(ValidationError, match=r"'cutoffs\[0\]' must be a number"):
+            load_config_document(write(tmp_path, "c.json", json.dumps(doc)))
 
     def test_dimension_mismatch(self, tmp_path):
         doc = dict(WORKED_CONFIG, cutoffs=[10, 10, 10])

@@ -213,6 +213,19 @@ class TestDeprivationCounts:
             floor = lower_bound(m)
             assert np.all((counts == 0.0) | (counts >= floor - 1e-12))
 
+    def test_row_permutation_is_bitwise(self, rng):
+        from conftest import random_structure, random_weights
+
+        for _ in range(10):
+            d = int(rng.integers(2, 21))
+            m = random_structure(rng, d)
+            w = random_weights(rng, d)
+            z = rng.uniform(0.5, 10, d)
+            y = rng.uniform(0, 2 * z, (40, d))
+            perm = rng.permutation(40)
+            base = deprivation_counts(y, z, m, w).values
+            assert np.array_equal(deprivation_counts(y[perm], z, m, w).values, base[perm])
+
 
 class TestGapSensitivity:
     def test_own_effect_is_one(self, rng):
