@@ -35,18 +35,18 @@ from .core import (
     DependenceStructure,
     MethodologyConfig,
     WeightVector,
+    _check_alpha,
     as_achievement_matrix,
     as_weight_vector,
 )
 from .deprivation import (
-    _check_alpha,
     _coefficient_values,
     _consistent_inputs,
     _count_values,
     _gap_values,
 )
 from .errors import InvalidPartition
-from .identification import identify
+from .identification import PovertyStatusVector, identify
 
 #: equality band for decomposition checks
 RECOMBINATION_TOL = 1e-12
@@ -90,10 +90,12 @@ def _coefficient_pass(
     alpha: float,
     k: float,
     kind: str,
-) -> FgtResult:
+) -> tuple[FgtResult, NDArray[np.float64], PovertyStatusVector]:
     """Counts, identification and the aggregate in one N x d pass.
 
-    The naive kind divides by N * d instead of N times the ceiling.
+    Returns the aggregate with the per-person counts and statuses it was
+    built from.  The naive kind divides by N * d instead of N times the
+    ceiling.
     """
     alpha = _check_alpha(alpha)
     ym, zc, ms = _consistent_inputs(achievements, cutoffs, structure)
@@ -101,10 +103,11 @@ def _coefficient_pass(
     ceiling = weighted_upper_bound(ms, wv)
     coef = _coefficient_values(ms, wv.values)
     y, z = ym.values, zc.values
-    statuses = identify(_count_values(y, z, coef), k, upper=ceiling)
+    counts = _count_values(y, z, coef)
+    statuses = identify(counts, k, upper=ceiling)
     censored = (_gap_values(y, z, alpha) * coef) * statuses.statuses[:, None]
     denominator = ym.n * (ms.d if kind == "naive" else ceiling)
-    return FgtResult(
+    result = FgtResult(
         value=math.fsum(np.sum(censored, axis=1)) / denominator,
         alpha=alpha,
         k=statuses.k,
@@ -112,6 +115,7 @@ def _coefficient_pass(
         censored_matrix_hash=_censored_hash(censored),
         kind=kind,
     )
+    return result, counts, statuses
 
 
 def fgt_network_adjusted(
@@ -130,7 +134,7 @@ def fgt_network_adjusted(
     """
     return _coefficient_pass(
         achievements, cutoffs, structure, weights, alpha, k, "network_adjusted"
-    )
+    )[0]
 
 
 def fgt_naive(
@@ -147,7 +151,9 @@ def fgt_naive(
     uses the unweighted counts, and k is validated against the same
     ceiling the corrected form would use (uniform weights).
     """
-    return _coefficient_pass(achievements, cutoffs, structure, None, alpha, k, "naive")
+    return _coefficient_pass(
+        achievements, cutoffs, structure, None, alpha, k, "naive"
+    )[0]
 
 
 def decompose_by_group(

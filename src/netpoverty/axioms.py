@@ -52,6 +52,7 @@ from .core import (
     DependenceStructure,
     MethodologyConfig,
     WeightVector,
+    _check_alpha,
     as_achievement_matrix,
     check_dimension_index,
 )
@@ -116,6 +117,8 @@ class GeneratorSettings:
             raise InvalidGeneratorSettings(f"bad n_range {self.n_range}")
         if not 2 <= d_lo <= d_hi:
             raise InvalidGeneratorSettings(f"bad d_range {self.d_range} (need d >= 2)")
+        if int(self.seed) < 0:
+            raise InvalidGeneratorSettings(f"seed = {self.seed} must be >= 0")
         object.__setattr__(self, "trials", int(self.trials))
         object.__setattr__(self, "n_range", (n_lo, n_hi))
         object.__setattr__(self, "d_range", (d_lo, d_hi))
@@ -597,9 +600,7 @@ def run_axiom_suite(
         alpha = config.alpha
     else:
         pinned = None
-        alpha = float(config)
-        if not math.isfinite(alpha) or alpha < 0.0:
-            raise ValidationError(f"alpha = {config} must be a finite real >= 0")
+        alpha = _check_alpha(config)
 
     reports: list[AxiomReport] = []
     for idx, axiom in enumerate(AXIOMS):

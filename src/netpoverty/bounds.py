@@ -24,6 +24,7 @@ from numpy.typing import NDArray
 from .core import (
     DependenceStructure,
     WeightVector,
+    _frozen_array,
     as_dependence_structure,
     as_weight_vector,
     check_dimension_index,
@@ -52,9 +53,7 @@ class BoundsSummary:
 
     def __post_init__(self) -> None:
         for name in ("jumps", "column_totals"):
-            v = np.array(getattr(self, name), dtype=float, copy=True)
-            v.flags.writeable = False
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, _frozen_array(getattr(self, name)))
 
 
 def _column_sums(structure: DependenceStructure) -> list[float]:
@@ -71,17 +70,19 @@ def upper_bound(structure: DependenceStructure) -> float:
 
 
 def lower_bound(structure: DependenceStructure) -> float:
-    """Smallest attainable nonzero unweighted count (one deprived dimension)."""
-    structure = as_dependence_structure(structure)
-    d = structure.d
-    return 1.0 + (min(_column_sums(structure)) - 1.0) / (d - 1)
+    """Smallest attainable nonzero unweighted count (one deprived dimension).
+
+    The jump is monotone in the column sum, so the smallest jump is the
+    jump of the smallest column sum, exactly.
+    """
+    return float(np.min(dimension_jumps(structure)))
 
 
 def dimension_jump(structure: DependenceStructure, j: int) -> float:
     """Increase in the unweighted count when dimension j (1-based) turns deprived."""
     structure = as_dependence_structure(structure)
     j = check_dimension_index(j, structure.d)
-    return 1.0 + (_column_sums(structure)[j - 1] - 1.0) / (structure.d - 1)
+    return float(dimension_jumps(structure)[j - 1])
 
 
 def dimension_jumps(structure: DependenceStructure) -> NDArray[np.float64]:

@@ -51,10 +51,19 @@ REL_TOL = 1e-9
 SYMMETRY_TOL = 1e-12
 
 
-def _frozen_array(values: ArrayLike) -> NDArray[np.float64]:
-    out = np.array(values, dtype=float, copy=True)
+def _frozen_array(values: ArrayLike, dtype=float) -> NDArray:
+    """A read-only copy of ``values``; every payload is stored this way."""
+    out = np.array(values, dtype=dtype, copy=True)
     out.flags.writeable = False
     return out
+
+
+def _check_alpha(alpha: float) -> float:
+    """The gap exponent as a float, checked finite and >= 0."""
+    alpha = float(alpha)
+    if not math.isfinite(alpha) or alpha < 0.0:
+        raise InvalidAlpha(f"alpha = {alpha} must be a finite real >= 0")
+    return alpha
 
 
 @dataclass(frozen=True)
@@ -69,7 +78,7 @@ class DependenceStructure:
     symmetric: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        m = np.array(self.entries, dtype=float, copy=True)
+        m = _frozen_array(self.entries)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise NotSquare(f"dependence structure must be square, got shape {m.shape}")
         d = m.shape[0]
@@ -89,7 +98,6 @@ class DependenceStructure:
             j = int(np.argmax(off)) + 1
             raise DiagonalNotOne(f"diagonal entry ({j}, {j}) = {m[j - 1, j - 1]} != 1")
         symmetric = bool(np.max(np.abs(m - m.T)) <= SYMMETRY_TOL)
-        m.flags.writeable = False
         object.__setattr__(self, "entries", m)
         object.__setattr__(self, "symmetric", symmetric)
 
@@ -121,7 +129,7 @@ class AchievementMatrix:
     values: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        y = np.array(self.values, dtype=float, copy=True)
+        y = _frozen_array(self.values)
         if y.ndim != 2:
             raise ShapeMismatch(f"achievements must be a 2-D matrix, got ndim={y.ndim}")
         if y.shape[0] < 1 or y.shape[1] < 1:
@@ -135,7 +143,6 @@ class AchievementMatrix:
                 row=int(i),
                 column=int(j),
             )
-        y.flags.writeable = False
         object.__setattr__(self, "values", y)
 
     @property
@@ -154,13 +161,12 @@ class CutoffVector:
     values: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        z = np.array(self.values, dtype=float, copy=True).reshape(-1)
+        z = _frozen_array(self.values).reshape(-1)
         if z.size < 1:
             raise ShapeMismatch("cutoff vector is empty")
         if not np.all(np.isfinite(z)) or np.any(z <= 0.0):
             j = int(np.argmin(z)) + 1
             raise NonPositiveCutoff(f"cutoff {j} = {z[j - 1]} must be a positive real")
-        z.flags.writeable = False
         object.__setattr__(self, "values", z)
 
     @property
@@ -180,7 +186,7 @@ class WeightVector:
     values: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        w = np.array(self.values, dtype=float, copy=True).reshape(-1)
+        w = _frozen_array(self.values).reshape(-1)
         d = w.shape[0]
         if d < 1:
             raise ShapeMismatch("weight vector is empty")
@@ -193,7 +199,6 @@ class WeightVector:
         if np.any(w >= d):
             j = int(np.argmax(w)) + 1
             raise WeightTooLarge(f"weight {j} = {w[j - 1]} must be below d = {d}")
-        w.flags.writeable = False
         object.__setattr__(self, "values", w)
 
     @property
@@ -231,10 +236,7 @@ class MethodologyConfig:
             raise ShapeMismatch(
                 f"cutoffs have length {self.cutoffs.d}, structure has d = {d}"
             )
-        alpha = float(self.alpha)
-        if not math.isfinite(alpha) or alpha < 0.0:
-            raise InvalidAlpha(f"alpha = {self.alpha} must be a finite real >= 0")
-        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "alpha", _check_alpha(self.alpha))
 
         from .bounds import weighted_upper_bound  # deferred: bounds imports core
 
@@ -254,6 +256,11 @@ class MethodologyConfig:
 
 
 def as_dependence_structure(m) -> DependenceStructure:
+    """Validate a raw square matrix as a dependence structure.
+
+    Checks entries in [0, 1] and a unit diagonal; records whether the
+    matrix is symmetric.  A structure passes through unchanged.
+    """
     if isinstance(m, DependenceStructure):
         return m
     return DependenceStructure(np.asarray(m, dtype=float))
@@ -273,33 +280,22 @@ def as_cutoff_vector(z) -> CutoffVector:
 
 def as_weight_vector(w, d: int) -> WeightVector:
     """Coerce to a validated weight vector; None means uniform."""
-    if w is None:
-        return WeightVector.uniform(d)
-    if not isinstance(w, WeightVector):
-        w = validate_weights(w, d)
-    if w.d != d:
-        raise ShapeMismatch(f"weights have length {w.d}, expected {d}")
-    return w
+    return WeightVector.uniform(d) if w is None else validate_weights(w, d)
 
 
 # --- operations ----------------------------------------------------------------
 
 
-def validate_dependence_structure(raw) -> DependenceStructure:
-    """Validate a raw square matrix as a dependence structure.
-
-    Checks entries in [0, 1] and a unit diagonal; records whether the
-    matrix is symmetric.
-    """
-    return as_dependence_structure(raw)
+validate_dependence_structure = as_dependence_structure
 
 
 def validate_weights(raw, d: int) -> WeightVector:
-    """Validate a raw length-d sequence as a weight vector."""
-    w = np.asarray(raw, dtype=float).reshape(-1)
+    """Validate a raw length-d sequence (or a weight vector) as length-d weights."""
+    is_vector = isinstance(raw, WeightVector)
+    w = raw.values if is_vector else np.asarray(raw, dtype=float).reshape(-1)
     if w.shape[0] != d:
         raise ShapeMismatch(f"weights have length {w.shape[0]}, expected {d}")
-    return WeightVector(w)
+    return raw if is_vector else WeightVector(w)
 
 
 def check_dimension_index(j: int, d: int) -> int:

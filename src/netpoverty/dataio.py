@@ -6,7 +6,8 @@ header row of unique dimension names followed by one row per person.  A
 first column headed ``id`` (case-insensitive) is treated as a person
 identifier and must be unique; every other cell must parse as a finite
 nonnegative real.  Missing cells are rejected, never imputed:
-imputation would silently change poverty counts.
+imputation would silently change poverty counts.  Cells longer than the
+csv module's field limit (131,072 characters by default) are rejected.
 
 Config (JSON object):
 
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .aggregation import fgt_naive, fgt_network_adjusted
+from .aggregation import _coefficient_pass, fgt_naive
 from .bounds import bounds_summary, weighted_upper_bound
 from .core import (
     AchievementMatrix,
@@ -55,7 +56,7 @@ from .core import (
     as_dependence_structure,
     validate_weights,
 )
-from .deprivation import deprivation_counts, deprivation_matrix
+from .deprivation import deprivation_matrix
 from .errors import (
     CutoffOutOfRange,
     EmptyDataset,
@@ -67,7 +68,7 @@ from .errors import (
     ValidationError,
     WriteError,
 )
-from .identification import headcount_ratio, identify
+from .identification import headcount_ratio
 
 
 @dataclass(frozen=True)
@@ -112,7 +113,13 @@ def load_dataset(path) -> Dataset:
     """
     # utf-8-sig drops a byte-order mark that would otherwise hide the id header
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        rows = list(csv.reader(fh))
+        reader = csv.reader(fh)
+        try:
+            rows = list(reader)
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not valid UTF-8 ({exc.reason})") from None
+        except csv.Error as exc:
+            raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise EmptyDataset(f"{path}: file is empty")
     header = [cell.strip() for cell in rows[0]]
@@ -211,6 +218,10 @@ def load_config_document(path) -> ConfigDocument:
             raise ParseError(
                 f"{path}: invalid JSON: {exc.msg}", row=exc.lineno, column=exc.colno
             ) from None
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not valid UTF-8 ({exc.reason})") from None
+        except RecursionError:
+            raise ParseError(f"{path}: invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: config must be a JSON object")
 
@@ -333,11 +344,11 @@ def build_report(
         raise ValidationError(
             f"dataset has d = {y.d} dimensions, config has d = {config.d}"
         )
-    result = fgt_network_adjusted(
-        y, config.cutoffs, config.structure, config.weights, config.alpha, config.k
+    # the aggregate's own counts and statuses, so the rows match it exactly
+    result, counts, statuses = _coefficient_pass(
+        y, config.cutoffs, config.structure, config.weights, config.alpha, config.k,
+        "network_adjusted",
     )
-    counts = deprivation_counts(y, config.cutoffs, config.structure, config.weights)
-    statuses = identify(counts, config.k, upper=config.score_ceiling)
     scored = deprivation_matrix(
         y, config.cutoffs, config.structure, config.alpha, config.weights
     )
@@ -362,7 +373,7 @@ def build_report(
     report["per_person"] = [
         {
             "id": pid,
-            "deprivation_count": _round12(counts.values[i]),
+            "deprivation_count": _round12(counts[i]),
             "poor": int(statuses.statuses[i]),
             "scores": [_round12(v) for v in scored.values[i]],
         }

@@ -34,18 +34,15 @@ from numpy.typing import NDArray
 from .core import (
     DependenceStructure,
     WeightVector,
+    _check_alpha,
+    _frozen_array,
     as_achievement_matrix,
     as_cutoff_vector,
     as_dependence_structure,
     as_weight_vector,
     check_dimension_index,
 )
-from .errors import (
-    InvalidAlpha,
-    NegativeAchievement,
-    NonPositiveCutoff,
-    ShapeMismatch,
-)
+from .errors import NegativeAchievement, NonPositiveCutoff, ShapeMismatch
 
 # cap on rows * d * d cells per broadcast chunk (memory bound)
 _CHUNK_CELLS = 4_000_000
@@ -59,9 +56,7 @@ class GapMatrix:
     values: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        v = np.array(self.values, dtype=float, copy=True)
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _frozen_array(self.values))
 
 
 @dataclass(frozen=True)
@@ -73,9 +68,7 @@ class DeprivationMatrix:
     values: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        v = np.array(self.values, dtype=float, copy=True)
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _frozen_array(self.values))
 
 
 @dataclass(frozen=True)
@@ -85,20 +78,12 @@ class DeprivationCounts:
     values: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        v = np.array(self.values, dtype=float, copy=True).reshape(-1)
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
+        values = _frozen_array(self.values).reshape(-1)
+        object.__setattr__(self, "values", values)
 
     @property
     def n(self) -> int:
         return self.values.shape[0]
-
-
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not math.isfinite(alpha) or alpha < 0.0:
-        raise InvalidAlpha(f"alpha = {alpha} must be a finite real >= 0")
-    return alpha
 
 
 def normalized_gap(y: float, z: float, alpha: float) -> float:
@@ -161,13 +146,11 @@ def _neighbor_values(
     """
     n, d = gaps.shape
     rows = max(1, _CHUNK_CELLS // (d * d))
-    if n <= rows:
-        return np.sum(gaps[:, None, :] * off_diag[None, :, :], axis=2)
-    parts = [
-        np.sum(gaps[s : s + rows, None, :] * off_diag[None, :, :], axis=2)
-        for s in range(0, n, rows)
-    ]
-    return np.concatenate(parts, axis=0)
+    out = np.empty((n, d))
+    for s in range(0, n, rows):
+        chunk = gaps[s : s + rows, None, :] * off_diag[None, :, :]
+        np.sum(chunk, axis=2, out=out[s : s + rows])
+    return out
 
 
 def _score_values(

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import REL_TOL
+from .core import REL_TOL, _frozen_array
 from .deprivation import DeprivationCounts
 from .errors import CutoffOutOfRange
 
@@ -21,9 +21,8 @@ class PovertyStatusVector:
     k: float
 
     def __post_init__(self) -> None:
-        s = np.array(self.statuses, dtype=np.int64, copy=True).reshape(-1)
-        s.flags.writeable = False
-        object.__setattr__(self, "statuses", s)
+        statuses = _frozen_array(self.statuses, dtype=np.int64).reshape(-1)
+        object.__setattr__(self, "statuses", statuses)
 
     @property
     def n(self) -> int:

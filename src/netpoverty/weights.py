@@ -100,7 +100,9 @@ def fgt_via_coefficients(
     must agree with this one to 1e-12 on any valid input.
     """
     kind = "network_adjusted_coefficient_form"
-    return _coefficient_pass(achievements, cutoffs, structure, weights, alpha, k, kind)
+    return _coefficient_pass(
+        achievements, cutoffs, structure, weights, alpha, k, kind
+    )[0]
 
 
 def implied_weights(structure: DependenceStructure) -> ImpliedWeights:

@@ -212,3 +212,7 @@ class TestSuite:
             GeneratorSettings(trials=0)
         with pytest.raises(InvalidGeneratorSettings):
             GeneratorSettings(d_range=(1, 3))
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidGeneratorSettings):
+            GeneratorSettings(seed=-1)

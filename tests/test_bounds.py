@@ -86,6 +86,23 @@ class TestDimensionJump:
         with pytest.raises(IndexOutOfRange):
             dimension_jump(ASYM, 0)
 
+    def test_read_from_the_jump_array_bitwise(self, rng):
+        from conftest import random_structure
+
+        for trial in range(40):
+            d = int(rng.integers(2, 8))
+            if trial % 2:
+                m = random_structure(rng, d)
+            else:  # grid entries make equal column sums likely
+                entries = rng.choice([0.0, 0.1, 0.25, 0.3, 0.5, 1.0], (d, d))
+                np.fill_diagonal(entries, 1.0)
+                m = DependenceStructure(entries)
+            cols = [math.fsum(m.entries[:, j]) for j in range(d)]
+            jumps = dimension_jumps(m)
+            assert lower_bound(m) == 1.0 + (min(cols) - 1.0) / (d - 1)
+            for j in range(1, d + 1):
+                assert dimension_jump(m, j) == jumps[j - 1]
+
 
 class TestWeightedUpperBound:
     def test_uniform_weights_reduce_to_unweighted_exactly(self, rng):

@@ -12,6 +12,11 @@ WORKED_CONFIG = {
 }
 
 
+def assert_one_error_line(err):
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.fixture
 def worked(tmp_path):
     data = tmp_path / "data.csv"
@@ -82,6 +87,36 @@ class TestCompute:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(dict(WORKED_CONFIG, k=9.0)), encoding="utf-8")
         assert main(["compute", "--dataset", str(data), "--config", str(bad)]) == 1
+
+    def test_unwritable_report_exits_3(self, worked, tmp_path, capsys):
+        data, config = worked
+        out = tmp_path / "missing-dir" / "r.json"
+        argv = ["compute", "--dataset", str(data), "--config", str(config)]
+        assert main([*argv, "--out", str(out)]) == 3
+        assert_one_error_line(capsys.readouterr().err)
+
+
+class TestFileBoundary:
+    """Undecodable, oversized or over-nested files end in one error line, exit 1."""
+
+    @pytest.mark.parametrize(
+        "data, config",
+        [
+            (b"health,education\n5,\xff\n", None),
+            (None, b'{"cutoffs": [10, 10], "alpha": 1, "k": "\xff"}'),
+            (b"health,education\n5," + b"1" * 131_073 + b"\n", None),
+            (None, b"[" * 200_000 + b"]" * 200_000),
+        ],
+        ids=["dataset-not-utf8", "config-not-utf8", "long-cell", "deep-config"],
+    )
+    def test_rejected_without_traceback(self, worked, capsys, data, config):
+        for path, raw in zip(worked, (data, config)):
+            if raw is not None:
+                path.write_bytes(raw)
+        data_path, config_path = worked
+        argv = ["compute", "--dataset", str(data_path), "--config", str(config_path)]
+        assert main(argv) == 1
+        assert_one_error_line(capsys.readouterr().err)
 
 
 class TestConfigBoundary:
@@ -159,6 +194,12 @@ class TestAxioms:
         records = [json.loads(line) for line in lines]
         assert len(records) == 12
         assert all(r["status"] in ("pass", "not_covered") for r in records)
+
+    def test_negative_seed_exits_1(self, worked, capsys):
+        _, config = worked
+        code = main(["axioms", "--config", str(config), "--trials", "5", "--seed", "-1"])
+        assert code == 1
+        assert_one_error_line(capsys.readouterr().err)
 
     def test_inconsistent_methodology_reports_violation(self, tmp_path, capsys):
         # asymmetric structure with non-uniform weights: the unit endpoint

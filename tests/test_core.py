@@ -139,6 +139,21 @@ class TestWeights:
     def test_uniform_constructor(self):
         assert np.array_equal(WeightVector.uniform(4).values, np.ones(4))
 
+    def test_none_is_uniform_only_when_coerced(self):
+        from netpoverty.core import as_weight_vector
+
+        with pytest.raises(ShapeMismatch):
+            validate_weights(None, 3)
+        assert np.array_equal(as_weight_vector(None, 3).values, np.ones(3))
+
+    def test_weight_vector_length_checked(self):
+        from netpoverty.core import as_weight_vector
+
+        w = WeightVector.uniform(3)
+        assert validate_weights(w, 3) is w and as_weight_vector(w, 3) is w
+        with pytest.raises(ShapeMismatch):
+            as_weight_vector(w, 2)
+
 
 class TestOtherTypes:
     def test_achievements_reject_negative(self):

@@ -2,22 +2,30 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from netpoverty import (
+    AchievementMatrix,
+    Dataset,
+    MethodologyConfig,
     build_report,
+    deprivation_counts,
+    identify,
     load_config,
     load_config_document,
     load_dataset,
     recompute_fgt_value,
     resolve_methodology,
     run_report,
+    weighted_upper_bound,
 )
-from netpoverty.dataio import render_report
+from netpoverty.dataio import _round12, render_report
 from netpoverty.errors import (
     CutoffOutOfRange,
     EmptyDataset,
     MissingField,
     NegativeAchievement,
+    NetpovertyError,
     ParseError,
     RaggedRow,
     ValidationError,
@@ -267,3 +275,71 @@ class TestReports:
         data, config = worked_files
         report = build_report(load_dataset(data), load_config(config))
         assert render_report(report).endswith("}\n")
+
+    def test_rows_match_public_counts_and_statuses_bitwise(self, rng):
+        from conftest import random_structure, random_weights
+
+        for _ in range(20):
+            d = int(rng.integers(2, 7))
+            z = rng.uniform(1, 10, d)
+            n = int(rng.integers(1, 40))
+            y = rng.uniform(0, 2 * z, (n, d))
+            m, w = random_structure(rng, d), random_weights(rng, d)
+            cfg = MethodologyConfig(
+                alpha=float(rng.choice([0.0, 0.5, 1.0, 2.0])),
+                k=float(rng.uniform(0.05, 1.0)) * weighted_upper_bound(m, w),
+                structure=m,
+                weights=w,
+                cutoffs=z,
+            )
+            names = tuple(f"d{j}" for j in range(d))
+            ds = Dataset(achievements=AchievementMatrix(y), dimension_names=names)
+            rows = build_report(ds, cfg)["per_person"]
+            counts = deprivation_counts(y, z, m, w)
+            statuses = identify(counts, cfg.k, upper=cfg.score_ceiling).statuses
+            got = np.array([rec["deprivation_count"] for rec in rows])
+            want = np.array([_round12(v) for v in counts.values])
+            assert got.tobytes() == want.tobytes()
+            assert [rec["poor"] for rec in rows] == statuses.tolist()
+
+
+# every JSON value shape a config field could hold, keyed by real field names
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(
+        st.sampled_from(["cutoffs", "alpha", "k", "mode", "value", "dependence", "weights"])
+        | st.text(max_size=3),
+        inner,
+        max_size=5,
+    ),
+    max_leaves=16,
+)
+_CELL = st.sampled_from(["id", "1", "0.5", "-1", "nan", "1_0", "", " ", '"', "x"])
+_CSV = st.lists(st.lists(_CELL | st.text(max_size=4), max_size=4), max_size=5).map(
+    lambda rows: "\n".join(",".join(row) for row in rows).encode()
+)
+
+
+class TestBoundaryFuzz:
+    """Any bytes either load or raise a NetpovertyError, never anything else."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw=st.binary() | _CSV)
+    def test_dataset_bytes(self, tmp_path_factory, raw):
+        path = tmp_path_factory.mktemp("fuzz") / "data.csv"
+        path.write_bytes(raw)
+        try:
+            load_dataset(path)
+        except NetpovertyError:
+            pass
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw=st.binary() | _JSON.map(lambda doc: json.dumps(doc).encode()))
+    def test_config_bytes(self, tmp_path_factory, raw):
+        path = tmp_path_factory.mktemp("fuzz") / "config.json"
+        path.write_bytes(raw)
+        try:
+            load_config_document(path)
+        except NetpovertyError:
+            pass
