@@ -61,12 +61,20 @@ def _column_sums(structure: DependenceStructure) -> list[float]:
     return [math.fsum(m[:, j]) for j in range(structure.d)]
 
 
+def _jumps(cols: list[float]) -> NDArray[np.float64]:
+    d = len(cols)
+    return np.array([1.0 + (c - 1.0) / (d - 1) for c in cols])
+
+
+def _ceiling(cols: list[float], w: NDArray[np.float64]) -> float:
+    d = len(cols)
+    total = math.fsum(w[j] * cols[j] for j in range(d))
+    return d + (total - d) / (d - 1)
+
+
 def upper_bound(structure: DependenceStructure) -> float:
     """Largest attainable unweighted count (everyone deprived everywhere)."""
-    structure = as_dependence_structure(structure)
-    d = structure.d
-    total = math.fsum(_column_sums(structure))
-    return d + (total - d) / (d - 1)
+    return weighted_upper_bound(structure)
 
 
 def lower_bound(structure: DependenceStructure) -> float:
@@ -87,9 +95,7 @@ def dimension_jump(structure: DependenceStructure, j: int) -> float:
 
 def dimension_jumps(structure: DependenceStructure) -> NDArray[np.float64]:
     """All per-dimension jumps as an array."""
-    structure = as_dependence_structure(structure)
-    d = structure.d
-    return np.array([1.0 + (c - 1.0) / (d - 1) for c in _column_sums(structure)])
+    return _jumps(_column_sums(as_dependence_structure(structure)))
 
 
 def weighted_upper_bound(
@@ -100,11 +106,8 @@ def weighted_upper_bound(
     Reduces to :func:`upper_bound` for uniform weights, exactly.
     """
     structure = as_dependence_structure(structure)
-    d = structure.d
-    w = as_weight_vector(weights, d)
-    cols = _column_sums(structure)
-    total = math.fsum(w.values[j] * cols[j] for j in range(d))
-    return d + (total - d) / (d - 1)
+    w = as_weight_vector(weights, structure.d)
+    return _ceiling(_column_sums(structure), w.values)
 
 
 def attainable_scores(
@@ -134,14 +137,17 @@ def attainable_scores(
 def bounds_summary(
     structure: DependenceStructure, weights: WeightVector | None = None
 ) -> BoundsSummary:
-    """All bound quantities in one pass."""
+    """All bound quantities from one pass over the column sums."""
     structure = as_dependence_structure(structure)
+    d = structure.d
+    w = as_weight_vector(weights, d)
     cols = _column_sums(structure)
+    jumps = _jumps(cols)
     return BoundsSummary(
-        upper=upper_bound(structure),
-        lower_nonzero=lower_bound(structure),
-        weighted_upper=weighted_upper_bound(structure, weights),
-        jumps=dimension_jumps(structure),
+        upper=_ceiling(cols, np.ones(d)),
+        lower_nonzero=float(np.min(jumps)),
+        weighted_upper=_ceiling(cols, w.values),
+        jumps=jumps,
         entry_total=math.fsum(cols),
         column_totals=np.array(cols),
     )

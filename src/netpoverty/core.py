@@ -58,12 +58,30 @@ def _frozen_array(values: ArrayLike, dtype=float) -> NDArray:
     return out
 
 
+def _real(value, error: type[Exception], name: str) -> float:
+    """``value`` as a float, or ``error`` naming the type it had."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise error(f"{name} must be a real number, got {type(value).__name__}") from None
+
+
 def _check_alpha(alpha: float) -> float:
     """The gap exponent as a float, checked finite and >= 0."""
-    alpha = float(alpha)
+    alpha = _real(alpha, InvalidAlpha, "alpha")
     if not math.isfinite(alpha) or alpha < 0.0:
         raise InvalidAlpha(f"alpha = {alpha} must be a finite real >= 0")
     return alpha
+
+
+def _check_k(k: float, upper: float | None = None) -> float:
+    """The poverty cutoff as a float, checked positive and, given ``upper``, within it."""
+    k = _real(k, CutoffOutOfRange, "k")
+    if not math.isfinite(k) or k <= 0.0:
+        raise CutoffOutOfRange(f"k = {k} must be a positive real")
+    if upper is not None and k > float(upper) * (1.0 + REL_TOL):
+        raise CutoffOutOfRange(f"k = {k} exceeds the attainable ceiling {upper}")
+    return k
 
 
 @dataclass(frozen=True)
@@ -241,10 +259,7 @@ class MethodologyConfig:
         from .bounds import weighted_upper_bound  # deferred: bounds imports core
 
         ceiling = weighted_upper_bound(self.structure, self.weights)
-        k = float(self.k)
-        if not math.isfinite(k) or k <= 0.0 or k > ceiling * (1.0 + REL_TOL):
-            raise CutoffOutOfRange(f"k = {self.k} outside (0, {ceiling}]")
-        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "k", _check_k(self.k, ceiling))
         object.__setattr__(self, "score_ceiling", ceiling)
 
     @property

@@ -1,11 +1,11 @@
 """File formats: dataset ingestion, methodology configs, poverty reports.
 
 Dataset (CSV, UTF-8 with an optional byte-order mark, comma-delimited,
-'.' decimal separator, no thousands or digit separators): a required
-header row of unique dimension names followed by one row per person.  A
-first column headed ``id`` (case-insensitive) is treated as a person
-identifier and must be unique; every other cell must parse as a finite
-nonnegative real.  Missing cells are rejected, never imputed:
+ASCII digits, '.' decimal separator, no thousands or digit separators):
+a required header row of unique dimension names followed by one row per
+person.  A first column headed ``id`` (case-insensitive) is treated as
+a person identifier and must be unique; every other cell must parse as
+a finite nonnegative real.  Missing cells are rejected, never imputed:
 imputation would silently change poverty counts.  Cells longer than the
 csv module's field limit (131,072 characters by default) are rejected.
 
@@ -146,7 +146,8 @@ def load_dataset(path) -> Dataset:
         for c, cell in enumerate(cells, start=1):
             text = cell.strip()
             try:
-                if "_" in text:  # float() accepts digit grouping, the format does not
+                # float() takes `_` grouping and non-ASCII digits, the format does not
+                if "_" in text or not text.isascii():
                     raise ValueError
                 value = float(text)
             except ValueError:
@@ -194,6 +195,13 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
+#: the JSON type behind each value ``json.load(..., parse_int=float)`` returns
+_JSON_TYPES = {
+    dict: "an object", list: "an array", str: "a string",
+    float: "a number", bool: "a boolean", type(None): "null",
+}
+
+
 def _numbers(path, value, field: str, depth: int):
     """JSON numbers nested ``depth`` arrays deep (0: one number).
 
@@ -203,8 +211,9 @@ def _numbers(path, value, field: str, depth: int):
         return value
     if depth == 0 or not isinstance(value, list):
         kind = "a number" if depth == 0 else "an array"
+        got = _JSON_TYPES[type(value)]
         raise ValidationError(
-            f"{path}: config field {field!r} must be {kind}, got {json.dumps(value)}"
+            f"{path}: config field {field!r} must be {kind}, got {got}"
         )
     return [_numbers(path, v, f"{field}[{i}]", depth - 1) for i, v in enumerate(value)]
 

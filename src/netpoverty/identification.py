@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import REL_TOL, _frozen_array
+from .core import _check_k, _frozen_array
 from .deprivation import DeprivationCounts
-from .errors import CutoffOutOfRange
 
 
 @dataclass(frozen=True)
@@ -47,17 +45,18 @@ def identify(
         values = counts.values
     else:
         values = np.asarray(counts, dtype=float).reshape(-1)
-    k = float(k)
-    if not math.isfinite(k) or k <= 0.0:
-        raise CutoffOutOfRange(f"k = {k} must be a positive real")
-    if upper is not None and k > float(upper) * (1.0 + REL_TOL):
-        raise CutoffOutOfRange(f"k = {k} exceeds the attainable ceiling {upper}")
+    k = _check_k(k, upper)
     return PovertyStatusVector(statuses=(values >= k).astype(np.int64), k=k)
+
+
+def _status_values(statuses) -> NDArray:
+    """The array behind a status vector, or a raw status sequence as an array."""
+    if isinstance(statuses, PovertyStatusVector):
+        return statuses.statuses
+    return np.asarray(statuses)
 
 
 def headcount_ratio(statuses: PovertyStatusVector) -> float:
     """Share of the population identified as poor."""
-    if isinstance(statuses, PovertyStatusVector):
-        return statuses.poor_count / statuses.n
-    s = np.asarray(statuses)
-    return float(np.sum(s != 0) / s.shape[0])
+    s = _status_values(statuses)
+    return float(np.count_nonzero(s) / s.shape[0])

@@ -161,6 +161,25 @@ class TestRearrangement:
             apply_rearrangement(self.YPAIR, 1, 1, {1}, self.STATUSES)
 
 
+class TestRegistry:
+    def test_axiom_order_is_pinned(self):
+        # trial seeds are [seed, axiom index, trial]: reordering changes every report
+        assert AXIOMS == (
+            "decomposability",
+            "replication_invariance",
+            "symmetry",
+            "poverty_focus",
+            "deprivation_focus",
+            "weak_monotonicity",
+            "monotonicity",
+            "dimensional_monotonicity",
+            "nontriviality",
+            "normalization",
+            "weak_transfer",
+            "weak_rearrangement",
+        )
+
+
 class TestCoverage:
     def test_monotonicity_needs_positive_alpha(self):
         assert not axiom_covered("monotonicity", 0.0)

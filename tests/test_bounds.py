@@ -187,6 +187,20 @@ class TestBoundsSummary:
         assert summary.entry_total == pytest.approx(4.1, abs=1e-12)
         assert summary.column_totals == pytest.approx([1.2, 1.5, 1.4], abs=1e-12)
 
+    def test_fields_equal_operations_on_random_inputs(self, rng):
+        from conftest import random_structure, random_weights
+
+        for _ in range(40):
+            d = int(rng.integers(2, 8))
+            m = random_structure(rng, d, symmetric=rng.random() < 0.3)
+            for w in (None, random_weights(rng, d)):
+                summary = bounds_summary(m, w)
+                assert summary.upper == upper_bound(m) == weighted_upper_bound(m)
+                assert summary.lower_nonzero == lower_bound(m)
+                assert summary.weighted_upper == weighted_upper_bound(m, w)
+                assert summary.jumps.tobytes() == dimension_jumps(m).tobytes()
+                assert summary.entry_total == math.fsum(summary.column_totals)
+
     def test_jump_range(self, rng):
         from conftest import random_structure
 

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from test_dataio import _CSV, _JSON
 
 from netpoverty.cli import main
 
@@ -106,8 +110,15 @@ class TestFileBoundary:
             (None, b'{"cutoffs": [10, 10], "alpha": 1, "k": "\xff"}'),
             (b"health,education\n5," + b"1" * 131_073 + b"\n", None),
             (None, b"[" * 200_000 + b"]" * 200_000),
+            ("health,education\n5,\u0661\u0662\n".encode(), None),
         ],
-        ids=["dataset-not-utf8", "config-not-utf8", "long-cell", "deep-config"],
+        ids=[
+            "dataset-not-utf8",
+            "config-not-utf8",
+            "long-cell",
+            "deep-config",
+            "non-ascii-digits",
+        ],
     )
     def test_rejected_without_traceback(self, worked, capsys, data, config):
         for path, raw in zip(worked, (data, config)):
@@ -267,3 +278,28 @@ class TestCompare:
             ]
         )
         assert code == 1
+
+
+class TestComputeFuzz:
+    """Fuzzed dataset and config bytes: exit 0, 1 or 3, at most one error line."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=st.binary() | _CSV | st.just(b"health,education\n5,10\n10,10\n"),
+        config=st.binary()
+        | _JSON.map(lambda doc: json.dumps(doc).encode())
+        | st.just(json.dumps(WORKED_CONFIG).encode()),
+    )
+    def test_compute_never_escapes(self, tmp_path_factory, data, config):
+        tmp = tmp_path_factory.mktemp("fuzz")
+        data_path, config_path = tmp / "data.csv", tmp / "config.json"
+        data_path.write_bytes(data)
+        config_path.write_bytes(config)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(
+                ["compute", "--dataset", str(data_path), "--config", str(config_path)]
+            )
+        assert code in (0, 1, 3)
+        assert "Traceback" not in err.getvalue()
+        assert sum(line.startswith("error:") for line in err.getvalue().splitlines()) <= 1

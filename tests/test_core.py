@@ -8,7 +8,9 @@ from netpoverty import (
     MethodologyConfig,
     WeightVector,
     connections_of,
+    identify,
     is_disconnected,
+    run_axiom_suite,
     validate_dependence_structure,
     validate_weights,
 )
@@ -199,3 +201,33 @@ class TestMethodologyConfig:
             MethodologyConfig(
                 alpha=1.0, k=1.0, structure=np.eye(3), weights=None, cutoffs=[10, 10]
             )
+
+
+def _config(**kwargs):
+    fields = dict(alpha=1.0, k=1.0, structure=np.eye(2), weights=None, cutoffs=[10, 10])
+    return MethodologyConfig(**dict(fields, **kwargs))
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: _config(alpha="x"), InvalidAlpha),
+        (lambda: _config(alpha=None), InvalidAlpha),
+        (lambda: _config(alpha=10**400), InvalidAlpha),
+        (lambda: _config(k="x"), CutoffOutOfRange),
+        (lambda: run_axiom_suite("x"), InvalidAlpha),
+        (lambda: identify([1.0], "x"), CutoffOutOfRange),
+    ],
+    ids=[
+        "config-alpha-str",
+        "config-alpha-none",
+        "config-alpha-huge-int",
+        "config-k-str",
+        "suite-alpha-str",
+        "identify-k-str",
+    ],
+)
+def test_non_numeric_alpha_and_k_rejected(call, error):
+    with pytest.raises(error, match="must be a real number, got ") as info:
+        call()
+    assert "\n" not in str(info.value)

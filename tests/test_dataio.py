@@ -19,7 +19,7 @@ from netpoverty import (
     run_report,
     weighted_upper_bound,
 )
-from netpoverty.dataio import _round12, render_report
+from netpoverty.dataio import _numbers, _round12, render_report
 from netpoverty.errors import (
     CutoffOutOfRange,
     EmptyDataset,
@@ -177,6 +177,18 @@ class TestLoadConfig:
         doc = dict(WORKED_CONFIG, cutoffs=[10, 10, 10])
         with pytest.raises(ValidationError):
             load_config(write(tmp_path, "c.json", json.dumps(doc)))
+
+    def test_error_names_the_json_type_not_the_value(self):
+        # called on the parsed value: under a test runner's stack a 990-deep
+        # document already fails in the JSON parser
+        alpha = 1.0
+        for _ in range(990):
+            alpha = [alpha]
+        with pytest.raises(ValidationError) as info:
+            _numbers("c.json", alpha, "alpha", 0)
+        message = str(info.value)
+        assert message.endswith("must be a number, got an array")
+        assert "\n" not in message and len(message) < 200
 
 
 class TestReports:
