@@ -4,8 +4,8 @@ Subcommands: compute (full report), bounds (count bounds and attainable
 levels), implied-weights, axioms (randomized verification suite),
 compare (corrected vs naive aggregate across a dependence-entry sweep).
 
-Exit codes: 0 success, 1 validation error, 2 axiom violation, 3 I/O
-error.
+Exit codes: 0 success, 1 validation or usage error, 2 axiom violation,
+3 I/O error.
 """
 
 from __future__ import annotations
@@ -22,19 +22,24 @@ from .axioms import GeneratorSettings, run_axiom_suite
 from .bounds import ENUMERATION_LIMIT, attainable_scores, bounds_summary
 from .core import DependenceStructure, MethodologyConfig
 from .dataio import (
+    _bounds_fields,
     _round12,
+    _write_text,
+    build_report,
+    load_config,
     load_config_document,
     load_dataset,
     render_report,
-    resolve_methodology,
-    run_report,
 )
 from .errors import NetpovertyError, ValidationError, WriteError
 from .weights import implied_weights
 
 
-def _add_config_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", required=True, help="methodology config (JSON)")
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors, so ``main`` ends them like any validation error."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
 
 
 def _add_k_args(parser: argparse.ArgumentParser) -> None:
@@ -50,62 +55,46 @@ def _add_k_args(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="netpoverty",
         description="Dependence-aware multidimensional poverty measurement",
     )
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", required=True, help="methodology config (JSON)")
+    common.add_argument("--out", default=None, help="output path (default: stdout)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    compute = sub.add_parser("compute", help="compute a poverty report")
+    def command(name: str, run, summary: str) -> argparse.ArgumentParser:
+        cmd = sub.add_parser(name, parents=[common], help=summary)
+        cmd.set_defaults(run=run)
+        return cmd
+
+    compute = command("compute", _cmd_compute, "compute a poverty report")
     compute.add_argument("--dataset", required=True, help="achievements CSV")
-    _add_config_arg(compute)
     _add_k_args(compute)
-    compute.add_argument("--out", default=None, help="report path (default: stdout)")
     compute.add_argument(
         "--diagnostic-naive",
         action="store_true",
         help="also report the uncorrected (manipulable) aggregate",
     )
 
-    bounds = sub.add_parser("bounds", help="count bounds, jumps, attainable levels")
-    _add_config_arg(bounds)
-    bounds.add_argument("--out", default=None)
+    command("bounds", _cmd_bounds, "count bounds, jumps, attainable levels")
+    command("implied-weights", _cmd_implied_weights, "weights implied by a symmetric structure")
 
-    implied = sub.add_parser(
-        "implied-weights", help="weights implied by a symmetric structure"
-    )
-    _add_config_arg(implied)
-    implied.add_argument("--out", default=None)
-
-    axioms = sub.add_parser("axioms", help="run the axiom verification suite")
-    _add_config_arg(axioms)
+    axioms = command("axioms", _cmd_axioms, "run the axiom verification suite")
     axioms.add_argument("--alpha", type=float, default=None, help="override alpha")
     axioms.add_argument("--trials", type=int, default=200)
     axioms.add_argument("--seed", type=int, default=0)
-    axioms.add_argument("--out", default=None)
 
-    compare = sub.add_parser(
-        "compare", help="corrected vs naive aggregate while one entry sweeps 0..1"
+    compare = command(
+        "compare", _cmd_compare, "corrected vs naive aggregate while one entry sweeps 0..1"
     )
     compare.add_argument("--dataset", required=True)
-    _add_config_arg(compare)
     _add_k_args(compare)
     compare.add_argument("--row", type=int, required=True, help="affected dimension (1-based)")
     compare.add_argument("--col", type=int, required=True, help="affecting dimension (1-based)")
     compare.add_argument("--steps", type=int, default=11, help="sweep points (default 11)")
-    compare.add_argument("--out", default=None)
     return parser
-
-
-def _emit(text: str, out_path) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-        return
-    try:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise WriteError(f"could not write {out_path}: {exc}") from exc
 
 
 def _warn_k_gap(config: MethodologyConfig) -> None:
@@ -136,32 +125,20 @@ def _warn_k_gap(config: MethodologyConfig) -> None:
     )
 
 
-def _cmd_compute(args) -> int:
+def _cmd_compute(args) -> tuple[str, int]:
     dataset = load_dataset(args.dataset)
-    config = resolve_methodology(
-        load_config_document(args.config),
-        alpha_override=args.alpha,
-        k_override=args.k,
-        k_fraction_override=args.k_fraction,
-    )
+    config = load_config(args.config, args.alpha, args.k, args.k_fraction)
     _warn_k_gap(config)
-    report = run_report(
-        dataset, config, out_path=args.out, diagnostic_naive=args.diagnostic_naive
-    )
-    if args.out is None:
-        sys.stdout.write(render_report(report))
-    return 0
+    report = build_report(dataset, config, diagnostic_naive=args.diagnostic_naive)
+    return render_report(report), 0
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args) -> tuple[str, int]:
     doc = load_config_document(args.config)
     summary = bounds_summary(doc.structure, doc.weights)
     payload = {
         "d": doc.structure.d,
-        "d_bar": _round12(summary.upper),
-        "d_under": _round12(summary.lower_nonzero),
-        "d_tilde": _round12(summary.weighted_upper),
-        "deltas": [_round12(v) for v in summary.jumps],
+        **_bounds_fields(summary),
         "sigma": _round12(summary.entry_total),
         "sigma_cols": [_round12(v) for v in summary.column_totals],
         "attainable_scores": (
@@ -170,11 +147,10 @@ def _cmd_bounds(args) -> int:
             else None
         ),
     }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    return 0
+    return render_report(payload), 0
 
 
-def _cmd_implied_weights(args) -> int:
+def _cmd_implied_weights(args) -> tuple[str, int]:
     doc = load_config_document(args.config)
     result = implied_weights(doc.structure)
     summary = bounds_summary(doc.structure)
@@ -184,31 +160,20 @@ def _cmd_implied_weights(args) -> int:
         "sigma_cols": [_round12(v) for v in summary.column_totals],
         "d_bar": _round12(result.upper),
     }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    return 0
+    return render_report(payload), 0
 
 
-def _cmd_axioms(args) -> int:
-    doc = load_config_document(args.config)
-    config = resolve_methodology(doc, alpha_override=args.alpha)
+def _cmd_axioms(args) -> tuple[str, int]:
+    config = load_config(args.config, args.alpha)
     settings = GeneratorSettings(trials=args.trials, seed=args.seed)
     reports = run_axiom_suite(config, settings)
     lines = "".join(json.dumps(asdict(r)) + "\n" for r in reports)
-    _emit(lines, args.out)
-    if any(r.status == "fail" for r in reports):
-        return 2
-    return 0
+    return lines, 2 if any(r.status == "fail" for r in reports) else 0
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args) -> tuple[str, int]:
     dataset = load_dataset(args.dataset)
-    doc = load_config_document(args.config)
-    base = resolve_methodology(
-        doc,
-        alpha_override=args.alpha,
-        k_override=args.k,
-        k_fraction_override=args.k_fraction,
-    )
+    base = load_config(args.config, args.alpha, args.k, args.k_fraction)
     d = base.d
     row, col = args.row, args.col
     if not (1 <= row <= d and 1 <= col <= d) or row == col:
@@ -235,23 +200,18 @@ def _cmd_compare(args) -> int:
                 "naive_numerator": _round12(naive.value * naive.denominator),
             }
         )
-    _emit(json.dumps(records, indent=2) + "\n", args.out)
-    return 0
-
-
-_COMMANDS = {
-    "compute": _cmd_compute,
-    "bounds": _cmd_bounds,
-    "implied-weights": _cmd_implied_weights,
-    "axioms": _cmd_axioms,
-    "compare": _cmd_compare,
-}
+    return render_report(records), 0
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        args = build_parser().parse_args(argv)
+        text, code = args.run(args)
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            _write_text(text, args.out)
+        return code
     except (WriteError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -23,6 +23,8 @@ Config (JSON object):
     }
 
 Values must be JSON numbers in exactly the array shape shown, or are rejected.
+So is any other field, at the top level or inside ``k``, and nesting deeper
+than 32 arrays or objects.
 
 Report (JSON object, fixed key order): fgt_value, headcount_ratio,
 d_bar, d_under, d_tilde, deltas, optional naive_diagnostic, dimensions,
@@ -39,19 +41,22 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from . import __version__
 from .aggregation import _coefficient_pass, fgt_naive
-from .bounds import bounds_summary, weighted_upper_bound
+from .bounds import BoundsSummary, bounds_summary, weighted_upper_bound
 from .core import (
     AchievementMatrix,
     CutoffVector,
     DependenceStructure,
     MethodologyConfig,
     WeightVector,
+    _real,
     as_cutoff_vector,
     as_dependence_structure,
     validate_weights,
@@ -218,21 +223,46 @@ def _numbers(path, value, field: str, depth: int):
     return [_numbers(path, v, f"{field}[{i}]", depth - 1) for i, v in enumerate(value)]
 
 
+_CONFIG_FIELDS = ("cutoffs", "alpha", "k", "dependence", "weights")
+_K_FIELDS = ("mode", "value")
+#: deeper than any valid config (3 levels) and far below the recursion limit,
+#: so acceptance does not depend on how deep the caller's stack already is
+_MAX_NESTING = 32
+# a string, closed or not, counts as one token, so brackets inside it are skipped
+_JSON_TOKENS = re.compile(r'"[^"\\]*(?:\\.?[^"\\]*)*"?|[][{}]', re.S)
+_NESTING_STEP = {"[": 1, "{": 1, "]": -1, "}": -1}
+
+
+def _check_nesting(path, text: str) -> None:
+    steps = (_NESTING_STEP.get(m.group(), 0) for m in _JSON_TOKENS.finditer(text))
+    if any(depth > _MAX_NESTING for depth in accumulate(steps)):
+        raise ParseError(f"{path}: invalid JSON: nested too deeply")
+
+
+def _reject_unknown(path, doc: dict, known: tuple, where: str) -> None:
+    for key in doc:
+        if key not in known:
+            shown = key if len(key) <= 40 else key[:40] + "..."
+            raise ValidationError(f"{path}: unknown {where} {shown!r}")
+
+
 def load_config_document(path) -> ConfigDocument:
     """Parse a config file and run core validation on each piece."""
     with open(path, encoding="utf-8") as fh:
         try:
-            doc = json.load(fh, parse_int=float)
-        except json.JSONDecodeError as exc:
-            raise ParseError(
-                f"{path}: invalid JSON: {exc.msg}", row=exc.lineno, column=exc.colno
-            ) from None
+            text = fh.read()
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: not valid UTF-8 ({exc.reason})") from None
-        except RecursionError:
-            raise ParseError(f"{path}: invalid JSON: nested too deeply") from None
+    _check_nesting(path, text)
+    try:
+        doc = json.loads(text, parse_int=float)
+    except json.JSONDecodeError as exc:
+        raise ParseError(
+            f"{path}: invalid JSON: {exc.msg}", row=exc.lineno, column=exc.colno
+        ) from None
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: config must be a JSON object")
+    _reject_unknown(path, doc, _CONFIG_FIELDS, "config field")
 
     cutoffs = as_cutoff_vector(_numbers(path, _require(doc, "cutoffs"), "cutoffs", 1))
     d = cutoffs.d
@@ -258,6 +288,7 @@ def load_config_document(path) -> ConfigDocument:
     if "k" in doc:
         k_field = doc["k"]
         if isinstance(k_field, dict):
+            _reject_unknown(path, k_field, _K_FIELDS, "k field")
             k_mode = k_field.get("mode")
             if k_mode not in ("absolute", "fraction"):
                 raise ValidationError(f"{path}: unknown k mode {k_mode!r}")
@@ -267,14 +298,7 @@ def load_config_document(path) -> ConfigDocument:
         else:
             k_mode = "absolute"
             k_value = _numbers(path, k_field, "k", 0)
-    return ConfigDocument(
-        cutoffs=cutoffs,
-        structure=structure,
-        weights=weights,
-        alpha=alpha,
-        k_mode=k_mode,
-        k_value=k_value,
-    )
+    return ConfigDocument(cutoffs, structure, weights, alpha, k_mode, k_value)
 
 
 def resolve_methodology(
@@ -288,17 +312,19 @@ def resolve_methodology(
     if alpha is None:
         raise MissingField("config field 'alpha' is required (or pass --alpha)")
 
-    ceiling = weighted_upper_bound(doc.structure, doc.weights)
     if k_override is not None:
-        k = float(k_override)
+        k_mode, k = "absolute", k_override
     elif k_fraction_override is not None:
-        k = _fraction_k(float(k_fraction_override), ceiling)
-    elif doc.k_mode == "absolute":
-        k = float(doc.k_value)
-    elif doc.k_mode == "fraction":
-        k = _fraction_k(float(doc.k_value), ceiling)
+        k_mode, k = "fraction", k_fraction_override
     else:
+        k_mode, k = doc.k_mode, doc.k_value
+    if k_mode is None:
         raise MissingField("config field 'k' is required (or pass --k / --k-fraction)")
+    k = _real(k, CutoffOutOfRange, "k")
+    if k_mode == "fraction":
+        if not 0.0 < k <= 1.0:
+            raise CutoffOutOfRange(f"k fraction {k} outside (0, 1]")
+        k *= weighted_upper_bound(doc.structure, doc.weights)
     return MethodologyConfig(
         alpha=alpha,
         k=k,
@@ -306,12 +332,6 @@ def resolve_methodology(
         weights=doc.weights,
         cutoffs=doc.cutoffs,
     )
-
-
-def _fraction_k(fraction: float, ceiling: float) -> float:
-    if not 0.0 < fraction <= 1.0:
-        raise CutoffOutOfRange(f"k fraction {fraction} outside (0, 1]")
-    return fraction * ceiling
 
 
 def load_config(
@@ -322,15 +342,22 @@ def load_config(
 ) -> MethodologyConfig:
     """Load and resolve a config file in one step."""
     return resolve_methodology(
-        load_config_document(path),
-        alpha_override=alpha_override,
-        k_override=k_override,
-        k_fraction_override=k_fraction_override,
+        load_config_document(path), alpha_override, k_override, k_fraction_override
     )
 
 
 def _round12(x: float) -> float:
     return float(f"{float(x):.12g}")
+
+
+def _bounds_fields(summary: BoundsSummary) -> dict:
+    """The rounded count bounds and jumps shared by the report and ``bounds``."""
+    return {
+        "d_bar": _round12(summary.upper),
+        "d_under": _round12(summary.lower_nonzero),
+        "d_tilde": _round12(summary.weighted_upper),
+        "deltas": [_round12(v) for v in summary.jumps],
+    }
 
 
 def config_echo(config: MethodologyConfig) -> dict:
@@ -361,15 +388,10 @@ def build_report(
     scored = deprivation_matrix(
         y, config.cutoffs, config.structure, config.alpha, config.weights
     )
-    summary = bounds_summary(config.structure, config.weights)
-
     report: dict = {
         "fgt_value": _round12(result.value),
         "headcount_ratio": _round12(headcount_ratio(statuses)),
-        "d_bar": _round12(summary.upper),
-        "d_under": _round12(summary.lower_nonzero),
-        "d_tilde": _round12(summary.weighted_upper),
-        "deltas": [_round12(v) for v in summary.jumps],
+        **_bounds_fields(bounds_summary(config.structure, config.weights)),
     }
     if diagnostic_naive:
         naive = fgt_naive(y, config.cutoffs, config.structure, config.alpha, config.k)
@@ -393,8 +415,17 @@ def build_report(
     return report
 
 
-def render_report(report: dict) -> str:
+def render_report(report) -> str:
+    """A report, or any JSON payload, as indented JSON ending in a newline."""
     return json.dumps(report, indent=2) + "\n"
+
+
+def _write_text(text: str, path) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise WriteError(f"could not write {path}: {exc}") from exc
 
 
 def run_report(
@@ -406,11 +437,7 @@ def run_report(
     """Build the report and, when a path is given, write it to disk."""
     report = build_report(dataset, config, diagnostic_naive=diagnostic_naive)
     if out_path is not None:
-        try:
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(render_report(report))
-        except OSError as exc:
-            raise WriteError(f"could not write report to {out_path}: {exc}") from exc
+        _write_text(render_report(report), out_path)
     return report
 
 

@@ -144,6 +144,8 @@ class TestConfigBoundary:
             {"dependence": [[1, 0], [0]]},
             {"cutoffs": [[5, 5], [5, 5]]},
             {"weights": [[1, 1]]},
+            {"dependance": [[1, 1], [1, 1]], "weigths": [1.5, 0.5]},
+            {"k": {"mode": "fraction", "value": 0.5, "valu": 0.9}},
         ],
     )
     def test_rejected_without_traceback(self, worked, tmp_path, capsys, override):
@@ -156,7 +158,72 @@ class TestConfigBoundary:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+class TestUsage:
+    """Usage errors end like validation errors: one error line, exit 1."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compute", "--dataset", "d.csv", "--config", "c.json", "--alpha", "abc"],
+            ["compute", "--config", "c.json"],
+            [],
+            ["frobnicate"],
+        ],
+        ids=["alpha-abc", "missing-dataset", "no-subcommand", "unknown-subcommand"],
+    )
+    def test_usage_error_exits_1(self, capsys, argv):
+        assert main(argv) == 1
+        assert_one_error_line(capsys.readouterr().err)
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["compute", "--help"])
+        assert info.value.code == 0
+        assert "--config" in capsys.readouterr().out
+
+
+class TestOutput:
+    """Every subcommand writes to --out exactly what it prints to stdout."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["compute", "--dataset", "DATA"],
+            ["bounds"],
+            ["implied-weights"],
+            ["axioms", "--trials", "5"],
+            ["compare", "--dataset", "DATA", "--row", "2", "--col", "1", "--steps", "3"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_out_file_matches_stdout(self, tmp_path, capsys, command):
+        data = tmp_path / "data.csv"
+        data.write_text("health,education\n5,10\n10,10\n", encoding="utf-8")
+        config = tmp_path / "config.json"
+        symmetric = dict(WORKED_CONFIG, dependence=[[1.0, 0.5], [0.5, 1.0]])
+        config.write_text(json.dumps(symmetric), encoding="utf-8")
+        argv = [str(data) if a == "DATA" else a for a in command]
+        argv += ["--config", str(config)]
+        code = main(argv)
+        printed = capsys.readouterr().out
+        out = tmp_path / "out.txt"
+        assert main([*argv, "--out", str(out)]) == code
+        assert capsys.readouterr().out == ""
+        assert printed and out.read_bytes() == printed.encode("utf-8")
+
+
 class TestBounds:
+    def test_bounds_fields_equal_report(self, worked, tmp_path, capsys):
+        data, _ = worked
+        config = tmp_path / "weighted.json"
+        config.write_text(json.dumps(dict(WORKED_CONFIG, weights=[1.2, 0.8])), encoding="utf-8")
+        assert main(["bounds", "--config", str(config)]) == 0
+        bounds = json.loads(capsys.readouterr().out)
+        assert main(["compute", "--dataset", str(data), "--config", str(config)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        for key in ("d_bar", "d_under", "d_tilde", "deltas"):
+            assert bounds[key] == report[key]
+
     def test_bounds_payload(self, worked, capsys):
         _, config = worked
         assert main(["bounds", "--config", str(config)]) == 0

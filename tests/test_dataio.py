@@ -1,4 +1,6 @@
+import inspect
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -177,6 +179,36 @@ class TestLoadConfig:
         doc = dict(WORKED_CONFIG, cutoffs=[10, 10, 10])
         with pytest.raises(ValidationError):
             load_config(write(tmp_path, "c.json", json.dumps(doc)))
+
+    def test_nesting_limit_independent_of_stack_depth(self, tmp_path):
+        # deep enough that the JSON parser alone would fail only from the deeper stack
+        depth = sys.getrecursionlimit() - len(inspect.stack(0)) - 100
+        alpha = "[" * depth + "1" + "]" * depth
+        path = write(tmp_path, "c.json", f'{{"cutoffs": [10], "alpha": {alpha}, "k": 1}}')
+
+        def load(frames):
+            if frames:
+                return load(frames - 1)
+            with pytest.raises(ParseError) as info:
+                load_config_document(path)
+            return str(info.value)
+
+        assert load(0) == load(200) == f"{path}: invalid JSON: nested too deeply"
+
+    @pytest.mark.parametrize(
+        "override, named",
+        [
+            ({"weigths": [1.5, 0.5]}, "unknown config field 'weigths'"),
+            ({"k": {"mode": "fraction", "value": 0.5, "valu": 0.9}}, "unknown k field 'valu'"),
+            ({"x" * 100: 1}, "unknown config field '" + "x" * 40 + "...'"),
+        ],
+        ids=["misspelled-field", "misspelled-k-field", "long-key"],
+    )
+    def test_unknown_field_named(self, tmp_path, override, named):
+        path = write(tmp_path, "c.json", json.dumps(dict(WORKED_CONFIG, **override)))
+        with pytest.raises(ValidationError) as info:
+            load_config_document(path)
+        assert str(info.value) == f"{path}: {named}"
 
     def test_error_names_the_json_type_not_the_value(self):
         # called on the parsed value: under a test runner's stack a 990-deep
