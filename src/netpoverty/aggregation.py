@@ -10,7 +10,10 @@ removes.
 
 Numerical contract: every aggregate is evaluated through the
 coefficient form of :mod:`netpoverty.weights` in one N x d pass, with
-no N x d x d neighbor sums.  Per-person counts and row sums use fixed
+no N x d x d neighbor sums.  The coefficients and the ceiling are read
+from the :class:`~netpoverty.core.MethodologyConfig`, which derives them
+once per methodology; the public functions taking loose arguments
+build that config first.  Per-person counts and row sums use fixed
 per-row reductions (never a per-person BLAS product) and the
 cross-person total uses exact rounding (math.fsum).  Row sums are
 therefore bit-identical under row permutation and the total is
@@ -30,22 +33,15 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .bounds import weighted_upper_bound
 from .core import (
     DependenceStructure,
     MethodologyConfig,
     WeightVector,
-    _check_alpha,
-    as_achievement_matrix,
-    as_weight_vector,
-)
-from .deprivation import (
     _coefficient_values,
-    _consistent_inputs,
-    _count_values,
-    _gap_values,
+    as_achievement_matrix,
 )
-from .errors import InvalidPartition
+from .deprivation import _count_values, _gap_values
+from .errors import InvalidPartition, ShapeMismatch
 from .identification import PovertyStatusVector, identify
 
 #: equality band for decomposition checks
@@ -83,33 +79,31 @@ def _censored_hash(censored: NDArray[np.float64]) -> str:
 
 
 def _coefficient_pass(
-    achievements,
-    cutoffs,
-    structure: DependenceStructure,
-    weights: WeightVector | None,
-    alpha: float,
-    k: float,
-    kind: str,
+    achievements, config: MethodologyConfig, kind: str = "network_adjusted"
 ) -> tuple[FgtResult, NDArray[np.float64], PovertyStatusVector]:
     """Counts, identification and the aggregate in one N x d pass.
 
     Returns the aggregate with the per-person counts and statuses it was
-    built from.  The naive kind divides by N * d instead of N times the
-    ceiling.
+    built from.  The coefficients and the ceiling come from ``config``,
+    which has already checked k against that ceiling.  The naive kind
+    counts with the uniform coefficients of the structure and divides by
+    N * d instead of N times the ceiling.
     """
-    alpha = _check_alpha(alpha)
-    ym, zc, ms = _consistent_inputs(achievements, cutoffs, structure)
-    wv = as_weight_vector(weights, ms.d)
-    ceiling = weighted_upper_bound(ms, wv)
-    coef = _coefficient_values(ms, wv.values)
-    y, z = ym.values, zc.values
+    ym = as_achievement_matrix(achievements)
+    if ym.d != config.d:
+        raise ShapeMismatch(f"achievements have d = {ym.d}, config has d = {config.d}")
+    y, z = ym.values, config.cutoffs.values
+    if kind == "naive":
+        coef = _coefficient_values(config.structure, np.ones(config.d))
+        denominator = ym.n * config.d
+    else:
+        coef, denominator = config.coefficients, ym.n * config.score_ceiling
     counts = _count_values(y, z, coef)
-    statuses = identify(counts, k, upper=ceiling)
-    censored = (_gap_values(y, z, alpha) * coef) * statuses.statuses[:, None]
-    denominator = ym.n * (ms.d if kind == "naive" else ceiling)
+    statuses = identify(counts, config.k)
+    censored = (_gap_values(y, z, config.alpha) * coef) * statuses.statuses[:, None]
     result = FgtResult(
         value=math.fsum(np.sum(censored, axis=1)) / denominator,
-        alpha=alpha,
+        alpha=config.alpha,
         k=statuses.k,
         denominator=denominator,
         censored_matrix_hash=_censored_hash(censored),
@@ -132,9 +126,8 @@ def fgt_network_adjusted(
     weighted count ceiling.  With a disconnected structure and uniform
     weights this is the classic adjusted FGT value.
     """
-    return _coefficient_pass(
-        achievements, cutoffs, structure, weights, alpha, k, "network_adjusted"
-    )[0]
+    config = MethodologyConfig(alpha, k, structure, weights, cutoffs)
+    return _coefficient_pass(achievements, config)[0]
 
 
 def fgt_naive(
@@ -151,9 +144,8 @@ def fgt_naive(
     uses the unweighted counts, and k is validated against the same
     ceiling the corrected form would use (uniform weights).
     """
-    return _coefficient_pass(
-        achievements, cutoffs, structure, None, alpha, k, "naive"
-    )[0]
+    config = MethodologyConfig(alpha, k, structure, None, cutoffs)
+    return _coefficient_pass(achievements, config, "naive")[0]
 
 
 def decompose_by_group(
@@ -172,9 +164,7 @@ def decompose_by_group(
         raise InvalidPartition(
             f"{len(labels)} labels for {ym.n} persons; need exactly one per person"
         )
-    total = fgt_network_adjusted(
-        ym, config.cutoffs, config.structure, config.weights, config.alpha, config.k
-    )
+    total = _coefficient_pass(ym, config)[0]
     group_results: dict = {}
     group_sizes: dict = {}
     for label in labels:
@@ -183,9 +173,7 @@ def decompose_by_group(
         idx = [i for i, g in enumerate(labels) if g == label]
         sub = ym.values[idx, :]
         group_sizes[label] = len(idx)
-        group_results[label] = fgt_network_adjusted(
-            sub, config.cutoffs, config.structure, config.weights, config.alpha, config.k
-        )
+        group_results[label] = _coefficient_pass(sub, config)[0]
     recombined = math.fsum(
         (group_sizes[g] / ym.n) * group_results[g].value for g in group_results
     )

@@ -54,10 +54,11 @@ from .core import (
     MethodologyConfig,
     WeightVector,
     _check_alpha,
+    _coefficient_values,
     as_achievement_matrix,
     check_dimension_index,
 )
-from .deprivation import _coefficient_values, _count_values, deprivation_counts
+from .deprivation import _count_values
 from .errors import (
     IndexOutOfRange,
     InvalidGeneratorSettings,
@@ -132,17 +133,14 @@ class AxiomReport:
 # --- transformations ----------------------------------------------------------
 
 
-def _statuses(cfg: MethodologyConfig, y) -> PovertyStatusVector:
-    """Who is poor among the rows of ``y`` under the methodology."""
-    counts = deprivation_counts(y, cfg.cutoffs, cfg.structure, cfg.weights)
-    return identify(counts, cfg.k, upper=cfg.score_ceiling)
+def _statuses(cfg: MethodologyConfig, y: NDArray[np.float64]) -> PovertyStatusVector:
+    """Who is poor among the rows of the checked array ``y`` under the methodology."""
+    return identify(_count_values(y, cfg.cutoffs.values, cfg.coefficients), cfg.k)
 
 
 def _evaluate(cfg: MethodologyConfig, y) -> tuple[float, PovertyStatusVector]:
     """The aggregate value of ``y`` and the statuses it was built from."""
-    result, _, statuses = _coefficient_pass(
-        y, cfg.cutoffs, cfg.structure, cfg.weights, cfg.alpha, cfg.k, "network_adjusted"
-    )
+    result, _, statuses = _coefficient_pass(y, cfg)
     return result.value, statuses
 
 
@@ -166,7 +164,7 @@ def apply_simple_increment(
     if not math.isfinite(amount) or amount <= 0.0:
         raise NonPositiveAmount(f"amount = {amount} must be a positive real")
 
-    statuses = _statuses(config, ym)
+    statuses = _statuses(config, ym.values)
     i0, j0 = int(i) - 1, j - 1
     y_ij = ym.values[i0, j0]
     z_j = config.cutoffs.values[j0]
@@ -311,6 +309,7 @@ def _draw_materials(
         if pinned is not None:
             cfg = pinned
             y = _random_population(rng, n, cfg.cutoffs.values)
+            statuses = _statuses(cfg, y)
         else:
             d = int(rng.integers(settings.d_range[0], settings.d_range[1] + 1))
             if restricted:
@@ -338,7 +337,7 @@ def _draw_materials(
                 )
             except ValidationError:
                 continue
-        statuses = _statuses(cfg, y)
+            statuses = identify(counts, cfg.k)
         poor = statuses.poor_count
         if poor < min_poor or (n - poor) < min_non_poor:
             continue

@@ -13,14 +13,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
-from .aggregation import fgt_naive, fgt_network_adjusted
+from .aggregation import _coefficient_pass
 from .axioms import GeneratorSettings, run_axiom_suite
 from .bounds import ENUMERATION_LIMIT, attainable_scores, bounds_summary
-from .core import DependenceStructure, MethodologyConfig
+from .core import MethodologyConfig
 from .dataio import (
     _bounds_fields,
     _round12,
@@ -187,11 +187,10 @@ def _cmd_compare(args) -> tuple[str, int]:
         entry = t / (args.steps - 1)
         m = np.array(base.structure.entries, copy=True)
         m[row - 1, col - 1] = entry
-        structure = DependenceStructure(m)
-        adjusted = fgt_network_adjusted(
-            y, base.cutoffs, structure, base.weights, base.alpha, base.k
-        )
-        naive = fgt_naive(y, base.cutoffs, structure, base.alpha, base.k)
+        # one methodology per step: k is checked against this step's ceiling
+        config = replace(base, structure=m)
+        adjusted = _coefficient_pass(y, config)[0]
+        naive = _coefficient_pass(y, config, "naive")[0]
         records.append(
             {
                 "entry_value": _round12(entry),

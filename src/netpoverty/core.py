@@ -228,12 +228,22 @@ class WeightVector:
         return cls(np.ones(d))
 
 
+def _coefficient_values(
+    structure: DependenceStructure, w: NDArray[np.float64]
+) -> NDArray[np.float64]:
+    """Effective coefficients on plain gaps (see :mod:`netpoverty.weights`)."""
+    # column j of the off-diagonal entries, weighted by the source dimension
+    return w + (structure.off_diagonal().T @ w) / (structure.d - 1)
+
+
 @dataclass(frozen=True)
 class MethodologyConfig:
     """The full methodology: gap exponent, poverty cutoff, structure, weights, cutoffs.
 
     Validates 0 < k <= weighted score ceiling (the largest count the
-    configured structure and weights can produce).
+    configured structure and weights can produce).  The ceiling and the
+    per-dimension aggregation coefficients depend on the methodology
+    alone, so they are derived here, once, and read by every evaluation.
     """
 
     alpha: float
@@ -242,6 +252,7 @@ class MethodologyConfig:
     weights: WeightVector
     cutoffs: CutoffVector
     score_ceiling: float = field(init=False)
+    coefficients: NDArray[np.float64] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "structure", as_dependence_structure(self.structure))
@@ -261,6 +272,8 @@ class MethodologyConfig:
         ceiling = weighted_upper_bound(self.structure, self.weights)
         object.__setattr__(self, "k", _check_k(self.k, ceiling))
         object.__setattr__(self, "score_ceiling", ceiling)
+        coef = _coefficient_values(self.structure, self.weights.values)
+        object.__setattr__(self, "coefficients", _frozen_array(coef))
 
     @property
     def d(self) -> int:

@@ -13,7 +13,7 @@ Config (JSON object):
 
     {
       "cutoffs":    [z1, ..., zd],          required, positive reals
-      "alpha":      a >= 0,                 required
+      "alpha":      a >= 0,                 optional here; see below
       "k":          1.5                      either a number (absolute)
                     | {"mode": "absolute", "value": 1.5}
                     | {"mode": "fraction", "value": f},   0 < f <= 1,
@@ -24,7 +24,10 @@ Config (JSON object):
 
 Values must be JSON numbers in exactly the array shape shown, or are rejected.
 So is any other field, at the top level or inside ``k``, and nesting deeper
-than 32 arrays or objects.
+than 32 arrays or objects.  ``bounds`` and ``implied-weights`` need neither
+alpha nor k; ``compute``, ``axioms`` and ``compare`` need alpha from the
+config or from ``--alpha``, and k from the config (``compute`` and
+``compare`` also take ``--k`` / ``--k-fraction``).
 
 Report (JSON object, fixed key order): fgt_value, headcount_ratio,
 d_bar, d_under, d_tilde, deltas, optional naive_diagnostic, dimensions,
@@ -48,7 +51,7 @@ from itertools import accumulate
 import numpy as np
 
 from . import __version__
-from .aggregation import _coefficient_pass, fgt_naive
+from .aggregation import _coefficient_pass
 from .bounds import BoundsSummary, bounds_summary, weighted_upper_bound
 from .core import (
     AchievementMatrix,
@@ -194,9 +197,9 @@ def _reject_duplicates(path, values: list[str], what: str) -> None:
         seen.add(value)
 
 
-def _require(doc: dict, key: str):
+def _require(path, doc: dict, key: str, field: str | None = None):
     if key not in doc:
-        raise MissingField(f"config field {key!r} is required")
+        raise MissingField(f"{path}: config field {field or key!r} is required")
     return doc[key]
 
 
@@ -264,7 +267,7 @@ def load_config_document(path) -> ConfigDocument:
         raise ParseError(f"{path}: config must be a JSON object")
     _reject_unknown(path, doc, _CONFIG_FIELDS, "config field")
 
-    cutoffs = as_cutoff_vector(_numbers(path, _require(doc, "cutoffs"), "cutoffs", 1))
+    cutoffs = as_cutoff_vector(_numbers(path, _require(path, doc, "cutoffs"), "cutoffs", 1))
     d = cutoffs.d
     if "dependence" in doc:
         rows = _numbers(path, doc["dependence"], "dependence", 2)
@@ -292,9 +295,8 @@ def load_config_document(path) -> ConfigDocument:
             k_mode = k_field.get("mode")
             if k_mode not in ("absolute", "fraction"):
                 raise ValidationError(f"{path}: unknown k mode {k_mode!r}")
-            if "value" not in k_field:
-                raise MissingField("config field k.value is required")
-            k_value = _numbers(path, k_field["value"], "k.value", 0)
+            value = _require(path, k_field, "value", "k.value")
+            k_value = _numbers(path, value, "k.value", 0)
         else:
             k_mode = "absolute"
             k_value = _numbers(path, k_field, "k", 0)
@@ -381,10 +383,7 @@ def build_report(
             f"dataset has d = {y.d} dimensions, config has d = {config.d}"
         )
     # the aggregate's own counts and statuses, so the rows match it exactly
-    result, counts, statuses = _coefficient_pass(
-        y, config.cutoffs, config.structure, config.weights, config.alpha, config.k,
-        "network_adjusted",
-    )
+    result, counts, statuses = _coefficient_pass(y, config)
     scored = deprivation_matrix(
         y, config.cutoffs, config.structure, config.alpha, config.weights
     )
@@ -394,7 +393,8 @@ def build_report(
         **_bounds_fields(bounds_summary(config.structure, config.weights)),
     }
     if diagnostic_naive:
-        naive = fgt_naive(y, config.cutoffs, config.structure, config.alpha, config.k)
+        # at the methodology's k, which was checked against d_tilde only
+        naive = _coefficient_pass(y, config, "naive")[0]
         report["naive_diagnostic"] = {
             "label": "naive (manipulable)",
             "value": _round12(naive.value),

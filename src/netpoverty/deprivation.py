@@ -35,6 +35,7 @@ from .core import (
     DependenceStructure,
     WeightVector,
     _check_alpha,
+    _coefficient_values,
     _frozen_array,
     as_achievement_matrix,
     as_cutoff_vector,
@@ -192,14 +193,6 @@ def deprivation_matrix(
         return DeprivationMatrix(alpha=alpha, weighted=False, values=scores)
     w = as_weight_vector(weights, structure.d)
     return DeprivationMatrix(alpha=alpha, weighted=True, values=scores * w.values)
-
-
-def _coefficient_values(
-    structure: DependenceStructure, w: NDArray[np.float64]
-) -> NDArray[np.float64]:
-    """Effective coefficients on plain gaps (see :mod:`netpoverty.weights`)."""
-    # column j of the off-diagonal entries, weighted by the source dimension
-    return w + (structure.off_diagonal().T @ w) / (structure.d - 1)
 
 
 def _count_values(

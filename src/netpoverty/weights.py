@@ -10,6 +10,8 @@ neighbor averages).  The aggregate equals the coefficient-weighted gap
 sum over the same denominator, which is the route used to prove the
 transfer property and the route every aggregate and count in this
 package is evaluated by, since it needs N * d work instead of N * d * d.
+A :class:`~netpoverty.core.MethodologyConfig` derives its coefficients
+and ceiling once, on construction; every evaluation reads them from it.
 The numerically independent route is the score form kept in
 :func:`netpoverty.deprivation.deprivation_matrix` and
 :func:`netpoverty.dataio.recompute_fgt_value`; both must agree to 1e-12.
@@ -35,12 +37,13 @@ from .bounds import dimension_jumps, upper_bound, weighted_upper_bound
 from .core import (
     SYMMETRY_TOL,
     DependenceStructure,
+    MethodologyConfig,
     WeightVector,
+    _coefficient_values,
     as_dependence_structure,
     as_weight_vector,
     check_dimension_index,
 )
-from .deprivation import _coefficient_values
 from .errors import NotSymmetric
 
 #: band for the symmetric-structure coefficient identity
@@ -99,10 +102,8 @@ def fgt_via_coefficients(
     :func:`netpoverty.dataio.recompute_fgt_value` on a report), which
     must agree with this one to 1e-12 on any valid input.
     """
-    kind = "network_adjusted_coefficient_form"
-    return _coefficient_pass(
-        achievements, cutoffs, structure, weights, alpha, k, kind
-    )[0]
+    config = MethodologyConfig(alpha, k, structure, weights, cutoffs)
+    return _coefficient_pass(achievements, config, "network_adjusted_coefficient_form")[0]
 
 
 def implied_weights(structure: DependenceStructure) -> ImpliedWeights:

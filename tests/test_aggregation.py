@@ -163,6 +163,11 @@ class TestNetworkAdjusted:
         with pytest.raises(CutoffOutOfRange):
             fgt_network_adjusted(WORKED_Y, WORKED_Z, WORKED_M, None, 1.0, 2.6)
 
+    def test_naive_k_validated_against_uniform_ceiling(self):
+        assert upper_bound(WORKED_M) == 2.5
+        with pytest.raises(CutoffOutOfRange):
+            fgt_naive(WORKED_Y, WORKED_Z, WORKED_M, 1.0, 2.6)
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeMismatch):
             fgt_network_adjusted(WORKED_Y, [10.0], WORKED_M, None, 1.0, 1.0)
@@ -265,3 +270,30 @@ class TestDecomposition:
     def test_bad_partition_rejected(self):
         with pytest.raises(InvalidPartition):
             decompose_by_group(WORKED_Y, ["a"], self.CFG)
+
+    def test_total_equals_public_aggregate(self, rng):
+        from conftest import random_structure, random_weights
+
+        for _ in range(20):
+            d = int(rng.integers(2, 7))
+            m = random_structure(rng, d, symmetric=bool(rng.integers(0, 2)))
+            w = random_weights(rng, d) if rng.random() < 0.5 else None
+            z = rng.uniform(1, 10, d)
+            n = int(rng.integers(1, 25))
+            y = rng.uniform(0, 2 * z, (n, d))
+            cfg = MethodologyConfig(
+                alpha=float(rng.choice([0.0, 0.5, 1.0, 2.0])),
+                k=float(rng.uniform(0.05, 1.0)) * weighted_upper_bound(m, w),
+                structure=m,
+                weights=w,
+                cutoffs=z,
+            )
+            total = decompose_by_group(y, rng.integers(0, 3, n).tolist(), cfg).total
+            public = fgt_network_adjusted(
+                y, cfg.cutoffs, cfg.structure, cfg.weights, cfg.alpha, cfg.k
+            )
+            assert total == public
+
+    def test_wrong_dimension_rejected(self):
+        with pytest.raises(ShapeMismatch):
+            decompose_by_group(np.ones((2, 3)), ["a", "b"], self.CFG)

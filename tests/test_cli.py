@@ -347,6 +347,39 @@ class TestCompare:
         assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv, naive_values",
+    [
+        (["compute", "--diagnostic-naive"], lambda out: [out["naive_diagnostic"]["value"]]),
+        (
+            ["compare", "--row", "3", "--col", "2", "--k-fraction", "0.9"],
+            lambda out: [r["fgt_naive"] for r in out],
+        ),
+    ],
+    ids=["compute", "compare"],
+)
+def test_naive_at_k_above_unweighted_ceiling(tmp_path, capsys, argv, naive_values):
+    # d_tilde = 5 and d_bar = 4: the methodology's k is valid, the naive counts never reach it
+    data = tmp_path / "data.csv"
+    data.write_text("a,b,c\n0.5,0.5,2\n2,2,2\n", encoding="utf-8")
+    config = tmp_path / "c.json"
+    config.write_text(
+        json.dumps(
+            {
+                "cutoffs": [1, 1, 1],
+                "alpha": 1,
+                "k": {"mode": "fraction", "value": 1.0},
+                "dependence": [[1, 0, 0], [1, 1, 0], [1, 0, 1]],
+                "weights": [2, 0.5, 0.5],
+            }
+        ),
+        encoding="utf-8",
+    )
+    assert main([*argv, "--dataset", str(data), "--config", str(config)]) == 0
+    values = naive_values(json.loads(capsys.readouterr().out))
+    assert values and all(v == 0.0 for v in values)
+
+
 class TestComputeFuzz:
     """Fuzzed dataset and config bytes: exit 0, 1 or 3, at most one error line."""
 

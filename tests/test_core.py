@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from netpoverty import (
     DependenceStructure,
     MethodologyConfig,
     WeightVector,
+    aggregation_coefficients,
     connections_of,
     identify,
     is_disconnected,
@@ -201,6 +204,28 @@ class TestMethodologyConfig:
             MethodologyConfig(
                 alpha=1.0, k=1.0, structure=np.eye(3), weights=None, cutoffs=[10, 10]
             )
+
+    def test_coefficients_read_only(self):
+        cfg = MethodologyConfig(
+            alpha=1.0, k=1.0, structure=ASYM, weights=None, cutoffs=[10, 10, 10]
+        )
+        with pytest.raises(ValueError):
+            cfg.coefficients[0] = 0.0
+        with pytest.raises(FrozenInstanceError):
+            cfg.coefficients = np.ones(3)
+
+    def test_coefficients_equal_public_route_bitwise(self, rng):
+        from conftest import random_structure, random_weights
+
+        for _ in range(40):
+            d = int(rng.integers(2, 8))
+            m = random_structure(rng, d, symmetric=bool(rng.integers(0, 2)))
+            for w in (None, random_weights(rng, d)):
+                cfg = MethodologyConfig(
+                    alpha=1.0, k=1.0, structure=m, weights=w, cutoffs=np.ones(d)
+                )
+                expected = aggregation_coefficients(m, w)
+                assert cfg.coefficients.tobytes() == expected.tobytes()
 
 
 def _config(**kwargs):

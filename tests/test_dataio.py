@@ -210,6 +210,20 @@ class TestLoadConfig:
             load_config_document(path)
         assert str(info.value) == f"{path}: {named}"
 
+    @pytest.mark.parametrize(
+        "doc, named",
+        [
+            ({"alpha": 1, "k": 1}, "'cutoffs'"),
+            ({"cutoffs": [10, 10], "k": {"mode": "fraction"}}, "'k.value'"),
+        ],
+        ids=["no-cutoffs", "no-k-value"],
+    )
+    def test_missing_field_named_with_path(self, tmp_path, doc, named):
+        path = write(tmp_path, "c.json", json.dumps(doc))
+        with pytest.raises(MissingField) as info:
+            load_config_document(path)
+        assert str(info.value) == f"{path}: config field {named} is required"
+
     def test_error_names_the_json_type_not_the_value(self):
         # called on the parsed value: under a test runner's stack a 990-deep
         # document already fails in the JSON parser
