@@ -21,7 +21,9 @@ permutation invariant, which makes the symmetry and focus axioms hold
 exactly, not just to tolerance.  The censored matrix of
 coefficient-weighted gaps (rows of the non-poor zeroed) is
 materialized and hashed so results can be traced to the exact
-arithmetic inputs.
+arithmetic inputs.  Every per-person quantity depends only on that
+person's row, so a subgroup's aggregate is the same reduction (exact
+total, denominator, hash) taken over its rows of the one pass.
 """
 
 from __future__ import annotations
@@ -78,16 +80,24 @@ def _censored_hash(censored: NDArray[np.float64]) -> str:
     return h.hexdigest()
 
 
+def _fgt(censored: NDArray[np.float64], config: MethodologyConfig, kind: str) -> FgtResult:
+    """The exact total of censored rows over the kind's denominator, with their hash."""
+    n = censored.shape[0]
+    denominator = n * config.d if kind == "naive" else n * config.score_ceiling
+    value = math.fsum(np.sum(censored, axis=1)) / denominator
+    return FgtResult(value, config.alpha, config.k, denominator, _censored_hash(censored), kind)
+
+
 def _coefficient_pass(
     achievements, config: MethodologyConfig, kind: str = "network_adjusted"
-) -> tuple[FgtResult, NDArray[np.float64], PovertyStatusVector]:
-    """Counts, identification and the aggregate in one N x d pass.
+) -> tuple[FgtResult, NDArray[np.float64], PovertyStatusVector, NDArray[np.float64]]:
+    """Counts, identification and the censored matrix in one N x d pass.
 
-    Returns the aggregate with the per-person counts and statuses it was
-    built from.  The coefficients and the ceiling come from ``config``,
-    which has already checked k against that ceiling.  The naive kind
-    counts with the uniform coefficients of the structure and divides by
-    N * d instead of N times the ceiling.
+    Returns the aggregate with the per-person counts, statuses and
+    censored rows it was built from.  The coefficients and the ceiling
+    come from ``config``, which has already checked k against that
+    ceiling.  The naive kind counts with the uniform coefficients of the
+    structure and divides by N * d instead of N times the ceiling.
     """
     ym = as_achievement_matrix(achievements)
     if ym.d != config.d:
@@ -95,21 +105,12 @@ def _coefficient_pass(
     y, z = ym.values, config.cutoffs.values
     if kind == "naive":
         coef = _coefficient_values(config.structure, np.ones(config.d))
-        denominator = ym.n * config.d
     else:
-        coef, denominator = config.coefficients, ym.n * config.score_ceiling
+        coef = config.coefficients
     counts = _count_values(y, z, coef)
     statuses = identify(counts, config.k)
     censored = (_gap_values(y, z, config.alpha) * coef) * statuses.statuses[:, None]
-    result = FgtResult(
-        value=math.fsum(np.sum(censored, axis=1)) / denominator,
-        alpha=config.alpha,
-        k=statuses.k,
-        denominator=denominator,
-        censored_matrix_hash=_censored_hash(censored),
-        kind=kind,
-    )
-    return result, counts, statuses
+    return _fgt(censored, config, kind), counts, statuses, censored
 
 
 def fgt_network_adjusted(
@@ -153,27 +154,30 @@ def decompose_by_group(
 ) -> DecompositionResult:
     """Aggregate per subgroup and verify the population-share recombination.
 
-    ``group_labels`` assigns one label per person (coverage and
-    disjointness hold by construction).  Groups keep first-appearance
-    order.  The weighted average of group values must reproduce the
-    total within 1e-12; the result records the achieved error.
+    ``group_labels`` holds one hashable label per person, so every person
+    lands in exactly one group.  Labels equal as dict keys share a group,
+    and groups keep first-appearance order.  Each group's result is the
+    aggregate of its rows, bit for bit: the total's reduction taken over
+    those rows of the one censored matrix.  The weighted average of group
+    values must reproduce the total within 1e-12; the result records the
+    achieved error.
     """
     ym = as_achievement_matrix(achievements)
-    labels = list(group_labels)
+    # grouped after the pass, so the row lists do not add to its peak memory
+    total, _, _, censored = _coefficient_pass(ym, config)
+    groups: dict = {}
+    try:
+        labels = list(group_labels)
+        for i, label in enumerate(labels):
+            groups.setdefault(label, []).append(i)
+    except TypeError as exc:
+        raise InvalidPartition(f"group labels must be hashable values ({exc})") from None
     if len(labels) != ym.n:
         raise InvalidPartition(
             f"{len(labels)} labels for {ym.n} persons; need exactly one per person"
         )
-    total = _coefficient_pass(ym, config)[0]
-    group_results: dict = {}
-    group_sizes: dict = {}
-    for label in labels:
-        if label in group_results:
-            continue
-        idx = [i for i, g in enumerate(labels) if g == label]
-        sub = ym.values[idx, :]
-        group_sizes[label] = len(idx)
-        group_results[label] = _coefficient_pass(sub, config)[0]
+    group_results = {g: _fgt(censored[idx], config, total.kind) for g, idx in groups.items()}
+    group_sizes = {g: len(idx) for g, idx in groups.items()}
     recombined = math.fsum(
         (group_sizes[g] / ym.n) * group_results[g].value for g in group_results
     )

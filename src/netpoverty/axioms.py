@@ -140,7 +140,7 @@ def _statuses(cfg: MethodologyConfig, y: NDArray[np.float64]) -> PovertyStatusVe
 
 def _evaluate(cfg: MethodologyConfig, y) -> tuple[float, PovertyStatusVector]:
     """The aggregate value of ``y`` and the statuses it was built from."""
-    result, _, statuses = _coefficient_pass(y, cfg)
+    result, _, statuses, _ = _coefficient_pass(y, cfg)
     return result.value, statuses
 
 

@@ -321,7 +321,9 @@ def resolve_methodology(
     else:
         k_mode, k = doc.k_mode, doc.k_value
     if k_mode is None:
-        raise MissingField("config field 'k' is required (or pass --k / --k-fraction)")
+        raise MissingField(
+            "config field 'k' is required (or pass --k / --k-fraction to compute or compare)"
+        )
     k = _real(k, CutoffOutOfRange, "k")
     if k_mode == "fraction":
         if not 0.0 < k <= 1.0:
@@ -342,10 +344,12 @@ def load_config(
     k_override: float | None = None,
     k_fraction_override: float | None = None,
 ) -> MethodologyConfig:
-    """Load and resolve a config file in one step."""
-    return resolve_methodology(
-        load_config_document(path), alpha_override, k_override, k_fraction_override
-    )
+    """Load and resolve a config file in one step; a missing field names the path."""
+    doc = load_config_document(path)
+    try:
+        return resolve_methodology(doc, alpha_override, k_override, k_fraction_override)
+    except MissingField as exc:
+        raise MissingField(f"{path}: {exc}") from None
 
 
 def _round12(x: float) -> float:
@@ -382,8 +386,9 @@ def build_report(
         raise ValidationError(
             f"dataset has d = {y.d} dimensions, config has d = {config.d}"
         )
-    # the aggregate's own counts and statuses, so the rows match it exactly
-    result, counts, statuses = _coefficient_pass(y, config)
+    # the aggregate's own counts and statuses, so the rows match it exactly;
+    # the censored matrix is dropped here, not held through the report build
+    result, counts, statuses = _coefficient_pass(y, config)[:3]
     scored = deprivation_matrix(
         y, config.cutoffs, config.structure, config.alpha, config.weights
     )

@@ -9,6 +9,7 @@ from numpy.typing import NDArray
 
 from .core import _check_k, _frozen_array
 from .deprivation import DeprivationCounts
+from .errors import ShapeMismatch
 
 
 @dataclass(frozen=True)
@@ -59,4 +60,6 @@ def _status_values(statuses) -> NDArray:
 def headcount_ratio(statuses: PovertyStatusVector) -> float:
     """Share of the population identified as poor."""
     s = _status_values(statuses)
+    if s.size == 0:
+        raise ShapeMismatch("headcount ratio needs at least one person")
     return float(np.count_nonzero(s) / s.shape[0])

@@ -288,11 +288,42 @@ class TestDecomposition:
                 weights=w,
                 cutoffs=z,
             )
-            total = decompose_by_group(y, rng.integers(0, 3, n).tolist(), cfg).total
+            labels = rng.integers(0, 3, n).tolist()
             public = fgt_network_adjusted(
                 y, cfg.cutoffs, cfg.structure, cfg.weights, cfg.alpha, cfg.k
             )
-            assert total == public
+            # random groups, G = N singletons and one group
+            for draw in (labels, list(range(n)), ["all"] * n):
+                result = decompose_by_group(y, draw, cfg)
+                assert result.total == public
+                for g, group in result.group_results.items():
+                    rows = y[np.array(draw) == g]
+                    assert group == fgt_network_adjusted(
+                        rows, cfg.cutoffs, cfg.structure, cfg.weights, cfg.alpha, cfg.k
+                    )
+
+    @pytest.mark.parametrize(
+        "labels, sizes",
+        [
+            (None, None),
+            ([["a"], "b", "b"], None),
+            ([{"a": 1}, "b", "b"], None),
+            ([math.nan, math.nan, 1.0], [2, 1]),
+            ([float("nan"), float("nan"), 1.0], [1, 1, 1]),
+        ],
+        ids=["none", "list-label", "dict-label", "same-nan", "distinct-nans"],
+    )
+    def test_label_boundary(self, labels, sizes):
+        # labels group as dict keys: unhashable ones are a bad partition,
+        # and a NaN label groups with itself only by identity
+        y = np.array([[5.0, 10.0], [10.0, 10.0], [2.0, 4.0]])
+        if sizes is None:
+            with pytest.raises(InvalidPartition):
+                decompose_by_group(y, labels, self.CFG)
+            return
+        result = decompose_by_group(y, labels, self.CFG)
+        assert list(result.group_sizes.values()) == sizes
+        assert result.recombines
 
     def test_wrong_dimension_rejected(self):
         with pytest.raises(ShapeMismatch):

@@ -157,6 +157,27 @@ class TestConfigBoundary:
         assert "Traceback" not in err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "field, command, hint",
+        [
+            ("alpha", "compute", "--alpha"),
+            ("k", "axioms", "--k / --k-fraction to compute or compare"),
+        ],
+        ids=["compute-no-alpha", "axioms-no-k"],
+    )
+    def test_missing_methodology_field_names_path(
+        self, worked, tmp_path, capsys, field, command, hint
+    ):
+        data, _ = worked
+        bad = tmp_path / "bad.json"
+        doc = {key: v for key, v in WORKED_CONFIG.items() if key != field}
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        inputs = ["--dataset", str(data)] if command == "compute" else []
+        assert main([command, *inputs, "--config", str(bad)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}: config field '{field}' is required (or pass {hint})\n"
+        )
+
 
 class TestUsage:
     """Usage errors end like validation errors: one error line, exit 1."""

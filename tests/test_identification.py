@@ -4,11 +4,12 @@ import pytest
 from netpoverty import (
     DependenceStructure,
     DeprivationCounts,
+    PovertyStatusVector,
     deprivation_counts,
     headcount_ratio,
     identify,
 )
-from netpoverty.errors import CutoffOutOfRange
+from netpoverty.errors import CutoffOutOfRange, ShapeMismatch
 
 
 class TestIdentify:
@@ -77,3 +78,12 @@ class TestHeadcount:
 
     def test_all_poor(self):
         assert headcount_ratio(identify(DeprivationCounts(np.ones(4)), 1)) == 1.0
+
+    @pytest.mark.parametrize(
+        "statuses",
+        [[], PovertyStatusVector(np.zeros(0, dtype=np.int64), 1.0)],
+        ids=["list", "vector"],
+    )
+    def test_empty_population_rejected(self, statuses):
+        with pytest.raises(ShapeMismatch):
+            headcount_ratio(statuses)
