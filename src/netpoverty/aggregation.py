@@ -44,7 +44,7 @@ from .core import (
 )
 from .deprivation import _count_values, _gap_values
 from .errors import InvalidPartition, ShapeMismatch
-from .identification import PovertyStatusVector, identify
+from .identification import PovertyStatusVector, _identify
 
 #: equality band for decomposition checks
 RECOMBINATION_TOL = 1e-12
@@ -108,7 +108,7 @@ def _coefficient_pass(
     else:
         coef = config.coefficients
     counts = _count_values(y, z, coef)
-    statuses = identify(counts, config.k)
+    statuses = _identify(counts, config.k)
     censored = (_gap_values(y, z, config.alpha) * coef) * statuses.statuses[:, None]
     return _fgt(censored, config, kind), counts, statuses, censored
 

@@ -55,6 +55,9 @@ from .core import (
     WeightVector,
     _check_alpha,
     _coefficient_values,
+    _frozen_array,
+    _index,
+    _real,
     as_achievement_matrix,
     check_dimension_index,
 )
@@ -69,7 +72,7 @@ from .errors import (
     ShapeMismatch,
     ValidationError,
 )
-from .identification import PovertyStatusVector, _status_values, identify
+from .identification import PovertyStatusVector, _identify, _status_values
 
 #: equality band and strict-inequality margin
 TOL = 1e-12
@@ -96,20 +99,26 @@ class GeneratorSettings:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if int(self.trials) < 1:
+        try:
+            (n_lo, n_hi), (d_lo, d_hi) = self.n_range, self.d_range
+        except (TypeError, ValueError):
+            raise InvalidGeneratorSettings("each range must be a (lo, hi) pair") from None
+        trials, n_lo, n_hi, d_lo, d_hi, seed = (
+            _index(v, InvalidGeneratorSettings, "each generator setting")
+            for v in (self.trials, n_lo, n_hi, d_lo, d_hi, self.seed)
+        )
+        if trials < 1:
             raise InvalidGeneratorSettings(f"trials = {self.trials} must be >= 1")
-        n_lo, n_hi = (int(v) for v in self.n_range)
-        d_lo, d_hi = (int(v) for v in self.d_range)
         if not 1 <= n_lo <= n_hi:
             raise InvalidGeneratorSettings(f"bad n_range {self.n_range}")
         if not 2 <= d_lo <= d_hi:
             raise InvalidGeneratorSettings(f"bad d_range {self.d_range} (need d >= 2)")
-        if int(self.seed) < 0:
+        if seed < 0:
             raise InvalidGeneratorSettings(f"seed = {self.seed} must be >= 0")
-        object.__setattr__(self, "trials", int(self.trials))
+        object.__setattr__(self, "trials", trials)
         object.__setattr__(self, "n_range", (n_lo, n_hi))
         object.__setattr__(self, "d_range", (d_lo, d_hi))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", seed)
 
 
 @dataclass(frozen=True)
@@ -135,7 +144,7 @@ class AxiomReport:
 
 def _statuses(cfg: MethodologyConfig, y: NDArray[np.float64]) -> PovertyStatusVector:
     """Who is poor among the rows of the checked array ``y`` under the methodology."""
-    return identify(_count_values(y, cfg.cutoffs.values, cfg.coefficients), cfg.k)
+    return _identify(_count_values(y, cfg.cutoffs.values, cfg.coefficients), cfg.k)
 
 
 def _evaluate(cfg: MethodologyConfig, y) -> tuple[float, PovertyStatusVector]:
@@ -155,17 +164,18 @@ def apply_simple_increment(
     Person and dimension indices are 1-based.
     """
     ym = as_achievement_matrix(achievements)
-    if not 1 <= int(i) <= ym.n:
+    i = _index(i, IndexOutOfRange, "person index")
+    if not 1 <= i <= ym.n:
         raise IndexOutOfRange(f"person index {i} outside 1..{ym.n}")
     j = check_dimension_index(j, ym.d)
     if ym.d != config.d:
         raise ShapeMismatch(f"achievements have d = {ym.d}, config has d = {config.d}")
-    amount = float(amount)
+    amount = _real(amount, NonPositiveAmount, "amount")
     if not math.isfinite(amount) or amount <= 0.0:
         raise NonPositiveAmount(f"amount = {amount} must be a positive real")
 
     statuses = _statuses(config, ym.values)
-    i0, j0 = int(i) - 1, j - 1
+    i0, j0 = i - 1, j - 1
     y_ij = ym.values[i0, j0]
     z_j = config.cutoffs.values[j0]
     x_ij = y_ij + amount
@@ -195,8 +205,8 @@ def apply_bistochastic_average(
     1e-12) and must act as the identity on every non-poor row.
     """
     ym = as_achievement_matrix(achievements)
-    b = np.asarray(mixing, dtype=float)
-    if b.ndim != 2 or b.shape[0] != b.shape[1] or b.shape[0] != ym.n:
+    b = _frozen_array(mixing, "mixing matrix", 2)
+    if b.shape[0] != b.shape[1] or b.shape[0] != ym.n:
         raise ShapeMismatch(f"mixing matrix shape {b.shape} does not match N = {ym.n}")
     if not np.all(np.isfinite(b)) or np.any(b < 0.0):
         raise NotBistochastic("mixing entries must be finite and nonnegative")
@@ -204,9 +214,7 @@ def apply_bistochastic_average(
         raise NotBistochastic("row sums differ from 1")
     if np.max(np.abs(b.sum(axis=0) - 1.0)) > BISTOCHASTIC_TOL:
         raise NotBistochastic("column sums differ from 1")
-    s = _status_values(statuses)
-    if s.shape[0] != ym.n:
-        raise ShapeMismatch(f"{s.shape[0]} statuses for N = {ym.n} persons")
+    s = _status_values(statuses, ym.n)
     non_poor = np.flatnonzero(s == 0)
     if non_poor.size and np.max(np.abs(b[non_poor, non_poor] - 1.0)) > BISTOCHASTIC_TOL:
         i = int(non_poor[int(np.argmax(np.abs(b[non_poor, non_poor] - 1.0)))]) + 1
@@ -228,14 +236,18 @@ def apply_rearrangement(
     before the swap and are not after it.  Indices are 1-based.
     """
     ym = as_achievement_matrix(achievements)
-    i, ip = int(i), int(i_prime)
+    i = _index(i, IndexOutOfRange, "person index")
+    ip = _index(i_prime, IndexOutOfRange, "person index")
     if not (1 <= i <= ym.n and 1 <= ip <= ym.n) or i == ip:
         raise IndexOutOfRange(f"need two distinct persons in 1..{ym.n}, got {i}, {ip}")
-    s = _status_values(statuses)
+    s = _status_values(statuses, ym.n)
     for person in (i, ip):
         if s[person - 1] != 1:
             raise PersonNotPoor(f"person {person} is not poor")
-    dims = sorted({check_dimension_index(j, ym.d) for j in swap_dims})
+    try:
+        dims = sorted({check_dimension_index(j, ym.d) for j in swap_dims})
+    except TypeError:
+        raise IndexOutOfRange("swap_dims must be an iterable of indices") from None
 
     new = np.array(ym.values, copy=True)
     for j in dims:
@@ -337,7 +349,7 @@ def _draw_materials(
                 )
             except ValidationError:
                 continue
-            statuses = identify(counts, cfg.k)
+            statuses = _identify(counts, cfg.k)
         poor = statuses.poor_count
         if poor < min_poor or (n - poor) < min_non_poor:
             continue
@@ -557,11 +569,10 @@ AXIOMS: tuple[str, ...] = tuple(_TRIALS)
 
 def axiom_covered(axiom: str, alpha: float) -> bool:
     """Whether the axiom is expected to hold at this gap exponent."""
-    if axiom == "monotonicity":
-        return alpha > 0.0
-    if axiom == "weak_transfer":
-        return alpha >= 1.0
-    return True
+    alpha = _check_alpha(alpha)
+    if not isinstance(axiom, str) or axiom not in _TRIALS:
+        raise ValidationError(f"axiom must be one of {', '.join(AXIOMS)}")
+    return {"monotonicity": alpha > 0.0, "weak_transfer": alpha >= 1.0}.get(axiom, True)
 
 
 def run_axiom_suite(

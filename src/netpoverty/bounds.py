@@ -53,7 +53,7 @@ class BoundsSummary:
 
     def __post_init__(self) -> None:
         for name in ("jumps", "column_totals"):
-            object.__setattr__(self, name, _frozen_array(getattr(self, name)))
+            object.__setattr__(self, name, _frozen_array(getattr(self, name), name, 1))
 
 
 def _column_sums(structure: DependenceStructure) -> list[float]:

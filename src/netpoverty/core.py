@@ -16,11 +16,14 @@ their array payloads copied and marked read-only.  Instances are safe to
 share across threads and workers.
 
 Dimension indices in public call signatures are 1-based, j in {1, .., d}.
+Raw arguments become numbers only in ``_frozen_array`` (arrays of one
+ndim), ``_real`` and ``_index``, which raise an error naming the argument.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,9 +54,14 @@ REL_TOL = 1e-9
 SYMMETRY_TOL = 1e-12
 
 
-def _frozen_array(values: ArrayLike, dtype=float) -> NDArray:
-    """A read-only copy of ``values``; every payload is stored this way."""
-    out = np.array(values, dtype=dtype, copy=True)
+def _frozen_array(values: ArrayLike, name: str, ndim: int, dtype=float) -> NDArray:
+    """A read-only ``ndim``-D copy of ``values``; every payload is stored this way."""
+    try:
+        out = np.array(values, dtype=dtype, copy=True)
+    except (TypeError, ValueError, OverflowError):
+        raise ShapeMismatch(f"{name} must be an array of real numbers") from None
+    if out.ndim != ndim:
+        raise ShapeMismatch(f"{name} must be a {ndim}-D array, got shape {out.shape}")
     out.flags.writeable = False
     return out
 
@@ -64,6 +72,14 @@ def _real(value, error: type[Exception], name: str) -> float:
         return float(value)
     except (TypeError, ValueError, OverflowError):
         raise error(f"{name} must be a real number, got {type(value).__name__}") from None
+
+
+def _index(value, error: type[Exception], name: str) -> int:
+    """``value`` as an int (numpy integers included), or ``error`` naming its type."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {type(value).__name__}") from None
 
 
 def _check_alpha(alpha: float) -> float:
@@ -79,7 +95,7 @@ def _check_k(k: float, upper: float | None = None) -> float:
     k = _real(k, CutoffOutOfRange, "k")
     if not math.isfinite(k) or k <= 0.0:
         raise CutoffOutOfRange(f"k = {k} must be a positive real")
-    if upper is not None and k > float(upper) * (1.0 + REL_TOL):
+    if upper is not None and k > _real(upper, CutoffOutOfRange, "upper") * (1 + REL_TOL):
         raise CutoffOutOfRange(f"k = {k} exceeds the attainable ceiling {upper}")
     return k
 
@@ -96,8 +112,8 @@ class DependenceStructure:
     symmetric: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        m = _frozen_array(self.entries)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        m = _frozen_array(self.entries, "dependence structure", 2)
+        if m.shape[0] != m.shape[1]:
             raise NotSquare(f"dependence structure must be square, got shape {m.shape}")
         d = m.shape[0]
         if d < 2:
@@ -147,9 +163,7 @@ class AchievementMatrix:
     values: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        y = _frozen_array(self.values)
-        if y.ndim != 2:
-            raise ShapeMismatch(f"achievements must be a 2-D matrix, got ndim={y.ndim}")
+        y = _frozen_array(self.values, "achievements", 2)
         if y.shape[0] < 1 or y.shape[1] < 1:
             raise ShapeMismatch(f"achievements must be nonempty, got shape {y.shape}")
         if not np.all(np.isfinite(y)):
@@ -179,7 +193,7 @@ class CutoffVector:
     values: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        z = _frozen_array(self.values).reshape(-1)
+        z = _frozen_array(self.values, "cutoffs", 1)
         if z.size < 1:
             raise ShapeMismatch("cutoff vector is empty")
         if not np.all(np.isfinite(z)) or np.any(z <= 0.0):
@@ -204,7 +218,7 @@ class WeightVector:
     values: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        w = _frozen_array(self.values).reshape(-1)
+        w = _frozen_array(self.values, "weights", 1)
         d = w.shape[0]
         if d < 1:
             raise ShapeMismatch("weight vector is empty")
@@ -273,7 +287,7 @@ class MethodologyConfig:
         object.__setattr__(self, "k", _check_k(self.k, ceiling))
         object.__setattr__(self, "score_ceiling", ceiling)
         coef = _coefficient_values(self.structure, self.weights.values)
-        object.__setattr__(self, "coefficients", _frozen_array(coef))
+        object.__setattr__(self, "coefficients", _frozen_array(coef, "coefficients", 1))
 
     @property
     def d(self) -> int:
@@ -289,21 +303,15 @@ def as_dependence_structure(m) -> DependenceStructure:
     Checks entries in [0, 1] and a unit diagonal; records whether the
     matrix is symmetric.  A structure passes through unchanged.
     """
-    if isinstance(m, DependenceStructure):
-        return m
-    return DependenceStructure(np.asarray(m, dtype=float))
+    return m if isinstance(m, DependenceStructure) else DependenceStructure(m)
 
 
 def as_achievement_matrix(y) -> AchievementMatrix:
-    if isinstance(y, AchievementMatrix):
-        return y
-    return AchievementMatrix(np.asarray(y, dtype=float))
+    return y if isinstance(y, AchievementMatrix) else AchievementMatrix(y)
 
 
 def as_cutoff_vector(z) -> CutoffVector:
-    if isinstance(z, CutoffVector):
-        return z
-    return CutoffVector(np.asarray(z, dtype=float))
+    return z if isinstance(z, CutoffVector) else CutoffVector(z)
 
 
 def as_weight_vector(w, d: int) -> WeightVector:
@@ -319,8 +327,9 @@ validate_dependence_structure = as_dependence_structure
 
 def validate_weights(raw, d: int) -> WeightVector:
     """Validate a raw length-d sequence (or a weight vector) as length-d weights."""
+    d = _index(d, ShapeMismatch, "d")
     is_vector = isinstance(raw, WeightVector)
-    w = raw.values if is_vector else np.asarray(raw, dtype=float).reshape(-1)
+    w = raw.values if is_vector else _frozen_array(raw, "weights", 1)
     if w.shape[0] != d:
         raise ShapeMismatch(f"weights have length {w.shape[0]}, expected {d}")
     return raw if is_vector else WeightVector(w)
@@ -328,7 +337,7 @@ def validate_weights(raw, d: int) -> WeightVector:
 
 def check_dimension_index(j: int, d: int) -> int:
     """Return the validated 1-based dimension index j."""
-    j = int(j)
+    j = _index(j, IndexOutOfRange, "dimension index")
     if not 1 <= j <= d:
         raise IndexOutOfRange(f"dimension index {j} outside 1..{d}")
     return j

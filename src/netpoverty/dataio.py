@@ -453,8 +453,8 @@ def recompute_fgt_value(report: dict) -> float:
     internally consistent.
     """
     config = report["config"]
-    structure = as_dependence_structure(np.asarray(config["dependence"], dtype=float))
-    weights = validate_weights(np.asarray(config["weights"], dtype=float), structure.d)
+    structure = as_dependence_structure(config["dependence"])
+    weights = validate_weights(config["weights"], structure.d)
     ceiling = weighted_upper_bound(structure, weights)
     persons = report["per_person"]
     total = math.fsum(

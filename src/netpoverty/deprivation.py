@@ -37,13 +37,14 @@ from .core import (
     _check_alpha,
     _coefficient_values,
     _frozen_array,
+    _real,
     as_achievement_matrix,
     as_cutoff_vector,
     as_dependence_structure,
     as_weight_vector,
     check_dimension_index,
 )
-from .errors import NegativeAchievement, NonPositiveCutoff, ShapeMismatch
+from .errors import NegativeAchievement, NonPositiveCutoff, ShapeMismatch, ValidationError
 
 # cap on rows * d * d cells per broadcast chunk (memory bound)
 _CHUNK_CELLS = 4_000_000
@@ -57,7 +58,7 @@ class GapMatrix:
     values: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _frozen_array(self.values))
+        object.__setattr__(self, "values", _frozen_array(self.values, "gaps", 2))
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,7 @@ class DeprivationMatrix:
     values: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _frozen_array(self.values))
+        object.__setattr__(self, "values", _frozen_array(self.values, "scores", 2))
 
 
 @dataclass(frozen=True)
@@ -79,7 +80,9 @@ class DeprivationCounts:
     values: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        values = _frozen_array(self.values).reshape(-1)
+        values = _frozen_array(self.values, "deprivation counts", 1)
+        if not np.all(np.isfinite(values)):
+            raise ValidationError("deprivation counts must be finite")
         object.__setattr__(self, "values", values)
 
     @property
@@ -94,8 +97,8 @@ def normalized_gap(y: float, z: float, alpha: float) -> float:
     the deprivation indicator (0 at y = z).
     """
     alpha = _check_alpha(alpha)
-    z = float(z)
-    y = float(y)
+    z = _real(z, NonPositiveCutoff, "cutoff")
+    y = _real(y, NegativeAchievement, "achievement")
     if not math.isfinite(z) or z <= 0.0:
         raise NonPositiveCutoff(f"cutoff {z} must be a positive real")
     if not math.isfinite(y) or y < 0.0:
@@ -166,7 +169,7 @@ def deprivation_score(gaps, structure: DependenceStructure, j: int) -> float:
     structure = as_dependence_structure(structure)
     d = structure.d
     j = check_dimension_index(j, d)
-    g = np.asarray(gaps, dtype=float).reshape(-1)
+    g = _frozen_array(gaps, "gap row", 1)
     if g.shape[0] != d:
         raise ShapeMismatch(f"gap row has length {g.shape[0]}, structure has d = {d}")
     off_row = structure.off_diagonal()[j - 1]

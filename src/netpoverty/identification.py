@@ -9,7 +9,7 @@ from numpy.typing import NDArray
 
 from .core import _check_k, _frozen_array
 from .deprivation import DeprivationCounts
-from .errors import ShapeMismatch
+from .errors import ShapeMismatch, ValidationError
 
 
 @dataclass(frozen=True)
@@ -20,8 +20,11 @@ class PovertyStatusVector:
     k: float
 
     def __post_init__(self) -> None:
-        statuses = _frozen_array(self.statuses, dtype=np.int64).reshape(-1)
-        object.__setattr__(self, "statuses", statuses)
+        s = self.statuses
+        # a comparison's boolean result is 0/1 by construction
+        if not (isinstance(s, np.ndarray) and s.dtype == np.bool_):
+            s = _status_values(s)
+        object.__setattr__(self, "statuses", _frozen_array(s, "statuses", 1, np.int64))
 
     @property
     def n(self) -> int:
@@ -30,6 +33,11 @@ class PovertyStatusVector:
     @property
     def poor_count(self) -> int:
         return int(np.sum(self.statuses))
+
+
+def _identify(values: NDArray[np.float64], k: float) -> PovertyStatusVector:
+    """Statuses for counts the package computed, at a k its config already checked."""
+    return PovertyStatusVector(values >= k, k)
 
 
 def identify(
@@ -42,19 +50,22 @@ def identify(
     is an exact float comparison, counts and k are expected to come
     from identical computations on both sides of any before/after test.
     """
-    if isinstance(counts, DeprivationCounts):
-        values = counts.values
-    else:
-        values = np.asarray(counts, dtype=float).reshape(-1)
-    k = _check_k(k, upper)
-    return PovertyStatusVector(statuses=(values >= k).astype(np.int64), k=k)
+    if not isinstance(counts, DeprivationCounts):
+        counts = DeprivationCounts(counts)
+    return _identify(counts.values, _check_k(k, upper))
 
 
-def _status_values(statuses) -> NDArray:
-    """The array behind a status vector, or a raw status sequence as an array."""
+def _status_values(statuses, n: int | None = None) -> NDArray:
+    """The 0/1 array of a status vector or of a raw sequence, of length n if given."""
     if isinstance(statuses, PovertyStatusVector):
-        return statuses.statuses
-    return np.asarray(statuses)
+        s = statuses.statuses
+    else:
+        s = _frozen_array(statuses, "statuses", 1)
+        if not np.all((s == 0.0) | (s == 1.0)):
+            raise ValidationError("statuses must be 0 or 1")
+    if n is not None and s.shape[0] != n:
+        raise ShapeMismatch(f"{s.shape[0]} statuses for N = {n} persons")
+    return s
 
 
 def headcount_ratio(statuses: PovertyStatusVector) -> float:

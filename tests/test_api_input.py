@@ -1,0 +1,225 @@
+"""Raw input at the public API: every malformed argument ends in a NetpovertyError.
+
+The probe table pins the error class and the one-line message shape for
+inputs that used to escape as a Python error or be silently
+reinterpreted (a 2-D cutoff vector flattened, 1.7 read as dimension 1,
+a NaN count read as not poor).  The fuzz test starts from one valid call
+to each public callable that takes numbers, arrays, indices, statuses or
+labels, and replaces one argument at a time with junk.
+"""
+
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import netpoverty as npv
+from netpoverty.dataio import ConfigDocument
+from netpoverty.errors import (
+    IndexOutOfRange,
+    InvalidGeneratorSettings,
+    NegativeAchievement,
+    NetpovertyError,
+    ShapeMismatch,
+    ValidationError,
+)
+
+S = np.array([[1.0, 0.5, 0.0], [0.2, 1.0, 0.3], [0.0, 0.4, 1.0]])
+Z = [10.0, 10.0, 10.0]
+# persons 1 and 3 are poor at k = 1, person 2 is not
+Y = [[1.0, 12.0, 3.0], [11.0, 12.0, 13.0], [2.0, 2.0, 2.0]]
+CFG = npv.MethodologyConfig(1.0, 1.0, S, None, Z)
+STATUSES = npv.identify(npv.deprivation_counts(Y, Z, S), 1.0)
+
+
+PROBES = {
+    # errors that used to escape as ValueError or TypeError
+    "dimension-jump-str": (lambda: npv.dimension_jump(S, "x"), IndexOutOfRange),
+    "settings-trials-str": (lambda: npv.GeneratorSettings(trials="x"), InvalidGeneratorSettings),
+    "gap-sensitivity-none": (lambda: npv.gap_sensitivity(S, None, 1), IndexOutOfRange),
+    "fgt-str-achievements": (
+        lambda: npv.fgt_network_adjusted([["a", "b", "c"]], Z, S, None, 1.0, 1.0),
+        ShapeMismatch,
+    ),
+    "structure-str": (
+        lambda: npv.validate_dependence_structure([["a", "b"], ["c", "d"]]),
+        ShapeMismatch,
+    ),
+    "score-str-gaps": (lambda: npv.deprivation_score(["x", "y", "z"], S, 1), ShapeMismatch),
+    "normalized-gap-str": (lambda: npv.normalized_gap("a", 1, 1), NegativeAchievement),
+    "weights-ragged": (lambda: npv.validate_weights([[1], [1, 1]], 2), ShapeMismatch),
+    # input that used to be silently reinterpreted
+    "dimension-jump-float": (lambda: npv.dimension_jump(S, 1.7), IndexOutOfRange),
+    "settings-trials-float": (lambda: npv.GeneratorSettings(trials=2.5), InvalidGeneratorSettings),
+    "identify-matrix": (lambda: npv.identify([[1, 2], [3, 4]], 1), ShapeMismatch),
+    "identify-nan": (lambda: npv.identify([math.nan], 1), ValidationError),
+    # statuses must be 0 or 1, one person per entry
+    "headcount-matrix": (lambda: npv.headcount_ratio([[1, 0], [0, 1]]), ShapeMismatch),
+    "headcount-not-binary": (lambda: npv.headcount_ratio([2, 3]), ValidationError),
+    "headcount-scalar": (lambda: npv.headcount_ratio(5), ShapeMismatch),
+    "status-vector-not-binary": (
+        lambda: npv.PovertyStatusVector([0.5, 1.7], 1),
+        ValidationError,
+    ),
+    # a vector argument given as a matrix is rejected, not flattened
+    "cutoffs-2d": (lambda: npv.CutoffVector([[1, 2], [3, 4]]), ShapeMismatch),
+    "weights-2d": (lambda: npv.WeightVector([[1, 1], [1, 1]]), ShapeMismatch),
+    "validate-weights-2d": (lambda: npv.validate_weights([[1, 1]], 2), ShapeMismatch),
+    "settings-range-none": (
+        lambda: npv.GeneratorSettings(n_range=None),
+        InvalidGeneratorSettings,
+    ),
+    "settings-range-float": (
+        lambda: npv.GeneratorSettings(d_range=(2, 3.5)),
+        InvalidGeneratorSettings,
+    ),
+    # apply_rearrangement checks the statuses' length and its swap set
+    "rearrangement-short-statuses": (
+        lambda: npv.apply_rearrangement(Y, 1, 3, [1], [1, 0]),
+        ShapeMismatch,
+    ),
+    "rearrangement-swap-none": (
+        lambda: npv.apply_rearrangement(Y, 1, 3, None, STATUSES),
+        IndexOutOfRange,
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error", PROBES.values(), ids=PROBES.keys())
+def test_probe_rejected(call, error):
+    with pytest.raises(NetpovertyError) as info:
+        call()
+    assert type(info.value) is error
+    message = str(info.value)
+    assert message and "\n" not in message
+
+
+def valid_calls(config_path: Path) -> dict:
+    """One valid call per public callable whose arguments can be junk."""
+    doc = ConfigDocument(CFG.cutoffs, CFG.structure, CFG.weights, 1.0, "absolute", 1.0)
+    suite = npv.GeneratorSettings(trials=1, n_range=(2, 6), d_range=(2, 3))
+    return {
+        "AchievementMatrix": (npv.AchievementMatrix, [Y]),
+        "AxiomReport": (npv.AxiomReport, ["symmetry", 1.0, 1, 0, 0.0, 0, "pass"]),
+        "BoundsSummary": (npv.BoundsSummary, [2.0, 1.0, 2.0, [1.0, 1.0], 2.0, [1.0, 1.0]]),
+        "CutoffVector": (npv.CutoffVector, [Z]),
+        "DependenceStructure": (npv.DependenceStructure, [S]),
+        "DeprivationCounts": (npv.DeprivationCounts, [[1.0, 2.0]]),
+        "DeprivationMatrix": (npv.DeprivationMatrix, [1.0, False, [[0.5, 0.0]]]),
+        "FgtResult": (npv.FgtResult, [0.5, 1.0, 1.0, 3.0, "0" * 64, "naive"]),
+        "GapMatrix": (npv.GapMatrix, [1.0, [[0.5, 0.0]]]),
+        "GeneratorSettings": (npv.GeneratorSettings, [1, (2, 5), (2, 3), 0]),
+        "MethodologyConfig": (npv.MethodologyConfig, [1.0, 1.0, S, None, Z]),
+        "PovertyStatusVector": (npv.PovertyStatusVector, [[0, 1], 1.0]),
+        "SymmetricConsistencyReport": (npv.SymmetricConsistencyReport, [2.0, 2.0, True]),
+        "WeightVector": (npv.WeightVector, [[1.0, 1.0, 1.0]]),
+        "aggregation_coefficient": (npv.aggregation_coefficient, [S, None, 1]),
+        "aggregation_coefficients": (npv.aggregation_coefficients, [S, None]),
+        "apply_bistochastic_average": (npv.apply_bistochastic_average, [Y, np.eye(3), STATUSES]),
+        "apply_rearrangement": (npv.apply_rearrangement, [Y, 1, 3, [1], [1, 0, 1]]),
+        "apply_simple_increment": (npv.apply_simple_increment, [Y, 1, 1, 0.5, CFG]),
+        "attainable_scores": (npv.attainable_scores, [S, None]),
+        "axiom_covered": (npv.axiom_covered, ["monotonicity", 1.0]),
+        "bounds_summary": (npv.bounds_summary, [S, None]),
+        "check_symmetric_consistency": (npv.check_symmetric_consistency, [S, None]),
+        "connections_of": (npv.connections_of, [S, 1]),
+        "decompose_by_group": (npv.decompose_by_group, [Y, [0, 1, 0], CFG]),
+        "deprivation_counts": (npv.deprivation_counts, [Y, Z, S, None]),
+        "deprivation_matrix": (npv.deprivation_matrix, [Y, Z, S, 1.0, None]),
+        "deprivation_score": (npv.deprivation_score, [[0.5, 0.0, 0.2], S, 1]),
+        "dimension_jump": (npv.dimension_jump, [S, 1]),
+        "dimension_jumps": (npv.dimension_jumps, [S]),
+        "fgt_naive": (npv.fgt_naive, [Y, Z, S, 1.0, 1.0]),
+        "fgt_network_adjusted": (npv.fgt_network_adjusted, [Y, Z, S, None, 1.0, 1.0]),
+        "fgt_via_coefficients": (npv.fgt_via_coefficients, [Y, Z, S, None, 1.0, 1.0]),
+        "gap_matrix": (npv.gap_matrix, [Y, Z, 1.0]),
+        "gap_sensitivity": (npv.gap_sensitivity, [S, 1, 2]),
+        "headcount_ratio": (npv.headcount_ratio, [[0, 1]]),
+        "identify": (npv.identify, [[1.0, 2.0], 1.5, 3.0]),
+        "implied_weights": (npv.implied_weights, [np.eye(3)]),
+        "is_disconnected": (npv.is_disconnected, [S]),
+        "load_config": (npv.load_config, [config_path, 1.0, None, 0.5]),
+        "lower_bound": (npv.lower_bound, [S]),
+        "normalized_gap": (npv.normalized_gap, [1.0, 2.0, 1.0]),
+        "resolve_methodology": (npv.resolve_methodology, [doc, 1.0, None, 0.5]),
+        "run_axiom_suite": (npv.run_axiom_suite, [1.0, suite]),
+        "upper_bound": (npv.upper_bound, [S]),
+        "validate_dependence_structure": (npv.validate_dependence_structure, [S]),
+        "validate_weights": (npv.validate_weights, [[1.0, 1.0, 1.0], 3]),
+        "weighted_upper_bound": (npv.weighted_upper_bound, [S, None]),
+    }
+
+
+#: public callables left out of the table: they take files, reports or
+#: package objects only, and none of those is a number, array or label
+NOT_FUZZED = {
+    "ConfigDocument",
+    "Dataset",
+    "DecompositionResult",
+    "ImpliedWeights",
+    "build_report",
+    "load_config_document",
+    "load_dataset",
+    "recompute_fgt_value",
+    "run_report",
+}
+
+#: arguments typed as a package object or a path keep their valid value
+FIXED = (npv.MethodologyConfig, npv.GeneratorSettings, ConfigDocument, Path)
+
+JUNK = st.one_of(
+    st.text(max_size=3),
+    st.none(),
+    st.sampled_from(
+        [
+            math.nan,
+            1.7,
+            [],
+            10**400,
+            {},
+            [[1.0, 2.0], [3.0]],
+            [["a", "b"]],
+            [[1.0, 2.0], [3.0, 4.0]],
+            [[[1.0]]],
+            np.ones((2, 2)),
+        ]
+    ),
+    st.recursive(
+        st.none() | st.floats() | st.text(max_size=2),
+        lambda inner: st.lists(inner, max_size=3),
+        max_leaves=6,
+    ),
+)
+
+
+@pytest.fixture(scope="module")
+def calls(tmp_path_factory):
+    path = tmp_path_factory.mktemp("config") / "config.json"
+    path.write_text(json.dumps({"cutoffs": Z, "dependence": S.tolist()}), encoding="utf-8")
+    return valid_calls(path)
+
+
+def test_table_covers_the_public_api(calls):
+    public = {name for name in npv.__all__ if callable(getattr(npv, name))}
+    assert set(calls) | NOT_FUZZED == public
+    assert not set(calls) & NOT_FUZZED
+    for fn, args in calls.values():
+        fn(*args)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_junk_argument_raises_package_error(calls, data):
+    name = data.draw(st.sampled_from(sorted(calls)), label="callable")
+    fn, args = calls[name]
+    free = [i for i, arg in enumerate(args) if not isinstance(arg, FIXED)]
+    position = data.draw(st.sampled_from(free), label="position")
+    args = list(args)
+    args[position] = data.draw(JUNK, label="junk")
+    try:
+        fn(*args)
+    except NetpovertyError as exc:
+        assert "\n" not in str(exc)
