@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterable
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -24,12 +25,12 @@ from .core import MethodologyConfig
 from .dataio import (
     _bounds_fields,
     _round12,
-    _write_text,
-    build_report,
     load_config,
     load_config_document,
     load_dataset,
     render_report,
+    stream_report,
+    write_text,
 )
 from .errors import NetpovertyError, ValidationError, WriteError
 from .weights import implied_weights
@@ -125,12 +126,11 @@ def _warn_k_gap(config: MethodologyConfig) -> None:
     )
 
 
-def _cmd_compute(args) -> tuple[str, int]:
+def _cmd_compute(args) -> tuple[Iterable[str], int]:
     dataset = load_dataset(args.dataset)
     config = load_config(args.config, args.alpha, args.k, args.k_fraction)
     _warn_k_gap(config)
-    report = build_report(dataset, config, diagnostic_naive=args.diagnostic_naive)
-    return render_report(report), 0
+    return stream_report(dataset, config, args.diagnostic_naive), 0
 
 
 def _cmd_bounds(args) -> tuple[str, int]:
@@ -203,13 +203,11 @@ def _cmd_compare(args) -> tuple[str, int]:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and write its text: a ``str`` or an iterable of chunks."""
     try:
         args = build_parser().parse_args(argv)
-        text, code = args.run(args)
-        if args.out is None:
-            sys.stdout.write(text)
-        else:
-            _write_text(text, args.out)
+        chunks, code = args.run(args)
+        write_text(chunks, args.out)
         return code
     except (WriteError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

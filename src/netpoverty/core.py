@@ -57,6 +57,8 @@ SYMMETRY_TOL = 1e-12
 def _frozen_array(values: ArrayLike, name: str, ndim: int, dtype=float) -> NDArray:
     """A read-only ``ndim``-D copy of ``values``; every payload is stored this way."""
     try:
+        if np.iscomplexobj(values):  # a cast would drop the imaginary part, with a warning
+            raise TypeError
         out = np.array(values, dtype=dtype, copy=True)
     except (TypeError, ValueError, OverflowError):
         raise ShapeMismatch(f"{name} must be an array of real numbers") from None
@@ -80,6 +82,14 @@ def _index(value, error: type[Exception], name: str) -> int:
         return operator.index(value)
     except TypeError:
         raise error(f"{name} must be an integer, got {type(value).__name__}") from None
+
+
+def _dimension_count(d) -> int:
+    """A dimension count ``d`` as an int, checked positive."""
+    d = _index(d, ShapeMismatch, "d")
+    if d < 1:
+        raise ShapeMismatch(f"d = {d} must be a positive integer")
+    return d
 
 
 def _check_alpha(alpha: float) -> float:
@@ -148,11 +158,12 @@ class DependenceStructure:
     @classmethod
     def identity(cls, d: int) -> "DependenceStructure":
         """Disconnected structure: every dimension depends only on itself."""
-        return cls(np.eye(d))
+        return cls(np.eye(_dimension_count(d)))
 
     @classmethod
     def complete(cls, d: int) -> "DependenceStructure":
         """Fully connected structure with all effects at maximum strength."""
+        d = _dimension_count(d)
         return cls(np.ones((d, d)))
 
 
@@ -239,7 +250,7 @@ class WeightVector:
 
     @classmethod
     def uniform(cls, d: int) -> "WeightVector":
-        return cls(np.ones(d))
+        return cls(np.ones(_dimension_count(d)))
 
 
 def _coefficient_values(

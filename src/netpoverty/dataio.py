@@ -37,6 +37,12 @@ digits (round half even) before emission so independent implementations
 can be compared at the report level; the config echo keeps full
 precision so it reloads to an identical methodology.  Same inputs give
 byte-identical output.
+
+``compute`` streams its report through :func:`stream_report`: every check
+and all numeric work run first, then the text is produced a few thousand
+persons at a time from one fixed per-person template, with no report dict.
+Its bytes equal ``render_report(build_report(...))``, which stays the dict
+API and the reference the streamed text is tested against.
 """
 
 from __future__ import annotations
@@ -45,8 +51,11 @@ import csv
 import json
 import math
 import re
+import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import accumulate
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -64,7 +73,7 @@ from .core import (
     as_dependence_structure,
     validate_weights,
 )
-from .deprivation import deprivation_matrix
+from .deprivation import _gap_values, _score_values, deprivation_matrix
 from .errors import (
     CutoffOutOfRange,
     EmptyDataset,
@@ -73,6 +82,7 @@ from .errors import (
     NotSquare,
     ParseError,
     RaggedRow,
+    ShapeMismatch,
     ValidationError,
     WriteError,
 )
@@ -86,6 +96,13 @@ class Dataset:
     achievements: AchievementMatrix
     dimension_names: tuple[str, ...]
     person_ids: tuple[str, ...] | None = None
+
+    def __post_init__(self) -> None:
+        ids = self.person_ids
+        if ids is not None and (
+            len(ids) != self.n or not all(isinstance(pid, str) for pid in ids)
+        ):
+            raise ShapeMismatch(f"person_ids must be {self.n} strings, one per person")
 
     @property
     def n(self) -> int:
@@ -377,10 +394,13 @@ def config_echo(config: MethodologyConfig) -> dict:
     }
 
 
-def build_report(
-    dataset: Dataset, config: MethodologyConfig, diagnostic_naive: bool = False
-) -> dict:
-    """Assemble the report dict, keys in their documented order."""
+def _report_head(
+    dataset: Dataset, config: MethodologyConfig, diagnostic_naive: bool
+) -> tuple[dict, np.ndarray, np.ndarray]:
+    """The checks, the kernel pass and the fields before ``per_person``.
+
+    Returns those fields with the per-person counts and statuses.
+    """
     y = dataset.achievements
     if y.d != config.d:
         raise ValidationError(
@@ -389,10 +409,7 @@ def build_report(
     # the aggregate's own counts and statuses, so the rows match it exactly;
     # the censored matrix is dropped here, not held through the report build
     result, counts, statuses = _coefficient_pass(y, config)[:3]
-    scored = deprivation_matrix(
-        y, config.cutoffs, config.structure, config.alpha, config.weights
-    )
-    report: dict = {
+    head: dict = {
         "fgt_value": _round12(result.value),
         "headcount_ratio": _round12(headcount_ratio(statuses)),
         **_bounds_fields(bounds_summary(config.structure, config.weights)),
@@ -400,23 +417,37 @@ def build_report(
     if diagnostic_naive:
         # at the methodology's k, which was checked against d_tilde only
         naive = _coefficient_pass(y, config, "naive")[0]
-        report["naive_diagnostic"] = {
+        head["naive_diagnostic"] = {
             "label": "naive (manipulable)",
             "value": _round12(naive.value),
             "denominator": _round12(naive.denominator),
         }
-    report["dimensions"] = list(dataset.dimension_names)
+    head["dimensions"] = list(dataset.dimension_names)
+    return head, counts, statuses.statuses
+
+
+def _report_tail(config: MethodologyConfig) -> dict:
+    return {"config": config_echo(config), "software_version": __version__}
+
+
+def build_report(
+    dataset: Dataset, config: MethodologyConfig, diagnostic_naive: bool = False
+) -> dict:
+    """Assemble the report dict, keys in their documented order."""
+    report, counts, statuses = _report_head(dataset, config, diagnostic_naive)
+    scored = deprivation_matrix(
+        dataset.achievements, config.cutoffs, config.structure, config.alpha, config.weights
+    )
     report["per_person"] = [
         {
             "id": pid,
             "deprivation_count": _round12(counts[i]),
-            "poor": int(statuses.statuses[i]),
+            "poor": int(statuses[i]),
             "scores": [_round12(v) for v in scored.values[i]],
         }
         for i, pid in enumerate(dataset.ids())
     ]
-    report["config"] = config_echo(config)
-    report["software_version"] = __version__
+    report.update(_report_tail(config))
     return report
 
 
@@ -425,10 +456,79 @@ def render_report(report) -> str:
     return json.dumps(report, indent=2) + "\n"
 
 
-def _write_text(text: str, path) -> None:
+def stream_report(
+    dataset: Dataset, config: MethodologyConfig, diagnostic_naive: bool = False
+) -> Iterator[str]:
+    """The text of ``render_report(build_report(...))``, byte for byte, in chunks.
+
+    Every check and all the numeric work run in this call, so an invalid
+    input raises before any text exists.  The returned iterator formats
+    the per-person records a few thousand at a time, with no report dict.
+    """
+    head, counts, statuses = _report_head(dataset, config, diagnostic_naive)
+    # deprivation_matrix's arithmetic, on arrays the kernel pass already validated
+    gaps = _gap_values(dataset.achievements.values, config.cutoffs.values, config.alpha)
+    scores = _score_values(gaps, config.structure.off_diagonal()) * config.weights.values
+    return _report_text(
+        head, dataset.person_ids, counts, statuses, scores, _report_tail(config)
+    )
+
+
+#: persons formatted per chunk of streamed report text
+_CHUNK_PERSONS = 4096
+
+
+def _json_float(v: float) -> str:
+    """``json.dumps(_round12(v))``, rounding while formatting.
+
+    Up to 12 significant digits outside exponent form read back as the
+    same double, whose shortest repr is those digits (with ``.0`` for an
+    integer).  Exponent forms, subnormals among them, take the round trip.
+    """
+    s = "%.12g" % v
+    if "e" in s:
+        return repr(float(s))
+    return s if "." in s else s + ".0"
+
+
+def _report_text(
+    head: dict, person_ids, counts, statuses, scores, tail: dict
+) -> Iterator[str]:
+    """The report as ``json.dumps(indent=2)`` writes it, one chunk of persons at a time."""
+    yield json.dumps(head, indent=2)[:-2] + ',\n  "per_person": [\n'
+    n, d = scores.shape
+    record = (
+        '    {\n      "id": %s,\n      "deprivation_count": %s,\n      "poor": %d,\n'
+        '      "scores": [\n' + ",\n".join(["        %s"] * d) + "\n      ]\n    }"
+    )
+    width = d + 3
+    for start in range(0, n, _CHUNK_PERSONS):
+        stop = min(start + _CHUNK_PERSONS, n)
+        fields = [None] * ((stop - start) * width)
+        if person_ids is None:
+            fields[0::width] = range(start + 1, stop + 1)
+        else:
+            fields[0::width] = map(encode_basestring_ascii, person_ids[start:stop])
+        fields[1::width] = map(_json_float, counts[start:stop].tolist())
+        fields[2::width] = statuses[start:stop].tolist()
+        flat = list(map(_json_float, scores[start:stop].ravel().tolist()))
+        for j in range(d):
+            fields[3 + j :: width] = flat[j::d]
+        text = ",\n".join([record] * (stop - start)) % tuple(fields)
+        yield text if start == 0 else ",\n" + text
+    yield "\n  ],\n" + json.dumps(tail, indent=2)[2:] + "\n"
+
+
+def write_text(chunks, path=None) -> None:
+    """Write text chunks (a ``str`` is one chunk) to ``path``, or to stdout."""
+    if isinstance(chunks, str):
+        chunks = (chunks,)
+    if path is None:
+        sys.stdout.writelines(chunks)
+        return
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     except OSError as exc:
         raise WriteError(f"could not write {path}: {exc}") from exc
 
@@ -442,22 +542,42 @@ def run_report(
     """Build the report and, when a path is given, write it to disk."""
     report = build_report(dataset, config, diagnostic_naive=diagnostic_naive)
     if out_path is not None:
-        _write_text(render_report(report), out_path)
+        write_text(render_report(report), out_path)
     return report
+
+
+def _report_field(doc, key: str, where: str):
+    if not isinstance(doc, dict):
+        raise ValidationError(
+            f"malformed report: {where} must be an object, got {type(doc).__name__}"
+        )
+    if key not in doc:
+        raise ValidationError(f"malformed report: {where} has no {key!r} field")
+    return doc[key]
 
 
 def recompute_fgt_value(report: dict) -> float:
     """Rebuild the aggregate from per-person records and the config echo.
 
     Must reproduce ``fgt_value`` to 1e-12; used to confirm a report is
-    internally consistent.
+    internally consistent.  A report without the fields this reads, or
+    with records that are not objects or scores that are not numbers,
+    raises ValidationError.
     """
-    config = report["config"]
-    structure = as_dependence_structure(config["dependence"])
-    weights = validate_weights(config["weights"], structure.d)
+    config = _report_field(report, "config", "the report")
+    structure = as_dependence_structure(_report_field(config, "dependence", "config"))
+    weights = validate_weights(_report_field(config, "weights", "config"), structure.d)
     ceiling = weighted_upper_bound(structure, weights)
-    persons = report["per_person"]
-    total = math.fsum(
-        math.fsum(rec["scores"]) for rec in persons if rec["poor"] == 1
-    )
-    return total / (len(persons) * ceiling)
+    persons = _report_field(report, "per_person", "the report")
+    if not isinstance(persons, list) or not persons:
+        raise ValidationError("malformed report: per_person must be a nonempty array")
+    sums = []
+    for i, rec in enumerate(persons):
+        if _report_field(rec, "poor", f"per_person[{i}]") == 1:
+            try:
+                sums.append(math.fsum(_report_field(rec, "scores", f"per_person[{i}]")))
+            except TypeError:
+                raise ValidationError(
+                    f"malformed report: per_person[{i}] scores must be an array of numbers"
+                ) from None
+    return math.fsum(sums) / (len(persons) * ceiling)

@@ -33,6 +33,7 @@ Z = [10.0, 10.0, 10.0]
 Y = [[1.0, 12.0, 3.0], [11.0, 12.0, 13.0], [2.0, 2.0, 2.0]]
 CFG = npv.MethodologyConfig(1.0, 1.0, S, None, Z)
 STATUSES = npv.identify(npv.deprivation_counts(Y, Z, S), 1.0)
+REPORT = npv.build_report(npv.Dataset(npv.AchievementMatrix(Y), ("a", "b", "c")), CFG)
 
 
 PROBES = {
@@ -84,6 +85,42 @@ PROBES = {
     "rearrangement-swap-none": (
         lambda: npv.apply_rearrangement(Y, 1, 3, None, STATUSES),
         IndexOutOfRange,
+    ),
+    # a dimension count goes through the same integer check as an index
+    "identity-str": (lambda: npv.DependenceStructure.identity("x"), ShapeMismatch),
+    "complete-negative": (lambda: npv.DependenceStructure.complete(-2), ShapeMismatch),
+    "uniform-float": (lambda: npv.WeightVector.uniform(2.0), ShapeMismatch),
+    # a cast to float would drop the imaginary part
+    "cutoffs-complex": (lambda: npv.CutoffVector(np.array([10 + 1j, 10])), ShapeMismatch),
+    # a person id per person, as text, so reports list every person
+    "dataset-short-ids": (
+        lambda: npv.Dataset(npv.AchievementMatrix(Y), ("a", "b", "c"), ("p1",)),
+        ShapeMismatch,
+    ),
+    "dataset-int-ids": (
+        lambda: npv.Dataset(npv.AchievementMatrix(Y), ("a", "b", "c"), (1, 2, 3)),
+        ShapeMismatch,
+    ),
+    # a report missing what recompute_fgt_value reads
+    "recompute-empty": (lambda: npv.recompute_fgt_value({}), ValidationError),
+    "recompute-not-dict": (lambda: npv.recompute_fgt_value([1, 2]), ValidationError),
+    "recompute-no-per-person": (
+        lambda: npv.recompute_fgt_value({"config": REPORT["config"]}),
+        ValidationError,
+    ),
+    "recompute-no-scores": (
+        lambda: npv.recompute_fgt_value(dict(REPORT, per_person=[{"poor": 1}])),
+        ValidationError,
+    ),
+    "recompute-no-poor": (
+        lambda: npv.recompute_fgt_value(dict(REPORT, per_person=[{"scores": [1.0]}])),
+        ValidationError,
+    ),
+    "recompute-str-scores": (
+        lambda: npv.recompute_fgt_value(
+            dict(REPORT, per_person=[{"poor": 1, "scores": ["a"]}])
+        ),
+        ValidationError,
     ),
 }
 

@@ -92,6 +92,17 @@ class TestCompute:
         bad.write_text(json.dumps(dict(WORKED_CONFIG, k=9.0)), encoding="utf-8")
         assert main(["compute", "--dataset", str(data), "--config", str(bad)]) == 1
 
+    def test_dimension_mismatch_creates_no_report(self, worked, tmp_path, capsys):
+        data, _ = worked
+        config = tmp_path / "three.json"
+        doc = {"cutoffs": [10.0, 10.0, 10.0], "alpha": 1.0, "k": 1.0}
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "r.json"
+        argv = ["compute", "--dataset", str(data), "--config", str(config), "--out", str(out)]
+        assert main(argv) == 1
+        assert_one_error_line(capsys.readouterr().err)
+        assert not out.exists()
+
     def test_unwritable_report_exits_3(self, worked, tmp_path, capsys):
         data, config = worked
         out = tmp_path / "missing-dir" / "r.json"

@@ -1,5 +1,7 @@
 import inspect
 import json
+import math
+import struct
 import sys
 
 import numpy as np
@@ -21,7 +23,14 @@ from netpoverty import (
     run_report,
     weighted_upper_bound,
 )
-from netpoverty.dataio import _numbers, _round12, render_report
+from netpoverty.dataio import (
+    _CHUNK_PERSONS,
+    _json_float,
+    _numbers,
+    _round12,
+    render_report,
+    stream_report,
+)
 from netpoverty.errors import (
     CutoffOutOfRange,
     EmptyDataset,
@@ -359,6 +368,88 @@ class TestReports:
             want = np.array([_round12(v) for v in counts.values])
             assert got.tobytes() == want.tobytes()
             assert [rec["poor"] for rec in rows] == statuses.tolist()
+
+
+#: ids json.dumps must escape: a quote, non-ASCII, a control character
+_TRICKY_IDS = ('a"b', "\u00e9", "\t", "\\", "\u2028", "", "p01")
+
+
+def _golden_inputs(seed, n, d, alpha, fraction, uniform_weights, ids):
+    """A dataset and methodology whose scores take every kind of float text."""
+    from conftest import random_structure, random_weights
+
+    rng = np.random.default_rng(seed)
+    z = rng.uniform(1, 10, d)
+    # shortfalls down to 1e-12 of the cutoff give gaps in exponent form;
+    # whole-number achievements with whole cutoffs give whole-number scores
+    near = z * (1 - 10.0 ** -rng.uniform(0, 12, (n, d)))
+    far = rng.uniform(0, 2, (n, d)) * z
+    y = np.where(rng.random((n, d)) < 0.5, near, far)
+    if rng.random() < 0.3:
+        z, y = np.ceil(z), np.round(y)
+    m = random_structure(rng, d)
+    w = None if uniform_weights else random_weights(rng, d)
+    cfg = MethodologyConfig(alpha, fraction * weighted_upper_bound(m, w), m, w, z)
+    person_ids = None if ids is None else tuple(ids[i % len(ids)] for i in range(n))
+    names = tuple(f"dim {j}" for j in range(d))
+    return Dataset(AchievementMatrix(y), names, person_ids), cfg
+
+
+class TestStreamedReport:
+    """``stream_report`` writes exactly ``render_report(build_report(...))``."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        d=st.integers(2, 5),
+        alpha=st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.7]),
+        fraction=st.floats(0.01, 1.0),
+        uniform_weights=st.booleans(),
+        ids=st.none()
+        | st.lists(st.sampled_from(_TRICKY_IDS) | st.text(max_size=4), min_size=1, max_size=6),
+        naive=st.booleans(),
+    )
+    def test_equals_rendered_report(
+        self, seed, n, d, alpha, fraction, uniform_weights, ids, naive
+    ):
+        ds, cfg = _golden_inputs(seed, n, d, alpha, fraction, uniform_weights, ids)
+        streamed = "".join(stream_report(ds, cfg, naive))
+        assert streamed == render_report(build_report(ds, cfg, naive))
+
+    @pytest.mark.parametrize("ids", [None, _TRICKY_IDS], ids=["integer-ids", "string-ids"])
+    @pytest.mark.parametrize("n", [1, 2 * _CHUNK_PERSONS + 1])
+    def test_single_person_and_chunk_boundaries(self, n, ids):
+        ds, cfg = _golden_inputs(7, n, 3, 1.0, 0.4, False, ids)
+        for naive in (False, True):
+            chunks = list(stream_report(ds, cfg, naive))
+            assert len(chunks) == 2 + -(-n // _CHUNK_PERSONS)
+            assert "".join(chunks) == render_report(build_report(ds, cfg, naive))
+
+    def test_dimension_mismatch_raises_before_any_text(self, worked_files):
+        data, config = worked_files
+        ds = load_dataset(data)
+        cfg = MethodologyConfig(1.0, 1.0, np.eye(3), None, [10.0, 10.0, 10.0])
+        with pytest.raises(ValidationError, match="d = 2 dimensions, config has d = 3"):
+            stream_report(ds, cfg)
+
+    @pytest.mark.parametrize(
+        "v",
+        [1e-05, -0.0, 0.0, 1.0, 123456789012.0, 1.23456789012e14, 1e16, 5e-324,
+         0.0001, 9.99999999999995e-05, 999999999999.5, 2.9999999999999, -7.0, 1e300],
+    )
+    def test_formatter_cases(self, v):
+        assert _json_float(v) == repr(float(f"{v:.12g}"))
+
+    @settings(max_examples=500, deadline=None)
+    @given(v=st.floats(allow_nan=False, allow_infinity=False))
+    def test_formatter_random_floats(self, v):
+        assert _json_float(v) == repr(float(f"{v:.12g}"))
+
+    def test_formatter_over_the_whole_exponent_range(self):
+        bits = np.random.default_rng(11).integers(0, 2**64, 50_000, dtype=np.uint64)
+        values = [v for (v,) in struct.iter_unpack("<d", bits.tobytes()) if math.isfinite(v)]
+        assert [_json_float(v) for v in values] == [repr(float(f"{v:.12g}")) for v in values]
 
 
 # every JSON value shape a config field could hold, keyed by real field names
