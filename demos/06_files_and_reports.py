@@ -1,9 +1,10 @@
 """End-to-end file workflow: dataset in, deterministic report out.
 
 Writes a small CSV dataset and a JSON config to a temporary directory,
-builds the report, and shows that the aggregate value can be
-reconstructed from the report's own per-person records.  The same
-workflow is available from the command line:
+writes the report, and shows that the returned report is exactly the
+file written and that the aggregate value can be reconstructed from the
+report's own per-person records; the script exits 1 if either fails.
+The same workflow is available from the command line:
 
     netpoverty compute --dataset data.csv --config config.json --out report.json
 """
@@ -20,7 +21,7 @@ sys.path.insert(
 import netpoverty as npv
 
 
-def main() -> None:
+def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         data_path = os.path.join(tmp, "data.csv")
         with open(data_path, "w", encoding="utf-8") as fh:
@@ -50,7 +51,10 @@ def main() -> None:
         print("persons:", dataset.ids())
         print("resolved k:", round(config.k, 6), "of ceiling", round(config.score_ceiling, 6))
 
-        report = npv.run_report(dataset, config, out_path=os.path.join(tmp, "report.json"))
+        report_path = os.path.join(tmp, "report.json")
+        report = npv.run_report(dataset, config, out_path=report_path)
+        with open(report_path, encoding="utf-8") as fh:
+            written = json.load(fh)
         print("\nfgt_value       :", report["fgt_value"])
         print("headcount_ratio :", report["headcount_ratio"])
         for record in report["per_person"]:
@@ -60,9 +64,13 @@ def main() -> None:
             )
 
         rebuilt = npv.recompute_fgt_value(report)
-        print("\nvalue rebuilt from per-person records:", rebuilt)
-        print("matches to 1e-12:", abs(rebuilt - report["fgt_value"]) <= 1e-12)
+        same = report == written
+        matches = abs(rebuilt - report["fgt_value"]) <= 1e-12
+        print("\nreturned report equals the file written:", same)
+        print("value rebuilt from per-person records:", rebuilt)
+        print("matches to 1e-12:", matches)
+        return 0 if same and matches else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

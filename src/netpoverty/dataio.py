@@ -8,6 +8,7 @@ a person identifier and must be unique; every other cell must parse as
 a finite nonnegative real.  Missing cells are rejected, never imputed:
 imputation would silently change poverty counts.  Cells longer than the
 csv module's field limit (131,072 characters by default) are rejected.
+Rows are parsed as they are read, into one flat buffer of doubles.
 
 Config (JSON object):
 
@@ -38,11 +39,12 @@ can be compared at the report level; the config echo keeps full
 precision so it reloads to an identical methodology.  Same inputs give
 byte-identical output.
 
-``compute`` streams its report through :func:`stream_report`: every check
-and all numeric work run first, then the text is produced a few thousand
-persons at a time from one fixed per-person template, with no report dict.
-Its bytes equal ``render_report(build_report(...))``, which stays the dict
-API and the reference the streamed text is tested against.
+Every report, from ``compute`` and from :func:`run_report`, comes from
+:func:`stream_report`: every check and all numeric work run first, then
+the text is produced a few thousand persons at a time from one fixed
+per-person template, with no report dict.  :func:`build_report` formats
+the same arrays as a dict; :func:`render_report` of that dict gives the
+same bytes and is the reference the streamed text is tested against.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ import json
 import math
 import re
 import sys
+from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import accumulate
@@ -73,7 +76,7 @@ from .core import (
     as_dependence_structure,
     validate_weights,
 )
-from .deprivation import _gap_values, _score_values, deprivation_matrix
+from .deprivation import _gap_values, _score_values
 from .errors import (
     CutoffOutOfRange,
     EmptyDataset,
@@ -134,73 +137,73 @@ def load_dataset(path) -> Dataset:
     """Read and validate a dataset file.
 
     Row and column numbers in errors are 1-based and count data rows and
-    achievement columns (the header and any id column excluded).
+    achievement columns (the header and any id column excluded).  Rows
+    are checked as they are read, so of several faulty rows the first in
+    the file is reported.  Duplicate ids are checked after the last row;
+    an invalid UTF-8 byte is reported when the block of text holding it
+    is decoded, which can be before earlier rows in that block are read.
     """
+    ids: list[str] = []
+    values = array("d")
     # utf-8-sig drops a byte-order mark that would otherwise hide the id header
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
-            rows = list(reader)
+            header = next(reader, None)
+            if header is None:
+                raise EmptyDataset(f"{path}: file is empty")
+            header = [cell.strip() for cell in header]
+            if not any(header):
+                raise EmptyDataset(f"{path}: header row is empty")
+            has_ids = header[0].lower() == "id"
+            names = header[has_ids:]  # True slices off the id column
+            if not names:
+                raise EmptyDataset(f"{path}: no achievement columns")
+            _reject_duplicates(path, names, "dimension name")
+            for r, row in enumerate(reader, start=1):
+                if len(row) != len(header):
+                    raise RaggedRow(
+                        f"{path}: row {r} has {len(row)} fields, header has {len(header)}",
+                        row=r,
+                    )
+                if has_ids:
+                    ids.append(row[0].strip())
+                for c, cell in enumerate(row[has_ids:], start=1):
+                    text = cell.strip()
+                    try:
+                        # float() takes `_` grouping and non-ASCII digits, the format does not
+                        if "_" in text or not text.isascii():
+                            raise ValueError
+                        value = float(text)
+                    except ValueError:
+                        raise ParseError(
+                            f"{path}: row {r}, column {c}: {text!r} is not a number",
+                            row=r,
+                            column=c,
+                        ) from None
+                    if not math.isfinite(value):
+                        raise ParseError(
+                            f"{path}: row {r}, column {c}: {text!r} is not finite",
+                            row=r,
+                            column=c,
+                        )
+                    if value < 0.0:
+                        raise NegativeAchievement(
+                            f"{path}: row {r}, column {c}: negative achievement {value}",
+                            row=r,
+                            column=c,
+                        )
+                    values.append(value)
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: not valid UTF-8 ({exc.reason})") from None
         except csv.Error as exc:
             raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
-    if not rows:
-        raise EmptyDataset(f"{path}: file is empty")
-    header = [cell.strip() for cell in rows[0]]
-    if not any(header):
-        raise EmptyDataset(f"{path}: header row is empty")
-    has_ids = header[0].lower() == "id"
-    names = header[1:] if has_ids else header
-    if not names:
-        raise EmptyDataset(f"{path}: no achievement columns")
-    _reject_duplicates(path, names, "dimension name")
-
-    ids: list[str] = []
-    data: list[list[float]] = []
-    for r, row in enumerate(rows[1:], start=1):
-        if len(row) != len(header):
-            raise RaggedRow(
-                f"{path}: row {r} has {len(row)} fields, header has {len(header)}",
-                row=r,
-            )
-        cells = row[1:] if has_ids else row
-        if has_ids:
-            ids.append(row[0].strip())
-        parsed = []
-        for c, cell in enumerate(cells, start=1):
-            text = cell.strip()
-            try:
-                # float() takes `_` grouping and non-ASCII digits, the format does not
-                if "_" in text or not text.isascii():
-                    raise ValueError
-                value = float(text)
-            except ValueError:
-                raise ParseError(
-                    f"{path}: row {r}, column {c}: {text!r} is not a number",
-                    row=r,
-                    column=c,
-                ) from None
-            if not math.isfinite(value):
-                raise ParseError(
-                    f"{path}: row {r}, column {c}: {text!r} is not finite",
-                    row=r,
-                    column=c,
-                )
-            if value < 0.0:
-                raise NegativeAchievement(
-                    f"{path}: row {r}, column {c}: negative achievement {value}",
-                    row=r,
-                    column=c,
-                )
-            parsed.append(value)
-        data.append(parsed)
-    if not data:
+    if not values:
         raise EmptyDataset(f"{path}: no data rows")
     if has_ids:
         _reject_duplicates(path, ids, "person id")
     return Dataset(
-        achievements=AchievementMatrix(np.array(data)),
+        achievements=AchievementMatrix(np.frombuffer(values).reshape(-1, len(names))),
         dimension_names=tuple(names),
         person_ids=tuple(ids) if has_ids else None,
     )
@@ -394,12 +397,13 @@ def config_echo(config: MethodologyConfig) -> dict:
     }
 
 
-def _report_head(
+def _report_parts(
     dataset: Dataset, config: MethodologyConfig, diagnostic_naive: bool
-) -> tuple[dict, np.ndarray, np.ndarray]:
-    """The checks, the kernel pass and the fields before ``per_person``.
+) -> tuple[dict, np.ndarray, np.ndarray, np.ndarray]:
+    """The checks and all numeric work of a report, before any text exists.
 
-    Returns those fields with the per-person counts and statuses.
+    Returns the fields before ``per_person`` with the per-person counts,
+    statuses and weighted scores.
     """
     y = dataset.achievements
     if y.d != config.d:
@@ -407,7 +411,7 @@ def _report_head(
             f"dataset has d = {y.d} dimensions, config has d = {config.d}"
         )
     # the aggregate's own counts and statuses, so the rows match it exactly;
-    # the censored matrix is dropped here, not held through the report build
+    # the censored matrix is dropped here, before the scores are computed
     result, counts, statuses = _coefficient_pass(y, config)[:3]
     head: dict = {
         "fgt_value": _round12(result.value),
@@ -423,7 +427,10 @@ def _report_head(
             "denominator": _round12(naive.denominator),
         }
     head["dimensions"] = list(dataset.dimension_names)
-    return head, counts, statuses.statuses
+    # deprivation_matrix's arithmetic, on arrays the kernel pass already validated
+    gaps = _gap_values(y.values, config.cutoffs.values, config.alpha)
+    scores = _score_values(gaps, config.structure.off_diagonal()) * config.weights.values
+    return head, counts, statuses.statuses, scores
 
 
 def _report_tail(config: MethodologyConfig) -> dict:
@@ -434,16 +441,13 @@ def build_report(
     dataset: Dataset, config: MethodologyConfig, diagnostic_naive: bool = False
 ) -> dict:
     """Assemble the report dict, keys in their documented order."""
-    report, counts, statuses = _report_head(dataset, config, diagnostic_naive)
-    scored = deprivation_matrix(
-        dataset.achievements, config.cutoffs, config.structure, config.alpha, config.weights
-    )
+    report, counts, statuses, scores = _report_parts(dataset, config, diagnostic_naive)
     report["per_person"] = [
         {
             "id": pid,
             "deprivation_count": _round12(counts[i]),
             "poor": int(statuses[i]),
-            "scores": [_round12(v) for v in scored.values[i]],
+            "scores": [_round12(v) for v in scores[i]],
         }
         for i, pid in enumerate(dataset.ids())
     ]
@@ -459,16 +463,13 @@ def render_report(report) -> str:
 def stream_report(
     dataset: Dataset, config: MethodologyConfig, diagnostic_naive: bool = False
 ) -> Iterator[str]:
-    """The text of ``render_report(build_report(...))``, byte for byte, in chunks.
+    """The report text in chunks: :func:`render_report` of :func:`build_report`, byte for byte.
 
     Every check and all the numeric work run in this call, so an invalid
     input raises before any text exists.  The returned iterator formats
     the per-person records a few thousand at a time, with no report dict.
     """
-    head, counts, statuses = _report_head(dataset, config, diagnostic_naive)
-    # deprivation_matrix's arithmetic, on arrays the kernel pass already validated
-    gaps = _gap_values(dataset.achievements.values, config.cutoffs.values, config.alpha)
-    scores = _score_values(gaps, config.structure.off_diagonal()) * config.weights.values
+    head, counts, statuses, scores = _report_parts(dataset, config, diagnostic_naive)
     return _report_text(
         head, dataset.person_ids, counts, statuses, scores, _report_tail(config)
     )
@@ -539,11 +540,11 @@ def run_report(
     out_path=None,
     diagnostic_naive: bool = False,
 ) -> dict:
-    """Build the report and, when a path is given, write it to disk."""
-    report = build_report(dataset, config, diagnostic_naive=diagnostic_naive)
+    """The report as ``json.loads`` of its text, which is written to ``out_path`` if given."""
+    text = "".join(stream_report(dataset, config, diagnostic_naive))
     if out_path is not None:
-        write_text(render_report(report), out_path)
-    return report
+        write_text(text, out_path)
+    return json.loads(text)
 
 
 def _report_field(doc, key: str, where: str):

@@ -13,7 +13,12 @@ class NetpovertyError(Exception):
 
 
 class ValidationError(NetpovertyError, ValueError):
-    """Input violates a documented contract."""
+    """Input violates a documented contract; ``row`` / ``column`` locate it when known."""
+
+    def __init__(self, message: str, row: int | None = None, column: int | None = None):
+        super().__init__(message)
+        self.row = row
+        self.column = column
 
 
 # --- dependence structures ---------------------------------------------------
@@ -52,11 +57,6 @@ class NonPositiveCutoff(ValidationError):
 
 class NegativeAchievement(ValidationError):
     """Achievements must be nonnegative; rejected rather than clamped."""
-
-    def __init__(self, message: str, row: int | None = None, column: int | None = None):
-        super().__init__(message)
-        self.row = row
-        self.column = column
 
 
 class NonPositiveWeight(ValidationError):
@@ -122,18 +122,9 @@ class InvalidGeneratorSettings(ValidationError):
 class ParseError(ValidationError):
     """A cell or document failed to parse."""
 
-    def __init__(self, message: str, row: int | None = None, column: int | None = None):
-        super().__init__(message)
-        self.row = row
-        self.column = column
-
 
 class RaggedRow(ValidationError):
     """Data row has a different field count than the header."""
-
-    def __init__(self, message: str, row: int | None = None):
-        super().__init__(message)
-        self.row = row
 
 
 class EmptyDataset(ValidationError):

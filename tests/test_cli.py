@@ -111,6 +111,11 @@ class TestCompute:
         assert_one_error_line(capsys.readouterr().err)
 
 
+#: more rows than the text decoder reads at once, so a fault after them
+#: is met in the middle of the stream
+_VALID_ROWS = b"5,10\n" * 20_000
+
+
 class TestFileBoundary:
     """Undecodable, oversized or over-nested files end in one error line, exit 1."""
 
@@ -139,6 +144,37 @@ class TestFileBoundary:
         argv = ["compute", "--dataset", str(data_path), "--config", str(config_path)]
         assert main(argv) == 1
         assert_one_error_line(capsys.readouterr().err)
+
+    @pytest.mark.parametrize(
+        "last_row, message",
+        [
+            (b"5,\xff\n", "not valid UTF-8"),
+            (b"5," + b"1" * 131_073 + b"\n", "field larger than field limit"),
+            (b"5,10,7\n", "row 20001 has 3 fields, header has 2"),
+        ],
+        ids=["not-utf8", "long-cell", "ragged"],
+    )
+    def test_fault_in_last_row(self, worked, tmp_path, capsys, last_row, message):
+        data, config = worked
+        data.write_bytes(b"health,education\n" + _VALID_ROWS + last_row)
+        out = tmp_path / "report.json"
+        argv = ["compute", "--dataset", str(data), "--config", str(config), "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert message in err
+        assert not out.exists()
+
+    def test_first_fault_in_file_order_is_named(self, worked, tmp_path, capsys):
+        data, config = worked
+        data.write_bytes(b"health,education\n5,x\n" + _VALID_ROWS + b"5,\xff\n")
+        out = tmp_path / "report.json"
+        argv = ["compute", "--dataset", str(data), "--config", str(config), "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert "row 1, column 2: 'x' is not a number" in err
+        assert not out.exists()
 
 
 class TestConfigBoundary:

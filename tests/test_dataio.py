@@ -3,6 +3,7 @@ import json
 import math
 import struct
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -125,6 +126,22 @@ class TestLoadDataset:
     def test_empty_file(self, tmp_path):
         with pytest.raises(EmptyDataset):
             load_dataset(write(tmp_path, "d.csv", ""))
+
+    def test_peak_memory_is_a_small_multiple_of_the_array(self, tmp_path):
+        n, d = 20_000, 5
+        values = np.random.default_rng(3).uniform(0, 100, (n, d))
+        lines = [",".join(f"dim{j}" for j in range(d))]
+        lines += [",".join(map(repr, row)) for row in values.tolist()]
+        path = write(tmp_path, "d.csv", "\n".join(lines) + "\n")
+        tracemalloc.start()
+        try:
+            ds = load_dataset(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(ds.achievements.values, values)
+        # the parsed buffer plus the frozen array; the file is never held whole
+        assert peak < 4 * n * d * 8
 
 
 class TestLoadConfig:
@@ -395,6 +412,17 @@ def _golden_inputs(seed, n, d, alpha, fraction, uniform_weights, ids):
     return Dataset(AchievementMatrix(y), names, person_ids), cfg
 
 
+def _exact(value):
+    """A report with every float as its hex text, so -0.0 and the last bit count."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return [(key, _exact(v)) for key, v in value.items()]
+    if isinstance(value, (list, tuple)):
+        return [_exact(v) for v in value]
+    return value
+
+
 class TestStreamedReport:
     """``stream_report`` writes exactly ``render_report(build_report(...))``."""
 
@@ -416,15 +444,20 @@ class TestStreamedReport:
         ds, cfg = _golden_inputs(seed, n, d, alpha, fraction, uniform_weights, ids)
         streamed = "".join(stream_report(ds, cfg, naive))
         assert streamed == render_report(build_report(ds, cfg, naive))
+        returned = run_report(ds, cfg, diagnostic_naive=naive)
+        assert _exact(returned) == _exact(build_report(ds, cfg, naive))
 
     @pytest.mark.parametrize("ids", [None, _TRICKY_IDS], ids=["integer-ids", "string-ids"])
     @pytest.mark.parametrize("n", [1, 2 * _CHUNK_PERSONS + 1])
-    def test_single_person_and_chunk_boundaries(self, n, ids):
+    def test_single_person_and_chunk_boundaries(self, tmp_path, n, ids):
         ds, cfg = _golden_inputs(7, n, 3, 1.0, 0.4, False, ids)
         for naive in (False, True):
             chunks = list(stream_report(ds, cfg, naive))
             assert len(chunks) == 2 + -(-n // _CHUNK_PERSONS)
             assert "".join(chunks) == render_report(build_report(ds, cfg, naive))
+            run_report(ds, cfg, out_path=tmp_path / "r.json", diagnostic_naive=naive)
+            written = (tmp_path / "r.json").read_bytes()
+            assert written == render_report(build_report(ds, cfg, naive)).encode("utf-8")
 
     def test_dimension_mismatch_raises_before_any_text(self, worked_files):
         data, config = worked_files
