@@ -5,13 +5,16 @@ levels), implied-weights, axioms (randomized verification suite),
 compare (corrected vs naive aggregate across a dependence-entry sweep).
 
 Exit codes: 0 success, 1 validation or usage error, 2 axiom violation,
-3 I/O error.
+3 I/O error.  A reader that closes stdout early is not an I/O error: the
+output stops and the exit code is the command's own.
 """
 
 from __future__ import annotations
 
 import argparse
+import bisect
 import json
+import os
 import sys
 from collections.abc import Iterable
 from dataclasses import asdict, replace
@@ -33,6 +36,7 @@ from .dataio import (
     write_text,
 )
 from .errors import NetpovertyError, ValidationError, WriteError
+from .identification import _k_band
 from .weights import implied_weights
 
 
@@ -102,25 +106,23 @@ def _warn_k_gap(config: MethodologyConfig) -> None:
     """Warn when k sits strictly inside a gap between attainable count levels."""
     if config.d > ENUMERATION_LIMIT:
         return
-    levels = np.unique(attainable_scores(config.structure, config.weights))
+    levels = np.unique(attainable_scores(config.structure, config.weights)).tolist()
     k = config.k
-    # levels and the ceiling come from different float routes; treat
-    # near-coincidence as on-level rather than warning spuriously
-    tol = 1e-9 * max(1.0, abs(k))
-    if np.any(np.abs(levels - k) <= tol):
+    # on level within the band identification allows a count below k
+    if any(abs(level - k) <= _k_band(k) for level in levels):
         return
     if k > levels[-1]:
         print(
-            f"warning: k = {k:g} exceeds the highest attainable count "
-            f"{levels[-1]:g}; nobody can be identified as poor",
+            f"warning: k = {k!r} exceeds the highest attainable count "
+            f"{levels[-1]!r}; nobody can be identified as poor",
             file=sys.stderr,
         )
         return
-    idx = int(np.searchsorted(levels, k))
+    idx = bisect.bisect(levels, k)
     lo, hi = levels[idx - 1], levels[idx]
     print(
-        f"warning: k = {k:g} lies strictly between attainable counts "
-        f"{lo:g} and {hi:g}; any cutoff in ({lo:g}, {hi:g}] identifies the "
+        f"warning: k = {k!r} lies strictly between attainable counts "
+        f"{lo!r} and {hi!r}; any cutoff in ({lo!r}, {hi!r}] identifies the "
         f"same poor set",
         file=sys.stderr,
     )
@@ -202,12 +204,25 @@ def _cmd_compare(args) -> tuple[str, int]:
     return render_report(records), 0
 
 
+def _write_stdout(chunks) -> None:
+    """Write to stdout; a reader that stops early (``| head``) ends the output quietly."""
+    try:
+        write_text(chunks)
+        sys.stdout.flush()  # so a closed pipe shows here, not at interpreter exit
+    except BrokenPipeError:
+        # as the Python docs advise: the exit-time flush then writes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def main(argv=None) -> int:
     """Run one subcommand and write its text: a ``str`` or an iterable of chunks."""
     try:
         args = build_parser().parse_args(argv)
         chunks, code = args.run(args)
-        write_text(chunks, args.out)
+        if args.out is None:
+            _write_stdout(chunks)
+        else:
+            write_text(chunks, args.out)
         return code
     except (WriteError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,7 +8,15 @@ a person identifier and must be unique; every other cell must parse as
 a finite nonnegative real.  Missing cells are rejected, never imputed:
 imputation would silently change poverty counts.  Cells longer than the
 csv module's field limit (131,072 characters by default) are rejected.
-Rows are parsed as they are read, into one flat buffer of doubles.
+A bulk pass reads the file in chunks of whole lines (about 64 KB) and
+parses each chunk with one numpy call, into one flat buffer of doubles.
+When a chunk holds anything it cannot vouch for (a quote, a carriage
+return, a NUL, a blank or ragged row, an over-long line, an id that is
+not UTF-8, an achievement cell with a byte other than ASCII digits,
+``.``, ``e``, ``E``, ``+``, ``-``, space or tab, a value that is not
+finite or is negative), a checking loop reads the file again from the
+start, row by row.  That loop alone names errors, so both give the same
+arrays and the same error.
 
 Config (JSON object):
 
@@ -57,7 +65,7 @@ import sys
 from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -102,10 +110,17 @@ class Dataset:
 
     def __post_init__(self) -> None:
         ids = self.person_ids
-        if ids is not None and (
-            len(ids) != self.n or not all(isinstance(pid, str) for pid in ids)
-        ):
-            raise ShapeMismatch(f"person_ids must be {self.n} strings, one per person")
+        if ids is None:
+            return
+        try:
+            if len(ids) != self.n:
+                raise TypeError
+            # a report is UTF-8: a lone surrogate has no encoding there
+            "".join(ids).encode("utf-8")
+        except TypeError:
+            raise ShapeMismatch(f"person_ids must be {self.n} strings, one per person") from None
+        except UnicodeEncodeError:
+            raise ShapeMismatch("person_ids hold a surrogate code point, not UTF-8 text") from None
 
     @property
     def n(self) -> int:
@@ -142,7 +157,40 @@ def load_dataset(path) -> Dataset:
     the file is reported.  Duplicate ids are checked after the last row;
     an invalid UTF-8 byte is reported when the block of text holding it
     is decoded, which can be before earlier rows in that block are read.
+
+    A bulk pass parses the file first; whenever it cannot vouch for a
+    chunk, the checking loop reads the file again from the start, and
+    that loop alone names errors, so both give the same result.
     """
+    try:
+        names, ids, values = _read_bulk(path)
+    except _InDoubt:
+        names, ids, values = _read_checked(path)
+    if not values:
+        raise EmptyDataset(f"{path}: no data rows")
+    if ids is not None:
+        _reject_duplicates(path, ids, "person id")
+    return Dataset(
+        achievements=AchievementMatrix(np.frombuffer(values).reshape(-1, len(names))),
+        dimension_names=tuple(names),
+        person_ids=None if ids is None else tuple(ids),
+    )
+
+
+def _columns(path, header: list[str]) -> tuple[bool, list[str]]:
+    """Whether the stripped header starts with an id column, and the dimension names."""
+    if not any(header):
+        raise EmptyDataset(f"{path}: header row is empty")
+    has_ids = header[0].lower() == "id"
+    names = header[has_ids:]  # True slices off the id column
+    if not names:
+        raise EmptyDataset(f"{path}: no achievement columns")
+    _reject_duplicates(path, names, "dimension name")
+    return has_ids, names
+
+
+def _read_checked(path) -> tuple[list[str], list[str] | None, array]:
+    """Names, ids and the flat values, every cell checked as its row is read."""
     ids: list[str] = []
     values = array("d")
     # utf-8-sig drops a byte-order mark that would otherwise hide the id header
@@ -152,18 +200,12 @@ def load_dataset(path) -> Dataset:
             header = next(reader, None)
             if header is None:
                 raise EmptyDataset(f"{path}: file is empty")
-            header = [cell.strip() for cell in header]
-            if not any(header):
-                raise EmptyDataset(f"{path}: header row is empty")
-            has_ids = header[0].lower() == "id"
-            names = header[has_ids:]  # True slices off the id column
-            if not names:
-                raise EmptyDataset(f"{path}: no achievement columns")
-            _reject_duplicates(path, names, "dimension name")
+            has_ids, names = _columns(path, [cell.strip() for cell in header])
+            width = len(names) + has_ids
             for r, row in enumerate(reader, start=1):
-                if len(row) != len(header):
+                if len(row) != width:
                     raise RaggedRow(
-                        f"{path}: row {r} has {len(row)} fields, header has {len(header)}",
+                        f"{path}: row {r} has {len(row)} fields, header has {width}",
                         row=r,
                     )
                 if has_ids:
@@ -198,18 +240,94 @@ def load_dataset(path) -> Dataset:
             raise ParseError(f"{path}: not valid UTF-8 ({exc.reason})") from None
         except csv.Error as exc:
             raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
-    if not values:
-        raise EmptyDataset(f"{path}: no data rows")
-    if has_ids:
-        _reject_duplicates(path, ids, "person id")
-    return Dataset(
-        achievements=AchievementMatrix(np.frombuffer(values).reshape(-1, len(names))),
-        dimension_names=tuple(names),
-        person_ids=tuple(ids) if has_ids else None,
-    )
+    return names, ids if has_ids else None, values
+
+
+class _InDoubt(Exception):
+    """The bulk pass cannot vouch for the file; the checking loop reads it instead."""
+
+
+#: bytes the bulk pass reads at a time; lines up to this long stay in one chunk
+_BLOCK = 1 << 16
+#: every byte but the cell and row separators, deleted to leave a chunk's skeleton
+_NOT_SEPARATORS = bytes(b for b in range(256) if b not in b",\n")
+#: the bytes of an achievement cell the bulk pass parses: float() syntax for an
+#: ASCII decimal, plus the spaces and tabs strip() removes (no `_`, inf or nan)
+_NUMERIC = b"0123456789.eE+- \t"
+#: bytes the csv module reads specially, other than the separators
+_CSV_SPECIAL = (b'"', b"\r", b"\0")
+
+
+def _read_bulk(path) -> tuple[list[str], list[str] | None, array]:
+    """:func:`_read_checked`'s result a chunk of whole lines at a time, or :class:`_InDoubt`.
+
+    The header is the first line of the first chunk.  Each chunk is
+    split into cells and parsed by one ``np.array(cells, dtype=float)``,
+    which calls ``float()`` on each cell, after checks that leave it no
+    other reading: no quote, carriage return or NUL; every row the
+    header's width; achievement cells made of :data:`_NUMERIC` bytes
+    only; ids valid UTF-8; no line longer than the csv field limit.
+    Finiteness and sign are checked once at the end.
+    """
+    limit = csv.field_size_limit()
+    ids: list[str] = []
+    values = array("d")
+    with open(path, "rb") as fh:
+        chunks = _line_blocks(fh, limit)
+        line, _, rest = next(chunks, b"").partition(b"\n")
+        if any(c in line for c in _CSV_SPECIAL):
+            raise _InDoubt
+        try:
+            header = line.decode("utf-8-sig").split(",")
+            has_ids, names = _columns(path, [cell.strip() for cell in header])
+        except (UnicodeDecodeError, ValidationError):  # the loop names the fault
+            raise _InDoubt from None
+        width = len(names) + has_ids
+        skeleton = b"," * (width - 1) + b"\n"
+        for chunk in chain([rest], chunks) if rest else chunks:
+            if chunk.translate(None, _NOT_SEPARATORS) != skeleton * chunk.count(b"\n"):
+                raise _InDoubt
+            cells = chunk.replace(b"\n", b",").split(b",")
+            del cells[-1]  # after the last newline
+            if has_ids:
+                text = b"\n".join(cells[::width])
+                del cells[::width]
+                if any(c in text for c in _CSV_SPECIAL):
+                    raise _InDoubt
+                try:
+                    ids += map(str.strip, text.decode("utf-8").split("\n"))
+                except UnicodeDecodeError:
+                    raise _InDoubt from None
+            if b"".join(cells).translate(None, _NUMERIC):
+                raise _InDoubt
+            try:
+                values.frombytes(np.array(cells, dtype=float).tobytes())
+            except ValueError:
+                raise _InDoubt from None
+    parsed = np.frombuffer(values)
+    if parsed.size and not (parsed.min() >= 0.0 and parsed.max() < math.inf):
+        raise _InDoubt
+    return names, ids if has_ids else None, values
+
+
+def _line_blocks(fh, limit: int) -> Iterator[bytes]:
+    """The rest of a binary file in chunks of whole lines, each ending in a newline."""
+    tail = b""
+    while block := fh.read(_BLOCK):
+        tail += block
+        if len(tail) > limit:  # a line, or a chunk, longer than the csv field limit
+            raise _InDoubt
+        end = tail.rfind(b"\n") + 1
+        if end:
+            yield tail[:end]
+            tail = tail[end:]
+    if tail:  # the last line need not end in a newline
+        yield tail + b"\n"
 
 
 def _reject_duplicates(path, values: list[str], what: str) -> None:
+    if len(set(values)) == len(values):
+        return
     seen: set[str] = set()
     for value in values:
         if value in seen:
@@ -503,6 +621,9 @@ def _report_text(
         '      "scores": [\n' + ",\n".join(["        %s"] * d) + "\n      ]\n    }"
     )
     width = d + 3
+    # counts take at most 2**d values: format each distinct bit pattern once
+    levels, level_of = np.unique(counts.view(np.int64), return_inverse=True)
+    level_text = np.array([_json_float(v) for v in levels.view(np.float64).tolist()], object)
     for start in range(0, n, _CHUNK_PERSONS):
         stop = min(start + _CHUNK_PERSONS, n)
         fields = [None] * ((stop - start) * width)
@@ -510,11 +631,15 @@ def _report_text(
             fields[0::width] = range(start + 1, stop + 1)
         else:
             fields[0::width] = map(encode_basestring_ascii, person_ids[start:stop])
-        fields[1::width] = map(_json_float, counts[start:stop].tolist())
+        fields[1::width] = level_text[level_of[start:stop]].tolist()
         fields[2::width] = statuses[start:stop].tolist()
-        flat = list(map(_json_float, scores[start:stop].ravel().tolist()))
+        block = scores[start:stop]
+        score_text = np.empty(block.shape, object)
+        score_text.fill("0.0")  # +0.0: the score of every undeprived cell
+        nonzero = block.view(np.int64) != 0
+        score_text[nonzero] = list(map(_json_float, block[nonzero].tolist()))
         for j in range(d):
-            fields[3 + j :: width] = flat[j::d]
+            fields[3 + j :: width] = score_text[:, j].tolist()
         text = ",\n".join([record] * (stop - start)) % tuple(fields)
         yield text if start == 0 else ",\n" + text
     yield "\n  ],\n" + json.dumps(tail, indent=2)[2:] + "\n"

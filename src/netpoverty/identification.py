@@ -35,20 +35,29 @@ class PovertyStatusVector:
         return int(np.sum(self.statuses))
 
 
+def _k_band(k: float) -> float:
+    """How far a count may lie below k and still reach it: 1e-12 * max(1, k)."""
+    return 1e-12 * max(1.0, k)
+
+
 def _identify(values: NDArray[np.float64], k: float) -> PovertyStatusVector:
     """Statuses for counts the package computed, at a k its config already checked."""
-    return PovertyStatusVector(values >= k, k)
+    return PovertyStatusVector(values >= k - _k_band(k), k)
 
 
 def identify(
     counts: DeprivationCounts, k: float, upper: float | None = None
 ) -> PovertyStatusVector:
-    """Mark person i poor when count_i >= k (boundary counts as poor).
+    """Mark person i poor when count_i >= k - 1e-12 * max(1, k).
 
     k must be positive; when the count ceiling for the methodology is
-    known, pass it as ``upper`` to reject k beyond it.  The comparison
-    is an exact float comparison, counts and k are expected to come
-    from identical computations on both sides of any before/after test.
+    known, pass it as ``upper`` to reject k beyond it.  A count on the
+    boundary is poor.  The band makes a count that reaches k in exact
+    arithmetic reach it in floats too: a count is a row sum of
+    coefficients, while k at the intersection approach (the ceiling,
+    k-fraction 1) is an ``fsum`` over column sums, and the two can
+    differ in the last bits.  Distinct count levels from inputs of a few
+    decimal digits lie far further apart than the band.
     """
     if not isinstance(counts, DeprivationCounts):
         counts = DeprivationCounts(counts)

@@ -1,6 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +32,22 @@ def worked(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(WORKED_CONFIG), encoding="utf-8")
     return data, config
+
+
+@pytest.fixture
+def intersection(tmp_path):
+    """Two persons deprived in every dimension, k at the ceiling (k-fraction 1.0)."""
+    data = tmp_path / "zeros.csv"
+    data.write_text("a,b,c\n0,0,0\n0,0,0\n", encoding="utf-8")
+    config = tmp_path / "intersection.json"
+    doc = {
+        "cutoffs": [1, 1, 1],
+        "alpha": 1,
+        "k": {"mode": "fraction", "value": 1.0},
+        "dependence": [[1, 0, 0], [0, 1, 0.1], [0, 0.1, 1]],
+    }
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    return ["compute", "--dataset", str(data), "--config", str(config)]
 
 
 class TestCompute:
@@ -81,6 +101,23 @@ class TestCompute:
         data, config = worked
         main(["compute", "--dataset", str(data), "--config", str(config), "--k-fraction", "1.0"])
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("flag", [[], ["--k", "3.1"]], ids=["k-fraction-1", "k-3.1"])
+    def test_intersection_approach_identifies_the_fully_deprived(
+        self, intersection, capsys, flag
+    ):
+        assert main([*intersection, *flag]) == 0
+        out, err = capsys.readouterr()
+        report = json.loads(out)
+        assert report["fgt_value"] == 1.0 and report["headcount_ratio"] == 1.0
+        assert err == ""
+
+    def test_gap_warning_prints_k_unrounded(self, intersection, capsys):
+        assert main([*intersection, "--k-fraction", "0.9999999"]) == 0
+        err = capsys.readouterr().err
+        assert "lies strictly between attainable counts" in err
+        assert "k = 3.1 " not in err and "and 3.1;" not in err
+        assert f"k = {0.9999999 * 3.1!r} " in err
 
     def test_missing_dataset_exits_3(self, worked, capsys):
         _, config = worked
@@ -175,6 +212,32 @@ class TestFileBoundary:
         assert_one_error_line(err)
         assert "row 1, column 2: 'x' is not a number" in err
         assert not out.exists()
+
+
+class TestBrokenPipe:
+    """A reader that closes stdout early is not an I/O error of the tool."""
+
+    def test_reader_closing_early_exits_0_silently(self, worked, tmp_path):
+        data, config = worked
+        rows = "".join(f"{i % 17},{i % 5}.25\n" for i in range(4000))
+        data.write_text("health,education\n" + rows, encoding="utf-8")
+        src = Path(__file__).resolve().parent.parent / "src"
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        argv = ["compute", "--dataset", str(data), "--config", str(config)]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "netpoverty", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        head = proc.stdout.read(10)
+        proc.stdout.close()  # the report is far larger than a pipe buffer
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert head == b'{\n  "fgt_v'
+        assert err == b""
 
 
 class TestConfigBoundary:

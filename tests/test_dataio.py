@@ -1,9 +1,11 @@
+import csv
 import inspect
 import json
 import math
 import struct
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,10 +26,15 @@ from netpoverty import (
     run_report,
     weighted_upper_bound,
 )
+from netpoverty import dataio
 from netpoverty.dataio import (
     _CHUNK_PERSONS,
+    _InDoubt,
     _json_float,
     _numbers,
+    _read_bulk,
+    _read_checked,
+    _report_text,
     _round12,
     render_report,
     stream_report,
@@ -40,6 +47,7 @@ from netpoverty.errors import (
     NetpovertyError,
     ParseError,
     RaggedRow,
+    ShapeMismatch,
     ValidationError,
 )
 
@@ -142,6 +150,12 @@ class TestLoadDataset:
         assert np.array_equal(ds.achievements.values, values)
         # the parsed buffer plus the frozen array; the file is never held whole
         assert peak < 4 * n * d * 8
+
+    def test_surrogate_person_id_rejected(self):
+        y = AchievementMatrix([[1.0, 2.0]])
+        with pytest.raises(ShapeMismatch, match="surrogate"):
+            Dataset(y, ("h", "e"), ("\ud83d\ude00",))
+        assert Dataset(y, ("h", "e"), ("\U0001f600",)).person_ids == ("\U0001f600",)
 
 
 class TestLoadConfig:
@@ -467,6 +481,32 @@ class TestStreamedReport:
             stream_report(ds, cfg)
 
     @pytest.mark.parametrize(
+        "rows",
+        [[[10.0, 10.0, 12.0]] * 5, [[-0.0, 10.0, 3.0], [0.0, 11.0, 3.0]] * 3],
+        ids=["every-score-zero", "negative-zero-entries"],
+    )
+    def test_repeated_counts_and_zero_scores(self, rows):
+        cfg = MethodologyConfig(1.0, 1.0, [[1, 0.5, 0], [0, 1, 0.2], [0.3, 0, 1]], None, [10] * 3)
+        ds = Dataset(AchievementMatrix(rows), ("a", "b", "c"))
+        for naive in (False, True):
+            text = "".join(stream_report(ds, cfg, naive))
+            assert text == render_report(build_report(ds, cfg, naive))
+
+    def test_negative_zero_prints_as_negative_zero(self):
+        counts = np.array([0.0, -0.0, 1.5, 1.5, -0.0])
+        statuses = np.array([0, 0, 1, 1, 0])
+        scores = np.array([[0.0, -0.0], [-0.0, -0.0], [0.75, 0.0], [0.75, 2.5e-13], [0.0, 0.0]])
+        head, tail = {"fgt_value": 0.5}, {"software_version": "x"}
+        text = "".join(_report_text(head, None, counts, statuses, scores, tail))
+        persons = [
+            {"id": i + 1, "deprivation_count": _round12(c), "poor": int(p),
+             "scores": [_round12(v) for v in row]}
+            for i, (c, p, row) in enumerate(zip(counts, statuses, scores))
+        ]
+        assert text == render_report({**head, "per_person": persons, **tail})
+        assert text.count("-0.0") == 5
+
+    @pytest.mark.parametrize(
         "v",
         [1e-05, -0.0, 0.0, 1.0, 123456789012.0, 1.23456789012e14, 1e16, 5e-324,
          0.0001, 9.99999999999995e-05, 999999999999.5, 2.9999999999999, -7.0, 1e300],
@@ -525,3 +565,152 @@ class TestBoundaryFuzz:
             load_config_document(path)
         except NetpovertyError:
             pass
+
+
+def _outcome(path):
+    """What ``load_dataset`` gives: the dataset's contents, or the error in full."""
+    try:
+        ds = load_dataset(path)
+    except NetpovertyError as exc:
+        return type(exc), str(exc), getattr(exc, "row", None), getattr(exc, "column", None)
+    return ds.dimension_names, ds.person_ids, ds.achievements.values.tobytes()
+
+
+def _checked_outcome(path):
+    """:func:`_outcome` with the bulk pass always in doubt: the checking loop alone."""
+    with mock.patch.object(dataio, "_read_bulk", side_effect=_InDoubt):
+        return _outcome(path)
+
+
+def _bulk(path):
+    """The bulk pass's names, ids and value bytes, or None when it is in doubt."""
+    try:
+        names, ids, values = _read_bulk(path)
+    except _InDoubt:
+        return None
+    return names, ids, values.tobytes()
+
+
+_NUMBER_TEXT = st.one_of(
+    st.floats(0, 1e6).map(repr),
+    st.floats(0, 1e300).map(lambda v: f"{v:e}"),
+    st.integers(0, 10**20).map(str),
+    st.sampled_from(
+        ["-0", "+1", ".5", "5.", "1E+3", " 2 ", "\t3", "0.1000000000000000055511151231257827"]
+    ),
+)
+#: cells float() or the csv module read otherwise than the format allows
+_FAULTY_TEXT = st.sampled_from(
+    ["1e999", "1e-400", "-1", "1_0", "inf", "nan", "", " ", "1 2", "1e", "\u0661", '"4"',
+     "\x0b5", "5\x00", "4\r", "4\n", "p,"]
+)
+_ID_TEXT = st.sampled_from(["p1", "p2", " p3\t", "\u2028p4\x85"]) | st.text(max_size=3)
+
+
+@st.composite
+def _csv_files(draw):
+    """CSV-shaped bytes, valid or with one fault: a cell, a ragged row, a line ending."""
+    d = draw(st.integers(1, 4))
+    has_ids = draw(st.booleans())
+    names = st.text("hxyz\u00e9 ", min_size=1, max_size=3)
+    header = ["id"] * has_ids + [draw(names) for _ in range(d)]
+    table = [header] + [
+        [draw(_ID_TEXT)] * has_ids + [draw(_NUMBER_TEXT) for _ in range(d)]
+        for _ in range(draw(st.integers(0, 8)))
+    ]
+    newline = "\n"
+    fault = draw(st.sampled_from([None, None, "cell", "cell", "cell", "ragged", "blank", "crlf"]))
+    i = draw(st.integers(0, len(table) - 1))
+    if fault == "cell":
+        table[i][draw(st.integers(0, len(table[i]) - 1))] = draw(_FAULTY_TEXT)
+    elif fault == "ragged":
+        table[i] = table[i][:-1] if draw(st.booleans()) else table[i] + ["1"]
+    elif fault == "blank":
+        table.insert(i + 1, [])
+    elif fault == "crlf":
+        newline = "\r\n"
+    text = draw(st.sampled_from(["", "\ufeff"])) + newline.join(map(",".join, table))
+    return (text + newline * draw(st.booleans())).encode()
+
+
+class TestBulkParse:
+    """The bulk pass gives the checking loop's result, or refers the file to it."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(raw=_csv_files(), block=st.sampled_from([1, 3, 16, 1 << 16]))
+    def test_agrees_with_checking_loop(self, tmp_path_factory, raw, block):
+        self.check_agreement(tmp_path_factory, raw, block)
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw=st.binary() | _CSV, block=st.sampled_from([1, 3, 1 << 16]))
+    def test_agrees_with_checking_loop_on_any_bytes(self, tmp_path_factory, raw, block):
+        self.check_agreement(tmp_path_factory, raw, block)
+
+    @staticmethod
+    def check_agreement(tmp_path_factory, raw, block):
+        path = tmp_path_factory.mktemp("bulk") / "data.csv"
+        path.write_bytes(raw)
+        with mock.patch.object(dataio, "_BLOCK", block):
+            bulk = _bulk(path)
+            if bulk is not None:
+                names, ids, values = _read_checked(path)
+                assert bulk == (names, ids, values.tobytes())
+            assert _outcome(path) == _checked_outcome(path)
+
+    def test_clean_file_takes_the_bulk_pass(self, tmp_path):
+        rows = [
+            f" p{i}\t, {i % 97}.{i % 13:02d},{i % 7}e-2 ,\t-0,{2.0**-i!r}" for i in range(20_000)
+        ]
+        path = write(tmp_path, "d.csv", "\ufeffID,a,b,c,d\n" + "\n".join(rows))
+        names, ids, values = _read_checked(path)
+        assert _bulk(path) == (names, ids, values.tobytes())
+        assert _outcome(path) == _checked_outcome(path)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b'"5",10\n', b"5,10\r\n", b"5,1\x000\n", b"5,10\n\n", b"5,10,7\n", b"5\n",
+            b"5,1_0\n", b"5,inf\n", b"5,nan\n", b"5,1e999\n", b"5,-1\n", b"5,\xd9\xa1\n",
+            b"5,\n", b"5,1 0\n", b"5," + b"1" * 131_073 + b"\n", b"5," + b"0" * 131_073 + b"\n",
+        ],
+    )
+    @pytest.mark.parametrize("ids", [False, True], ids=["no-ids", "ids"])
+    def test_doubtful_rows_go_to_the_checking_loop(self, tmp_path, body, ids):
+        head = b"id,h,e\np0,5,10\np1," if ids else b"h,e\n5,10\n"
+        path = tmp_path / "d.csv"
+        path.write_bytes(head + body)
+        assert _bulk(path) is None
+        assert _outcome(path) == _checked_outcome(path)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [b"p\xff,5,10\n", b'"p",5,10\n', b"p\r,5,10\n", b"p\x00,5,10\n",
+         b"p" * 131_073 + b",5,10\n"],
+        ids=["not-utf8", "quote", "carriage-return", "nul", "long-id"],
+    )
+    def test_doubtful_ids_go_to_the_checking_loop(self, tmp_path, raw):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"id,h,e\nq,5,10\n" + raw)
+        assert _bulk(path) is None
+        assert _outcome(path) == _checked_outcome(path)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [b'"h",e\n5,10\n', b"h,e\r\n5,10\n", b"h,\x00e\n5,10\n", b"h,\xffe\n5,10\n",
+         b"h,h\n5,10\n", b"\n5\n", b"\xef\xbb\xbf", b""],
+        ids=["quote", "carriage-return", "nul", "not-utf8", "duplicate", "blank", "only-bom",
+             "empty"],
+    )
+    def test_doubtful_headers_go_to_the_checking_loop(self, tmp_path, raw):
+        path = tmp_path / "d.csv"
+        path.write_bytes(raw)
+        assert _bulk(path) is None
+        assert _outcome(path) == _checked_outcome(path)
+
+    def test_unbounded_field_limit(self, tmp_path):
+        path = write(tmp_path, "d.csv", "h,e\n5,10\n")
+        old = csv.field_size_limit(sys.maxsize)
+        try:
+            assert _bulk(path) == (["h", "e"], None, np.array([5.0, 10.0]).tobytes())
+        finally:
+            csv.field_size_limit(old)

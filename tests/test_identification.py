@@ -1,14 +1,21 @@
+from fractions import Fraction
+from itertools import product
+
 import numpy as np
 import pytest
 
 from netpoverty import (
     DependenceStructure,
     DeprivationCounts,
+    MethodologyConfig,
     PovertyStatusVector,
+    attainable_scores,
     deprivation_counts,
     headcount_ratio,
     identify,
+    weighted_upper_bound,
 )
+from netpoverty.aggregation import _coefficient_pass
 from netpoverty.errors import CutoffOutOfRange, ShapeMismatch
 
 
@@ -67,6 +74,68 @@ class TestIdentify:
         statuses2 = identify(counts2, 1.0)
         # gains can only move people out of poverty
         assert np.all(statuses2.statuses <= statuses.statuses)
+
+
+def _decimal_methodology(rng, d):
+    """Structure, weights and cutoffs as the decimal text an analyst would write.
+
+    The weights are uniform or the structure is symmetric, so the
+    ceiling is the count of a person deprived in every dimension.
+    """
+    entries = [
+        ["1" if i == j else f"0.{rng.integers(0, 1000):03d}" if rng.random() < 0.6 else "0"
+         for j in range(d)]
+        for i in range(d)
+    ]
+    weights = ["1"] * d
+    while rng.random() < 0.5:  # tenths that sum to d exactly, each below d
+        tenths = rng.integers(1, 15, d - 1).tolist()
+        last = 10 * d - sum(tenths)
+        if 1 <= last < 10 * d:
+            weights = [str(t / 10) for t in [*tenths, last]]
+            entries = [[entries[min(i, j)][max(i, j)] for j in range(d)] for i in range(d)]
+            break
+    cutoffs = [f"{rng.integers(1, 100)}.{rng.integers(0, 10)}" for _ in range(d)]
+    return entries, weights, cutoffs
+
+
+class TestExactLevels:
+    """At every attainable count level, statuses equal the exact classification."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_statuses_equal_rational_classification(self, d):
+        rng = np.random.default_rng(d)
+        for _ in range(12):
+            entries, weights, cutoffs = _decimal_methodology(rng, d)
+            m = [[Fraction(v) for v in row] for row in entries]
+            w = [Fraction(v) for v in weights]
+            # each dimension's coefficient on a deprivation, in exact arithmetic
+            coef = [
+                w[l] + sum(w[j] * m[j][l] for j in range(d) if j != l) / (d - 1)
+                for l in range(d)
+            ]
+            patterns = list(product([0, 1], repeat=d))
+            exact = [sum(c for c, dep in zip(coef, p) if dep) for p in patterns]
+            structure = DependenceStructure([[float(v) for v in row] for row in entries])
+            wv = [float(v) for v in weights]
+            z = np.array([float(v) for v in cutoffs])
+            # deprived means strictly below the cutoff: 0 is deprived, z itself is not
+            y = np.where(np.array(patterns, bool), 0.0, z)
+            ceiling = weighted_upper_bound(structure, wv)
+            ks = {float(level) for level in exact if level}
+            ks |= set(deprivation_counts(y, z, structure, wv).values[1:].tolist())
+            if weights == ["1"] * d:  # the jump sums `bounds` prints are the count levels
+                ks |= set(attainable_scores(structure)[1:].tolist())
+            ks.add(1.0 * ceiling)  # k-fraction 1.0: the intersection approach
+            for k in sorted(ks):
+                level = min(exact, key=lambda v: abs(v - Fraction(k)))
+                assert abs(level - Fraction(k)) <= 1e-12
+                want = [int(v >= level) for v in exact]
+                got = identify(deprivation_counts(y, z, structure, wv), k, upper=ceiling)
+                config = MethodologyConfig(1.0, k, structure, wv, z)
+                kernel = _coefficient_pass(y, config)[2]
+                assert got.statuses.tolist() == want, (entries, weights, k)
+                assert kernel.statuses.tolist() == want, (entries, weights, k)
 
 
 class TestHeadcount:
