@@ -9,11 +9,19 @@ connection, which is exactly the manipulation the corrected denominator
 removes.
 
 Numerical contract: every aggregate is evaluated through the
-coefficient form of :mod:`netpoverty.weights` in one N x d pass, with
-no N x d x d neighbor sums.  The coefficients and the ceiling are read
-from the :class:`~netpoverty.core.MethodologyConfig`, which derives them
-once per methodology; the public functions taking loose arguments
-build that config first.  Per-person counts and row sums use fixed
+coefficient form of :mod:`netpoverty.weights`, with no N x d x d
+neighbor sums, in one pass over row blocks of about 2**15 cells (256
+KB, L2-sized).  Each block is counted, identified, censored, summed per
+row and fed to the running hash before the next block is read; apart
+from the validated copy of raw input, the only full-size array a call
+allocates is the censored matrix it returns.  Every step is elementwise
+or a per-row reduction, and SHA-256 over consecutive blocks equals
+SHA-256 over their concatenation, so every value, count, status,
+censored byte and hash is bitwise that of one whole-array pass.  The
+coefficients and the ceiling are read from the
+:class:`~netpoverty.core.MethodologyConfig`, which derives them once
+per methodology; the public functions taking loose arguments build that
+config first.  Per-person counts and row sums use fixed
 per-row reductions (never a per-person BLAS product) and the
 cross-person total uses exact rounding (math.fsum).  Row sums are
 therefore bit-identical under row permutation and the total is
@@ -23,7 +31,7 @@ coefficient-weighted gaps (rows of the non-poor zeroed) is
 materialized and hashed so results can be traced to the exact
 arithmetic inputs.  Every per-person quantity depends only on that
 person's row, so a subgroup's aggregate is the same reduction (exact
-total, denominator, hash) taken over its rows of the one pass.
+total, denominator, hash) taken over its rows of the censored matrix.
 """
 
 from __future__ import annotations
@@ -42,12 +50,13 @@ from .core import (
     _coefficient_values,
     as_achievement_matrix,
 )
-from .deprivation import _count_values, _gap_values
 from .errors import InvalidPartition, ShapeMismatch
-from .identification import PovertyStatusVector, _identify
+from .identification import PovertyStatusVector, _k_band
 
 #: equality band for decomposition checks
 RECOMBINATION_TOL = 1e-12
+# cells per row block of the coefficient pass: 256 KB of doubles, so a block stays in L2
+_BLOCK_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -74,24 +83,25 @@ class DecompositionResult:
 
 
 def _censored_hash(censored: NDArray[np.float64]) -> str:
-    h = hashlib.sha256()
-    h.update(f"{censored.shape[0]}x{censored.shape[1]}:".encode())
-    h.update(np.ascontiguousarray(censored).tobytes())
+    h = hashlib.sha256(f"{censored.shape[0]}x{censored.shape[1]}:".encode())
+    h.update(censored)  # hashlib reads a C-contiguous array's buffer, no copy
     return h.hexdigest()
 
 
-def _fgt(censored: NDArray[np.float64], config: MethodologyConfig, kind: str) -> FgtResult:
-    """The exact total of censored rows over the kind's denominator, with their hash."""
-    n = censored.shape[0]
+def _fgt(
+    row_sums: NDArray[np.float64], digest: str, config: MethodologyConfig, kind: str
+) -> FgtResult:
+    """The exact total of censored row sums over the kind's denominator."""
+    n = row_sums.shape[0]
     denominator = n * config.d if kind == "naive" else n * config.score_ceiling
-    value = math.fsum(np.sum(censored, axis=1)) / denominator
-    return FgtResult(value, config.alpha, config.k, denominator, _censored_hash(censored), kind)
+    value = math.fsum(row_sums) / denominator
+    return FgtResult(value, config.alpha, config.k, denominator, digest, kind)
 
 
 def _coefficient_pass(
     achievements, config: MethodologyConfig, kind: str = "network_adjusted"
 ) -> tuple[FgtResult, NDArray[np.float64], PovertyStatusVector, NDArray[np.float64]]:
-    """Counts, identification and the censored matrix in one N x d pass.
+    """Counts, identification and the censored matrix, one row block at a time.
 
     Returns the aggregate with the per-person counts, statuses and
     censored rows it was built from.  The coefficients and the ceiling
@@ -103,14 +113,35 @@ def _coefficient_pass(
     if ym.d != config.d:
         raise ShapeMismatch(f"achievements have d = {ym.d}, config has d = {config.d}")
     y, z = ym.values, config.cutoffs.values
+    n, d = y.shape
     if kind == "naive":
-        coef = _coefficient_values(config.structure, np.ones(config.d))
+        coef = _coefficient_values(config.structure, np.ones(d))
     else:
         coef = config.coefficients
-    counts = _count_values(y, z, coef)
-    statuses = _identify(counts, config.k)
-    censored = (_gap_values(y, z, config.alpha) * coef) * statuses.statuses[:, None]
-    return _fgt(censored, config, kind), counts, statuses, censored
+    reach = config.k - _k_band(config.k)
+    counts, poor, row_sums = np.empty(n), np.empty(n, dtype=bool), np.empty(n)
+    censored = np.empty((n, d))
+    h = hashlib.sha256(f"{n}x{d}:".encode())
+    step = max(1, _BLOCK_CELLS // d)
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        yb, block = y[rows], censored[rows]
+        kept = yb < z
+        np.sum(np.where(kept, coef, 0.0), axis=1, out=counts[rows])
+        np.greater_equal(counts[rows], reach, out=poor[rows])
+        kept &= poor[rows, None]
+        # a cell at or above its cutoff gets the base +0.0, so no step overflows;
+        # ``kept`` then zeroes it and the rows of the non-poor
+        np.minimum(yb, z, out=block)
+        np.subtract(z, block, out=block)
+        block /= z
+        block **= config.alpha
+        block *= kept
+        block *= coef
+        np.sum(block, axis=1, out=row_sums[rows])
+        h.update(block)
+    result = _fgt(row_sums, h.hexdigest(), config, kind)
+    return result, counts, PovertyStatusVector(poor, config.k), censored
 
 
 def fgt_network_adjusted(
@@ -176,7 +207,10 @@ def decompose_by_group(
         raise InvalidPartition(
             f"{len(labels)} labels for {ym.n} persons; need exactly one per person"
         )
-    group_results = {g: _fgt(censored[idx], config, total.kind) for g, idx in groups.items()}
+    group_results = {}
+    for g, idx in groups.items():
+        rows = censored[idx]
+        group_results[g] = _fgt(np.sum(rows, axis=1), _censored_hash(rows), config, total.kind)
     group_sizes = {g: len(idx) for g, idx in groups.items()}
     recombined = math.fsum(
         (group_sizes[g] / ym.n) * group_results[g].value for g in group_results

@@ -127,9 +127,13 @@ def attainable_scores(
             f"d = {d} exceeds the enumeration cap of {ENUMERATION_LIMIT}"
         )
     w = as_weight_vector(weights, d)
-    step = w.values * dimension_jumps(structure)
+    return _subset_sums(w.values * dimension_jumps(structure))
+
+
+def _subset_sums(values: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Sorted sums of every subset of ``values``, 2 ** len(values) of them."""
     sums = np.zeros(1)
-    for v in step:
+    for v in values:
         sums = np.concatenate([sums, sums + v])
     return np.sort(sums)
 

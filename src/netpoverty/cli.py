@@ -23,7 +23,7 @@ import numpy as np
 
 from .aggregation import _coefficient_pass
 from .axioms import GeneratorSettings, run_axiom_suite
-from .bounds import ENUMERATION_LIMIT, attainable_scores, bounds_summary
+from .bounds import ENUMERATION_LIMIT, _subset_sums, attainable_scores, bounds_summary
 from .core import MethodologyConfig
 from .dataio import (
     _bounds_fields,
@@ -103,12 +103,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _warn_k_gap(config: MethodologyConfig) -> None:
-    """Warn when k sits strictly inside a gap between attainable count levels."""
+    """Warn when k sits strictly inside a gap between attainable count levels.
+
+    A level is the sum of the coefficients of one deprivation pattern,
+    as the kernel counts.  The weighted jumps ``attainable_scores``
+    lists are the same only under uniform weights.
+    """
     if config.d > ENUMERATION_LIMIT:
         return
-    levels = np.unique(attainable_scores(config.structure, config.weights)).tolist()
+    levels = np.unique(_subset_sums(config.coefficients)).tolist()
     k = config.k
-    # on level within the band identification allows a count below k
+    # on level within the band identification allows a count below k; the band
+    # also absorbs the different summation orders of the levels and the counts
     if any(abs(level - k) <= _k_band(k) for level in levels):
         return
     if k > levels[-1]:

@@ -10,12 +10,13 @@ imputation would silently change poverty counts.  Cells longer than the
 csv module's field limit (131,072 characters by default) are rejected.
 A bulk pass reads the file in chunks of whole lines (about 64 KB) and
 parses each chunk with one numpy call, into one flat buffer of doubles.
-When a chunk holds anything it cannot vouch for (a quote, a carriage
-return, a NUL, a blank or ragged row, an over-long line, an id that is
-not UTF-8, an achievement cell with a byte other than ASCII digits,
-``.``, ``e``, ``E``, ``+``, ``-``, space or tab, a value that is not
-finite or is negative), a checking loop reads the file again from the
-start, row by row.  That loop alone names errors, so both give the same
+Line ends may be LF or CRLF.  When a chunk holds anything it cannot
+vouch for (a quote, a carriage return not right before a newline, a
+NUL, a blank or ragged row, an over-long line, an id that is not UTF-8,
+an achievement cell with a byte other than ASCII digits, ``.``, ``e``,
+``E``, ``+``, ``-``, space or tab, a value that is not finite or is
+negative), a checking loop reads the file again from the start, row by
+row.  That loop alone names errors, so both give the same
 arrays and the same error.
 
 Config (JSON object):
@@ -264,16 +265,18 @@ def _read_bulk(path) -> tuple[list[str], list[str] | None, array]:
     The header is the first line of the first chunk.  Each chunk is
     split into cells and parsed by one ``np.array(cells, dtype=float)``,
     which calls ``float()`` on each cell, after checks that leave it no
-    other reading: no quote, carriage return or NUL; every row the
-    header's width; achievement cells made of :data:`_NUMERIC` bytes
-    only; ids valid UTF-8; no line longer than the csv field limit.
-    Finiteness and sign are checked once at the end.
+    other reading: CRLF line ends made LF; no quote, other carriage
+    return or NUL; every row the header's width; achievement cells made
+    of :data:`_NUMERIC` bytes only; ids valid UTF-8; no line longer than
+    the csv field limit.  Finiteness and sign are checked once at the end.
     """
     limit = csv.field_size_limit()
     ids: list[str] = []
     values = array("d")
     with open(path, "rb") as fh:
-        chunks = _line_blocks(fh, limit)
+        # the csv module ends a row at CRLF as at LF; any other carriage return
+        # stays, and the cell checks below refer its chunk to the loop
+        chunks = (chunk.replace(b"\r\n", b"\n") for chunk in _line_blocks(fh, limit))
         line, _, rest = next(chunks, b"").partition(b"\n")
         if any(c in line for c in _CSV_SPECIAL):
             raise _InDoubt

@@ -111,9 +111,10 @@ def normalized_gap(y: float, z: float, alpha: float) -> float:
 def _gap_values(
     y: NDArray[np.float64], z: NDArray[np.float64], alpha: float
 ) -> NDArray[np.float64]:
-    deprived = y < z
-    base = np.clip((z - y) / z, 0.0, 1.0)
-    return np.where(deprived, base**alpha, 0.0)
+    # where y < z, validated y >= 0 and z > 0 put fl(fl(z - y) / z) in [0, 1], so no clip;
+    # elsewhere the power may be nan or inf, and np.where replaces it by 0
+    with np.errstate(invalid="ignore", over="ignore"):
+        return np.where(y < z, ((z - y) / z) ** alpha, 0.0)
 
 
 def _consistent_inputs(achievements, cutoffs, structure):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -16,6 +17,8 @@ from netpoverty import (
     validate_dependence_structure,
     weighted_upper_bound,
 )
+from netpoverty.aggregation import _BLOCK_CELLS, _coefficient_pass
+from netpoverty.core import _coefficient_values
 from netpoverty.errors import CutoffOutOfRange, InvalidPartition, ShapeMismatch
 
 WORKED_M = validate_dependence_structure([[1, 0.5], [0, 1]])
@@ -328,3 +331,93 @@ class TestDecomposition:
     def test_wrong_dimension_rejected(self):
         with pytest.raises(ShapeMismatch):
             decompose_by_group(np.ones((2, 3)), ["a", "b"], self.CFG)
+
+
+def whole_array_pass(y, config, kind):
+    """The coefficient pass over the whole N x d array at once: the row blocks' bit oracle.
+
+    (value, denominator, hash, counts, statuses, censored), each step
+    taken over every cell before the next.
+    """
+    n, d = y.shape
+    z, k = config.cutoffs.values, config.k
+    naive = kind == "naive"
+    coef = _coefficient_values(config.structure, np.ones(d)) if naive else config.coefficients
+    counts = np.sum(np.where(y < z, coef, 0.0), axis=1)
+    statuses = (counts >= k - 1e-12 * max(1.0, k)).astype(np.int64)
+    gaps = np.where(y < z, np.clip((z - y) / z, 0.0, 1.0) ** config.alpha, 0.0)
+    censored = (gaps * coef) * statuses[:, None]
+    denominator = n * d if naive else n * config.score_ceiling
+    value = math.fsum(np.sum(censored, axis=1)) / denominator
+    return value, denominator, censored_hash(censored), counts, statuses, censored
+
+
+def censored_hash(censored):
+    h = hashlib.sha256(f"{censored.shape[0]}x{censored.shape[1]}:".encode())
+    h.update(censored.tobytes())
+    return h.hexdigest()
+
+
+def block_test_data(rng, n, d, weighted):
+    """n x d achievements around their cutoffs, some exactly at them, and a config."""
+    from conftest import random_structure, random_weights
+
+    m = random_structure(rng, d)
+    w = random_weights(rng, d) if weighted else None
+    z = rng.uniform(0.5, 10, d)
+    y = rng.uniform(0, 2, (n, d)) * z
+    at = rng.random((n, d)) < 0.05
+    y[at] = np.broadcast_to(z, (n, d))[at]
+    cfg = MethodologyConfig(1.0, 0.4 * weighted_upper_bound(m, w), m, w, z)
+    return y, cfg
+
+
+class TestRowBlocks:
+    """The row-blocked pass gives the whole-array pass's bits at every block edge."""
+
+    @pytest.mark.parametrize("kind", ["network_adjusted", "naive"])
+    @pytest.mark.parametrize("weighted", [False, True], ids=["uniform", "weighted"])
+    @pytest.mark.parametrize("edge", ["1", "rows-1", "rows", "rows+1", "3rows+7"])
+    @pytest.mark.parametrize("d", [2, 5, 20])
+    def test_bitwise_equal_to_whole_array_pass(self, rng, d, edge, weighted, kind):
+        rows = _BLOCK_CELLS // d
+        n = {"1": 1, "rows-1": rows - 1, "rows": rows, "rows+1": rows + 1,
+             "3rows+7": 3 * rows + 7}[edge]
+        y, cfg = block_test_data(rng, n, d, weighted)
+        for alpha in (0.0, 0.5, 1.0, 1.7, 2.0):
+            config = MethodologyConfig(alpha, cfg.k, cfg.structure, cfg.weights, cfg.cutoffs)
+            result, counts, statuses, censored = _coefficient_pass(y, config, kind)
+            value, denominator, digest, want_counts, want_statuses, want_censored = (
+                whole_array_pass(y, config, kind)
+            )
+            assert (result.value, result.denominator) == (value, denominator)
+            assert result.censored_matrix_hash == digest
+            assert counts.tobytes() == want_counts.tobytes()
+            assert statuses.statuses.tobytes() == want_statuses.tobytes()
+            assert censored.tobytes() == want_censored.tobytes()
+
+    def test_groups_straddling_block_edges(self, rng):
+        d = 5
+        rows = _BLOCK_CELLS // d
+        n = 3 * rows + 7
+        y, cfg = block_test_data(rng, n, d, weighted=True)
+        # runs that cross each block edge, and one group spread over every block
+        labels = np.searchsorted([rows - 3, rows + 5, 2 * rows + 1, 3 * rows], np.arange(n))
+        labels[::97] = 9
+        result = decompose_by_group(y, labels.tolist(), cfg)
+        _, _, digest, _, _, censored = whole_array_pass(y, cfg, "network_adjusted")
+        assert result.total.censored_matrix_hash == digest
+        assert list(result.group_results) == [9, 0, 1, 2, 3, 4]
+        for g, got in result.group_results.items():
+            rows_g = censored[labels == g]
+            size = rows_g.shape[0]
+            assert result.group_sizes[g] == size
+            assert got.denominator == size * cfg.score_ceiling
+            assert got.value == math.fsum(np.sum(rows_g, axis=1)) / got.denominator
+            assert got.censored_matrix_hash == censored_hash(rows_g)
+
+    def test_extreme_ratio_above_the_cutoff_does_not_overflow(self):
+        # (z - y) / z overflows for y = 1e300, z = 1e-10; that cell is not deprived, and
+        # the other's coefficient 1.5 over the ceiling 2.5 is the whole value
+        result = fgt_network_adjusted([[1e300, 0.0]], [1e-10, 1.0], WORKED_M, None, 1.0, 1.0)
+        assert result.value == 0.6

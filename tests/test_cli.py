@@ -119,6 +119,28 @@ class TestCompute:
         assert "k = 3.1 " not in err and "and 3.1;" not in err
         assert f"k = {0.9999999 * 3.1!r} " in err
 
+    @pytest.mark.parametrize(
+        "k, warning",
+        [
+            (1.5545, ""),  # the count of a person deprived in dimension 2 only
+            (0.6, "warning: k = 0.6 lies strictly between attainable counts 0.0 and 0.6635;"),
+        ],
+        ids=["on-level", "in-gap"],
+    )
+    def test_gap_warning_uses_counts_under_weights(self, tmp_path, capsys, k, warning):
+        # the weighted jumps (0.5545, 1.6635, ...) are no person's count here
+        data = tmp_path / "data.csv"
+        data.write_text("a,b\n0,10\n10,0\n0,0\n", encoding="utf-8")
+        config = tmp_path / "config.json"
+        doc = {"cutoffs": [1, 1], "alpha": 1, "k": k,
+               "dependence": [[1, 0.109], [0.109, 1]], "weights": [0.5, 1.5]}
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["compute", "--dataset", str(data), "--config", str(config)]) == 0
+        out, err = capsys.readouterr()
+        counts = {p["deprivation_count"] for p in json.loads(out)["per_person"]}
+        assert counts == {0.6635, 1.5545, 2.218}
+        assert err.startswith(warning) and (err == "") == (warning == "")
+
     def test_missing_dataset_exits_3(self, worked, capsys):
         _, config = worked
         assert main(["compute", "--dataset", "/nope.csv", "--config", str(config)]) == 3

@@ -666,10 +666,22 @@ class TestBulkParse:
         assert _bulk(path) == (names, ids, values.tobytes())
         assert _outcome(path) == _checked_outcome(path)
 
+    @pytest.mark.parametrize("end", ["\n", ""], ids=["final-newline", "no-final-newline"])
+    @pytest.mark.parametrize("ids", [False, True], ids=["no-ids", "ids"])
+    def test_crlf_file_takes_the_bulk_pass(self, tmp_path, monkeypatch, ids, end):
+        rows = [f"p{i}," * ids + f"{i % 97}.{i % 13:02d}, {i % 7}e-2" for i in range(20_000)]
+        text = "\ufeff" + "id," * ids + "a,b\n" + "\n".join(rows) + end
+        lf = write(tmp_path, "lf.csv", text)
+        crlf = tmp_path / "crlf.csv"
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        want = _outcome(lf)
+        monkeypatch.setattr(dataio, "_read_checked", mock.Mock(side_effect=AssertionError))
+        assert _outcome(crlf) == want
+
     @pytest.mark.parametrize(
         "body",
         [
-            b'"5",10\n', b"5,10\r\n", b"5,1\x000\n", b"5,10\n\n", b"5,10,7\n", b"5\n",
+            b'"5",10\n', b"5,1\r0\n", b"5,1\x000\n", b"5,10\n\n", b"5,10,7\n", b"5\n",
             b"5,1_0\n", b"5,inf\n", b"5,nan\n", b"5,1e999\n", b"5,-1\n", b"5,\xd9\xa1\n",
             b"5,\n", b"5,1 0\n", b"5," + b"1" * 131_073 + b"\n", b"5," + b"0" * 131_073 + b"\n",
         ],
@@ -696,7 +708,7 @@ class TestBulkParse:
 
     @pytest.mark.parametrize(
         "raw",
-        [b'"h",e\n5,10\n', b"h,e\r\n5,10\n", b"h,\x00e\n5,10\n", b"h,\xffe\n5,10\n",
+        [b'"h",e\n5,10\n', b"h\r,e\n5,10\n", b"h,\x00e\n5,10\n", b"h,\xffe\n5,10\n",
          b"h,h\n5,10\n", b"\n5\n", b"\xef\xbb\xbf", b""],
         ids=["quote", "carriage-return", "nul", "not-utf8", "duplicate", "blank", "only-bom",
              "empty"],

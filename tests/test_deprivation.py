@@ -14,6 +14,7 @@ from netpoverty import (
     normalized_gap,
     validate_dependence_structure,
 )
+from netpoverty.deprivation import _gap_values
 from netpoverty.errors import (
     IndexOutOfRange,
     InvalidAlpha,
@@ -182,6 +183,36 @@ class TestDeprivationMatrix:
         y2[2, 1] = 19.0
         after = deprivation_matrix(y2, z, m, 2.0).values
         assert np.array_equal(before, after)
+
+
+def clipped_gaps(y, z, alpha):
+    """The gap formula with its [0, 1] clip, over every cell at once."""
+    deprived = y < z
+    with np.errstate(over="ignore"):  # the clip takes the overflowed cells to 0
+        base = np.clip((z - y) / z, 0.0, 1.0)
+    return np.where(deprived, base**alpha, 0.0)
+
+
+class TestGapValues:
+    """Without the clip the gaps keep every bit of the clipped formula."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.7, 2.0, 20.0])
+    def test_bitwise_equal_to_clipped_form(self, rng, alpha):
+        tiny = 5e-324  # the least subnormal
+        z = np.array([10.0, 0.5, 3e-320, 1e-10, 1.0, 7 * tiny])
+        y = rng.uniform(0, 2, (200, z.size)) * z
+        edges = np.array([
+            np.zeros_like(z),  # y = 0: gap 1
+            np.nextafter(z, 0),  # the smallest gaps; at alpha 20 they are subnormal
+            z,  # at the cutoff: not deprived
+            np.nextafter(z, np.inf),
+            np.array([1e300, 1e300, 1.0, 1e300, 2.0, 1.0]),  # far above; most overflow
+        ])
+        y = np.vstack([y, edges])
+        got = _gap_values(y, z, alpha)
+        assert got.tobytes() == clipped_gaps(y, z, alpha).tobytes()
+        if alpha == 20.0:
+            assert 0.0 < got[201, 0] < np.finfo(float).tiny
 
 
 class TestDeprivationCounts:
