@@ -11,13 +11,20 @@ removes.
 Numerical contract: every aggregate is evaluated through the
 coefficient form of :mod:`netpoverty.weights`, with no N x d x d
 neighbor sums, in one pass over row blocks of about 2**15 cells (256
-KB, L2-sized).  Each block is counted, identified, censored, summed per
-row and fed to the running hash before the next block is read; apart
-from the validated copy of raw input, the only full-size array a call
-allocates is the censored matrix it returns.  Every step is elementwise
-or a per-row reduction, and SHA-256 over consecutive blocks equals
-SHA-256 over their concatenation, so every value, count, status,
-censored byte and hash is bitwise that of one whole-array pass.  The
+KB, L2-sized).  Each block is counted, identified, censored and summed
+per row; apart from the validated copy of raw input, the only
+full-size array a call allocates is the censored matrix it returns.
+From 2**17 cells on, with more than one usable CPU (the process's CPU
+affinity), the blocks are split into contiguous ranges of whole
+blocks, one per CPU and never more than there are blocks: the calling
+thread runs the first range, short-lived threads the others, each
+writing only its own rows.  The running SHA-256 is taken on the caller
+in row order: each of its own blocks as it finishes, then each other
+range once its thread has been joined.  There is no setting for any
+of this.  Every step is elementwise or a per-row reduction, and
+SHA-256 over consecutive ranges equals SHA-256 over their
+concatenation, so every value, count, status, censored byte and hash
+is bitwise that of one whole-array pass, on any number of CPUs.  The
 coefficients and the ceiling are read from the
 :class:`~netpoverty.core.MethodologyConfig`, which derives them once
 per methodology; the public functions taking loose arguments build that
@@ -50,13 +57,12 @@ from .core import (
     _coefficient_values,
     as_achievement_matrix,
 )
+from .deprivation import _row_blocks
 from .errors import InvalidPartition, ShapeMismatch
 from .identification import PovertyStatusVector, _k_band
 
 #: equality band for decomposition checks
 RECOMBINATION_TOL = 1e-12
-# cells per row block of the coefficient pass: 256 KB of doubles, so a block stays in L2
-_BLOCK_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -98,6 +104,26 @@ def _fgt(
     return FgtResult(value, config.alpha, config.k, denominator, digest, kind)
 
 
+def _pass_block(rows, y, z, coef, reach, alpha, counts, poor, row_sums, censored) -> None:
+    """Count, identify, censor and sum one row block, into those rows of the outputs."""
+    yb, block = y[rows], censored[rows]
+    kept = yb < z
+    # the block holds the count terms before it holds the censored rows
+    np.multiply(kept, coef, out=block)
+    np.sum(block, axis=1, out=counts[rows])
+    np.greater_equal(counts[rows], reach, out=poor[rows])
+    kept &= poor[rows, None]
+    # a cell at or above its cutoff gets the base +0.0, so no step overflows;
+    # ``kept`` then zeroes it and the rows of the non-poor
+    np.minimum(yb, z, out=block)
+    np.subtract(z, block, out=block)
+    block /= z
+    block **= alpha
+    block *= kept
+    block *= coef
+    np.sum(block, axis=1, out=row_sums[rows])
+
+
 def _coefficient_pass(
     achievements, config: MethodologyConfig, kind: str = "network_adjusted"
 ) -> tuple[FgtResult, NDArray[np.float64], PovertyStatusVector, NDArray[np.float64]]:
@@ -122,24 +148,14 @@ def _coefficient_pass(
     counts, poor, row_sums = np.empty(n), np.empty(n, dtype=bool), np.empty(n)
     censored = np.empty((n, d))
     h = hashlib.sha256(f"{n}x{d}:".encode())
-    step = max(1, _BLOCK_CELLS // d)
-    for start in range(0, n, step):
-        rows = slice(start, start + step)
-        yb, block = y[rows], censored[rows]
-        kept = yb < z
-        np.sum(np.where(kept, coef, 0.0), axis=1, out=counts[rows])
-        np.greater_equal(counts[rows], reach, out=poor[rows])
-        kept &= poor[rows, None]
-        # a cell at or above its cutoff gets the base +0.0, so no step overflows;
-        # ``kept`` then zeroes it and the rows of the non-poor
-        np.minimum(yb, z, out=block)
-        np.subtract(z, block, out=block)
-        block /= z
-        block **= config.alpha
-        block *= kept
-        block *= coef
-        np.sum(block, axis=1, out=row_sums[rows])
-        h.update(block)
+    _row_blocks(
+        n,
+        d,
+        lambda rows: _pass_block(
+            rows, y, z, coef, reach, config.alpha, counts, poor, row_sums, censored
+        ),
+        lambda rows: h.update(censored[rows]),
+    )
     result = _fgt(row_sums, h.hexdigest(), config, kind)
     return result, counts, PovertyStatusVector(poor, config.k), censored
 

@@ -132,10 +132,12 @@ def attainable_scores(
 
 def _subset_sums(values: NDArray[np.float64]) -> NDArray[np.float64]:
     """Sorted sums of every subset of ``values``, 2 ** len(values) of them."""
-    sums = np.zeros(1)
-    for v in values:
-        sums = np.concatenate([sums, sums + v])
-    return np.sort(sums)
+    sums = np.zeros(1 << len(values))
+    for i, v in enumerate(values):
+        # the sums without ``v`` fill the first half, so these are the sums with it
+        np.add(sums[: 1 << i], v, out=sums[1 << i : 2 << i])
+    sums.sort()
+    return sums
 
 
 def bounds_summary(

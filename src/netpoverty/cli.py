@@ -12,7 +12,6 @@ output stops and the exit code is the command's own.
 from __future__ import annotations
 
 import argparse
-import bisect
 import json
 import os
 import sys
@@ -111,21 +110,23 @@ def _warn_k_gap(config: MethodologyConfig) -> None:
     """
     if config.d > ENUMERATION_LIMIT:
         return
-    levels = np.unique(_subset_sums(config.coefficients)).tolist()
+    levels = _subset_sums(config.coefficients)
     k = config.k
+    # the levels either side of k; float() keeps numpy's type out of their repr
+    idx = int(np.searchsorted(levels, k, side="right"))
+    lo = float(levels[idx - 1])
+    hi = float(levels[idx]) if idx < levels.shape[0] else None
     # on level within the band identification allows a count below k; the band
     # also absorbs the different summation orders of the levels and the counts
-    if any(abs(level - k) <= _k_band(k) for level in levels):
+    if abs(lo - k) <= _k_band(k) or (hi is not None and abs(hi - k) <= _k_band(k)):
         return
-    if k > levels[-1]:
+    if hi is None:
         print(
             f"warning: k = {k!r} exceeds the highest attainable count "
-            f"{levels[-1]!r}; nobody can be identified as poor",
+            f"{lo!r}; nobody can be identified as poor",
             file=sys.stderr,
         )
         return
-    idx = bisect.bisect(levels, k)
-    lo, hi = levels[idx - 1], levels[idx]
     print(
         f"warning: k = {k!r} lies strictly between attainable counts "
         f"{lo!r} and {hi!r}; any cutoff in ({lo!r}, {hi!r}] identifies the "

@@ -26,6 +26,7 @@ are bit-for-bit reproducible and invariant under row reordering.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,10 @@ from .errors import NegativeAchievement, NonPositiveCutoff, ShapeMismatch, Valid
 
 # cap on rows * d * d cells per broadcast chunk (memory bound)
 _CHUNK_CELLS = 4_000_000
+# cells per row block of a blocked pass: 256 KB of doubles, so a block stays in L2
+_BLOCK_CELLS = 1 << 15
+# n * d from which a blocked pass splits its blocks across the usable CPUs
+_PARALLEL_CELLS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -199,11 +204,82 @@ def deprivation_matrix(
     return DeprivationMatrix(alpha=alpha, weighted=True, values=scores * w.values)
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on macOS or Windows
+        return os.cpu_count() or 1
+
+
+def _row_blocks(n: int, d: int, body, consume=None) -> None:
+    """Call ``body(rows)`` on every row block of an n x d pass; ``consume`` sees them in order.
+
+    A block is a slice of whole rows, about ``_BLOCK_CELLS`` cells.  From
+    ``_PARALLEL_CELLS`` cells on, with more than one usable CPU, the blocks
+    are split into contiguous ranges, one per CPU and no more than there
+    are blocks.  The caller runs the first range and short-lived threads
+    the others; each writes only its own rows.  ``consume`` runs on the
+    caller in row order: on each of the caller's blocks, then on each
+    other range whole once its thread has finished.  A worker's exception
+    is raised here, and no thread outlives the call.
+    """
+    step = max(1, _BLOCK_CELLS // d)
+    blocks = -(-n // step)
+    parts = min(_usable_cpus(), blocks) if n * d >= _PARALLEL_CELLS else 1
+    edges = [step * (blocks * i // parts) for i in range(parts)] + [n]
+
+    def run(part: int, feed=None) -> None:
+        for start in range(edges[part], edges[part + 1], step):
+            rows = slice(start, start + step)
+            body(rows)
+            if feed is not None:
+                feed(rows)
+
+    if parts == 1:
+        run(0, consume)
+        return
+    import threading  # here, not at the top: importing the package loads no new module
+
+    errors: list = [None] * parts
+
+    def work(part: int) -> None:
+        try:
+            run(part)
+        except BaseException as exc:  # raised again on the caller
+            errors[part] = exc
+
+    threads = []
+    try:
+        for part in range(1, parts):
+            thread = threading.Thread(target=work, args=(part,))
+            thread.start()
+            threads.append(thread)
+        run(0, consume)
+        for part, thread in enumerate(threads, 1):
+            thread.join()
+            if errors[part] is not None:
+                raise errors[part]
+            if consume is not None:
+                consume(slice(edges[part], edges[part + 1]))
+    finally:
+        for thread in threads:
+            thread.join()
+
+
 def _count_values(
     y: NDArray[np.float64], z: NDArray[np.float64], coef: NDArray[np.float64]
 ) -> NDArray[np.float64]:
     """Per-person counts: the coefficients of the deprived dimensions, summed."""
-    return np.sum(np.where(y < z, coef, 0.0), axis=1)
+    n, d = y.shape
+    if n * d <= _BLOCK_CELLS:
+        return np.sum(np.multiply(y < z, coef), axis=1)
+    counts = np.empty(n)
+
+    def count(rows: slice) -> None:
+        np.sum(np.multiply(y[rows] < z, coef), axis=1, out=counts[rows])
+
+    _row_blocks(n, d, count)
+    return counts
 
 
 def deprivation_counts(

@@ -1,5 +1,8 @@
 import hashlib
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -17,8 +20,10 @@ from netpoverty import (
     validate_dependence_structure,
     weighted_upper_bound,
 )
-from netpoverty.aggregation import _BLOCK_CELLS, _coefficient_pass
+from netpoverty import aggregation
+from netpoverty.aggregation import _coefficient_pass
 from netpoverty.core import _coefficient_values
+from netpoverty.deprivation import _BLOCK_CELLS, _PARALLEL_CELLS
 from netpoverty.errors import CutoffOutOfRange, InvalidPartition, ShapeMismatch
 
 WORKED_M = validate_dependence_structure([[1, 0.5], [0, 1]])
@@ -372,6 +377,48 @@ def block_test_data(rng, n, d, weighted):
     return y, cfg
 
 
+def force_cpus(monkeypatch, cpus):
+    """Make the pass see ``cpus`` usable CPUs, whatever the machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def spy_blocks(monkeypatch, fail_at=None):
+    """Record (thread, first row) of every block the pass runs; raise at row ``fail_at``."""
+    seen = []
+    real = aggregation._pass_block
+
+    def spy(rows, *args):
+        # the thread object, not its id: a finished thread's id can be reused
+        seen.append((threading.current_thread(), rows.start))
+        if rows.start == fail_at:
+            raise RuntimeError(f"block at row {fail_at}")
+        real(rows, *args)
+
+    monkeypatch.setattr(aggregation, "_pass_block", spy)
+    return seen
+
+
+def ranges_by_thread(seen):
+    """Each thread's block starts, in row order; the caller must run the first range."""
+    runs = {}
+    for thread, start in seen:
+        runs.setdefault(thread, []).append(start)
+    assert runs[threading.current_thread()][0] == 0
+    return sorted(sorted(starts) for starts in runs.values())
+
+
+def assert_whole_array_bits(y, config, kind):
+    result, counts, statuses, censored = _coefficient_pass(y, config, kind)
+    value, denominator, digest, want_counts, want_statuses, want_censored = (
+        whole_array_pass(y, config, kind)
+    )
+    assert (result.value, result.denominator) == (value, denominator)
+    assert result.censored_matrix_hash == digest
+    assert counts.tobytes() == want_counts.tobytes()
+    assert statuses.statuses.tobytes() == want_statuses.tobytes()
+    assert censored.tobytes() == want_censored.tobytes()
+
+
 class TestRowBlocks:
     """The row-blocked pass gives the whole-array pass's bits at every block edge."""
 
@@ -386,15 +433,92 @@ class TestRowBlocks:
         y, cfg = block_test_data(rng, n, d, weighted)
         for alpha in (0.0, 0.5, 1.0, 1.7, 2.0):
             config = MethodologyConfig(alpha, cfg.k, cfg.structure, cfg.weights, cfg.cutoffs)
-            result, counts, statuses, censored = _coefficient_pass(y, config, kind)
-            value, denominator, digest, want_counts, want_statuses, want_censored = (
-                whole_array_pass(y, config, kind)
-            )
-            assert (result.value, result.denominator) == (value, denominator)
-            assert result.censored_matrix_hash == digest
-            assert counts.tobytes() == want_counts.tobytes()
-            assert statuses.statuses.tobytes() == want_statuses.tobytes()
-            assert censored.tobytes() == want_censored.tobytes()
+            assert_whole_array_bits(y, config, kind)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["below", "at", "above"])
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_threads_from_the_parallel_threshold(self, monkeypatch, rng, d, offset):
+        # the fewest rows that reach the threshold, and one row either side
+        n = -(-_PARALLEL_CELLS // d) + offset
+        assert (n * d >= _PARALLEL_CELLS) == (offset >= 0)
+        force_cpus(monkeypatch, 2)
+        seen = spy_blocks(monkeypatch)
+        y, cfg = block_test_data(rng, n, d, weighted=True)
+        assert_whole_array_bits(y, cfg, "network_adjusted")
+        runs = ranges_by_thread(seen)
+        assert len(runs) == (1 if offset < 0 else 2)
+        step = _BLOCK_CELLS // d
+        assert sum(runs, []) == list(range(0, n, step))  # contiguous, in row order
+
+    @pytest.mark.parametrize("kind", ["network_adjusted", "naive"])
+    @pytest.mark.parametrize(
+        "cpus, blocks, tail",
+        [(3, 6, 0), (3, 7, 7), (4, 7, 0), (4, 9, 7)],
+        ids=["ranges-even-last-block-full", "ranges-uneven-last-block-short",
+             "ranges-uneven-last-block-full", "ranges-uneven-9-blocks-short"],
+    )
+    @pytest.mark.parametrize("d", [2, 5, 20])
+    def test_ranges_on_and_off_block_edges(self, monkeypatch, rng, d, cpus, blocks, tail, kind):
+        # ``tail`` rows past the last full block make the final range end off a block edge
+        step = _BLOCK_CELLS // d
+        n = (blocks - (tail > 0)) * step + tail
+        assert n * d >= _PARALLEL_CELLS
+        force_cpus(monkeypatch, cpus)
+        seen = spy_blocks(monkeypatch)
+        y, cfg = block_test_data(rng, n, d, weighted=kind == "network_adjusted")
+        for alpha in (0.0, 0.5, 1.0, 2.0):
+            config = MethodologyConfig(alpha, cfg.k, cfg.structure, cfg.weights, cfg.cutoffs)
+            seen.clear()
+            assert_whole_array_bits(y, config, kind)
+            runs = ranges_by_thread(seen)
+            assert [len(run) for run in runs] == [
+                blocks * (i + 1) // cpus - blocks * i // cpus for i in range(cpus)
+            ]
+            assert sum(runs, []) == list(range(0, n, step))
+
+    def test_one_cpu_gives_the_threaded_bits(self, monkeypatch, rng):
+        d = 5
+        n = 9 * (_BLOCK_CELLS // d) + 3
+        y, cfg = block_test_data(rng, n, d, weighted=True)
+        force_cpus(monkeypatch, 3)
+        threaded = _coefficient_pass(y, cfg)
+        force_cpus(monkeypatch, 1)
+        seen = spy_blocks(monkeypatch)
+        serial = _coefficient_pass(y, cfg)
+        assert {thread for thread, _ in seen} == {threading.current_thread()}
+        assert serial[0] == threaded[0]
+        assert serial[1].tobytes() == threaded[1].tobytes()
+        assert serial[2].statuses.tobytes() == threaded[2].statuses.tobytes()
+        assert serial[3].tobytes() == threaded[3].tobytes()
+
+    def test_more_threads_than_cores_under_fast_switching(self, monkeypatch, rng):
+        # a range hashed before its thread finished, or rows written twice, change the bits
+        d = 20
+        n = 23 * (_BLOCK_CELLS // d) + 5
+        y, cfg = block_test_data(rng, n, d, weighted=True)
+        force_cpus(monkeypatch, 2 * (os.cpu_count() or 1) + 3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for kind in ("network_adjusted", "naive"):
+                assert_whole_array_bits(y, cfg, kind)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("where", ["caller", "worker"])
+    def test_a_failing_block_raises_on_the_caller(self, monkeypatch, rng, where):
+        d = 5
+        step = _BLOCK_CELLS // d
+        n = 9 * step
+        y, cfg = block_test_data(rng, n, d, weighted=True)
+        baseline = threading.active_count()
+        force_cpus(monkeypatch, 3)
+        fail_at = step if where == "caller" else 8 * step  # in the first or the last range
+        seen = spy_blocks(monkeypatch, fail_at)
+        with pytest.raises(RuntimeError, match=f"block at row {fail_at}$"):
+            _coefficient_pass(y, cfg)
+        assert len({thread for thread, _ in seen}) == 3
+        assert threading.active_count() == baseline
 
     def test_groups_straddling_block_edges(self, rng):
         d = 5

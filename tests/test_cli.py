@@ -4,13 +4,16 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from test_dataio import _CSV, _JSON
 
-from netpoverty.cli import main
+from netpoverty import DependenceStructure, MethodologyConfig, WeightVector
+from netpoverty.bounds import ENUMERATION_LIMIT
+from netpoverty.cli import _warn_k_gap, main
 
 WORKED_CONFIG = {
     "cutoffs": [10.0, 10.0],
@@ -140,6 +143,23 @@ class TestCompute:
         counts = {p["deprivation_count"] for p in json.loads(out)["per_person"]}
         assert counts == {0.6635, 1.5545, 2.218}
         assert err.startswith(warning) and (err == "") == (warning == "")
+
+    def test_gap_warning_at_the_enumeration_limit_stays_small(self, capsys):
+        # 2**20 levels: the sorted array of them is the only large allocation
+        d = ENUMERATION_LIMIT
+        weights = WeightVector([0.5] * 10 + [1.5] * 10)
+        config = MethodologyConfig(1.0, 0.7, DependenceStructure.identity(d), weights, [1] * d)
+        tracemalloc.start()
+        try:
+            _warn_k_gap(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**d * 8
+        assert capsys.readouterr().err == (
+            "warning: k = 0.7 lies strictly between attainable counts 0.5 and 1.0; "
+            "any cutoff in (0.5, 1.0] identifies the same poor set\n"
+        )
 
     def test_missing_dataset_exits_3(self, worked, capsys):
         _, config = worked

@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -14,7 +16,13 @@ from netpoverty import (
     normalized_gap,
     validate_dependence_structure,
 )
-from netpoverty.deprivation import _gap_values
+from netpoverty.deprivation import (
+    _BLOCK_CELLS,
+    _PARALLEL_CELLS,
+    _count_values,
+    _gap_values,
+    _row_blocks,
+)
 from netpoverty.errors import (
     IndexOutOfRange,
     InvalidAlpha,
@@ -320,3 +328,51 @@ def test_finite_difference_matches_sensitivity(alpha, rng):
             assert actual == pytest.approx(expected, rel=1e-4)
         else:
             assert actual == pytest.approx(expected, abs=1e-8)
+
+
+class TestBlockedCounts:
+    """Counts over row blocks and ranges keep the whole-array counts' bits."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("size", ["one-block", "one-block+1", "parallel+7"])
+    @pytest.mark.parametrize("d", [2, 5, 20])
+    def test_bitwise_equal_to_whole_array_counts(self, monkeypatch, rng, d, size, cpus):
+        from conftest import random_structure, random_weights
+        from netpoverty.core import _coefficient_values
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        step = _BLOCK_CELLS // d
+        n = {"one-block": step, "one-block+1": step + 1,
+             "parallel+7": -(-_PARALLEL_CELLS // d) + 7}[size]
+        z = rng.uniform(0.5, 10, d)
+        y = rng.uniform(0, 2, (n, d)) * z
+        at = rng.random((n, d)) < 0.05  # exactly at the cutoff: not deprived
+        y[at] = np.broadcast_to(z, (n, d))[at]
+        coef = _coefficient_values(random_structure(rng, d), random_weights(rng, d).values)
+        want = np.sum(np.where(y < z, coef, 0.0), axis=1)
+        assert _count_values(y, z, coef).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("cpus", [1, 2, 5])
+    def test_every_row_once_and_consumed_in_order(self, monkeypatch, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        d = 4
+        step = _BLOCK_CELLS // d
+        n = 7 * step + 5
+        done = np.zeros(n, dtype=np.int64)
+        consumed = []
+        baseline = threading.active_count()
+
+        def body(rows):
+            done[rows] += 1
+
+        def consume(rows):
+            assert np.all(done[rows] == 1)  # each range is finished before it is consumed
+            consumed.append((rows.start, rows.stop))
+
+        _row_blocks(n, d, body, consume)
+        assert np.all(done == 1)
+        starts = [start for start, _ in consumed]
+        stops = [min(stop, n) for _, stop in consumed]
+        assert starts == [0, *stops[:-1]] and stops[-1] == n
+        assert threading.active_count() == baseline
+
