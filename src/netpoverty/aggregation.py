@@ -18,9 +18,11 @@ From 2**17 cells on, with more than one usable CPU (the process's CPU
 affinity), the blocks are split into contiguous ranges of whole
 blocks, one per CPU and never more than there are blocks: the calling
 thread runs the first range, short-lived threads the others, each
-writing only its own rows.  The running SHA-256 is taken on the caller
-in row order: each of its own blocks as it finishes, then each other
-range once its thread has been joined.  There is no setting for any
+writing only its own rows.  The per-person counts and the scores of
+:func:`~netpoverty.deprivation.deprivation_matrix` and of a report
+are split across the CPUs the same way.  The running SHA-256 is
+taken on the caller in row order: each of its own blocks as it
+finishes, then each other range once its thread has been joined.  There is no setting for any
 of this.  Every step is elementwise or a per-row reduction, and
 SHA-256 over consecutive ranges equals SHA-256 over their
 concatenation, so every value, count, status, censored byte and hash

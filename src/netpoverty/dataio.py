@@ -48,12 +48,13 @@ can be compared at the report level; the config echo keeps full
 precision so it reloads to an identical methodology.  Same inputs give
 byte-identical output.
 
-Every report, from ``compute`` and from :func:`run_report`, comes from
-:func:`stream_report`: every check and all numeric work run first, then
-the text is produced a few thousand persons at a time from one fixed
-per-person template, with no report dict.  :func:`build_report` formats
-the same arrays as a dict; :func:`render_report` of that dict gives the
-same bytes and is the reference the streamed text is tested against.
+Every report comes from :func:`stream_report`: every check and all
+numeric work run first, then the text is produced a few thousand
+persons at a time from one fixed per-person template, with no report
+dict.  ``compute`` writes that text; :func:`run_report` and
+:func:`build_report` also parse it, so their dict is the streamed text
+read back.  The reference the text is tested against is built apart,
+in the tests, from the public counts, statuses, scores and bounds.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ from .core import (
     as_dependence_structure,
     validate_weights,
 )
-from .deprivation import _gap_values, _score_values
+from .deprivation import _score_values
 from .errors import (
     CutoffOutOfRange,
     EmptyDataset,
@@ -518,13 +519,26 @@ def config_echo(config: MethodologyConfig) -> dict:
     }
 
 
-def _report_parts(
-    dataset: Dataset, config: MethodologyConfig, diagnostic_naive: bool
-) -> tuple[dict, np.ndarray, np.ndarray, np.ndarray]:
-    """The checks and all numeric work of a report, before any text exists.
+def build_report(
+    dataset: Dataset, config: MethodologyConfig, diagnostic_naive: bool = False
+) -> dict:
+    """The report dict, keys in their documented order: :func:`stream_report`'s text, parsed."""
+    return run_report(dataset, config, None, diagnostic_naive)
 
-    Returns the fields before ``per_person`` with the per-person counts,
-    statuses and weighted scores.
+
+def render_report(report) -> str:
+    """A report, or any JSON payload, as indented JSON ending in a newline."""
+    return json.dumps(report, indent=2) + "\n"
+
+
+def stream_report(
+    dataset: Dataset, config: MethodologyConfig, diagnostic_naive: bool = False
+) -> Iterator[str]:
+    """The report text in chunks, as :func:`render_report` would write its dict.
+
+    Every check and all the numeric work run in this call, so an invalid
+    input raises before any text exists.  The returned iterator formats
+    the per-person records a few thousand at a time, with no report dict.
     """
     y = dataset.achievements
     if y.d != config.d:
@@ -549,51 +563,11 @@ def _report_parts(
         }
     head["dimensions"] = list(dataset.dimension_names)
     # deprivation_matrix's arithmetic, on arrays the kernel pass already validated
-    gaps = _gap_values(y.values, config.cutoffs.values, config.alpha)
-    scores = _score_values(gaps, config.structure.off_diagonal()) * config.weights.values
-    return head, counts, statuses.statuses, scores
-
-
-def _report_tail(config: MethodologyConfig) -> dict:
-    return {"config": config_echo(config), "software_version": __version__}
-
-
-def build_report(
-    dataset: Dataset, config: MethodologyConfig, diagnostic_naive: bool = False
-) -> dict:
-    """Assemble the report dict, keys in their documented order."""
-    report, counts, statuses, scores = _report_parts(dataset, config, diagnostic_naive)
-    report["per_person"] = [
-        {
-            "id": pid,
-            "deprivation_count": _round12(counts[i]),
-            "poor": int(statuses[i]),
-            "scores": [_round12(v) for v in scores[i]],
-        }
-        for i, pid in enumerate(dataset.ids())
-    ]
-    report.update(_report_tail(config))
-    return report
-
-
-def render_report(report) -> str:
-    """A report, or any JSON payload, as indented JSON ending in a newline."""
-    return json.dumps(report, indent=2) + "\n"
-
-
-def stream_report(
-    dataset: Dataset, config: MethodologyConfig, diagnostic_naive: bool = False
-) -> Iterator[str]:
-    """The report text in chunks: :func:`render_report` of :func:`build_report`, byte for byte.
-
-    Every check and all the numeric work run in this call, so an invalid
-    input raises before any text exists.  The returned iterator formats
-    the per-person records a few thousand at a time, with no report dict.
-    """
-    head, counts, statuses, scores = _report_parts(dataset, config, diagnostic_naive)
-    return _report_text(
-        head, dataset.person_ids, counts, statuses, scores, _report_tail(config)
+    scores = _score_values(
+        y.values, config.cutoffs.values, config.structure, config.alpha, config.weights.values
     )
+    tail = {"config": config_echo(config), "software_version": __version__}
+    return _report_text(head, dataset.person_ids, counts, statuses.statuses, scores, tail)
 
 
 #: persons formatted per chunk of streamed report text

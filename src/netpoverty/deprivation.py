@@ -47,11 +47,9 @@ from .core import (
 )
 from .errors import NegativeAchievement, NonPositiveCutoff, ShapeMismatch, ValidationError
 
-# cap on rows * d * d cells per broadcast chunk (memory bound)
-_CHUNK_CELLS = 4_000_000
 # cells per row block of a blocked pass: 256 KB of doubles, so a block stays in L2
 _BLOCK_CELLS = 1 << 15
-# n * d from which a blocked pass splits its blocks across the usable CPUs
+# n * width from which a blocked pass splits its blocks across the usable CPUs
 _PARALLEL_CELLS = 1 << 17
 
 
@@ -145,29 +143,37 @@ def gap_matrix(achievements, cutoffs, alpha: float) -> GapMatrix:
     return GapMatrix(alpha=alpha, values=_gap_values(y.values, z.values, alpha))
 
 
-def _neighbor_values(
-    gaps: NDArray[np.float64], off_diag: NDArray[np.float64]
-) -> NDArray[np.float64]:
-    """Row-wise sum over j' of off_diag[j, j'] * gaps[i, j'].
-
-    Implemented as a broadcast reduction rather than a BLAS matmul so
-    each output row is a pure function of its own input row; this keeps
-    person-permutation invariance exact at the bit level.
-    """
-    n, d = gaps.shape
-    rows = max(1, _CHUNK_CELLS // (d * d))
-    out = np.empty((n, d))
-    for s in range(0, n, rows):
-        chunk = gaps[s : s + rows, None, :] * off_diag[None, :, :]
-        np.sum(chunk, axis=2, out=out[s : s + rows])
-    return out
-
-
 def _score_values(
-    gaps: NDArray[np.float64], off_diag: NDArray[np.float64]
+    y: NDArray[np.float64],
+    z: NDArray[np.float64],
+    structure: DependenceStructure,
+    alpha: float,
+    w: NDArray[np.float64],
 ) -> NDArray[np.float64]:
-    d = off_diag.shape[0]
-    return gaps + _neighbor_values(gaps, off_diag) / (d - 1)
+    """Weighted scores of validated inputs, one row block at a time.
+
+    Each block takes its gaps, then the row-wise sum over j' of
+    off_diag[j, j'] * gaps[i, j'], then divides by d - 1, adds the gaps
+    and scales by ``w``.  The neighbor sum is a broadcast reduction
+    rather than a BLAS matmul so each output row is a pure function of
+    its own input row; this keeps person-permutation invariance exact at
+    the bit level, on any row blocking and any number of CPUs.
+    """
+    n, d = y.shape
+    off_diag = structure.off_diagonal()
+    scores = np.empty((n, d))
+
+    def score(rows: slice) -> None:
+        gaps = _gap_values(y[rows], z, alpha)
+        block = scores[rows]
+        np.sum(gaps[:, None, :] * off_diag, axis=2, out=block)
+        block /= d - 1
+        block += gaps
+        block *= w
+
+    # a block's broadcast temporary holds d cells per score
+    _row_blocks(n, d * d, score)
+    return scores
 
 
 def deprivation_score(gaps, structure: DependenceStructure, j: int) -> float:
@@ -196,12 +202,10 @@ def deprivation_matrix(
     """
     alpha = _check_alpha(alpha)
     y, z, structure = _consistent_inputs(achievements, cutoffs, structure)
-    gaps = _gap_values(y.values, z.values, alpha)
-    scores = _score_values(gaps, structure.off_diagonal())
-    if weights is None:
-        return DeprivationMatrix(alpha=alpha, weighted=False, values=scores)
-    w = as_weight_vector(weights, structure.d)
-    return DeprivationMatrix(alpha=alpha, weighted=True, values=scores * w.values)
+    # None gives unit weights, which scale nothing: x * 1.0 is x, bit for bit
+    w = as_weight_vector(weights, structure.d).values
+    scores = _score_values(y.values, z.values, structure, alpha, w)
+    return DeprivationMatrix(alpha=alpha, weighted=weights is not None, values=scores)
 
 
 def _usable_cpus() -> int:
@@ -211,10 +215,11 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _row_blocks(n: int, d: int, body, consume=None) -> None:
-    """Call ``body(rows)`` on every row block of an n x d pass; ``consume`` sees them in order.
+def _row_blocks(n: int, width: int, body, consume=None) -> None:
+    """Call ``body(rows)`` on every row block of n rows; ``consume`` sees them in order.
 
-    A block is a slice of whole rows, about ``_BLOCK_CELLS`` cells.  From
+    ``width`` is the cells a row takes in the pass's largest per-block
+    array.  A block is a slice of whole rows, about ``_BLOCK_CELLS`` cells.  From
     ``_PARALLEL_CELLS`` cells on, with more than one usable CPU, the blocks
     are split into contiguous ranges, one per CPU and no more than there
     are blocks.  The caller runs the first range and short-lived threads
@@ -223,9 +228,9 @@ def _row_blocks(n: int, d: int, body, consume=None) -> None:
     other range whole once its thread has finished.  A worker's exception
     is raised here, and no thread outlives the call.
     """
-    step = max(1, _BLOCK_CELLS // d)
+    step = max(1, _BLOCK_CELLS // width)
     blocks = -(-n // step)
-    parts = min(_usable_cpus(), blocks) if n * d >= _PARALLEL_CELLS else 1
+    parts = min(_usable_cpus(), blocks) if n * width >= _PARALLEL_CELLS else 1
     edges = [step * (blocks * i // parts) for i in range(parts)] + [n]
 
     def run(part: int, feed=None) -> None:

@@ -11,12 +11,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import netpoverty
 from netpoverty import (
     AchievementMatrix,
     Dataset,
     MethodologyConfig,
+    bounds_summary,
     build_report,
     deprivation_counts,
+    deprivation_matrix,
+    fgt_network_adjusted,
+    headcount_ratio,
     identify,
     load_config,
     load_config_document,
@@ -27,6 +32,7 @@ from netpoverty import (
     weighted_upper_bound,
 )
 from netpoverty import dataio
+from netpoverty.aggregation import _coefficient_pass
 from netpoverty.dataio import (
     _CHUNK_PERSONS,
     _InDoubt,
@@ -36,6 +42,7 @@ from netpoverty.dataio import (
     _read_checked,
     _report_text,
     _round12,
+    config_echo,
     render_report,
     stream_report,
 )
@@ -437,8 +444,46 @@ def _exact(value):
     return value
 
 
+def reference_report(ds, cfg, naive):
+    """The report dict from the public functions, apart from the report's own code."""
+    y, z, m, w = ds.achievements, cfg.cutoffs, cfg.structure, cfg.weights
+    counts = deprivation_counts(y, z, m, w)
+    statuses = identify(counts, cfg.k, upper=cfg.score_ceiling)
+    bounds = bounds_summary(m, w)
+    report = {
+        "fgt_value": _round12(fgt_network_adjusted(y, z, m, w, cfg.alpha, cfg.k).value),
+        "headcount_ratio": _round12(headcount_ratio(statuses)),
+        "d_bar": _round12(bounds.upper),
+        "d_under": _round12(bounds.lower_nonzero),
+        "d_tilde": _round12(bounds.weighted_upper),
+        "deltas": [_round12(v) for v in bounds.jumps],
+    }
+    if naive:
+        # fgt_naive takes uniform weights, and so rejects a k above their ceiling
+        result = _coefficient_pass(y, cfg, "naive")[0]
+        report["naive_diagnostic"] = {
+            "label": "naive (manipulable)",
+            "value": _round12(result.value),
+            "denominator": _round12(result.denominator),
+        }
+    report["dimensions"] = list(ds.dimension_names)
+    scores = deprivation_matrix(y, z, m, cfg.alpha, w).values
+    report["per_person"] = [
+        {
+            "id": pid,
+            "deprivation_count": _round12(counts.values[i]),
+            "poor": int(statuses.statuses[i]),
+            "scores": [_round12(v) for v in scores[i]],
+        }
+        for i, pid in enumerate(ds.ids())
+    ]
+    report["config"] = config_echo(cfg)
+    report["software_version"] = netpoverty.__version__
+    return report
+
+
 class TestStreamedReport:
-    """``stream_report`` writes exactly ``render_report(build_report(...))``."""
+    """Every report path gives exactly :func:`reference_report`."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -456,22 +501,23 @@ class TestStreamedReport:
         self, seed, n, d, alpha, fraction, uniform_weights, ids, naive
     ):
         ds, cfg = _golden_inputs(seed, n, d, alpha, fraction, uniform_weights, ids)
-        streamed = "".join(stream_report(ds, cfg, naive))
-        assert streamed == render_report(build_report(ds, cfg, naive))
+        want = reference_report(ds, cfg, naive)
+        assert "".join(stream_report(ds, cfg, naive)) == render_report(want)
         returned = run_report(ds, cfg, diagnostic_naive=naive)
-        assert _exact(returned) == _exact(build_report(ds, cfg, naive))
+        assert _exact(returned) == _exact(want)
+        assert _exact(build_report(ds, cfg, naive)) == _exact(want)
 
     @pytest.mark.parametrize("ids", [None, _TRICKY_IDS], ids=["integer-ids", "string-ids"])
     @pytest.mark.parametrize("n", [1, 2 * _CHUNK_PERSONS + 1])
     def test_single_person_and_chunk_boundaries(self, tmp_path, n, ids):
         ds, cfg = _golden_inputs(7, n, 3, 1.0, 0.4, False, ids)
         for naive in (False, True):
+            want = render_report(reference_report(ds, cfg, naive))
             chunks = list(stream_report(ds, cfg, naive))
             assert len(chunks) == 2 + -(-n // _CHUNK_PERSONS)
-            assert "".join(chunks) == render_report(build_report(ds, cfg, naive))
+            assert "".join(chunks) == want
             run_report(ds, cfg, out_path=tmp_path / "r.json", diagnostic_naive=naive)
-            written = (tmp_path / "r.json").read_bytes()
-            assert written == render_report(build_report(ds, cfg, naive)).encode("utf-8")
+            assert (tmp_path / "r.json").read_bytes() == want.encode("utf-8")
 
     def test_dimension_mismatch_raises_before_any_text(self, worked_files):
         data, config = worked_files
@@ -490,7 +536,7 @@ class TestStreamedReport:
         ds = Dataset(AchievementMatrix(rows), ("a", "b", "c"))
         for naive in (False, True):
             text = "".join(stream_report(ds, cfg, naive))
-            assert text == render_report(build_report(ds, cfg, naive))
+            assert text == render_report(reference_report(ds, cfg, naive))
 
     def test_negative_zero_prints_as_negative_zero(self):
         counts = np.array([0.0, -0.0, 1.5, 1.5, -0.0])

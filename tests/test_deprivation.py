@@ -174,7 +174,7 @@ class TestDeprivationMatrix:
         y = rng.uniform(0, 20, (50, 4))
         z = np.full(4, 10.0)
         whole = deprivation_matrix(y, z, m, 1.0).values
-        monkeypatch.setattr(dep, "_CHUNK_CELLS", 7 * 16)  # 7 rows per chunk
+        monkeypatch.setattr(dep, "_BLOCK_CELLS", 7 * 16)  # 7 rows per block
         chunked = deprivation_matrix(y, z, m, 1.0).values
         assert np.array_equal(whole, chunked)
 
@@ -376,3 +376,69 @@ class TestBlockedCounts:
         assert starts == [0, *stops[:-1]] and stops[-1] == n
         assert threading.active_count() == baseline
 
+
+def whole_array_scores(y, z, m, alpha, w=None):
+    """The scores by the whole-array formula: every gap, then one broadcast neighbor sum."""
+    gaps = _gap_values(y, z, alpha)
+    off_diag = m.off_diagonal()
+    d = off_diag.shape[0]
+    scores = gaps + np.sum(gaps[:, None, :] * off_diag[None, :, :], axis=2) / (d - 1)
+    return scores if w is None else scores * w.values
+
+
+def score_inputs(rng, n, d):
+    from conftest import random_structure, random_weights
+
+    z = rng.uniform(0.5, 10, d)
+    y = rng.uniform(0, 2, (n, d)) * z
+    at = rng.random((n, d)) < 0.05  # exactly at the cutoff: not deprived
+    y[at] = np.broadcast_to(z, (n, d))[at]
+    return y, z, random_structure(rng, d), random_weights(rng, d)
+
+
+class TestBlockedScores:
+    """Scores over row blocks and ranges keep the whole-array formula's bits."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "size", ["one-row", "block-1", "block", "block+1", "parallel-1", "parallel"]
+    )
+    @pytest.mark.parametrize("d", [2, 5, 20])
+    def test_bitwise_equal_to_whole_array_scores(self, monkeypatch, rng, d, size, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        started = []
+        real_start = threading.Thread.start
+
+        def start(thread):
+            started.append(thread)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        rows = _BLOCK_CELLS // (d * d)
+        parallel = -(-_PARALLEL_CELLS // (d * d))  # the fewest rows whose blocks are split
+        n = {"one-row": 1, "block-1": rows - 1, "block": rows, "block+1": rows + 1,
+             "parallel-1": parallel - 1, "parallel": parallel}[size]
+        y, z, m, w = score_inputs(rng, n, d)
+        calls = 0
+        for alpha in (0.0, 0.5, 1.0, 2.0):
+            for weights in (None, w):
+                got = deprivation_matrix(y, z, m, alpha, weights)
+                want = whole_array_scores(y, z, m, alpha, weights)
+                assert got.weighted is (weights is not None)
+                assert got.values.tobytes() == want.tobytes()
+                calls += 1
+        # from the threshold on, every call starts one thread per CPU past the caller's
+        threads = cpus - 1 if size == "parallel" else 0
+        assert len(started) == calls * threads
+
+    def test_row_permutation_across_blocks_and_ranges(self, monkeypatch, rng):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)), raising=False)
+        d = 5
+        n = 4 * (_BLOCK_CELLS // (d * d)) + 7  # five blocks in three ranges
+        assert n * d * d >= _PARALLEL_CELLS
+        y, z, m, w = score_inputs(rng, n, d)
+        perm = rng.permutation(n)
+        for alpha in (0.5, 2.0):
+            base = deprivation_matrix(y, z, m, alpha, w).values
+            permuted = deprivation_matrix(y[perm], z, m, alpha, w).values
+            assert permuted.tobytes() == base[perm].tobytes()
