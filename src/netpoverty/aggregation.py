@@ -12,22 +12,23 @@ Numerical contract: every aggregate is evaluated through the
 coefficient form of :mod:`netpoverty.weights`, with no N x d x d
 neighbor sums, in one pass over row blocks of about 2**15 cells (256
 KB, L2-sized).  Each block is counted, identified, censored and summed
-per row; apart from the validated copy of raw input, the only
-full-size array a call allocates is the censored matrix it returns.
-From 2**17 cells on, with more than one usable CPU (the process's CPU
-affinity), the blocks are split into contiguous ranges of whole
-blocks, one per CPU and never more than there are blocks: the calling
-thread runs the first range, short-lived threads the others, each
-writing only its own rows.  The per-person counts and the scores of
-:func:`~netpoverty.deprivation.deprivation_matrix` and of a report
-are split across the CPUs the same way.  The running SHA-256 is
-taken on the caller in row order: each of its own blocks as it
-finishes, then each other range once its thread has been joined.  There is no setting for any
-of this.  Every step is elementwise or a per-row reduction, and
-SHA-256 over consecutive ranges equals SHA-256 over their
-concatenation, so every value, count, status, censored byte and hash
-is bitwise that of one whole-array pass, on any number of CPUs.  The
-coefficients and the ceiling are read from the
+per row.  Raw achievements are read in place, after the checks of
+:class:`~netpoverty.core.AchievementMatrix`, so the only full-size array
+a call allocates is the censored matrix it returns.  From 2**17 cells
+on, with more than one usable CPU (the process's CPU affinity),
+short-lived threads, one per CPU past the caller's and never more than
+there are blocks, share the blocks with the calling thread: each claims
+the next unclaimed block in row order and writes only its rows.  The
+per-person counts and the scores of
+:func:`~netpoverty.deprivation.deprivation_matrix` and of a report are
+shared the same way.  The caller takes the running SHA-256 in row
+order, hashing each block once it and those before it have returned
+and otherwise running a block itself, so the hash overlaps the other
+threads' work.  There is no setting for any of this.  Every step is
+elementwise or a per-row reduction, and SHA-256 over consecutive blocks
+equals SHA-256 over their concatenation, so every value, count, status,
+censored byte and hash is bitwise that of one whole-array pass, on any
+number of CPUs.  The coefficients and the ceiling are read from the
 :class:`~netpoverty.core.MethodologyConfig`, which derives them once
 per methodology; the public functions taking loose arguments build that
 config first.  Per-person counts and row sums use fixed
@@ -56,8 +57,8 @@ from .core import (
     DependenceStructure,
     MethodologyConfig,
     WeightVector,
+    _achievement_values,
     _coefficient_values,
-    as_achievement_matrix,
 )
 from .deprivation import _row_blocks
 from .errors import InvalidPartition, ShapeMismatch
@@ -102,7 +103,7 @@ def _fgt(
     """The exact total of censored row sums over the kind's denominator."""
     n = row_sums.shape[0]
     denominator = n * config.d if kind == "naive" else n * config.score_ceiling
-    value = math.fsum(row_sums) / denominator
+    value = math.fsum(row_sums.tolist()) / denominator  # a list iterates faster
     return FgtResult(value, config.alpha, config.k, denominator, digest, kind)
 
 
@@ -137,11 +138,10 @@ def _coefficient_pass(
     ceiling.  The naive kind counts with the uniform coefficients of the
     structure and divides by N * d instead of N times the ceiling.
     """
-    ym = as_achievement_matrix(achievements)
-    if ym.d != config.d:
-        raise ShapeMismatch(f"achievements have d = {ym.d}, config has d = {config.d}")
-    y, z = ym.values, config.cutoffs.values
+    y, z = _achievement_values(achievements), config.cutoffs.values
     n, d = y.shape
+    if d != config.d:
+        raise ShapeMismatch(f"achievements have d = {d}, config has d = {config.d}")
     if kind == "naive":
         coef = _coefficient_values(config.structure, np.ones(d))
     else:
@@ -211,27 +211,30 @@ def decompose_by_group(
     values must reproduce the total within 1e-12; the result records the
     achieved error.
     """
-    ym = as_achievement_matrix(achievements)
-    # grouped after the pass, so the row lists do not add to its peak memory
-    total, _, _, censored = _coefficient_pass(ym, config)
-    groups: dict = {}
+    # grouped after the pass, so the row codes do not add to its peak memory
+    total, _, _, censored = _coefficient_pass(achievements, config)
+    n = censored.shape[0]
     try:
         labels = list(group_labels)
-        for i, label in enumerate(labels):
-            groups.setdefault(label, []).append(i)
+        # a code per group, by its first label, in first-appearance order
+        index = {label: code for code, label in enumerate(dict.fromkeys(labels))}
     except TypeError as exc:
         raise InvalidPartition(f"group labels must be hashable values ({exc})") from None
-    if len(labels) != ym.n:
+    if len(labels) != n:
         raise InvalidPartition(
-            f"{len(labels)} labels for {ym.n} persons; need exactly one per person"
+            f"{len(labels)} labels for {n} persons; need exactly one per person"
         )
-    group_results = {}
-    for g, idx in groups.items():
-        rows = censored[idx]
+    codes = np.fromiter(map(index.__getitem__, labels), np.intp, n)
+    # stable, so each group's rows stay in row order
+    order = np.argsort(codes, kind="stable")
+    group_sizes = dict(zip(index, np.bincount(codes).tolist()))
+    group_results, start = {}, 0
+    for g, size in group_sizes.items():
+        rows = censored[order[start:start + size]]
         group_results[g] = _fgt(np.sum(rows, axis=1), _censored_hash(rows), config, total.kind)
-    group_sizes = {g: len(idx) for g, idx in groups.items()}
+        start += size
     recombined = math.fsum(
-        (group_sizes[g] / ym.n) * group_results[g].value for g in group_results
+        (group_sizes[g] / n) * group_results[g].value for g in group_results
     )
     error = abs(recombined - total.value)
     return DecompositionResult(

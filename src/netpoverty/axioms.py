@@ -53,12 +53,12 @@ from .core import (
     DependenceStructure,
     MethodologyConfig,
     WeightVector,
+    _achievement_values,
     _check_alpha,
     _coefficient_values,
     _frozen_array,
     _index,
     _real,
-    as_achievement_matrix,
     check_dimension_index,
 )
 from .deprivation import _count_values
@@ -163,20 +163,21 @@ def apply_simple_increment(
     person's poverty status and the cell's position against the cutoff).
     Person and dimension indices are 1-based.
     """
-    ym = as_achievement_matrix(achievements)
+    y = _achievement_values(achievements)
+    n, d = y.shape
     i = _index(i, IndexOutOfRange, "person index")
-    if not 1 <= i <= ym.n:
-        raise IndexOutOfRange(f"person index {i} outside 1..{ym.n}")
-    j = check_dimension_index(j, ym.d)
-    if ym.d != config.d:
-        raise ShapeMismatch(f"achievements have d = {ym.d}, config has d = {config.d}")
+    if not 1 <= i <= n:
+        raise IndexOutOfRange(f"person index {i} outside 1..{n}")
+    j = check_dimension_index(j, d)
+    if d != config.d:
+        raise ShapeMismatch(f"achievements have d = {d}, config has d = {config.d}")
     amount = _real(amount, NonPositiveAmount, "amount")
     if not math.isfinite(amount) or amount <= 0.0:
         raise NonPositiveAmount(f"amount = {amount} must be a positive real")
 
-    statuses = _statuses(config, ym.values)
+    statuses = _statuses(config, y)
     i0, j0 = i - 1, j - 1
-    y_ij = ym.values[i0, j0]
+    y_ij = y[i0, j0]
     z_j = config.cutoffs.values[j0]
     x_ij = y_ij + amount
     poor = statuses.statuses[i0] == 1
@@ -191,7 +192,7 @@ def apply_simple_increment(
         if x_ij > z_j:
             labels.add(DIMENSIONAL_AMONG_POOR)
 
-    new = np.array(ym.values, copy=True)
+    new = y.copy()
     new[i0, j0] = x_ij
     return AchievementMatrix(new), frozenset(labels)
 
@@ -204,22 +205,23 @@ def apply_bistochastic_average(
     The matrix must be nonnegative with unit row and column sums (within
     1e-12) and must act as the identity on every non-poor row.
     """
-    ym = as_achievement_matrix(achievements)
+    y = _achievement_values(achievements)
+    n = y.shape[0]
     b = _frozen_array(mixing, "mixing matrix", 2)
-    if b.shape[0] != b.shape[1] or b.shape[0] != ym.n:
-        raise ShapeMismatch(f"mixing matrix shape {b.shape} does not match N = {ym.n}")
+    if b.shape[0] != b.shape[1] or b.shape[0] != n:
+        raise ShapeMismatch(f"mixing matrix shape {b.shape} does not match N = {n}")
     if not np.all(np.isfinite(b)) or np.any(b < 0.0):
         raise NotBistochastic("mixing entries must be finite and nonnegative")
     if np.max(np.abs(b.sum(axis=1) - 1.0)) > BISTOCHASTIC_TOL:
         raise NotBistochastic("row sums differ from 1")
     if np.max(np.abs(b.sum(axis=0) - 1.0)) > BISTOCHASTIC_TOL:
         raise NotBistochastic("column sums differ from 1")
-    s = _status_values(statuses, ym.n)
+    s = _status_values(statuses, n)
     non_poor = np.flatnonzero(s == 0)
     if non_poor.size and np.max(np.abs(b[non_poor, non_poor] - 1.0)) > BISTOCHASTIC_TOL:
         i = int(non_poor[int(np.argmax(np.abs(b[non_poor, non_poor] - 1.0)))]) + 1
         raise NonPoorRowNotIdentity(f"row {i} mixes a non-poor person")
-    return AchievementMatrix(b @ ym.values)
+    return AchievementMatrix(b @ y)
 
 
 def _comparable(u: NDArray[np.float64], v: NDArray[np.float64]) -> bool:
@@ -235,27 +237,25 @@ def apply_rearrangement(
     decreasing: the two rows were comparable under vector dominance
     before the swap and are not after it.  Indices are 1-based.
     """
-    ym = as_achievement_matrix(achievements)
+    y = _achievement_values(achievements)
+    n, d = y.shape
     i = _index(i, IndexOutOfRange, "person index")
     ip = _index(i_prime, IndexOutOfRange, "person index")
-    if not (1 <= i <= ym.n and 1 <= ip <= ym.n) or i == ip:
-        raise IndexOutOfRange(f"need two distinct persons in 1..{ym.n}, got {i}, {ip}")
-    s = _status_values(statuses, ym.n)
+    if not (1 <= i <= n and 1 <= ip <= n) or i == ip:
+        raise IndexOutOfRange(f"need two distinct persons in 1..{n}, got {i}, {ip}")
+    s = _status_values(statuses, n)
     for person in (i, ip):
         if s[person - 1] != 1:
             raise PersonNotPoor(f"person {person} is not poor")
     try:
-        dims = sorted({check_dimension_index(j, ym.d) for j in swap_dims})
+        dims = sorted({check_dimension_index(j, d) for j in swap_dims})
     except TypeError:
         raise IndexOutOfRange("swap_dims must be an iterable of indices") from None
 
-    new = np.array(ym.values, copy=True)
+    new = y.copy()
     for j in dims:
-        new[i - 1, j - 1], new[ip - 1, j - 1] = (
-            ym.values[ip - 1, j - 1],
-            ym.values[i - 1, j - 1],
-        )
-    before = _comparable(ym.values[i - 1], ym.values[ip - 1])
+        new[i - 1, j - 1], new[ip - 1, j - 1] = y[ip - 1, j - 1], y[i - 1, j - 1]
+    before = _comparable(y[i - 1], y[ip - 1])
     after = _comparable(new[i - 1], new[ip - 1])
     return AchievementMatrix(new), bool(before and not after)
 

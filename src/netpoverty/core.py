@@ -13,10 +13,11 @@ weights, dimension cutoffs).
 
 All types are frozen dataclasses validated once, on construction, with
 their array payloads copied and marked read-only.  Instances are safe to
-share across threads and workers.
+share across threads and workers.  The kernels read a raw achievement
+array in place, after the same checks, and never keep it.
 
 Dimension indices in public call signatures are 1-based, j in {1, .., d}.
-Raw arguments become numbers only in ``_frozen_array`` (arrays of one
+Raw arguments become numbers only in ``_real_array`` (arrays of one
 ndim), ``_real`` and ``_index``, which raise an error naming the argument.
 """
 
@@ -54,16 +55,24 @@ REL_TOL = 1e-9
 SYMMETRY_TOL = 1e-12
 
 
-def _frozen_array(values: ArrayLike, name: str, ndim: int, dtype=float) -> NDArray:
-    """A read-only ``ndim``-D copy of ``values``; every payload is stored this way."""
+def _real_array(values: ArrayLike, name: str, ndim: int, dtype=float) -> NDArray:
+    """``values`` as a C-ordered ``ndim``-D array (one order for row sums); uncopied if so."""
     try:
         if np.iscomplexobj(values):  # a cast would drop the imaginary part, with a warning
             raise TypeError
-        out = np.array(values, dtype=dtype, copy=True)
+        out = np.asarray(values, dtype=dtype, order="C")
     except (TypeError, ValueError, OverflowError):
         raise ShapeMismatch(f"{name} must be an array of real numbers") from None
     if out.ndim != ndim:
         raise ShapeMismatch(f"{name} must be a {ndim}-D array, got shape {out.shape}")
+    return out
+
+
+def _frozen_array(values: ArrayLike, name: str, ndim: int, dtype=float) -> NDArray:
+    """A read-only ``ndim``-D copy of ``values``; every payload is stored this way."""
+    out = _real_array(values, name, ndim, dtype)
+    if out is values or out.base is not None:  # the caller's storage: copy it
+        out = out.copy()
     out.flags.writeable = False
     return out
 
@@ -167,6 +176,28 @@ class DependenceStructure:
         return cls(np.ones((d, d)))
 
 
+def _achievement_values(y) -> NDArray[np.float64]:
+    """``y``'s N x d values, checked nonempty, finite and nonnegative; raw input in place.
+
+    A raw C-ordered float array comes back uncopied: read it, never write or keep it.
+    """
+    if isinstance(y, AchievementMatrix):
+        return y.values
+    y = _real_array(y, "achievements", 2)
+    if y.shape[0] < 1 or y.shape[1] < 1:
+        raise ShapeMismatch(f"achievements must be nonempty, got shape {y.shape}")
+    if not np.all(np.isfinite(y)):
+        raise NegativeAchievement("achievements must be finite")
+    if np.any(y < 0.0):
+        i, j = np.argwhere(y < 0.0)[0] + 1
+        raise NegativeAchievement(
+            f"achievement ({i}, {j}) = {y[i - 1, j - 1]} is negative",
+            row=int(i),
+            column=int(j),
+        )
+    return y
+
+
 @dataclass(frozen=True)
 class AchievementMatrix:
     """N x d matrix of nonnegative achievements, one row per person."""
@@ -174,18 +205,7 @@ class AchievementMatrix:
     values: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        y = _frozen_array(self.values, "achievements", 2)
-        if y.shape[0] < 1 or y.shape[1] < 1:
-            raise ShapeMismatch(f"achievements must be nonempty, got shape {y.shape}")
-        if not np.all(np.isfinite(y)):
-            raise NegativeAchievement("achievements must be finite")
-        if np.any(y < 0.0):
-            i, j = np.argwhere(y < 0.0)[0] + 1
-            raise NegativeAchievement(
-                f"achievement ({i}, {j}) = {y[i - 1, j - 1]} is negative",
-                row=int(i),
-                column=int(j),
-            )
+        y = _achievement_values(_frozen_array(self.values, "achievements", 2))
         object.__setattr__(self, "values", y)
 
     @property
@@ -315,10 +335,6 @@ def as_dependence_structure(m) -> DependenceStructure:
     matrix is symmetric.  A structure passes through unchanged.
     """
     return m if isinstance(m, DependenceStructure) else DependenceStructure(m)
-
-
-def as_achievement_matrix(y) -> AchievementMatrix:
-    return y if isinstance(y, AchievementMatrix) else AchievementMatrix(y)
 
 
 def as_cutoff_vector(z) -> CutoffVector:

@@ -35,11 +35,11 @@ from numpy.typing import NDArray
 from .core import (
     DependenceStructure,
     WeightVector,
+    _achievement_values,
     _check_alpha,
     _coefficient_values,
     _frozen_array,
     _real,
-    as_achievement_matrix,
     as_cutoff_vector,
     as_dependence_structure,
     as_weight_vector,
@@ -49,7 +49,7 @@ from .errors import NegativeAchievement, NonPositiveCutoff, ShapeMismatch, Valid
 
 # cells per row block of a blocked pass: 256 KB of doubles, so a block stays in L2
 _BLOCK_CELLS = 1 << 15
-# n * width from which a blocked pass splits its blocks across the usable CPUs
+# n * width from which a blocked pass shares its blocks among threads on the usable CPUs
 _PARALLEL_CELLS = 1 << 17
 
 
@@ -121,13 +121,13 @@ def _gap_values(
 
 
 def _consistent_inputs(achievements, cutoffs, structure):
-    """Coerce achievements, cutoffs and structure; check they share one d."""
-    y = as_achievement_matrix(achievements)
+    """Achievement values read in place, cutoffs and structure; check they share one d."""
+    y = _achievement_values(achievements)
     z = as_cutoff_vector(cutoffs)
     structure = as_dependence_structure(structure)
-    if not (y.d == z.d == structure.d):
+    if not (y.shape[1] == z.d == structure.d):
         raise ShapeMismatch(
-            f"inconsistent dimensions: achievements {y.d}, cutoffs {z.d}, "
+            f"inconsistent dimensions: achievements {y.shape[1]}, cutoffs {z.d}, "
             f"structure {structure.d}"
         )
     return y, z, structure
@@ -136,11 +136,11 @@ def _consistent_inputs(achievements, cutoffs, structure):
 def gap_matrix(achievements, cutoffs, alpha: float) -> GapMatrix:
     """Normalized gaps for a whole population at a fixed exponent."""
     alpha = _check_alpha(alpha)
-    y = as_achievement_matrix(achievements)
+    y = _achievement_values(achievements)
     z = as_cutoff_vector(cutoffs)
-    if y.d != z.d:
-        raise ShapeMismatch(f"achievements have d = {y.d}, cutoffs have d = {z.d}")
-    return GapMatrix(alpha=alpha, values=_gap_values(y.values, z.values, alpha))
+    if y.shape[1] != z.d:
+        raise ShapeMismatch(f"achievements have d = {y.shape[1]}, cutoffs have d = {z.d}")
+    return GapMatrix(alpha=alpha, values=_gap_values(y, z.values, alpha))
 
 
 def _score_values(
@@ -204,7 +204,7 @@ def deprivation_matrix(
     y, z, structure = _consistent_inputs(achievements, cutoffs, structure)
     # None gives unit weights, which scale nothing: x * 1.0 is x, bit for bit
     w = as_weight_vector(weights, structure.d).values
-    scores = _score_values(y.values, z.values, structure, alpha, w)
+    scores = _score_values(y, z.values, structure, alpha, w)
     return DeprivationMatrix(alpha=alpha, weighted=weights is not None, values=scores)
 
 
@@ -220,53 +220,76 @@ def _row_blocks(n: int, width: int, body, consume=None) -> None:
 
     ``width`` is the cells a row takes in the pass's largest per-block
     array.  A block is a slice of whole rows, about ``_BLOCK_CELLS`` cells.  From
-    ``_PARALLEL_CELLS`` cells on, with more than one usable CPU, the blocks
-    are split into contiguous ranges, one per CPU and no more than there
-    are blocks.  The caller runs the first range and short-lived threads
-    the others; each writes only its own rows.  ``consume`` runs on the
-    caller in row order: on each of the caller's blocks, then on each
-    other range whole once its thread has finished.  A worker's exception
-    is raised here, and no thread outlives the call.
+    ``_PARALLEL_CELLS`` cells on, with more than one usable CPU, the caller and
+    short-lived threads, one per CPU in all and no more than there are blocks,
+    each claim the next unclaimed block in row order and write only its rows.
+    ``consume`` runs on the caller, on each block in row order after its body
+    returned: the caller feeds the next block if it is finished, else runs the
+    next unclaimed one, else waits.  A body's exception is raised here, and no
+    thread outlives the call.
     """
     step = max(1, _BLOCK_CELLS // width)
     blocks = -(-n // step)
-    parts = min(_usable_cpus(), blocks) if n * width >= _PARALLEL_CELLS else 1
-    edges = [step * (blocks * i // parts) for i in range(parts)] + [n]
-
-    def run(part: int, feed=None) -> None:
-        for start in range(edges[part], edges[part + 1], step):
+    workers = min(_usable_cpus(), blocks) - 1 if n * width >= _PARALLEL_CELLS else 0
+    if workers == 0:
+        for start in range(0, n, step):
             rows = slice(start, start + step)
             body(rows)
-            if feed is not None:
-                feed(rows)
-
-    if parts == 1:
-        run(0, consume)
+            if consume is not None:
+                consume(rows)
         return
     import threading  # here, not at the top: importing the package loads no new module
 
-    errors: list = [None] * parts
+    changed = threading.Condition()
+    # under ``changed``: blocks handed out, in row order; which have returned; failures
+    claimed, done, errors = 0, [False] * blocks, []
 
-    def work(part: int) -> None:
+    def claim():
+        nonlocal claimed
+        with changed:
+            if claimed == blocks or errors:
+                return None
+            claimed += 1
+            return claimed - 1
+
+    def run(block: int) -> None:
+        body(slice(block * step, (block + 1) * step))
+        with changed:
+            done[block] = True
+            changed.notify()
+
+    def work() -> None:
         try:
-            run(part)
+            while (block := claim()) is not None:
+                run(block)
         except BaseException as exc:  # raised again on the caller
-            errors[part] = exc
+            with changed:
+                errors.append(exc)
+                changed.notify()
 
     threads = []
     try:
-        for part in range(1, parts):
-            thread = threading.Thread(target=work, args=(part,))
+        for _ in range(workers):
+            thread = threading.Thread(target=work)
             thread.start()
             threads.append(thread)
-        run(0, consume)
-        for part, thread in enumerate(threads, 1):
-            thread.join()
-            if errors[part] is not None:
-                raise errors[part]
-            if consume is not None:
-                consume(slice(edges[part], edges[part + 1]))
+        fed = 0
+        while fed < blocks:
+            with changed:
+                while not (errors or done[fed] or claimed < blocks):
+                    changed.wait()
+                if errors:
+                    raise errors[0]
+                ready = done[fed]
+            if ready:
+                if consume is not None:
+                    consume(slice(fed * step, (fed + 1) * step))
+                fed += 1
+            elif (block := claim()) is not None:
+                run(block)
     finally:
+        with changed:
+            claimed = blocks  # no thread claims another block
         for thread in threads:
             thread.join()
 
@@ -301,7 +324,7 @@ def deprivation_counts(
     """
     y, z, structure = _consistent_inputs(achievements, cutoffs, structure)
     coef = _coefficient_values(structure, as_weight_vector(weights, structure.d).values)
-    return DeprivationCounts(values=_count_values(y.values, z.values, coef))
+    return DeprivationCounts(values=_count_values(y, z.values, coef))
 
 
 def gap_sensitivity(structure: DependenceStructure, j: int, j_prime: int) -> float:

@@ -337,6 +337,46 @@ class TestDecomposition:
         with pytest.raises(ShapeMismatch):
             decompose_by_group(np.ones((2, 3)), ["a", "b"], self.CFG)
 
+    def test_equal_labels_of_different_types_share_a_group(self):
+        y = np.array([[5.0, 10.0], [10.0, 10.0], [2.0, 4.0], [9.0, 1.0], [3.0, 3.0]])
+        labels = [1.0, "b", True, np.int64(1), 1]
+        result = decompose_by_group(y, labels, self.CFG)
+        # the group keeps its first label, 1.0, and first-appearance order
+        assert [(g, type(g)) for g in result.group_results] == [(1.0, float), ("b", str)]
+        assert result.group_sizes == {1.0: 4, "b": 1}
+        assert all(type(size) is int for size in result.group_sizes.values())
+        cfg = self.CFG
+        for g, rows in ((1.0, [0, 2, 3, 4]), ("b", [1])):
+            assert result.group_results[g] == fgt_network_adjusted(
+                y[rows], cfg.cutoffs, cfg.structure, cfg.weights, cfg.alpha, cfg.k
+            )
+
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            ([["a"], "b"], "group labels must be hashable values (unhashable type: 'list')"),
+            (["a"], "1 labels for 2 persons; need exactly one per person"),
+        ],
+        ids=["unhashable", "too-few"],
+    )
+    def test_partition_error_text(self, labels, message):
+        with pytest.raises(InvalidPartition) as info:
+            decompose_by_group(WORKED_Y, labels, self.CFG)
+        assert str(info.value) == message
+
+
+def test_total_is_fsum_over_the_row_sums_bitwise(rng):
+    # heavy cancellation: huge terms of both signs around small ones and subnormals
+    cfg = TestDecomposition.CFG
+    n = 50_000
+    big = rng.standard_normal(n // 4) * 10.0 ** rng.integers(-300, 300, n // 4)
+    small = rng.standard_normal(n // 4) * 10.0 ** rng.integers(-320, -290, n // 4)
+    row_sums = rng.permutation(np.concatenate([big, -big * (1 + 1e-15), small, -small[::-1]]))
+    for kind in ("network_adjusted", "naive"):
+        result = aggregation._fgt(row_sums, "", cfg, kind)
+        want = math.fsum(row_sums) / result.denominator
+        assert result.value.hex() == want.hex()
+
 
 def whole_array_pass(y, config, kind):
     """The coefficient pass over the whole N x d array at once: the row blocks' bit oracle.
@@ -382,29 +422,81 @@ def force_cpus(monkeypatch, cpus):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
 
 
-def spy_blocks(monkeypatch, fail_at=None):
-    """Record (thread, first row) of every block the pass runs; raise at row ``fail_at``."""
+def spy_blocks(monkeypatch, fail_on=None):
+    """Record (thread, first row) of every block the pass runs, once its body has returned.
+
+    With ``fail_on`` ("caller" or "worker"), the first block that side runs
+    is recorded and raises, and until then the other side's blocks wait.
+    """
     seen = []
     real = aggregation._pass_block
+    caller = threading.current_thread()
+    failed, lock = threading.Event(), threading.Lock()
 
     def spy(rows, *args):
         # the thread object, not its id: a finished thread's id can be reused
-        seen.append((threading.current_thread(), rows.start))
-        if rows.start == fail_at:
-            raise RuntimeError(f"block at row {fail_at}")
+        thread = threading.current_thread()
+        if fail_on is not None:
+            if (thread is caller) == (fail_on == "caller"):
+                with lock:
+                    first = not failed.is_set()
+                    failed.set()
+                if first:
+                    seen.append((thread, rows.start))
+                    raise RuntimeError(f"block at row {rows.start}")
+            else:
+                assert failed.wait(10)
         real(rows, *args)
+        seen.append((thread, rows.start))
 
     monkeypatch.setattr(aggregation, "_pass_block", spy)
     return seen
 
 
-def ranges_by_thread(seen):
-    """Each thread's block starts, in row order; the caller must run the first range."""
-    runs = {}
-    for thread, start in seen:
-        runs.setdefault(thread, []).append(start)
-    assert runs[threading.current_thread()][0] == 0
-    return sorted(sorted(starts) for starts in runs.values())
+def spy_consumed(monkeypatch, seen):
+    """First rows of the blocks the pass hashes, in the order it hashes them.
+
+    Each must be hashed on the caller, after its body has returned (is in ``seen``).
+    """
+    consumed = []
+    real = aggregation._row_blocks
+    caller = threading.current_thread()
+
+    def spy(n, width, body, consume):
+        def check(rows):
+            assert threading.current_thread() is caller
+            assert rows.start in {start for _, start in seen}
+            consumed.append(rows.start)
+            consume(rows)
+
+        real(n, width, body, check)
+
+    monkeypatch.setattr(aggregation, "_row_blocks", spy)
+    return consumed
+
+
+def spy_threads(monkeypatch):
+    """Every thread started."""
+    started = []
+    real = threading.Thread.start
+
+    def start(thread):
+        started.append(thread)
+        real(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return started
+
+
+def assert_schedule(seen, consumed, started, n, step, workers):
+    """The claimed-block schedule of one pass: ``workers`` threads besides the caller."""
+    blocks = list(range(0, n, step))
+    assert sorted(start for _, start in seen) == blocks  # every block ran exactly once
+    assert consumed == blocks  # each hashed once, in row order, after its body returned
+    assert len(started) == workers
+    ran = {thread for thread, _ in seen}
+    assert ran <= {threading.current_thread(), *started}
+    assert len(ran) <= min(workers + 1, len(blocks))
 
 
 def assert_whole_array_bits(y, config, kind):
@@ -443,12 +535,11 @@ class TestRowBlocks:
         assert (n * d >= _PARALLEL_CELLS) == (offset >= 0)
         force_cpus(monkeypatch, 2)
         seen = spy_blocks(monkeypatch)
+        consumed = spy_consumed(monkeypatch, seen)
         y, cfg = block_test_data(rng, n, d, weighted=True)
+        started = spy_threads(monkeypatch)
         assert_whole_array_bits(y, cfg, "network_adjusted")
-        runs = ranges_by_thread(seen)
-        assert len(runs) == (1 if offset < 0 else 2)
-        step = _BLOCK_CELLS // d
-        assert sum(runs, []) == list(range(0, n, step))  # contiguous, in row order
+        assert_schedule(seen, consumed, started, n, _BLOCK_CELLS // d, 0 if offset < 0 else 1)
 
     @pytest.mark.parametrize("kind", ["network_adjusted", "naive"])
     @pytest.mark.parametrize(
@@ -465,16 +556,16 @@ class TestRowBlocks:
         assert n * d >= _PARALLEL_CELLS
         force_cpus(monkeypatch, cpus)
         seen = spy_blocks(monkeypatch)
+        consumed = spy_consumed(monkeypatch, seen)
         y, cfg = block_test_data(rng, n, d, weighted=kind == "network_adjusted")
+        started = spy_threads(monkeypatch)
         for alpha in (0.0, 0.5, 1.0, 2.0):
             config = MethodologyConfig(alpha, cfg.k, cfg.structure, cfg.weights, cfg.cutoffs)
             seen.clear()
+            consumed.clear()
+            started.clear()
             assert_whole_array_bits(y, config, kind)
-            runs = ranges_by_thread(seen)
-            assert [len(run) for run in runs] == [
-                blocks * (i + 1) // cpus - blocks * i // cpus for i in range(cpus)
-            ]
-            assert sum(runs, []) == list(range(0, n, step))
+            assert_schedule(seen, consumed, started, n, step, cpus - 1)
 
     def test_one_cpu_gives_the_threaded_bits(self, monkeypatch, rng):
         d = 5
@@ -513,11 +604,15 @@ class TestRowBlocks:
         y, cfg = block_test_data(rng, n, d, weighted=True)
         baseline = threading.active_count()
         force_cpus(monkeypatch, 3)
-        fail_at = step if where == "caller" else 8 * step  # in the first or the last range
-        seen = spy_blocks(monkeypatch, fail_at)
-        with pytest.raises(RuntimeError, match=f"block at row {fail_at}$"):
+        seen = spy_blocks(monkeypatch, fail_on=where)
+        started = spy_threads(monkeypatch)
+        with pytest.raises(RuntimeError, match=r"^block at row \d+$") as raised:
             _coefficient_pass(y, cfg)
-        assert len({thread for thread, _ in seen}) == 3
+        fail_at = int(str(raised.value).rsplit(" ", 1)[1])
+        assert fail_at % step == 0 and fail_at < n
+        (thread,) = [thread for thread, start in seen if start == fail_at]
+        assert (thread is threading.current_thread()) == (where == "caller")
+        assert len(started) == 2
         assert threading.active_count() == baseline
 
     def test_groups_straddling_block_edges(self, rng):

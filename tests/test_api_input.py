@@ -10,6 +10,7 @@ labels, and replaces one argument at a time with junk.
 
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 import netpoverty as npv
 from netpoverty.dataio import ConfigDocument
+from netpoverty.deprivation import _PARALLEL_CELLS
 from netpoverty.errors import (
     IndexOutOfRange,
     InvalidGeneratorSettings,
@@ -260,3 +262,85 @@ def test_junk_argument_raises_package_error(calls, data):
         fn(*args)
     except NetpovertyError as exc:
         assert "\n" not in str(exc)
+
+
+# every kernel that reads a raw achievement array in place, on cutoffs z and structure s
+KERNELS = {
+    "network-adjusted": lambda y, z, s: npv.fgt_network_adjusted(y, z, s, None, 1.0, 1.0),
+    "naive": lambda y, z, s: npv.fgt_naive(y, z, s, 1.0, 1.0),
+    "via-coefficients": lambda y, z, s: npv.fgt_via_coefficients(y, z, s, None, 1.0, 1.0),
+    "counts": lambda y, z, s: npv.deprivation_counts(y, z, s),
+    "scores": lambda y, z, s: npv.deprivation_matrix(y, z, s, 1.0),
+    "groups": lambda y, z, s: npv.decompose_by_group(
+        y, [i % 3 for i in range(len(y))], npv.MethodologyConfig(1.0, 1.0, s, None, z)
+    ),
+}
+
+BAD_ACHIEVEMENTS = {
+    "nan": [[1.0, 2.0, 3.0], [4.0, 5.0, math.nan]],
+    "inf": [[1.0, math.inf, 3.0]],
+    "minus-inf": [[1.0, 2.0, 3.0], [-math.inf, 5.0, 6.0]],
+    "negative": [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, -0.5, 9.0]],
+    "empty": np.empty((0, 3)),
+    "one-d": [1.0, 2.0, 3.0],
+    "complex": np.array(Y) + 1j,
+    "string": [["a", "b", "c"]],
+}
+
+
+def kernel_bits(result):
+    """The arrays' bytes, or the repr that spells every float exactly."""
+    values = getattr(result, "values", None)
+    return values.tobytes() if isinstance(values, np.ndarray) else repr(result)
+
+
+@pytest.mark.parametrize("raw", BAD_ACHIEVEMENTS.values(), ids=BAD_ACHIEVEMENTS.keys())
+@pytest.mark.parametrize("kernel", KERNELS.values(), ids=KERNELS.keys())
+def test_raw_achievements_rejected_as_the_matrix_rejects_them(kernel, raw):
+    with pytest.raises(NetpovertyError) as want:
+        npv.AchievementMatrix(raw)
+    with pytest.raises(NetpovertyError) as got:
+        kernel(raw, Z, S)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+    assert (got.value.row, got.value.column) == (want.value.row, want.value.column)
+
+
+@pytest.mark.parametrize("kernel", KERNELS.values(), ids=KERNELS.keys())
+def test_raw_achievements_read_in_place(kernel, monkeypatch):
+    # n * d past the parallel threshold, so the threads share the blocks
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)), raising=False)
+    from conftest import random_structure
+
+    rng = np.random.default_rng(5)
+    # d past numpy's 8-way unrolled row sums, whose order a Fortran layout would change
+    n, d = 12_000, 12
+    assert n * d >= _PARALLEL_CELLS
+    z, s = rng.uniform(5.0, 15.0, d), random_structure(rng, d)
+    ints = rng.integers(0, 20, (n, d))
+    floats = ints.astype(float)
+    want = kernel_bits(kernel(floats.copy(), z, s))
+    read_only = floats.copy()
+    read_only.flags.writeable = False
+    strided = np.zeros((2 * n, 2 * d))
+    strided[::2, ::2] = floats
+    layouts = {
+        "C": floats,
+        "int": ints,
+        "read-only": read_only,
+        "Fortran": np.asfortranarray(floats),
+        "strided": strided[::2, ::2],
+    }
+    for name, raw in layouts.items():
+        before = raw.copy()
+        writeable = raw.flags.writeable
+        assert kernel_bits(kernel(raw, z, s)) == want, name
+        assert raw.tobytes() == before.tobytes() and raw.dtype == before.dtype, name
+        assert raw.flags.writeable == writeable, name
+
+
+def test_matrix_payload_is_a_frozen_copy():
+    raw = np.array(Y)
+    matrix = npv.AchievementMatrix(raw)
+    assert not np.shares_memory(matrix.values, raw)
+    assert not matrix.values.flags.writeable and raw.flags.writeable
