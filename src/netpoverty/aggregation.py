@@ -13,35 +13,39 @@ coefficient form of :mod:`netpoverty.weights`, with no N x d x d
 neighbor sums, in one pass over row blocks of about 2**15 cells (256
 KB, L2-sized).  Each block is counted, identified, censored and summed
 per row.  Raw achievements are read in place, after the checks of
-:class:`~netpoverty.core.AchievementMatrix`, so the only full-size array
-a call allocates is the censored matrix it returns.  From 2**17 cells
-on, with more than one usable CPU (the process's CPU affinity),
-short-lived threads, one per CPU past the caller's and never more than
-there are blocks, share the blocks with the calling thread: each claims
-the next unclaimed block in row order and writes only its rows.  The
-per-person counts and the scores of
-:func:`~netpoverty.deprivation.deprivation_matrix` and of a report are
-shared the same way.  The caller takes the running SHA-256 in row
-order, hashing each block once it and those before it have returned
-and otherwise running a block itself, so the hash overlaps the other
-threads' work.  There is no setting for any of this.  Every step is
-elementwise or a per-row reduction, and SHA-256 over consecutive blocks
-equals SHA-256 over their concatenation, so every value, count, status,
-censored byte and hash is bitwise that of one whole-array pass, on any
-number of CPUs.  The coefficients and the ceiling are read from the
-:class:`~netpoverty.core.MethodologyConfig`, which derives them once
-per methodology; the public functions taking loose arguments build that
-config first.  Per-person counts and row sums use fixed
-per-row reductions (never a per-person BLAS product) and the
-cross-person total uses exact rounding (math.fsum).  Row sums are
+:class:`~netpoverty.core.AchievementMatrix`, and the censored rows of a
+block are written into one of W reused block buffers, never into an
+N x d array: a call allocates the per-person counts, statuses and row
+sums, and W blocks.  From 2**17 cells on, with more than one usable
+CPU (the process's CPU affinity), short-lived threads, one per CPU past
+the caller's and never more than there are blocks, share the blocks
+with the calling thread: each claims the next unclaimed block in row
+order, fewer than W blocks ahead of the next one consumed, and writes
+only its rows.  W is twice the threads, the caller's included, and at
+most the blocks; on one thread it is 1.  The per-person counts and the
+scores of :func:`~netpoverty.deprivation.deprivation_matrix` and of a
+report are shared the same way.  The caller takes the running SHA-256 of the
+censored rows in row order, hashing each block once it and those
+before it have returned and otherwise running a block itself, so the
+hash overlaps the other threads' work.  There is no setting for any of
+this.  Every step is elementwise or a per-row reduction, and SHA-256
+over consecutive blocks equals SHA-256 over their concatenation, so
+every value, count, status, censored byte and hash is bitwise that of
+one whole-array pass, on any number of CPUs.  The coefficients and the
+ceiling are read from the :class:`~netpoverty.core.MethodologyConfig`,
+which derives them once per methodology; the public functions taking
+loose arguments build that config first.  Per-person counts and row
+sums use fixed per-row reductions (never a per-person BLAS product) and
+the cross-person total uses exact rounding (math.fsum).  Row sums are
 therefore bit-identical under row permutation and the total is
 permutation invariant, which makes the symmetry and focus axioms hold
 exactly, not just to tolerance.  The censored matrix of
-coefficient-weighted gaps (rows of the non-poor zeroed) is
-materialized and hashed so results can be traced to the exact
-arithmetic inputs.  Every per-person quantity depends only on that
-person's row, so a subgroup's aggregate is the same reduction (exact
-total, denominator, hash) taken over its rows of the censored matrix.
+coefficient-weighted gaps (rows of the non-poor zeroed) is hashed block
+by block so results can be traced to the exact arithmetic inputs.
+Every per-person quantity depends only on that person's row, so a
+subgroup's aggregate is the same reduction (exact total, denominator,
+hash) taken over its rows: the pass hands each hashed block to the
+caller, which feeds each group's rows to that group's hash.
 """
 
 from __future__ import annotations
@@ -91,12 +95,6 @@ class DecompositionResult:
     recombines: bool
 
 
-def _censored_hash(censored: NDArray[np.float64]) -> str:
-    h = hashlib.sha256(f"{censored.shape[0]}x{censored.shape[1]}:".encode())
-    h.update(censored)  # hashlib reads a C-contiguous array's buffer, no copy
-    return h.hexdigest()
-
-
 def _fgt(
     row_sums: NDArray[np.float64], digest: str, config: MethodologyConfig, kind: str
 ) -> FgtResult:
@@ -107,9 +105,9 @@ def _fgt(
     return FgtResult(value, config.alpha, config.k, denominator, digest, kind)
 
 
-def _pass_block(rows, y, z, coef, reach, alpha, counts, poor, row_sums, censored) -> None:
-    """Count, identify, censor and sum one row block, into those rows of the outputs."""
-    yb, block = y[rows], censored[rows]
+def _pass_block(rows, block, y, z, coef, reach, alpha, counts, poor, row_sums) -> None:
+    """Count, identify, censor and sum one row block; ``block`` receives its censored rows."""
+    yb = y[rows]
     kept = yb < z
     # the block holds the count terms before it holds the censored rows
     np.multiply(kept, coef, out=block)
@@ -128,15 +126,20 @@ def _pass_block(rows, y, z, coef, reach, alpha, counts, poor, row_sums, censored
 
 
 def _coefficient_pass(
-    achievements, config: MethodologyConfig, kind: str = "network_adjusted"
+    achievements, config: MethodologyConfig, kind: str = "network_adjusted", sink=None
 ) -> tuple[FgtResult, NDArray[np.float64], PovertyStatusVector, NDArray[np.float64]]:
-    """Counts, identification and the censored matrix, one row block at a time.
+    """Counts, identification and censored row sums, one row block at a time.
 
     Returns the aggregate with the per-person counts, statuses and
-    censored rows it was built from.  The coefficients and the ceiling
-    come from ``config``, which has already checked k against that
-    ceiling.  The naive kind counts with the uniform coefficients of the
-    structure and divides by N * d instead of N times the ceiling.
+    censored row sums it was built from; the censored rows live only in
+    the row blocks' reused buffers.  ``sink``, if given, is called with
+    the number of persons once the input is checked, and returns the
+    function the caller's thread then calls with each block's rows and
+    censored values, in row order, after they are hashed.  The
+    coefficients and the ceiling come from ``config``, which has already
+    checked k against that ceiling.  The naive kind counts with the
+    uniform coefficients of the structure and divides by N * d instead of
+    N times the ceiling.
     """
     y, z = _achievement_values(achievements), config.cutoffs.values
     n, d = y.shape
@@ -148,18 +151,24 @@ def _coefficient_pass(
         coef = config.coefficients
     reach = config.k - _k_band(config.k)
     counts, poor, row_sums = np.empty(n), np.empty(n, dtype=bool), np.empty(n)
-    censored = np.empty((n, d))
     h = hashlib.sha256(f"{n}x{d}:".encode())
+    feed = None if sink is None else sink(n)
+
+    def consume(rows: slice, block: NDArray[np.float64]) -> None:
+        h.update(block)  # hashlib reads a C-contiguous array's buffer, no copy
+        if feed is not None:
+            feed(rows, block)
+
     _row_blocks(
         n,
         d,
-        lambda rows: _pass_block(
-            rows, y, z, coef, reach, config.alpha, counts, poor, row_sums, censored
+        lambda rows, block: _pass_block(
+            rows, block, y, z, coef, reach, config.alpha, counts, poor, row_sums
         ),
-        lambda rows: h.update(censored[rows]),
+        consume,
     )
     result = _fgt(row_sums, h.hexdigest(), config, kind)
-    return result, counts, PovertyStatusVector(poor, config.k), censored
+    return result, counts, PovertyStatusVector(poor, config.k), row_sums
 
 
 def fgt_network_adjusted(
@@ -206,33 +215,50 @@ def decompose_by_group(
     ``group_labels`` holds one hashable label per person, so every person
     lands in exactly one group.  Labels equal as dict keys share a group,
     and groups keep first-appearance order.  Each group's result is the
-    aggregate of its rows, bit for bit: the total's reduction taken over
-    those rows of the one censored matrix.  The weighted average of group
-    values must reproduce the total within 1e-12; the result records the
-    achieved error.
+    aggregate of its rows, bit for bit, from the one pass over the
+    population: the exact total of the pass's row sums over those rows,
+    and the hash of its censored rows in row order, fed from each block
+    as the pass hands it out.  The weighted average of group values must
+    reproduce the total within 1e-12; the result records the achieved
+    error.
     """
-    # grouped after the pass, so the row codes do not add to its peak memory
-    total, _, _, censored = _coefficient_pass(achievements, config)
-    n = censored.shape[0]
     try:
         labels = list(group_labels)
         # a code per group, by its first label, in first-appearance order
         index = {label: code for code, label in enumerate(dict.fromkeys(labels))}
     except TypeError as exc:
         raise InvalidPartition(f"group labels must be hashable values ({exc})") from None
-    if len(labels) != n:
-        raise InvalidPartition(
-            f"{len(labels)} labels for {n} persons; need exactly one per person"
-        )
-    codes = np.fromiter(map(index.__getitem__, labels), np.intp, n)
-    # stable, so each group's rows stay in row order
+    codes = np.fromiter(map(index.__getitem__, labels), np.intp, len(labels))
+    sizes = np.bincount(codes).tolist()
+    # each group's header is fixed by its size, before any of its rows
+    hashers = [hashlib.sha256(f"{size}x{config.d}:".encode()) for size in sizes]
+
+    def feed(rows: slice, block: NDArray[np.float64]) -> None:
+        # stable, so each group's rows stay in row order
+        block_codes = codes[rows]
+        order = np.argsort(block_codes, kind="stable")
+        block_codes, block = block_codes[order], block[order]
+        edges = [0, *(np.flatnonzero(np.diff(block_codes)) + 1).tolist(), len(order)]
+        for start, stop in zip(edges, edges[1:]):
+            hashers[block_codes[start]].update(block[start:stop])
+
+    def groups_of(n: int):
+        # called once the pass has checked the achievements, before any block
+        if len(labels) != n:
+            raise InvalidPartition(
+                f"{len(labels)} labels for {n} persons; need exactly one per person"
+            )
+        return feed
+
+    total, _, _, row_sums = _coefficient_pass(achievements, config, sink=groups_of)
     order = np.argsort(codes, kind="stable")
-    group_sizes = dict(zip(index, np.bincount(codes).tolist()))
     group_results, start = {}, 0
-    for g, size in group_sizes.items():
-        rows = censored[order[start:start + size]]
-        group_results[g] = _fgt(np.sum(rows, axis=1), _censored_hash(rows), config, total.kind)
+    for g, size, h in zip(index, sizes, hashers):
+        group_rows = row_sums[order[start:start + size]]
+        group_results[g] = _fgt(group_rows, h.hexdigest(), config, total.kind)
         start += size
+    n = len(labels)
+    group_sizes = dict(zip(index, sizes))
     recombined = math.fsum(
         (group_sizes[g] / n) * group_results[g].value for g in group_results
     )

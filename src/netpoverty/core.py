@@ -12,7 +12,8 @@ methodology configuration (gap exponent, poverty cutoff, structure,
 weights, dimension cutoffs).
 
 All types are frozen dataclasses validated once, on construction, with
-their array payloads copied and marked read-only.  Instances are safe to
+their array payloads copied and marked read-only; an array the package
+computed itself is marked read-only in place instead.  Instances are safe to
 share across threads and workers.  The kernels read a raw achievement
 array in place, after the same checks, and never keep it.
 
@@ -75,6 +76,19 @@ def _frozen_array(values: ArrayLike, name: str, ndim: int, dtype=float) -> NDArr
         out = out.copy()
     out.flags.writeable = False
     return out
+
+
+def _adopted(cls, **fields):
+    """``cls(**fields)`` for a ``values`` array the package made and no caller holds.
+
+    The array is marked read-only in place instead of copied, and the
+    constructor's checks are skipped: it must already meet them.
+    """
+    fields["values"].flags.writeable = False
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def _real(value, error: type[Exception], name: str) -> float:
@@ -285,10 +299,16 @@ def _coefficient_values(
 class MethodologyConfig:
     """The full methodology: gap exponent, poverty cutoff, structure, weights, cutoffs.
 
-    Validates 0 < k <= weighted score ceiling (the largest count the
-    configured structure and weights can produce).  The ceiling and the
-    per-dimension aggregation coefficients depend on the methodology
-    alone, so they are derived here, once, and read by every evaluation.
+    Validates 0 < k <= weighted score ceiling ``d_tilde``, a
+    source-weighted bound: the sum over dimensions j of w[j] times j's
+    jump, read from column j of the structure.  It equals the largest
+    count, the sum of the coefficients, for a symmetric structure or
+    uniform weights; with an asymmetric structure and non-uniform weights
+    it can be below or above that count
+    (:func:`~netpoverty.weights.check_symmetric_consistency` tells which).
+    The ceiling and the per-dimension aggregation coefficients depend on
+    the methodology alone, so they are derived here, once, and read by
+    every evaluation.
     """
 
     alpha: float

@@ -81,6 +81,7 @@ from .core import (
     DependenceStructure,
     MethodologyConfig,
     WeightVector,
+    _adopted,
     _real,
     as_cutoff_vector,
     as_dependence_structure,
@@ -172,8 +173,10 @@ def load_dataset(path) -> Dataset:
         raise EmptyDataset(f"{path}: no data rows")
     if ids is not None:
         _reject_duplicates(path, ids, "person id")
+    # both readers checked every cell, so the parsed buffer is frozen as the payload
+    y = np.frombuffer(values).reshape(-1, len(names))
     return Dataset(
-        achievements=AchievementMatrix(np.frombuffer(values).reshape(-1, len(names))),
+        achievements=_adopted(AchievementMatrix, values=y),
         dimension_names=tuple(names),
         person_ids=None if ids is None else tuple(ids),
     )
@@ -546,7 +549,7 @@ def stream_report(
             f"dataset has d = {y.d} dimensions, config has d = {config.d}"
         )
     # the aggregate's own counts and statuses, so the rows match it exactly;
-    # the censored matrix is dropped here, before the scores are computed
+    # the pass keeps no censored matrix, so only they outlive it
     result, counts, statuses = _coefficient_pass(y, config)[:3]
     head: dict = {
         "fgt_value": _round12(result.value),

@@ -36,6 +36,7 @@ from .core import (
     DependenceStructure,
     WeightVector,
     _achievement_values,
+    _adopted,
     _check_alpha,
     _coefficient_values,
     _frozen_array,
@@ -140,7 +141,7 @@ def gap_matrix(achievements, cutoffs, alpha: float) -> GapMatrix:
     z = as_cutoff_vector(cutoffs)
     if y.shape[1] != z.d:
         raise ShapeMismatch(f"achievements have d = {y.shape[1]}, cutoffs have d = {z.d}")
-    return GapMatrix(alpha=alpha, values=_gap_values(y, z.values, alpha))
+    return _adopted(GapMatrix, alpha=alpha, values=_gap_values(y, z.values, alpha))
 
 
 def _score_values(
@@ -163,15 +164,15 @@ def _score_values(
     off_diag = structure.off_diagonal()
     scores = np.empty((n, d))
 
-    def score(rows: slice) -> None:
+    def score(rows: slice, block: NDArray[np.float64]) -> None:
         gaps = _gap_values(y[rows], z, alpha)
-        block = scores[rows]
-        np.sum(gaps[:, None, :] * off_diag, axis=2, out=block)
-        block /= d - 1
-        block += gaps
-        block *= w
+        out, terms = scores[rows], block.reshape(-1, d, d)
+        # the block holds the broadcast products, d per score
+        np.sum(np.multiply(gaps[:, None, :], off_diag, out=terms), axis=2, out=out)
+        out /= d - 1
+        out += gaps
+        out *= w
 
-    # a block's broadcast temporary holds d cells per score
     _row_blocks(n, d * d, score)
     return scores
 
@@ -205,7 +206,7 @@ def deprivation_matrix(
     # None gives unit weights, which scale nothing: x * 1.0 is x, bit for bit
     w = as_weight_vector(weights, structure.d).values
     scores = _score_values(y, z.values, structure, alpha, w)
-    return DeprivationMatrix(alpha=alpha, weighted=weights is not None, values=scores)
+    return _adopted(DeprivationMatrix, alpha=alpha, weighted=weights is not None, values=scores)
 
 
 def _usable_cpus() -> int:
@@ -215,57 +216,75 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _row_blocks(n: int, width: int, body, consume=None) -> None:
-    """Call ``body(rows)`` on every row block of n rows; ``consume`` sees them in order.
+def _window(blocks: int, threads: int) -> int:
+    """W of a threaded pass: twice its threads, the caller's included, at most its blocks."""
+    return min(blocks, 2 * threads)
 
-    ``width`` is the cells a row takes in the pass's largest per-block
-    array.  A block is a slice of whole rows, about ``_BLOCK_CELLS`` cells.  From
-    ``_PARALLEL_CELLS`` cells on, with more than one usable CPU, the caller and
-    short-lived threads, one per CPU in all and no more than there are blocks,
-    each claim the next unclaimed block in row order and write only its rows.
-    ``consume`` runs on the caller, on each block in row order after its body
-    returned: the caller feeds the next block if it is finished, else runs the
-    next unclaimed one, else waits.  A body's exception is raised here, and no
-    thread outlives the call.
+
+def _row_blocks(n: int, width: int, body, consume=None) -> None:
+    """Call ``body(rows, block)`` on every row block of n rows; ``consume`` sees them in order.
+
+    A block is a slice of whole rows, about ``_BLOCK_CELLS`` cells, and
+    ``block`` a C-ordered buffer of its rows times ``width`` cells, for
+    the pass's largest per-block array; ``consume(rows, block)`` reads it
+    on the caller, block by block in row order, after its body returned.
+    The pass holds W such buffers and block b is written into buffer
+    b % W, so no N x width array exists.  W is 1 on one thread.  From
+    ``_PARALLEL_CELLS`` cells on, with more than one usable CPU, the
+    caller and short-lived threads, one per CPU in all and no more than
+    there are blocks, each claim the next unclaimed block in row order,
+    but only while it is fewer than W (:func:`_window`) blocks ahead of
+    the next block consumed, so its buffer is free.  The caller consumes
+    the next block if it is finished, else runs the next claimable one,
+    else waits.  A body's exception is raised here, and no thread
+    outlives the call.
     """
     step = max(1, _BLOCK_CELLS // width)
     blocks = -(-n // step)
     workers = min(_usable_cpus(), blocks) - 1 if n * width >= _PARALLEL_CELLS else 0
+    window = _window(blocks, workers + 1) if workers else 1
+    buffers = np.empty((window, min(step, n), width))
+
+    def block_of(b: int) -> tuple[slice, NDArray[np.float64]]:
+        rows = slice(b * step, min((b + 1) * step, n))
+        return rows, buffers[b % window, : rows.stop - rows.start]
+
     if workers == 0:
-        for start in range(0, n, step):
-            rows = slice(start, start + step)
-            body(rows)
+        for b in range(blocks):
+            rows, block = block_of(b)
+            body(rows, block)
             if consume is not None:
-                consume(rows)
+                consume(rows, block)
         return
     import threading  # here, not at the top: importing the package loads no new module
 
     changed = threading.Condition()
-    # under ``changed``: blocks handed out, in row order; which have returned; failures
-    claimed, done, errors = 0, [False] * blocks, []
+    # under ``changed``: blocks handed out, in row order; blocks consumed; which
+    # have returned; failures.  Block b may be claimed while b < fed + window.
+    claimed, fed, done, errors = 0, 0, [False] * blocks, []
 
-    def claim():
-        nonlocal claimed
+    def run(b: int) -> None:
+        body(*block_of(b))
         with changed:
-            if claimed == blocks or errors:
-                return None
-            claimed += 1
-            return claimed - 1
-
-    def run(block: int) -> None:
-        body(slice(block * step, (block + 1) * step))
-        with changed:
-            done[block] = True
-            changed.notify()
+            done[b] = True
+            changed.notify_all()
 
     def work() -> None:
+        nonlocal claimed
         try:
-            while (block := claim()) is not None:
-                run(block)
+            while True:
+                with changed:
+                    while not (errors or claimed == blocks or claimed < fed + window):
+                        changed.wait()
+                    if errors or claimed == blocks:
+                        return
+                    b = claimed
+                    claimed += 1
+                run(b)
         except BaseException as exc:  # raised again on the caller
             with changed:
                 errors.append(exc)
-                changed.notify()
+                changed.notify_all()
 
     threads = []
     try:
@@ -273,23 +292,28 @@ def _row_blocks(n: int, width: int, body, consume=None) -> None:
             thread = threading.Thread(target=work)
             thread.start()
             threads.append(thread)
-        fed = 0
         while fed < blocks:
             with changed:
-                while not (errors or done[fed] or claimed < blocks):
+                while not (errors or done[fed] or claimed < min(blocks, fed + window)):
                     changed.wait()
                 if errors:
                     raise errors[0]
                 ready = done[fed]
+                if not ready:
+                    b = claimed
+                    claimed += 1
             if ready:
                 if consume is not None:
-                    consume(slice(fed * step, (fed + 1) * step))
-                fed += 1
-            elif (block := claim()) is not None:
-                run(block)
+                    consume(*block_of(fed))
+                with changed:
+                    fed += 1
+                    changed.notify_all()
+            else:
+                run(b)
     finally:
         with changed:
             claimed = blocks  # no thread claims another block
+            changed.notify_all()
         for thread in threads:
             thread.join()
 
@@ -303,8 +327,8 @@ def _count_values(
         return np.sum(np.multiply(y < z, coef), axis=1)
     counts = np.empty(n)
 
-    def count(rows: slice) -> None:
-        np.sum(np.multiply(y[rows] < z, coef), axis=1, out=counts[rows])
+    def count(rows: slice, block: NDArray[np.float64]) -> None:
+        np.sum(np.multiply(y[rows] < z, coef, out=block), axis=1, out=counts[rows])
 
     _row_blocks(n, d, count)
     return counts
@@ -324,7 +348,7 @@ def deprivation_counts(
     """
     y, z, structure = _consistent_inputs(achievements, cutoffs, structure)
     coef = _coefficient_values(structure, as_weight_vector(weights, structure.d).values)
-    return DeprivationCounts(values=_count_values(y, z.values, coef))
+    return _adopted(DeprivationCounts, values=_count_values(y, z.values, coef))
 
 
 def gap_sensitivity(structure: DependenceStructure, j: int, j_prime: int) -> float:

@@ -3,6 +3,8 @@ import math
 import os
 import sys
 import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from netpoverty import (
     validate_dependence_structure,
     weighted_upper_bound,
 )
-from netpoverty import aggregation
+from netpoverty import aggregation, deprivation
 from netpoverty.aggregation import _coefficient_pass
 from netpoverty.core import _coefficient_values
 from netpoverty.deprivation import _BLOCK_CELLS, _PARALLEL_CELLS
@@ -463,11 +465,11 @@ def spy_consumed(monkeypatch, seen):
     caller = threading.current_thread()
 
     def spy(n, width, body, consume):
-        def check(rows):
+        def check(rows, block):
             assert threading.current_thread() is caller
             assert rows.start in {start for _, start in seen}
             consumed.append(rows.start)
-            consume(rows)
+            consume(rows, block)
 
         real(n, width, body, check)
 
@@ -499,8 +501,37 @@ def assert_schedule(seen, consumed, started, n, step, workers):
     assert len(ran) <= min(workers + 1, len(blocks))
 
 
-def assert_whole_array_bits(y, config, kind):
-    result, counts, statuses, censored = _coefficient_pass(y, config, kind)
+def censored_blocks(pass_, *args, delay=0.0):
+    """``pass_(*args, sink=...)``'s result and the censored matrix, rebuilt from its blocks.
+
+    The sink must be handed each block once, on the caller, in row order;
+    it takes ``delay`` seconds over each.
+    """
+    caller = threading.current_thread()
+    blocks, persons = [], []
+
+    def feed(rows, block):
+        blocks.append((threading.current_thread(), rows, block.copy()))
+        time.sleep(delay)
+
+    def sink(n):
+        persons.append(n)
+        return feed
+
+    result = pass_(*args, sink=sink)
+    (n,) = persons  # the sink is opened once, with the number of persons
+    assert {thread for thread, _, _ in blocks} == {caller}
+    starts = [rows.start for _, rows, _ in blocks]
+    stops = [rows.stop for _, rows, _ in blocks]
+    assert starts == [0, *stops[:-1]] and stops[-1] == n
+    assert all(block.shape[0] == rows.stop - rows.start for _, rows, block in blocks)
+    return result, np.concatenate([block for _, _, block in blocks])
+
+
+def assert_whole_array_bits(y, config, kind, delay=0.0):
+    (result, counts, statuses, row_sums), censored = censored_blocks(
+        _coefficient_pass, y, config, kind, delay=delay
+    )
     value, denominator, digest, want_counts, want_statuses, want_censored = (
         whole_array_pass(y, config, kind)
     )
@@ -509,6 +540,46 @@ def assert_whole_array_bits(y, config, kind):
     assert counts.tobytes() == want_counts.tobytes()
     assert statuses.statuses.tobytes() == want_statuses.tobytes()
     assert censored.tobytes() == want_censored.tobytes()
+    assert row_sums.tobytes() == np.sum(want_censored, axis=1).tobytes()
+
+
+def spy_window(monkeypatch, step):
+    """Per pass: its window W, its blocks' buffers, and how far a block started ahead.
+
+    "Ahead" counts blocks past the blocks consumed.  Block b is written into
+    buffer b % W, which block b - W used, so a block starting W or more
+    blocks ahead fails the pass.
+    """
+    passes = []
+    real_window, real_block, real_blocks = (
+        deprivation._window, aggregation._pass_block, aggregation._row_blocks
+    )
+
+    def window(blocks, threads):
+        passes[-1]["window"] = real_window(blocks, threads)
+        return passes[-1]["window"]
+
+    def body(rows, block, *args):
+        now = passes[-1]
+        ahead = rows.start // step - now["consumed"]
+        assert ahead < now["window"], f"block at row {rows.start} claimed {ahead} ahead"
+        now["ahead"] = max(now["ahead"], ahead)
+        now["buffers"].add(block.__array_interface__["data"][0])
+        real_block(rows, block, *args)
+
+    def row_blocks(n, width, body, consume):
+        passes.append({"window": 1, "buffers": set(), "consumed": 0, "ahead": 0})
+
+        def counted(rows, block):
+            consume(rows, block)
+            passes[-1]["consumed"] += 1
+
+        real_blocks(n, width, body, counted)
+
+    monkeypatch.setattr(deprivation, "_window", window)
+    monkeypatch.setattr(aggregation, "_pass_block", body)
+    monkeypatch.setattr(aggregation, "_row_blocks", row_blocks)
+    return passes
 
 
 class TestRowBlocks:
@@ -587,7 +658,9 @@ class TestRowBlocks:
         d = 20
         n = 23 * (_BLOCK_CELLS // d) + 5
         y, cfg = block_test_data(rng, n, d, weighted=True)
-        force_cpus(monkeypatch, 2 * (os.cpu_count() or 1) + 3)
+        cpus = 2 * (os.cpu_count() or 1) + 3
+        force_cpus(monkeypatch, cpus)
+        passes = spy_window(monkeypatch, _BLOCK_CELLS // d)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -595,6 +668,10 @@ class TestRowBlocks:
                 assert_whole_array_bits(y, cfg, kind)
         finally:
             sys.setswitchinterval(interval)
+        # 24 blocks: W is twice the threads, capped at the blocks, and bounds the buffers
+        for seen in passes:
+            assert seen["window"] == min(24, 2 * min(cpus, 24))
+            assert len(seen["buffers"]) <= seen["window"]
 
     @pytest.mark.parametrize("where", ["caller", "worker"])
     def test_a_failing_block_raises_on_the_caller(self, monkeypatch, rng, where):
@@ -640,3 +717,112 @@ class TestRowBlocks:
         # the other's coefficient 1.5 over the ceiling 2.5 is the whole value
         result = fgt_network_adjusted([[1e300, 0.0]], [1e-10, 1.0], WORKED_M, None, 1.0, 1.0)
         assert result.value == 0.6
+
+
+def assert_group_bits(y, labels, cfg):
+    """decompose_by_group's totals, sizes, values and hashes against the whole-array pass."""
+    result = decompose_by_group(y, labels.tolist(), cfg)
+    _, _, digest, _, _, censored = whole_array_pass(y, cfg, "network_adjusted")
+    assert result.total.censored_matrix_hash == digest
+    for g, got in result.group_results.items():
+        rows_g = censored[labels == g]
+        assert result.group_sizes[g] == rows_g.shape[0]
+        assert got.value == math.fsum(np.sum(rows_g, axis=1)) / got.denominator
+        assert got.censored_matrix_hash == censored_hash(rows_g)
+
+
+class TestWindow:
+    """Block b is written into buffer b % W, so it starts only once block b - W is consumed."""
+
+    D = 5
+    STEP = _BLOCK_CELLS // D
+    BLOCKS = 7
+
+    def data(self, rng):
+        # 7 blocks, the last one short, and groups whose runs cross every block edge
+        n = (self.BLOCKS - 1) * self.STEP + 11
+        y, cfg = block_test_data(rng, n, self.D, weighted=True)
+        labels = np.searchsorted([self.STEP - 3, 3 * self.STEP + 5, 5 * self.STEP], np.arange(n))
+        labels[::89] = 7
+        return y, cfg, labels
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("window", ["1", "2", "blocks"])
+    def test_bitwise_equal_to_whole_array_pass(self, monkeypatch, rng, window, cpus):
+        size = {"1": 1, "2": 2, "blocks": self.BLOCKS}[window]
+        force_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(deprivation, "_window", lambda blocks, threads: size)
+        passes = spy_window(monkeypatch, self.STEP)
+        y, cfg, labels = self.data(rng)
+        for kind in ("network_adjusted", "naive"):
+            assert_whole_array_bits(y, cfg, kind)
+        assert_group_bits(y, labels, cfg)
+        assert len(passes) == 3
+        for seen in passes:
+            # one CPU takes the serial loop, whose one buffer is its window
+            assert seen["window"] == (size if cpus > 1 else 1)
+            assert len(seen["buffers"]) <= min(self.BLOCKS, seen["window"])
+
+    def test_window_is_twice_the_threads_and_at_most_the_blocks(self, monkeypatch, rng):
+        y, cfg, _ = self.data(rng)
+        passes = spy_window(monkeypatch, self.STEP)
+        for cpus, window in ((1, 1), (2, 4), (3, 6), (4, 7), (9, 7)):
+            force_cpus(monkeypatch, cpus)
+            _coefficient_pass(y, cfg)
+            assert passes[-1]["window"] == window
+            assert len(passes[-1]["buffers"]) <= window
+
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_a_slow_consumer_holds_the_claims_back(self, monkeypatch, rng, size):
+        # the sink takes 5 ms a block, so the other threads reach the window's edge
+        force_cpus(monkeypatch, 3)
+        monkeypatch.setattr(deprivation, "_window", lambda blocks, threads: size)
+        passes = spy_window(monkeypatch, self.STEP)
+        y, cfg, _ = self.data(rng)
+        assert_whole_array_bits(y, cfg, "network_adjusted", delay=0.005)
+        assert passes[-1]["ahead"] == size - 1
+
+
+def traced_peak(call):
+    """The traced peak of one call, after a first untraced call."""
+    call()
+    tracemalloc.start()
+    try:
+        kept = call()
+        return tracemalloc.get_traced_memory()[1], kept
+    finally:
+        tracemalloc.stop()
+
+
+class TestBoundedMemory:
+    """No aggregate allocates an N x d array, and the scores are kept without a copy."""
+
+    N, D = 50_000, 20
+
+    @pytest.fixture
+    def data(self, monkeypatch, rng):
+        force_cpus(monkeypatch, 2)
+        y, cfg = block_test_data(rng, self.N, self.D, weighted=True)
+        labels = rng.integers(0, 8, self.N).tolist()
+        return y, cfg, labels
+
+    @pytest.mark.parametrize("call", ["network-adjusted", "naive", "groups"])
+    def test_aggregates_stay_below_half_the_matrix(self, data, call):
+        y, cfg, labels = data
+        run = {
+            "network-adjusted": lambda: fgt_network_adjusted(
+                y, cfg.cutoffs, cfg.structure, cfg.weights, cfg.alpha, cfg.k
+            ),
+            "naive": lambda: fgt_naive(y, cfg.cutoffs, cfg.structure, cfg.alpha, cfg.k),
+            "groups": lambda: decompose_by_group(y, labels, cfg),
+        }[call]
+        peak, _ = traced_peak(run)
+        assert peak < self.N * self.D * 8 / 2
+
+    def test_scores_peak_near_what_they_keep(self, data):
+        y, cfg, _ = data
+        peak, scores = traced_peak(
+            lambda: deprivation_matrix(y, cfg.cutoffs, cfg.structure, cfg.alpha, cfg.weights)
+        )
+        assert scores.values.nbytes == self.N * self.D * 8
+        assert peak <= 1.25 * scores.values.nbytes

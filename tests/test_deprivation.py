@@ -362,10 +362,11 @@ class TestBlockedCounts:
         consumed = []
         baseline = threading.active_count()
 
-        def body(rows):
+        def body(rows, block):
+            assert block.shape == (rows.stop - rows.start, d) and block.flags.c_contiguous
             done[rows] += 1
 
-        def consume(rows):
+        def consume(rows, block):
             assert np.all(done[rows] == 1)  # each range is finished before it is consumed
             consumed.append((rows.start, rows.stop))
 
