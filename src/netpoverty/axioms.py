@@ -16,20 +16,20 @@ and weak transfer requires alpha >= 1.  Outside those ranges the report
 row carries status "not_covered" instead of a pass or fail.
 
 The unit endpoint behind nontriviality and normalization (value 1 on a
-fully deprived population) holds exactly when the per-dimension
-aggregation coefficients sum to the weighted count ceiling, which is
-guaranteed for symmetric structures and for uniform weights but fails
-for asymmetric structures under non-uniform weights (see
-:func:`netpoverty.weights.check_symmetric_consistency`).  Randomized
-runs therefore draw those two axioms from that family; all other axioms
-are exercised on unrestricted structures and weights, where they hold
-regardless.  A pinned methodology is checked as given, so an
-inconsistent asymmetric configuration will report normalization
-failures, which is the honest answer.
+fully deprived population) holds exactly when the per-dimension aggregation
+coefficients sum to the weighted count ceiling: always for symmetric
+structures or uniform weights, not in general for an asymmetric structure
+with non-uniform weights (:func:`netpoverty.weights.check_symmetric_consistency`).
+Randomized runs therefore draw those two axioms from that family; all other
+axioms are exercised on unrestricted structures and weights, where they
+hold regardless.  A pinned methodology is checked as given, so an
+inconsistent asymmetric configuration will report normalization failures,
+which is the honest answer.
 
 Trials are independent: each derives its own generator from the master
 seed, the axiom index and the trial index, so reports are reproducible
-under any scheduling.
+under any scheduling.  A random methodology's coefficients and ceiling are
+derived once, to place k, and its config is adopted from them, not rebuilt.
 
 Bistochastic averaging matrices are built as convex combinations of
 permutation matrices that move only poor rows, which makes them valid
@@ -50,10 +50,12 @@ from .aggregation import _coefficient_pass, decompose_by_group
 from .bounds import weighted_upper_bound
 from .core import (
     AchievementMatrix,
+    CutoffVector,
     DependenceStructure,
     MethodologyConfig,
     WeightVector,
     _achievement_values,
+    _adopted,
     _check_alpha,
     _coefficient_values,
     _frozen_array,
@@ -337,18 +339,18 @@ def _draw_materials(
                 weights = _random_weights(rng, d, uniform=rng.random() < 0.25)
             z = rng.uniform(0.5, 10.0, d)
             y = _random_population(rng, n, z)
-            # counts to place k among; structure and weights are already validated
-            counts = _count_values(y, z, _coefficient_values(structure, weights.values))
+            coef = _coefficient_values(structure, weights.values)
             ceiling = weighted_upper_bound(structure, weights)
+            counts = _count_values(y, z, coef)
             k = _choose_k(rng, counts, ceiling, min_poor, min_non_poor)
             if k is None:
                 continue
-            try:
-                cfg = MethodologyConfig(
-                    alpha=alpha, k=k, structure=structure, weights=weights, cutoffs=z
-                )
-            except ValidationError:
-                continue
+            # every part is already valid and _choose_k keeps 0 < k <= ceiling
+            cfg = _adopted(
+                MethodologyConfig, alpha=alpha, k=k, structure=structure,
+                weights=weights, cutoffs=_adopted(CutoffVector, values=z),
+                score_ceiling=ceiling, coefficients=coef,
+            )
             statuses = _identify(counts, cfg.k)
         poor = statuses.poor_count
         if poor < min_poor or (n - poor) < min_non_poor:

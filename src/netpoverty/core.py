@@ -12,10 +12,10 @@ methodology configuration (gap exponent, poverty cutoff, structure,
 weights, dimension cutoffs).
 
 All types are frozen dataclasses validated once, on construction, with
-their array payloads copied and marked read-only; an array the package
-computed itself is marked read-only in place instead.  Instances are safe to
-share across threads and workers.  The kernels read a raw achievement
-array in place, after the same checks, and never keep it.
+their array payloads copied and marked read-only; one built from parts the
+package made or validated is adopted: arrays frozen in place, no checks.
+Instances are safe to share across threads and workers.  The kernels read
+a raw achievement array in place, after the same checks, and never keep it.
 
 Dimension indices in public call signatures are 1-based, j in {1, .., d}.
 Raw arguments become numbers only in ``_real_array`` (arrays of one
@@ -79,14 +79,15 @@ def _frozen_array(values: ArrayLike, name: str, ndim: int, dtype=float) -> NDArr
 
 
 def _adopted(cls, **fields):
-    """``cls(**fields)`` for a ``values`` array the package made and no caller holds.
+    """``cls(**fields)`` from parts the package made or validated and no caller holds.
 
-    The array is marked read-only in place instead of copied, and the
-    constructor's checks are skipped: it must already meet them.
+    Every array field is marked read-only in place instead of copied, and
+    the constructor is skipped: the fields must be exactly what it would store.
     """
-    fields["values"].flags.writeable = False
     obj = object.__new__(cls)
     for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
         object.__setattr__(obj, name, value)
     return obj
 

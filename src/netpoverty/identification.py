@@ -50,14 +50,14 @@ def identify(
 ) -> PovertyStatusVector:
     """Mark person i poor when count_i >= k - 1e-12 * max(1, k).
 
-    k must be positive; when the count ceiling for the methodology is
-    known, pass it as ``upper`` to reject k beyond it.  A count on the
-    boundary is poor.  The band makes a count that reaches k in exact
-    arithmetic reach it in floats too: a count is a row sum of
-    coefficients, while k at the intersection approach (the ceiling,
-    k-fraction 1) is an ``fsum`` over column sums, and the two can
-    differ in the last bits.  Distinct count levels from inputs of a few
-    decimal digits lie far further apart than the band.
+    k must be positive; pass the methodology's count ceiling as ``upper``
+    to reject k beyond it.  A count on the boundary is poor.  The band
+    makes a count that reaches k in exact arithmetic reach it in floats
+    too: a count is a row sum of coefficients, while k at the intersection
+    approach (the ceiling, k-fraction 1, a count level only for symmetric
+    structures or uniform weights) is an ``fsum`` over column sums, and
+    the two can differ in the last bits.  Distinct count levels from
+    inputs of a few decimal digits lie far further apart than the band.
     """
     if not isinstance(counts, DeprivationCounts):
         counts = DeprivationCounts(counts)

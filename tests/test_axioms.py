@@ -1,5 +1,8 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from netpoverty import (
     AXIOMS,
@@ -14,12 +17,15 @@ from netpoverty import (
     identify,
     run_axiom_suite,
 )
+from netpoverty import axioms, bounds, core
 from netpoverty.axioms import (
     AMONG_NON_DEPRIVED,
     AMONG_NON_POOR,
     DEPRIVED_AMONG_POOR,
     DIMENSIONAL_AMONG_POOR,
     SIMPLE_INCREMENT,
+    _choose_k,
+    _draw_materials,
 )
 from netpoverty.errors import (
     IndexOutOfRange,
@@ -235,3 +241,93 @@ class TestSuite:
     def test_negative_seed_rejected(self):
         with pytest.raises(InvalidGeneratorSettings):
             GeneratorSettings(seed=-1)
+
+
+class TestRandomDraws:
+    """A random methodology is adopted from parts derived once, not rebuilt."""
+
+    # the keyword arguments each entry of _TRIALS passes to _draw_materials
+    FLAGS = [
+        {},
+        {"min_n": 2},
+        {"min_non_poor": 1},
+        {"need_non_deprived": True},
+        {"min_poor": 1, "need_material_gap": True},
+        {"restricted": True},
+        {"min_poor": 2},
+        {"min_poor": 1, "min_n": 2},
+    ]
+
+    @pytest.mark.parametrize("flags", FLAGS, ids=lambda f: ",".join(f) or "plain")
+    @pytest.mark.parametrize("seed", [0, 1, 9])
+    def test_adopted_config_equals_constructed(self, flags, seed):
+        settings = GeneratorSettings(seed=seed)
+        for t in range(10):
+            rng = np.random.default_rng([seed, t])
+            cfg = _draw_materials(rng, None, 1.5, settings, **flags).cfg
+            built = MethodologyConfig(
+                cfg.alpha, cfg.k, cfg.structure, cfg.weights, cfg.cutoffs
+            )
+            assert type(cfg.k) is float
+            assert (cfg.alpha, cfg.k, cfg.score_ceiling) == (
+                built.alpha,
+                built.k,
+                built.score_ceiling,
+            )
+            assert cfg.cutoffs.values.tobytes() == built.cutoffs.values.tobytes()
+            assert cfg.coefficients.tobytes() == built.coefficients.tobytes()
+            for array in (
+                cfg.coefficients,
+                cfg.cutoffs.values,
+                cfg.structure.entries,
+                cfg.weights.values,
+            ):
+                assert not array.flags.writeable
+
+    def test_each_draw_derives_constants_once(self, monkeypatch):
+        calls = Counter()
+
+        def spy(owner, name):
+            target = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return target(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        # every random draw places k once; the config's constructor would
+        # derive both constants again, reading core's binding of the
+        # coefficients and the bounds module's ceiling
+        spy(axioms, "_choose_k")
+        for module in (axioms, bounds):
+            spy(module, "weighted_upper_bound")
+        for module in (axioms, core):
+            spy(module, "_coefficient_values")
+        spy(MethodologyConfig, "__post_init__")
+        run_axiom_suite(1.0, GeneratorSettings(trials=5, seed=1))
+        draws = calls["_choose_k"]
+        assert draws >= len(AXIOMS) * 5
+        assert calls["weighted_upper_bound"] == draws
+        assert calls["_coefficient_values"] == draws
+        assert calls["__post_init__"] == 0
+
+    # counts are 0 or sums of positive weights and a ceiling is such a sum,
+    # so neither is subnormal; any other finite size is fair
+    POSITIVE = st.floats(0.0, 1e300, exclude_min=True, allow_subnormal=False)
+
+    @given(
+        counts=st.lists(st.just(0.0) | POSITIVE, min_size=1, max_size=30),
+        ceiling=POSITIVE,
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_choose_k_is_none_or_within_ceiling(self, counts, ceiling, data, seed):
+        # the fact that lets a random config be adopted without the k check,
+        # and a Python float, as the constructor would store it
+        n = len(counts)
+        min_poor = data.draw(st.integers(0, n))
+        min_non_poor = data.draw(st.integers(0, n - min_poor))
+        rng = np.random.default_rng(seed)
+        k = _choose_k(rng, np.array(counts), ceiling, min_poor, min_non_poor)
+        assert k is None or (type(k) is float and 0.0 < k <= ceiling)

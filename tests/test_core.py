@@ -17,6 +17,8 @@ from netpoverty import (
     validate_dependence_structure,
     validate_weights,
 )
+from netpoverty.core import _adopted
+from netpoverty.deprivation import DeprivationMatrix
 from netpoverty.errors import (
     CutoffOutOfRange,
     DiagonalNotOne,
@@ -226,6 +228,28 @@ class TestMethodologyConfig:
                 )
                 expected = aggregation_coefficients(m, w)
                 assert cfg.coefficients.tobytes() == expected.tobytes()
+
+
+class TestAdopted:
+    def test_every_array_field_frozen_in_place(self):
+        structure = DependenceStructure(ASYM)
+        weights = WeightVector([0.5, 1.5, 1.0])
+        z, coef = np.array([10.0, 5.0, 2.0]), np.array([1.0, 2.0, 0.5])
+        cutoffs = _adopted(CutoffVector, values=z)
+        cfg = _adopted(
+            MethodologyConfig, alpha=1.0, k=1.0, structure=structure, weights=weights,
+            cutoffs=cutoffs, score_ceiling=3.0, coefficients=coef,
+        )
+        assert cfg.coefficients is coef and cfg.cutoffs.values is z
+        assert cfg.structure is structure and cfg.weights is weights
+        assert not coef.flags.writeable and not z.flags.writeable
+        assert (cfg.alpha, cfg.k, cfg.score_ceiling) == (1.0, 1.0, 3.0)
+
+    def test_values_only_callers_unchanged(self):
+        scores = np.ones((2, 3))
+        matrix = _adopted(DeprivationMatrix, alpha=1.0, weighted=False, values=scores)
+        assert matrix.values is scores and not scores.flags.writeable
+        assert (matrix.alpha, matrix.weighted) == (1.0, False)
 
 
 def _config(**kwargs):
