@@ -10,42 +10,30 @@ removes.
 
 Numerical contract: every aggregate is evaluated through the
 coefficient form of :mod:`netpoverty.weights`, with no N x d x d
-neighbor sums, in one pass over row blocks of about 2**15 cells (256
-KB, L2-sized).  Each block is counted, identified, censored and summed
-per row.  Raw achievements are read in place, after the checks of
-:class:`~netpoverty.core.AchievementMatrix`, and the censored rows of a
-block are written into one of W reused block buffers, never into an
-N x d array: a call allocates the per-person counts, statuses and row
-sums, and W blocks.  From 2**17 cells on, with more than one usable
-CPU (the process's CPU affinity), short-lived threads, one per CPU past
-the caller's and never more than there are blocks, share the blocks
-with the calling thread: each claims the next unclaimed block in row
-order, fewer than W blocks ahead of the next one consumed, and writes
-only its rows.  W is twice the threads, the caller's included, and at
-most the blocks; on one thread it is 1.  The per-person counts and the
-scores of :func:`~netpoverty.deprivation.deprivation_matrix` and of a
-report are shared the same way.  The caller takes the running SHA-256 of the
-censored rows in row order, hashing each block once it and those
-before it have returned and otherwise running a block itself, so the
-hash overlaps the other threads' work.  There is no setting for any of
-this.  Every step is elementwise or a per-row reduction, and SHA-256
-over consecutive blocks equals SHA-256 over their concatenation, so
-every value, count, status, censored byte and hash is bitwise that of
-one whole-array pass, on any number of CPUs.  The coefficients and the
-ceiling are read from the :class:`~netpoverty.core.MethodologyConfig`,
-which derives them once per methodology; the public functions taking
-loose arguments build that config first.  Per-person counts and row
-sums use fixed per-row reductions (never a per-person BLAS product) and
-the cross-person total uses exact rounding (math.fsum).  Row sums are
-therefore bit-identical under row permutation and the total is
-permutation invariant, which makes the symmetry and focus axioms hold
-exactly, not just to tolerance.  The censored matrix of
-coefficient-weighted gaps (rows of the non-poor zeroed) is hashed block
-by block so results can be traced to the exact arithmetic inputs.
-Every per-person quantity depends only on that person's row, so a
-subgroup's aggregate is the same reduction (exact total, denominator,
-hash) taken over its rows: the pass hands each hashed block to the
-caller, which feeds each group's rows to that group's hash.
+neighbor sums, in one pass over row blocks (the schedule is
+:func:`netpoverty.deprivation._row_blocks`'s).  Each block is counted,
+identified, censored and summed per row, and its censored rows live
+only in a reused block buffer, never in an N x d array.  Raw
+achievements are read in place, after the checks of
+:class:`~netpoverty.core.AchievementMatrix`.  The censored matrix of
+coefficient-weighted gaps (rows of the non-poor zeroed) is hashed on
+the caller, block by block in row order, so results can be traced to
+the exact arithmetic inputs.  Every step is elementwise or a per-row
+reduction, and SHA-256 over consecutive blocks equals SHA-256 over
+their concatenation, so every value, count, status, censored byte and
+hash is bitwise that of one whole-array pass, on any number of CPUs.
+The coefficients and the ceiling are read from the
+:class:`~netpoverty.core.MethodologyConfig`, which derives them once per
+methodology; the public functions taking loose arguments build that
+config first.  Per-person counts and row sums use fixed per-row
+reductions (never a per-person BLAS product) and the cross-person total
+uses exact rounding (math.fsum).  Row sums are therefore bit-identical
+under row permutation and the total is permutation invariant, which
+makes the symmetry and focus axioms hold exactly, not just to
+tolerance.  Every per-person quantity depends only on that person's
+row, so a subgroup's aggregate is the same reduction (exact total,
+denominator, hash) taken over its rows: the pass hands each hashed block
+to the caller, which feeds each group's rows to that group's hash.
 """
 
 from __future__ import annotations
@@ -53,6 +41,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from numpy.typing import NDArray
@@ -64,7 +53,7 @@ from .core import (
     _achievement_values,
     _coefficient_values,
 )
-from .deprivation import _row_blocks
+from .deprivation import _gaps, _row_blocks
 from .errors import InvalidPartition, ShapeMismatch
 from .identification import PovertyStatusVector, _k_band
 
@@ -101,7 +90,9 @@ def _fgt(
     """The exact total of censored row sums over the kind's denominator."""
     n = row_sums.shape[0]
     denominator = n * config.d if kind == "naive" else n * config.score_ceiling
-    value = math.fsum(row_sums.tolist()) / denominator  # a list iterates faster
+    # one exact sum over short lists: faster than the array, bounded memory
+    slices = (row_sums[i:i + 4096].tolist() for i in range(0, n, 4096))
+    value = math.fsum(chain.from_iterable(slices)) / denominator
     return FgtResult(value, config.alpha, config.k, denominator, digest, kind)
 
 
@@ -114,13 +105,7 @@ def _pass_block(rows, block, y, z, coef, reach, alpha, counts, poor, row_sums) -
     np.sum(block, axis=1, out=counts[rows])
     np.greater_equal(counts[rows], reach, out=poor[rows])
     kept &= poor[rows, None]
-    # a cell at or above its cutoff gets the base +0.0, so no step overflows;
-    # ``kept`` then zeroes it and the rows of the non-poor
-    np.minimum(yb, z, out=block)
-    np.subtract(z, block, out=block)
-    block /= z
-    block **= alpha
-    block *= kept
+    _gaps(yb, z, alpha, kept, block)
     block *= coef
     np.sum(block, axis=1, out=row_sums[rows])
 

@@ -201,9 +201,9 @@ def _achievement_values(y) -> NDArray[np.float64]:
     y = _real_array(y, "achievements", 2)
     if y.shape[0] < 1 or y.shape[1] < 1:
         raise ShapeMismatch(f"achievements must be nonempty, got shape {y.shape}")
-    if not np.all(np.isfinite(y)):
-        raise NegativeAchievement("achievements must be finite")
-    if np.any(y < 0.0):
+    if not (y.min() >= 0.0 and y.max() < math.inf):  # nan fails both; the scans name it
+        if not np.all(np.isfinite(y)):
+            raise NegativeAchievement("achievements must be finite")
         i, j = np.argwhere(y < 0.0)[0] + 1
         raise NegativeAchievement(
             f"achievement ({i}, {j}) = {y[i - 1, j - 1]} is negative",

@@ -18,9 +18,13 @@ finished score.  They are never applied inside the neighbor average,
 which would conflate the importance of dimensions with the dependence
 between them.
 
+``_gaps`` is the one gap routine, in place and overflow-free.  Gaps,
+scores, counts and the aggregates' pass all run on :func:`_row_blocks`.
+
 Determinism: every per-person quantity here depends only on that
 person's row and is computed through fixed reduction trees, so results
-are bit-for-bit reproducible and invariant under row reordering.
+are bit-for-bit reproducible, invariant under row reordering and the
+same on any number of CPUs.
 """
 
 from __future__ import annotations
@@ -112,13 +116,18 @@ def normalized_gap(y: float, z: float, alpha: float) -> float:
     return ((z - y) / z) ** alpha
 
 
-def _gap_values(
-    y: NDArray[np.float64], z: NDArray[np.float64], alpha: float
-) -> NDArray[np.float64]:
-    # where y < z, validated y >= 0 and z > 0 put fl(fl(z - y) / z) in [0, 1], so no clip;
-    # elsewhere the power may be nan or inf, and np.where replaces it by 0
-    with np.errstate(invalid="ignore", over="ignore"):
-        return np.where(y < z, ((z - y) / z) ** alpha, 0.0)
+def _gaps(y, z, alpha: float, keep, out: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Gaps of ``y`` into ``out``, zeroed where ``keep`` (which implies y < z) is false.
+
+    A cell at or above its cutoff gets the base +0.0, so no step overflows; validated
+    y >= 0 and z > 0 put every other cell's fl(fl(z - y) / z) in (0, 1], so no clip.
+    """
+    np.minimum(y, z, out=out)
+    np.subtract(z, out, out=out)
+    out /= z
+    out **= alpha
+    out *= keep
+    return out
 
 
 def _consistent_inputs(achievements, cutoffs, structure):
@@ -141,7 +150,14 @@ def gap_matrix(achievements, cutoffs, alpha: float) -> GapMatrix:
     z = as_cutoff_vector(cutoffs)
     if y.shape[1] != z.d:
         raise ShapeMismatch(f"achievements have d = {y.shape[1]}, cutoffs have d = {z.d}")
-    return _adopted(GapMatrix, alpha=alpha, values=_gap_values(y, z.values, alpha))
+    z, gaps = z.values, np.empty(y.shape)
+
+    def gap(rows: slice, block: NDArray[np.float64]) -> None:
+        # the block holds the 0/1 mask of the deprived cells
+        _gaps(y[rows], z, alpha, np.less(y[rows], z, out=block), gaps[rows])
+
+    _row_blocks(*y.shape, gap)
+    return _adopted(GapMatrix, alpha=alpha, values=gaps)
 
 
 def _score_values(
@@ -165,7 +181,8 @@ def _score_values(
     scores = np.empty((n, d))
 
     def score(rows: slice, block: NDArray[np.float64]) -> None:
-        gaps = _gap_values(y[rows], z, alpha)
+        yb = y[rows]
+        gaps = _gaps(yb, z, alpha, yb < z, np.empty(yb.shape))
         out, terms = scores[rows], block.reshape(-1, d, d)
         # the block holds the broadcast products, d per score
         np.sum(np.multiply(gaps[:, None, :], off_diag, out=terms), axis=2, out=out)
@@ -323,8 +340,6 @@ def _count_values(
 ) -> NDArray[np.float64]:
     """Per-person counts: the coefficients of the deprived dimensions, summed."""
     n, d = y.shape
-    if n * d <= _BLOCK_CELLS:
-        return np.sum(np.multiply(y < z, coef), axis=1)
     counts = np.empty(n)
 
     def count(rows: slice, block: NDArray[np.float64]) -> None:

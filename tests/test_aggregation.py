@@ -17,13 +17,14 @@ from netpoverty import (
     deprivation_matrix,
     fgt_naive,
     fgt_network_adjusted,
+    gap_matrix,
     identify,
     upper_bound,
     validate_dependence_structure,
     weighted_upper_bound,
 )
 from netpoverty import aggregation, deprivation
-from netpoverty.aggregation import _coefficient_pass
+from netpoverty.aggregation import _coefficient_pass, _fgt
 from netpoverty.core import _coefficient_values
 from netpoverty.deprivation import _BLOCK_CELLS, _PARALLEL_CELLS
 from netpoverty.errors import CutoffOutOfRange, InvalidPartition, ShapeMismatch
@@ -826,3 +827,17 @@ class TestBoundedMemory:
         )
         assert scores.values.nbytes == self.N * self.D * 8
         assert peak <= 1.25 * scores.values.nbytes
+
+    def test_gaps_peak_near_what_they_keep(self, data):
+        y, cfg, _ = data
+        peak, gaps = traced_peak(lambda: gap_matrix(y, cfg.cutoffs, cfg.alpha))
+        assert gaps.values.nbytes == self.N * self.D * 8
+        assert peak <= 1.25 * gaps.values.nbytes
+
+    def test_exact_total_peaks_below_two_bytes_a_person(self, data, rng):
+        _, cfg, _ = data
+        n = 400_000
+        row_sums = rng.random(n)
+        peak, result = traced_peak(lambda: _fgt(row_sums, "", cfg, "network_adjusted"))
+        assert result.value == math.fsum(row_sums.tolist()) / (n * cfg.score_ceiling)
+        assert peak < n * 2

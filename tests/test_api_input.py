@@ -281,6 +281,7 @@ BAD_ACHIEVEMENTS = {
     "inf": [[1.0, math.inf, 3.0]],
     "minus-inf": [[1.0, 2.0, 3.0], [-math.inf, 5.0, 6.0]],
     "negative": [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, -0.5, 9.0]],
+    "nan-after-negative": [[1.0, -2.0, 3.0], [4.0, 5.0, math.nan]],
     "empty": np.empty((0, 3)),
     "one-d": [1.0, 2.0, 3.0],
     "complex": np.array(Y) + 1j,
@@ -337,6 +338,37 @@ def test_raw_achievements_read_in_place(kernel, monkeypatch):
         assert kernel_bits(kernel(raw, z, s)) == want, name
         assert raw.tobytes() == before.tobytes() and raw.dtype == before.dtype, name
         assert raw.flags.writeable == writeable, name
+
+
+def test_non_finite_named_before_negative():
+    with pytest.raises(NegativeAchievement, match="must be finite") as got:
+        npv.AchievementMatrix(BAD_ACHIEVEMENTS["nan-after-negative"])
+    assert (got.value.row, got.value.column) == (None, None)
+
+
+@pytest.mark.parametrize("kernel", KERNELS.values(), ids=KERNELS.keys())
+def test_negative_zero_achievement_accepted(kernel):
+    minus_zero = np.array(Y)
+    minus_zero[0, 1] = minus_zero[2, 2] = -0.0
+    plus_zero = np.abs(minus_zero)
+    assert kernel_bits(kernel(minus_zero, Z, S)) == kernel_bits(kernel(plus_zero, Z, S))
+
+
+def test_checking_raw_achievements_allocates_no_n_by_d_mask():
+    import tracemalloc
+
+    from netpoverty.core import _achievement_values
+
+    n, d = 50_000, 20
+    y = np.random.default_rng(3).uniform(0.0, 20.0, (n, d))
+    _achievement_values(y)
+    tracemalloc.start()
+    try:
+        assert _achievement_values(y) is y
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * d / 4
 
 
 def test_matrix_payload_is_a_frozen_copy():

@@ -20,7 +20,7 @@ from netpoverty.deprivation import (
     _BLOCK_CELLS,
     _PARALLEL_CELLS,
     _count_values,
-    _gap_values,
+    _gaps,
     _row_blocks,
 )
 from netpoverty.errors import (
@@ -202,7 +202,7 @@ def clipped_gaps(y, z, alpha):
 
 
 class TestGapValues:
-    """Without the clip the gaps keep every bit of the clipped formula."""
+    """Without the clip or np.where the in-place gaps keep every bit of the clipped formula."""
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.7, 2.0, 20.0])
     def test_bitwise_equal_to_clipped_form(self, rng, alpha):
@@ -217,7 +217,7 @@ class TestGapValues:
             np.array([1e300, 1e300, 1.0, 1e300, 2.0, 1.0]),  # far above; most overflow
         ])
         y = np.vstack([y, edges])
-        got = _gap_values(y, z, alpha)
+        got = _gaps(y, z, alpha, y < z, np.empty(y.shape))
         assert got.tobytes() == clipped_gaps(y, z, alpha).tobytes()
         if alpha == 20.0:
             assert 0.0 < got[201, 0] < np.finfo(float).tiny
@@ -380,7 +380,7 @@ class TestBlockedCounts:
 
 def whole_array_scores(y, z, m, alpha, w=None):
     """The scores by the whole-array formula: every gap, then one broadcast neighbor sum."""
-    gaps = _gap_values(y, z, alpha)
+    gaps = clipped_gaps(y, z, alpha)
     off_diag = m.off_diagonal()
     d = off_diag.shape[0]
     scores = gaps + np.sum(gaps[:, None, :] * off_diag[None, :, :], axis=2) / (d - 1)
@@ -443,3 +443,36 @@ class TestBlockedScores:
             base = deprivation_matrix(y, z, m, alpha, w).values
             permuted = deprivation_matrix(y[perm], z, m, alpha, w).values
             assert permuted.tobytes() == base[perm].tobytes()
+
+
+class TestBlockedGaps:
+    """The gap matrix over row blocks and ranges keeps the clipped formula's bits."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "size", ["one-row", "block-1", "block", "block+1", "parallel-1", "parallel"]
+    )
+    @pytest.mark.parametrize("d", [2, 5, 20])
+    def test_bitwise_equal_to_clipped_gaps(self, monkeypatch, rng, d, size, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        started = []
+        real_start = threading.Thread.start
+
+        def start(thread):
+            started.append(thread)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        rows = _BLOCK_CELLS // d
+        parallel = -(-_PARALLEL_CELLS // d)  # the fewest rows whose blocks are split
+        n = {"one-row": 1, "block-1": rows - 1, "block": rows, "block+1": rows + 1,
+             "parallel-1": parallel - 1, "parallel": parallel}[size]
+        y, z, _, _ = score_inputs(rng, n, d)
+        alphas = (0.0, 0.5, 1.0, 2.0)
+        for alpha in alphas:
+            got = gap_matrix(y, z, alpha)
+            assert got.alpha == alpha and not got.values.flags.writeable
+            assert got.values.tobytes() == clipped_gaps(y, z, alpha).tobytes()
+        # from the threshold on, every call starts one thread per CPU past the caller's
+        threads = cpus - 1 if size == "parallel" else 0
+        assert len(started) == len(alphas) * threads
