@@ -13,15 +13,16 @@ coefficient form of :mod:`netpoverty.weights`, with no N x d x d
 neighbor sums, in one pass over row blocks (the schedule is
 :func:`netpoverty.deprivation._row_blocks`'s).  Each block is counted,
 identified, censored and summed per row, and its censored rows live
-only in a reused block buffer, never in an N x d array.  Raw
+only in a thread's reused block buffer, never in an N x d array.  Raw
 achievements are read in place, after the checks of
-:class:`~netpoverty.core.AchievementMatrix`.  The censored matrix of
-coefficient-weighted gaps (rows of the non-poor zeroed) is hashed on
-the caller, block by block in row order, so results can be traced to
-the exact arithmetic inputs.  Every step is elementwise or a per-row
-reduction, and SHA-256 over consecutive blocks equals SHA-256 over
-their concatenation, so every value, count, status, censored byte and
-hash is bitwise that of one whole-array pass, on any number of CPUs.
+:class:`~netpoverty.core.AchievementMatrix`.  A result's
+``censored_matrix_hash`` is the SHA-256 of ``"{n}x{d}:"`` followed by
+the bytes of its N censored row sums (the coefficient-weighted gaps of
+the poor, summed per row), the exact terms its total is taken from, so
+results can be traced to the arithmetic inputs.  Every step is
+elementwise or a per-row reduction, so every value, count, status,
+censored byte, row sum and hash is bitwise that of one whole-array
+pass, on any number of CPUs.
 The coefficients and the ceiling are read from the
 :class:`~netpoverty.core.MethodologyConfig`, which derives them once per
 methodology; the public functions taking loose arguments build that
@@ -32,8 +33,7 @@ under row permutation and the total is permutation invariant, which
 makes the symmetry and focus axioms hold exactly, not just to
 tolerance.  Every per-person quantity depends only on that person's
 row, so a subgroup's aggregate is the same reduction (exact total,
-denominator, hash) taken over its rows: the pass hands each hashed block
-to the caller, which feeds each group's rows to that group's hash.
+denominator, hash) taken over the pass's row sums of its rows.
 """
 
 from __future__ import annotations
@@ -63,7 +63,11 @@ RECOMBINATION_TOL = 1e-12
 
 @dataclass(frozen=True)
 class FgtResult:
-    """One aggregate evaluation: value, the inputs that shaped it, and a trace hash."""
+    """One aggregate evaluation: value, the inputs that shaped it, and a trace hash.
+
+    ``censored_matrix_hash`` is the SHA-256 hex digest of ``f"{n}x{d}:"``
+    followed by the n censored row sums' float64 bytes, in row order.
+    """
 
     value: float
     alpha: float
@@ -84,16 +88,16 @@ class DecompositionResult:
     recombines: bool
 
 
-def _fgt(
-    row_sums: NDArray[np.float64], digest: str, config: MethodologyConfig, kind: str
-) -> FgtResult:
-    """The exact total of censored row sums over the kind's denominator."""
+def _fgt(row_sums: NDArray[np.float64], config: MethodologyConfig, kind: str) -> FgtResult:
+    """The exact total of censored row sums over the kind's denominator, and their hash."""
     n = row_sums.shape[0]
     denominator = n * config.d if kind == "naive" else n * config.score_ceiling
     # one exact sum over short lists: faster than the array, bounded memory
     slices = (row_sums[i:i + 4096].tolist() for i in range(0, n, 4096))
     value = math.fsum(chain.from_iterable(slices)) / denominator
-    return FgtResult(value, config.alpha, config.k, denominator, digest, kind)
+    h = hashlib.sha256(f"{n}x{config.d}:".encode())
+    h.update(row_sums)  # hashlib reads a C-contiguous array's buffer, no copy
+    return FgtResult(value, config.alpha, config.k, denominator, h.hexdigest(), kind)
 
 
 def _pass_block(rows, block, y, z, coef, reach, alpha, counts, poor, row_sums) -> None:
@@ -111,20 +115,16 @@ def _pass_block(rows, block, y, z, coef, reach, alpha, counts, poor, row_sums) -
 
 
 def _coefficient_pass(
-    achievements, config: MethodologyConfig, kind: str = "network_adjusted", sink=None
+    achievements, config: MethodologyConfig, kind: str = "network_adjusted"
 ) -> tuple[FgtResult, NDArray[np.float64], PovertyStatusVector, NDArray[np.float64]]:
     """Counts, identification and censored row sums, one row block at a time.
 
     Returns the aggregate with the per-person counts, statuses and
     censored row sums it was built from; the censored rows live only in
-    the row blocks' reused buffers.  ``sink``, if given, is called with
-    the number of persons once the input is checked, and returns the
-    function the caller's thread then calls with each block's rows and
-    censored values, in row order, after they are hashed.  The
-    coefficients and the ceiling come from ``config``, which has already
-    checked k against that ceiling.  The naive kind counts with the
-    uniform coefficients of the structure and divides by N * d instead of
-    N times the ceiling.
+    the row blocks' reused buffers.  The coefficients and the ceiling
+    come from ``config``, which has already checked k against that
+    ceiling.  The naive kind counts with the uniform coefficients of the
+    structure and divides by N * d instead of N times the ceiling.
     """
     y, z = _achievement_values(achievements), config.cutoffs.values
     n, d = y.shape
@@ -136,23 +136,14 @@ def _coefficient_pass(
         coef = config.coefficients
     reach = config.k - _k_band(config.k)
     counts, poor, row_sums = np.empty(n), np.empty(n, dtype=bool), np.empty(n)
-    h = hashlib.sha256(f"{n}x{d}:".encode())
-    feed = None if sink is None else sink(n)
-
-    def consume(rows: slice, block: NDArray[np.float64]) -> None:
-        h.update(block)  # hashlib reads a C-contiguous array's buffer, no copy
-        if feed is not None:
-            feed(rows, block)
-
     _row_blocks(
         n,
         d,
         lambda rows, block: _pass_block(
             rows, block, y, z, coef, reach, config.alpha, counts, poor, row_sums
         ),
-        consume,
     )
-    result = _fgt(row_sums, h.hexdigest(), config, kind)
+    result = _fgt(row_sums, config, kind)
     return result, counts, PovertyStatusVector(poor, config.k), row_sums
 
 
@@ -201,48 +192,31 @@ def decompose_by_group(
     lands in exactly one group.  Labels equal as dict keys share a group,
     and groups keep first-appearance order.  Each group's result is the
     aggregate of its rows, bit for bit, from the one pass over the
-    population: the exact total of the pass's row sums over those rows,
-    and the hash of its censored rows in row order, fed from each block
-    as the pass hands it out.  The weighted average of group values must
+    population: the exact total and the hash of the pass's row sums over
+    those rows, in row order.  The weighted average of group values must
     reproduce the total within 1e-12; the result records the achieved
     error.
     """
+    index = {}
     try:
-        labels = list(group_labels)
         # a code per group, by its first label, in first-appearance order
-        index = {label: code for code, label in enumerate(dict.fromkeys(labels))}
+        codes = np.fromiter(
+            (index.setdefault(label, len(index)) for label in group_labels), np.intp
+        )
     except TypeError as exc:
         raise InvalidPartition(f"group labels must be hashable values ({exc})") from None
-    codes = np.fromiter(map(index.__getitem__, labels), np.intp, len(labels))
+    total, _, _, row_sums = _coefficient_pass(achievements, config)
+    n = row_sums.shape[0]
+    if codes.shape[0] != n:
+        raise InvalidPartition(
+            f"{codes.shape[0]} labels for {n} persons; need exactly one per person"
+        )
     sizes = np.bincount(codes).tolist()
-    # each group's header is fixed by its size, before any of its rows
-    hashers = [hashlib.sha256(f"{size}x{config.d}:".encode()) for size in sizes]
-
-    def feed(rows: slice, block: NDArray[np.float64]) -> None:
-        # stable, so each group's rows stay in row order
-        block_codes = codes[rows]
-        order = np.argsort(block_codes, kind="stable")
-        block_codes, block = block_codes[order], block[order]
-        edges = [0, *(np.flatnonzero(np.diff(block_codes)) + 1).tolist(), len(order)]
-        for start, stop in zip(edges, edges[1:]):
-            hashers[block_codes[start]].update(block[start:stop])
-
-    def groups_of(n: int):
-        # called once the pass has checked the achievements, before any block
-        if len(labels) != n:
-            raise InvalidPartition(
-                f"{len(labels)} labels for {n} persons; need exactly one per person"
-            )
-        return feed
-
-    total, _, _, row_sums = _coefficient_pass(achievements, config, sink=groups_of)
     order = np.argsort(codes, kind="stable")
     group_results, start = {}, 0
-    for g, size, h in zip(index, sizes, hashers):
-        group_rows = row_sums[order[start:start + size]]
-        group_results[g] = _fgt(group_rows, h.hexdigest(), config, total.kind)
+    for g, size in zip(index, sizes):
+        group_results[g] = _fgt(row_sums[order[start:start + size]], config, total.kind)
         start += size
-    n = len(labels)
     group_sizes = dict(zip(index, sizes))
     recombined = math.fsum(
         (group_sizes[g] / n) * group_results[g].value for g in group_results

@@ -57,11 +57,17 @@ SYMMETRY_TOL = 1e-12
 
 
 def _real_array(values: ArrayLike, name: str, ndim: int, dtype=float) -> NDArray:
-    """``values`` as a C-ordered ``ndim``-D array (one order for row sums); uncopied if so."""
+    """``values`` as a C-ordered ``ndim``-D array (one order for row sums); uncopied if so.
+
+    Complex values and text are refused: a cast would drop the imaginary
+    part, or parse numerals the dataset format rejects ("1_000", "١٠").
+    """
     try:
-        if np.iscomplexobj(values):  # a cast would drop the imaginary part, with a warning
+        raw = np.asarray(values)
+        kind = raw.dtype.kind
+        if kind in "cSU" or (kind == "O" and any(isinstance(v, (str, bytes)) for v in raw.flat)):
             raise TypeError
-        out = np.asarray(values, dtype=dtype, order="C")
+        out = np.asarray(raw, dtype=dtype, order="C")
     except (TypeError, ValueError, OverflowError):
         raise ShapeMismatch(f"{name} must be an array of real numbers") from None
     if out.ndim != ndim:
@@ -93,8 +99,10 @@ def _adopted(cls, **fields):
 
 
 def _real(value, error: type[Exception], name: str) -> float:
-    """``value`` as a float, or ``error`` naming the type it had."""
+    """``value`` as a float, or ``error`` naming the type it had; text is refused."""
     try:
+        if isinstance(value, (str, bytes)):  # float() parses "1_000" and other digits
+            raise TypeError
         return float(value)
     except (TypeError, ValueError, OverflowError):
         raise error(f"{name} must be a real number, got {type(value).__name__}") from None

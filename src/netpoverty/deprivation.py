@@ -233,106 +233,58 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _window(blocks: int, threads: int) -> int:
-    """W of a threaded pass: twice its threads, the caller's included, at most its blocks."""
-    return min(blocks, 2 * threads)
-
-
-def _row_blocks(n: int, width: int, body, consume=None) -> None:
-    """Call ``body(rows, block)`` on every row block of n rows; ``consume`` sees them in order.
+def _row_blocks(n: int, width: int, body) -> None:
+    """Call ``body(rows, block)`` on every row block of n rows, on up to one thread a CPU.
 
     A block is a slice of whole rows, about ``_BLOCK_CELLS`` cells, and
-    ``block`` a C-ordered buffer of its rows times ``width`` cells, for
-    the pass's largest per-block array; ``consume(rows, block)`` reads it
-    on the caller, block by block in row order, after its body returned.
-    The pass holds W such buffers and block b is written into buffer
-    b % W, so no N x width array exists.  W is 1 on one thread.  From
-    ``_PARALLEL_CELLS`` cells on, with more than one usable CPU, the
-    caller and short-lived threads, one per CPU in all and no more than
-    there are blocks, each claim the next unclaimed block in row order,
-    but only while it is fewer than W (:func:`_window`) blocks ahead of
-    the next block consumed, so its buffer is free.  The caller consumes
-    the next block if it is finished, else runs the next claimable one,
-    else waits.  A body's exception is raised here, and no thread
-    outlives the call.
+    ``block`` a C-ordered scratch buffer of its rows times ``width``
+    cells, for the pass's largest per-block array.  Each thread owns one
+    such buffer and reuses it for every block it runs, so no N x width
+    array exists.  From ``_PARALLEL_CELLS`` cells on, with more than one
+    usable CPU, the caller and short-lived threads, one per CPU in all
+    and no more than there are blocks, each claim the next unclaimed
+    block in row order under one lock; otherwise the caller runs them in
+    order.  Nothing reads the blocks in order: an aggregate's
+    ``censored_matrix_hash`` is the SHA-256 of ``"{n}x{d}:"`` and the
+    censored row sums its bodies write, taken once after the pass.  A
+    body's exception is raised here, and no thread outlives the call.
     """
     step = max(1, _BLOCK_CELLS // width)
-    blocks = -(-n // step)
-    workers = min(_usable_cpus(), blocks) - 1 if n * width >= _PARALLEL_CELLS else 0
-    window = _window(blocks, workers + 1) if workers else 1
-    buffers = np.empty((window, min(step, n), width))
-
-    def block_of(b: int) -> tuple[slice, NDArray[np.float64]]:
-        rows = slice(b * step, min((b + 1) * step, n))
-        return rows, buffers[b % window, : rows.stop - rows.start]
-
-    if workers == 0:
-        for b in range(blocks):
-            rows, block = block_of(b)
-            body(rows, block)
-            if consume is not None:
-                consume(rows, block)
+    threads = min(_usable_cpus(), -(-n // step)) if n * width >= _PARALLEL_CELLS else 1
+    if threads == 1:
+        buffer = np.empty((min(step, n), width))
+        for start in range(0, n, step):
+            body(slice(start, min(start + step, n)), buffer[: n - start])
         return
     import threading  # here, not at the top: importing the package loads no new module
 
-    changed = threading.Condition()
-    # under ``changed``: blocks handed out, in row order; blocks consumed; which
-    # have returned; failures.  Block b may be claimed while b < fed + window.
-    claimed, fed, done, errors = 0, 0, [False] * blocks, []
-
-    def run(b: int) -> None:
-        body(*block_of(b))
-        with changed:
-            done[b] = True
-            changed.notify_all()
+    lock, starts, errors = threading.Lock(), iter(range(0, n, step)), []
 
     def work() -> None:
-        nonlocal claimed
+        buffer = np.empty((step, width))
         try:
             while True:
-                with changed:
-                    while not (errors or claimed == blocks or claimed < fed + window):
-                        changed.wait()
-                    if errors or claimed == blocks:
-                        return
-                    b = claimed
-                    claimed += 1
-                run(b)
+                with lock:  # no claims after a failure
+                    start = None if errors else next(starts, None)
+                if start is None:
+                    return
+                body(slice(start, min(start + step, n)), buffer[: n - start])
         except BaseException as exc:  # raised again on the caller
-            with changed:
+            with lock:
                 errors.append(exc)
-                changed.notify_all()
 
-    threads = []
+    workers = []
     try:
-        for _ in range(workers):
+        for _ in range(threads - 1):
             thread = threading.Thread(target=work)
             thread.start()
-            threads.append(thread)
-        while fed < blocks:
-            with changed:
-                while not (errors or done[fed] or claimed < min(blocks, fed + window)):
-                    changed.wait()
-                if errors:
-                    raise errors[0]
-                ready = done[fed]
-                if not ready:
-                    b = claimed
-                    claimed += 1
-            if ready:
-                if consume is not None:
-                    consume(*block_of(fed))
-                with changed:
-                    fed += 1
-                    changed.notify_all()
-            else:
-                run(b)
+            workers.append(thread)
+        work()
     finally:
-        with changed:
-            claimed = blocks  # no thread claims another block
-            changed.notify_all()
-        for thread in threads:
+        for thread in workers:
             thread.join()
+    if errors:
+        raise errors[0]
 
 
 def _count_values(

@@ -3,7 +3,6 @@ import math
 import os
 import sys
 import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -354,6 +353,26 @@ class TestDecomposition:
                 y[rows], cfg.cutoffs, cfg.structure, cfg.weights, cfg.alpha, cfg.k
             )
 
+    def test_hashes_are_of_the_censored_row_sums(self):
+        # person 1's censored row sums to 0.5 (gap 0.5, coefficient 1), person 2's to 0
+        result = decompose_by_group(WORKED_Y, ["a", "b"], self.CFG)
+        want = {
+            "total": ([0.5, 0.0],
+                      "2c473edb951650d05cab389627f26241a585bbc3042e0c7a679000f3f5c04246"),
+            "a": ([0.5], "7bfce773950cb54a4bd9b06253c48bc4034e0fff9f9603d38ea42290b2264233"),
+            "b": ([0.0], "8fd0f0f504133b876ecee85fd5845607c99e11a448874f4f6a8e9e5217bb39d1"),
+        }
+        got = {"total": result.total, **result.group_results}
+        for name, (row_sums, digest) in want.items():
+            assert row_sums_hash(np.array(row_sums), 2) == digest
+            assert got[name].censored_matrix_hash == digest
+        cfg = self.CFG
+        for g, rows in (("a", [0]), ("b", [1])):
+            alone = fgt_network_adjusted(
+                WORKED_Y[rows], cfg.cutoffs, cfg.structure, cfg.weights, cfg.alpha, cfg.k
+            )
+            assert alone.censored_matrix_hash == want[g][1]
+
     @pytest.mark.parametrize(
         "labels, message",
         [
@@ -376,16 +395,17 @@ def test_total_is_fsum_over_the_row_sums_bitwise(rng):
     small = rng.standard_normal(n // 4) * 10.0 ** rng.integers(-320, -290, n // 4)
     row_sums = rng.permutation(np.concatenate([big, -big * (1 + 1e-15), small, -small[::-1]]))
     for kind in ("network_adjusted", "naive"):
-        result = aggregation._fgt(row_sums, "", cfg, kind)
+        result = aggregation._fgt(row_sums, cfg, kind)
         want = math.fsum(row_sums) / result.denominator
         assert result.value.hex() == want.hex()
+        assert result.censored_matrix_hash == row_sums_hash(row_sums, cfg.d)
 
 
 def whole_array_pass(y, config, kind):
     """The coefficient pass over the whole N x d array at once: the row blocks' bit oracle.
 
     (value, denominator, hash, counts, statuses, censored), each step
-    taken over every cell before the next.
+    taken over every cell before the next; the hash is of the censored row sums.
     """
     n, d = y.shape
     z, k = config.cutoffs.values, config.k
@@ -396,14 +416,14 @@ def whole_array_pass(y, config, kind):
     gaps = np.where(y < z, np.clip((z - y) / z, 0.0, 1.0) ** config.alpha, 0.0)
     censored = (gaps * coef) * statuses[:, None]
     denominator = n * d if naive else n * config.score_ceiling
-    value = math.fsum(np.sum(censored, axis=1)) / denominator
-    return value, denominator, censored_hash(censored), counts, statuses, censored
+    row_sums = np.sum(censored, axis=1)
+    value = math.fsum(row_sums) / denominator
+    return value, denominator, row_sums_hash(row_sums, d), counts, statuses, censored
 
 
-def censored_hash(censored):
-    h = hashlib.sha256(f"{censored.shape[0]}x{censored.shape[1]}:".encode())
-    h.update(censored.tobytes())
-    return h.hexdigest()
+def row_sums_hash(row_sums, d):
+    """``censored_matrix_hash`` as documented: SHA-256 of "{n}x{d}:" and the row sums' bytes."""
+    return hashlib.sha256(f"{row_sums.shape[0]}x{d}:".encode() + row_sums.tobytes()).hexdigest()
 
 
 def block_test_data(rng, n, d, weighted):
@@ -456,28 +476,6 @@ def spy_blocks(monkeypatch, fail_on=None):
     return seen
 
 
-def spy_consumed(monkeypatch, seen):
-    """First rows of the blocks the pass hashes, in the order it hashes them.
-
-    Each must be hashed on the caller, after its body has returned (is in ``seen``).
-    """
-    consumed = []
-    real = aggregation._row_blocks
-    caller = threading.current_thread()
-
-    def spy(n, width, body, consume):
-        def check(rows, block):
-            assert threading.current_thread() is caller
-            assert rows.start in {start for _, start in seen}
-            consumed.append(rows.start)
-            consume(rows, block)
-
-        real(n, width, body, check)
-
-    monkeypatch.setattr(aggregation, "_row_blocks", spy)
-    return consumed
-
-
 def spy_threads(monkeypatch):
     """Every thread started."""
     started = []
@@ -491,96 +489,68 @@ def spy_threads(monkeypatch):
     return started
 
 
-def assert_schedule(seen, consumed, started, n, step, workers):
+def assert_schedule(seen, started, n, step, workers):
     """The claimed-block schedule of one pass: ``workers`` threads besides the caller."""
     blocks = list(range(0, n, step))
     assert sorted(start for _, start in seen) == blocks  # every block ran exactly once
-    assert consumed == blocks  # each hashed once, in row order, after its body returned
     assert len(started) == workers
     ran = {thread for thread, _ in seen}
     assert ran <= {threading.current_thread(), *started}
     assert len(ran) <= min(workers + 1, len(blocks))
 
 
-def censored_blocks(pass_, *args, delay=0.0):
-    """``pass_(*args, sink=...)``'s result and the censored matrix, rebuilt from its blocks.
+def censored_blocks(pass_, *args):
+    """``pass_(*args)``'s result and the censored matrix, rebuilt from its blocks.
 
-    The sink must be handed each block once, on the caller, in row order;
-    it takes ``delay`` seconds over each.
+    Each block is copied as soon as the real body has returned, on whichever
+    thread ran it; together the blocks must cover every row exactly once.
     """
-    caller = threading.current_thread()
-    blocks, persons = [], []
+    real, blocks = aggregation._pass_block, []
 
-    def feed(rows, block):
-        blocks.append((threading.current_thread(), rows, block.copy()))
-        time.sleep(delay)
+    def spy(rows, block, *rest):
+        real(rows, block, *rest)
+        blocks.append((rows, block.copy()))
 
-    def sink(n):
-        persons.append(n)
-        return feed
-
-    result = pass_(*args, sink=sink)
-    (n,) = persons  # the sink is opened once, with the number of persons
-    assert {thread for thread, _, _ in blocks} == {caller}
-    starts = [rows.start for _, rows, _ in blocks]
-    stops = [rows.stop for _, rows, _ in blocks]
-    assert starts == [0, *stops[:-1]] and stops[-1] == n
-    assert all(block.shape[0] == rows.stop - rows.start for _, rows, block in blocks)
-    return result, np.concatenate([block for _, _, block in blocks])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(aggregation, "_pass_block", spy)
+        result = pass_(*args)
+    blocks.sort(key=lambda ran: ran[0].start)
+    starts = [rows.start for rows, _ in blocks]
+    stops = [rows.stop for rows, _ in blocks]
+    assert starts == [0, *stops[:-1]] and stops[-1] == result[1].shape[0]
+    assert all(block.shape[0] == rows.stop - rows.start for rows, block in blocks)
+    return result, np.concatenate([block for _, block in blocks])
 
 
-def assert_whole_array_bits(y, config, kind, delay=0.0):
+def assert_whole_array_bits(y, config, kind):
     (result, counts, statuses, row_sums), censored = censored_blocks(
-        _coefficient_pass, y, config, kind, delay=delay
+        _coefficient_pass, y, config, kind
     )
     value, denominator, digest, want_counts, want_statuses, want_censored = (
         whole_array_pass(y, config, kind)
     )
     assert (result.value, result.denominator) == (value, denominator)
-    assert result.censored_matrix_hash == digest
+    assert result.censored_matrix_hash == digest == row_sums_hash(row_sums, y.shape[1])
     assert counts.tobytes() == want_counts.tobytes()
     assert statuses.statuses.tobytes() == want_statuses.tobytes()
     assert censored.tobytes() == want_censored.tobytes()
     assert row_sums.tobytes() == np.sum(want_censored, axis=1).tobytes()
 
 
-def spy_window(monkeypatch, step):
-    """Per pass: its window W, its blocks' buffers, and how far a block started ahead.
-
-    "Ahead" counts blocks past the blocks consumed.  Block b is written into
-    buffer b % W, which block b - W used, so a block starting W or more
-    blocks ahead fails the pass.
-    """
-    passes = []
-    real_window, real_block, real_blocks = (
-        deprivation._window, aggregation._pass_block, aggregation._row_blocks
-    )
-
-    def window(blocks, threads):
-        passes[-1]["window"] = real_window(blocks, threads)
-        return passes[-1]["window"]
-
-    def body(rows, block, *args):
-        now = passes[-1]
-        ahead = rows.start // step - now["consumed"]
-        assert ahead < now["window"], f"block at row {rows.start} claimed {ahead} ahead"
-        now["ahead"] = max(now["ahead"], ahead)
-        now["buffers"].add(block.__array_interface__["data"][0])
-        real_block(rows, block, *args)
-
-    def row_blocks(n, width, body, consume):
-        passes.append({"window": 1, "buffers": set(), "consumed": 0, "ahead": 0})
-
-        def counted(rows, block):
-            consume(rows, block)
-            passes[-1]["consumed"] += 1
-
-        real_blocks(n, width, body, counted)
-
-    monkeypatch.setattr(deprivation, "_window", window)
-    monkeypatch.setattr(aggregation, "_pass_block", body)
-    monkeypatch.setattr(aggregation, "_row_blocks", row_blocks)
-    return passes
+def assert_group_bits(y, labels, cfg):
+    """decompose_by_group's totals, sizes, values and hashes against the whole-array pass."""
+    result = decompose_by_group(y, labels.tolist(), cfg)
+    _, _, digest, _, _, censored = whole_array_pass(y, cfg, "network_adjusted")
+    assert result.total.censored_matrix_hash == digest
+    assert list(result.group_results) == list(dict.fromkeys(labels.tolist()))
+    for g, got in result.group_results.items():
+        rows_g = censored[labels == g]
+        size = rows_g.shape[0]
+        assert result.group_sizes[g] == size
+        assert got.denominator == size * cfg.score_ceiling
+        row_sums = np.sum(rows_g, axis=1)
+        assert got.value == math.fsum(row_sums) / got.denominator
+        assert got.censored_matrix_hash == row_sums_hash(row_sums, cfg.d)
 
 
 class TestRowBlocks:
@@ -607,11 +577,10 @@ class TestRowBlocks:
         assert (n * d >= _PARALLEL_CELLS) == (offset >= 0)
         force_cpus(monkeypatch, 2)
         seen = spy_blocks(monkeypatch)
-        consumed = spy_consumed(monkeypatch, seen)
         y, cfg = block_test_data(rng, n, d, weighted=True)
         started = spy_threads(monkeypatch)
         assert_whole_array_bits(y, cfg, "network_adjusted")
-        assert_schedule(seen, consumed, started, n, _BLOCK_CELLS // d, 0 if offset < 0 else 1)
+        assert_schedule(seen, started, n, _BLOCK_CELLS // d, 0 if offset < 0 else 1)
 
     @pytest.mark.parametrize("kind", ["network_adjusted", "naive"])
     @pytest.mark.parametrize(
@@ -628,16 +597,14 @@ class TestRowBlocks:
         assert n * d >= _PARALLEL_CELLS
         force_cpus(monkeypatch, cpus)
         seen = spy_blocks(monkeypatch)
-        consumed = spy_consumed(monkeypatch, seen)
         y, cfg = block_test_data(rng, n, d, weighted=kind == "network_adjusted")
         started = spy_threads(monkeypatch)
         for alpha in (0.0, 0.5, 1.0, 2.0):
             config = MethodologyConfig(alpha, cfg.k, cfg.structure, cfg.weights, cfg.cutoffs)
             seen.clear()
-            consumed.clear()
             started.clear()
             assert_whole_array_bits(y, config, kind)
-            assert_schedule(seen, consumed, started, n, step, cpus - 1)
+            assert_schedule(seen, started, n, step, cpus - 1)
 
     def test_one_cpu_gives_the_threaded_bits(self, monkeypatch, rng):
         d = 5
@@ -655,13 +622,11 @@ class TestRowBlocks:
         assert serial[3].tobytes() == threaded[3].tobytes()
 
     def test_more_threads_than_cores_under_fast_switching(self, monkeypatch, rng):
-        # a range hashed before its thread finished, or rows written twice, change the bits
+        # a block claimed twice, or one thread's buffer shared with another, change the bits
         d = 20
         n = 23 * (_BLOCK_CELLS // d) + 5
         y, cfg = block_test_data(rng, n, d, weighted=True)
-        cpus = 2 * (os.cpu_count() or 1) + 3
-        force_cpus(monkeypatch, cpus)
-        passes = spy_window(monkeypatch, _BLOCK_CELLS // d)
+        force_cpus(monkeypatch, 2 * (os.cpu_count() or 1) + 3)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -669,10 +634,6 @@ class TestRowBlocks:
                 assert_whole_array_bits(y, cfg, kind)
         finally:
             sys.setswitchinterval(interval)
-        # 24 blocks: W is twice the threads, capped at the blocks, and bounds the buffers
-        for seen in passes:
-            assert seen["window"] == min(24, 2 * min(cpus, 24))
-            assert len(seen["buffers"]) <= seen["window"]
 
     @pytest.mark.parametrize("where", ["caller", "worker"])
     def test_a_failing_block_raises_on_the_caller(self, monkeypatch, rng, where):
@@ -701,87 +662,29 @@ class TestRowBlocks:
         # runs that cross each block edge, and one group spread over every block
         labels = np.searchsorted([rows - 3, rows + 5, 2 * rows + 1, 3 * rows], np.arange(n))
         labels[::97] = 9
-        result = decompose_by_group(y, labels.tolist(), cfg)
-        _, _, digest, _, _, censored = whole_array_pass(y, cfg, "network_adjusted")
-        assert result.total.censored_matrix_hash == digest
-        assert list(result.group_results) == [9, 0, 1, 2, 3, 4]
-        for g, got in result.group_results.items():
-            rows_g = censored[labels == g]
-            size = rows_g.shape[0]
-            assert result.group_sizes[g] == size
-            assert got.denominator == size * cfg.score_ceiling
-            assert got.value == math.fsum(np.sum(rows_g, axis=1)) / got.denominator
-            assert got.censored_matrix_hash == censored_hash(rows_g)
+        assert_group_bits(y, labels, cfg)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_cells_and_groups_on_1_to_3_cpus(self, monkeypatch, rng, cpus):
+        # 7 blocks past the parallel threshold, the last one short, and group runs
+        # that cross every block edge
+        d = 5
+        step = _BLOCK_CELLS // d
+        n = 6 * step + 11
+        assert n * d >= _PARALLEL_CELLS
+        force_cpus(monkeypatch, cpus)
+        y, cfg = block_test_data(rng, n, d, weighted=True)
+        labels = np.searchsorted([step - 3, 3 * step + 5, 5 * step], np.arange(n))
+        labels[::89] = 7
+        for kind in ("network_adjusted", "naive"):
+            assert_whole_array_bits(y, cfg, kind)
+        assert_group_bits(y, labels, cfg)
 
     def test_extreme_ratio_above_the_cutoff_does_not_overflow(self):
         # (z - y) / z overflows for y = 1e300, z = 1e-10; that cell is not deprived, and
         # the other's coefficient 1.5 over the ceiling 2.5 is the whole value
         result = fgt_network_adjusted([[1e300, 0.0]], [1e-10, 1.0], WORKED_M, None, 1.0, 1.0)
         assert result.value == 0.6
-
-
-def assert_group_bits(y, labels, cfg):
-    """decompose_by_group's totals, sizes, values and hashes against the whole-array pass."""
-    result = decompose_by_group(y, labels.tolist(), cfg)
-    _, _, digest, _, _, censored = whole_array_pass(y, cfg, "network_adjusted")
-    assert result.total.censored_matrix_hash == digest
-    for g, got in result.group_results.items():
-        rows_g = censored[labels == g]
-        assert result.group_sizes[g] == rows_g.shape[0]
-        assert got.value == math.fsum(np.sum(rows_g, axis=1)) / got.denominator
-        assert got.censored_matrix_hash == censored_hash(rows_g)
-
-
-class TestWindow:
-    """Block b is written into buffer b % W, so it starts only once block b - W is consumed."""
-
-    D = 5
-    STEP = _BLOCK_CELLS // D
-    BLOCKS = 7
-
-    def data(self, rng):
-        # 7 blocks, the last one short, and groups whose runs cross every block edge
-        n = (self.BLOCKS - 1) * self.STEP + 11
-        y, cfg = block_test_data(rng, n, self.D, weighted=True)
-        labels = np.searchsorted([self.STEP - 3, 3 * self.STEP + 5, 5 * self.STEP], np.arange(n))
-        labels[::89] = 7
-        return y, cfg, labels
-
-    @pytest.mark.parametrize("cpus", [1, 2, 3])
-    @pytest.mark.parametrize("window", ["1", "2", "blocks"])
-    def test_bitwise_equal_to_whole_array_pass(self, monkeypatch, rng, window, cpus):
-        size = {"1": 1, "2": 2, "blocks": self.BLOCKS}[window]
-        force_cpus(monkeypatch, cpus)
-        monkeypatch.setattr(deprivation, "_window", lambda blocks, threads: size)
-        passes = spy_window(monkeypatch, self.STEP)
-        y, cfg, labels = self.data(rng)
-        for kind in ("network_adjusted", "naive"):
-            assert_whole_array_bits(y, cfg, kind)
-        assert_group_bits(y, labels, cfg)
-        assert len(passes) == 3
-        for seen in passes:
-            # one CPU takes the serial loop, whose one buffer is its window
-            assert seen["window"] == (size if cpus > 1 else 1)
-            assert len(seen["buffers"]) <= min(self.BLOCKS, seen["window"])
-
-    def test_window_is_twice_the_threads_and_at_most_the_blocks(self, monkeypatch, rng):
-        y, cfg, _ = self.data(rng)
-        passes = spy_window(monkeypatch, self.STEP)
-        for cpus, window in ((1, 1), (2, 4), (3, 6), (4, 7), (9, 7)):
-            force_cpus(monkeypatch, cpus)
-            _coefficient_pass(y, cfg)
-            assert passes[-1]["window"] == window
-            assert len(passes[-1]["buffers"]) <= window
-
-    @pytest.mark.parametrize("size", [1, 2, 3])
-    def test_a_slow_consumer_holds_the_claims_back(self, monkeypatch, rng, size):
-        # the sink takes 5 ms a block, so the other threads reach the window's edge
-        force_cpus(monkeypatch, 3)
-        monkeypatch.setattr(deprivation, "_window", lambda blocks, threads: size)
-        passes = spy_window(monkeypatch, self.STEP)
-        y, cfg, _ = self.data(rng)
-        assert_whole_array_bits(y, cfg, "network_adjusted", delay=0.005)
-        assert passes[-1]["ahead"] == size - 1
 
 
 def traced_peak(call):
@@ -820,6 +723,36 @@ class TestBoundedMemory:
         peak, _ = traced_peak(run)
         assert peak < self.N * self.D * 8 / 2
 
+    def test_groups_peak_at_most_12_bytes_a_person_above_the_total(self, data):
+        y, cfg, labels = data
+        total, _ = traced_peak(
+            lambda: fgt_network_adjusted(
+                y, cfg.cutoffs, cfg.structure, cfg.weights, cfg.alpha, cfg.k
+            )
+        )
+        groups, _ = traced_peak(lambda: decompose_by_group(y, labels, cfg))
+        assert groups - total <= 12 * self.N
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_a_pass_holds_one_block_buffer_per_thread(self, monkeypatch, cpus):
+        # 31 blocks of a 50,000 x 20 pass, so every thread runs several
+        force_cpus(monkeypatch, cpus)
+        buffers = {}
+
+        def body(rows, block):
+            address = block.__array_interface__["data"][0]
+            buffers.setdefault(threading.current_thread(), set()).add(address)
+
+        def run():
+            buffers.clear()
+            deprivation._row_blocks(self.N, self.D, body)
+
+        peak, _ = traced_peak(run)
+        # every thread takes its buffer as it starts, whether or not it wins a block
+        assert len(buffers) <= cpus
+        assert all(len(addresses) == 1 for addresses in buffers.values())
+        assert peak < cpus * _BLOCK_CELLS * 8 + 64 * 1024
+
     def test_scores_peak_near_what_they_keep(self, data):
         y, cfg, _ = data
         peak, scores = traced_peak(
@@ -838,6 +771,6 @@ class TestBoundedMemory:
         _, cfg, _ = data
         n = 400_000
         row_sums = rng.random(n)
-        peak, result = traced_peak(lambda: _fgt(row_sums, "", cfg, "network_adjusted"))
+        peak, result = traced_peak(lambda: _fgt(row_sums, cfg, "network_adjusted"))
         assert result.value == math.fsum(row_sums.tolist()) / (n * cfg.score_ceiling)
         assert peak < n * 2

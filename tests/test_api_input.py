@@ -21,10 +21,14 @@ import netpoverty as npv
 from netpoverty.dataio import ConfigDocument
 from netpoverty.deprivation import _PARALLEL_CELLS
 from netpoverty.errors import (
+    CutoffOutOfRange,
     IndexOutOfRange,
+    InvalidAlpha,
     InvalidGeneratorSettings,
     NegativeAchievement,
     NetpovertyError,
+    NonPositiveAmount,
+    NonPositiveCutoff,
     ShapeMismatch,
     ValidationError,
 )
@@ -94,6 +98,45 @@ PROBES = {
     "uniform-float": (lambda: npv.WeightVector.uniform(2.0), ShapeMismatch),
     # a cast to float would drop the imaginary part
     "cutoffs-complex": (lambda: npv.CutoffVector(np.array([10 + 1j, 10])), ShapeMismatch),
+    # numbers given as text are refused, not parsed: float() reads numerals
+    # the dataset format rejects, such as "1_0" and Arabic-Indic digits
+    "cutoffs-underscore": (lambda: npv.CutoffVector(["1_0", "20"]), ShapeMismatch),
+    "cutoffs-arabic-indic": (lambda: npv.CutoffVector(["١٠", "20"]), ShapeMismatch),
+    "cutoffs-bytes": (lambda: npv.CutoffVector(np.array([b"10", b"20"])), ShapeMismatch),
+    "cutoffs-object-str": (
+        lambda: npv.CutoffVector(np.array(["10", 20.0], dtype=object)),
+        ShapeMismatch,
+    ),
+    "weights-str": (lambda: npv.WeightVector(["1", "1"]), ShapeMismatch),
+    "validate-weights-str": (lambda: npv.validate_weights(["1.5", "1.5"], 2), ShapeMismatch),
+    "structure-numeric-str": (
+        lambda: npv.validate_dependence_structure([["1", "0.5"], ["0", "1"]]),
+        ShapeMismatch,
+    ),
+    "structure-object-str": (
+        lambda: npv.DependenceStructure(np.array([[1.0, "0.5"], [0.0, 1.0]], dtype=object)),
+        ShapeMismatch,
+    ),
+    "normalized-gap-underscore": (
+        lambda: npv.normalized_gap("1_000", "2000", 1),
+        NonPositiveCutoff,
+    ),
+    "normalized-gap-str-achievement": (
+        lambda: npv.normalized_gap("1_000", 2000, 1),
+        NegativeAchievement,
+    ),
+    "normalized-gap-bytes-alpha": (lambda: npv.normalized_gap(1, 2, b"1"), InvalidAlpha),
+    "fgt-str-alpha": (
+        lambda: npv.fgt_network_adjusted(Y, Z, S, None, "1", 1.0),
+        InvalidAlpha,
+    ),
+    "fgt-str-k": (lambda: npv.fgt_network_adjusted(Y, Z, S, None, 1.0, "1"), CutoffOutOfRange),
+    "config-str-alpha": (lambda: npv.MethodologyConfig("1", 1.0, S, None, Z), InvalidAlpha),
+    "config-str-k": (lambda: npv.MethodologyConfig(1.0, "1", S, None, Z), CutoffOutOfRange),
+    "increment-str-amount": (
+        lambda: npv.apply_simple_increment(Y, 1, 1, "0.5", CFG),
+        NonPositiveAmount,
+    ),
     # a person id per person, as text, so reports list every person
     "dataset-short-ids": (
         lambda: npv.Dataset(npv.AchievementMatrix(Y), ("a", "b", "c"), ("p1",)),
@@ -286,6 +329,10 @@ BAD_ACHIEVEMENTS = {
     "one-d": [1.0, 2.0, 3.0],
     "complex": np.array(Y) + 1j,
     "string": [["a", "b", "c"]],
+    "numeric-strings": [["1_0", "2", "3"]],
+    "arabic-indic": [["١", "٢", "٣"]],
+    "bytes": np.array([[b"1", b"2", b"3"]]),
+    "object-strings": np.array([[1.0, "2", 3.0]], dtype=object),
 }
 
 

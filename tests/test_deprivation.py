@@ -353,28 +353,27 @@ class TestBlockedCounts:
         assert _count_values(y, z, coef).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("cpus", [1, 2, 5])
-    def test_every_row_once_and_consumed_in_order(self, monkeypatch, cpus):
+    def test_every_row_once_in_its_threads_buffer(self, monkeypatch, cpus):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         d = 4
         step = _BLOCK_CELLS // d
         n = 7 * step + 5
         done = np.zeros(n, dtype=np.int64)
-        consumed = []
+        buffers = {}
         baseline = threading.active_count()
 
         def body(rows, block):
             assert block.shape == (rows.stop - rows.start, d) and block.flags.c_contiguous
+            assert rows.start % step == 0 and rows.stop == min(rows.start + step, n)
             done[rows] += 1
+            address = block.__array_interface__["data"][0]
+            buffers.setdefault(threading.current_thread(), set()).add(address)
 
-        def consume(rows, block):
-            assert np.all(done[rows] == 1)  # each range is finished before it is consumed
-            consumed.append((rows.start, rows.stop))
-
-        _row_blocks(n, d, body, consume)
+        _row_blocks(n, d, body)
         assert np.all(done == 1)
-        starts = [start for start, _ in consumed]
-        stops = [min(stop, n) for _, stop in consumed]
-        assert starts == [0, *stops[:-1]] and stops[-1] == n
+        # one scratch buffer per thread, reused for every block it runs
+        assert len(buffers) <= cpus
+        assert all(len(addresses) == 1 for addresses in buffers.values())
         assert threading.active_count() == baseline
 
 
