@@ -11,18 +11,18 @@ removes.
 Numerical contract: every aggregate is evaluated through the
 coefficient form of :mod:`netpoverty.weights`, with no N x d x d
 neighbor sums, in one pass over row blocks (the schedule is
-:func:`netpoverty.deprivation._row_blocks`'s).  Each block is counted,
-identified, censored and summed per row, and its censored rows live
-only in a thread's reused block buffer, never in an N x d array.  Raw
-achievements are read in place, after the checks of
-:class:`~netpoverty.core.AchievementMatrix`.  A result's
-``censored_matrix_hash`` is the SHA-256 of ``"{n}x{d}:"`` followed by
-the bytes of its N censored row sums (the coefficient-weighted gaps of
-the poor, summed per row), the exact terms its total is taken from, so
-results can be traced to the arithmetic inputs.  Every step is
-elementwise or a per-row reduction, so every value, count, status,
-censored byte, row sum and hash is bitwise that of one whole-array
-pass, on any number of CPUs.
+:func:`netpoverty.deprivation._row_blocks`'s).  Each block is counted
+and identified, and its deprived cells' weighted gaps are summed per row
+in a thread's reused block buffer, never in an N x d array.  Censoring
+is per person, as the measure counts only the poor's terms: a person
+who is not poor gets the row sum +0.0.  Raw achievements are read in
+place, after the checks of :class:`~netpoverty.core.AchievementMatrix`.
+A result's ``censored_matrix_hash`` is the SHA-256 of ``"{n}x{d}:"``
+followed by the bytes of its N censored row sums, the exact terms its
+total is taken from, so results can be traced to the arithmetic inputs.
+Every step is elementwise or a per-row reduction, so every value, count,
+status, row sum and hash is bitwise that of one whole-array pass, on
+any number of CPUs.
 The coefficients and the ceiling are read from the
 :class:`~netpoverty.core.MethodologyConfig`, which derives them once per
 methodology; the public functions taking loose arguments build that
@@ -100,31 +100,19 @@ def _fgt(row_sums: NDArray[np.float64], config: MethodologyConfig, kind: str) ->
     return FgtResult(value, config.alpha, config.k, denominator, h.hexdigest(), kind)
 
 
-def _pass_block(rows, block, y, z, coef, reach, alpha, counts, poor, row_sums) -> None:
-    """Count, identify, censor and sum one row block; ``block`` receives its censored rows."""
-    yb = y[rows]
-    kept = yb < z
-    # the block holds the count terms before it holds the censored rows
-    np.multiply(kept, coef, out=block)
-    np.sum(block, axis=1, out=counts[rows])
-    np.greater_equal(counts[rows], reach, out=poor[rows])
-    kept &= poor[rows, None]
-    _gaps(yb, z, alpha, kept, block)
-    block *= coef
-    np.sum(block, axis=1, out=row_sums[rows])
-
-
 def _coefficient_pass(
     achievements, config: MethodologyConfig, kind: str = "network_adjusted"
 ) -> tuple[FgtResult, NDArray[np.float64], PovertyStatusVector, NDArray[np.float64]]:
     """Counts, identification and censored row sums, one row block at a time.
 
     Returns the aggregate with the per-person counts, statuses and
-    censored row sums it was built from; the censored rows live only in
-    the row blocks' reused buffers.  The coefficients and the ceiling
-    come from ``config``, which has already checked k against that
-    ceiling.  The naive kind counts with the uniform coefficients of the
-    structure and divides by N * d instead of N times the ceiling.
+    censored row sums it was built from.  Each block holds the count
+    terms, then the deprived cells' weighted gaps, in a thread's reused
+    buffer; a person who is not poor gets the row sum +0.0.  The
+    coefficients and the ceiling come from ``config``, which has already
+    checked k against that ceiling.  The naive kind counts with the
+    uniform coefficients of the structure and divides by N * d instead
+    of N times the ceiling.
     """
     y, z = _achievement_values(achievements), config.cutoffs.values
     n, d = y.shape
@@ -136,13 +124,17 @@ def _coefficient_pass(
         coef = config.coefficients
     reach = config.k - _k_band(config.k)
     counts, poor, row_sums = np.empty(n), np.empty(n, dtype=bool), np.empty(n)
-    _row_blocks(
-        n,
-        d,
-        lambda rows, block: _pass_block(
-            rows, block, y, z, coef, reach, config.alpha, counts, poor, row_sums
-        ),
-    )
+
+    def aggregate(rows: slice, block: NDArray[np.float64]) -> None:
+        yb = y[rows]
+        np.sum(np.multiply(yb < z, coef, out=block), axis=1, out=counts[rows])
+        np.greater_equal(counts[rows], reach, out=poor[rows])
+        _gaps(yb, z, config.alpha, block)
+        block *= coef
+        np.sum(block, axis=1, out=row_sums[rows])
+        row_sums[rows] *= poor[rows]
+
+    _row_blocks(n, d, aggregate)
     result = _fgt(row_sums, config, kind)
     return result, counts, PovertyStatusVector(poor, config.k), row_sums
 

@@ -26,6 +26,7 @@ from .bounds import ENUMERATION_LIMIT, _subset_sums, attainable_scores, bounds_s
 from .core import MethodologyConfig
 from .dataio import (
     _bounds_fields,
+    _numeral,
     _round12,
     load_config,
     load_config_document,
@@ -41,6 +42,11 @@ from .weights import implied_weights
 
 class _Parser(argparse.ArgumentParser):
     """Raises usage errors, so ``main`` ends them like any validation error."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        for parse in (float, int):  # type=float and int: only a dataset cell's numerals
+            self.register("type", parse, lambda text, parse=parse: _numeral(text, parse))
 
     def error(self, message):
         raise ValidationError(f"{self.prog}: {message}")

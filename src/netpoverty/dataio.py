@@ -194,6 +194,13 @@ def _columns(path, header: list[str]) -> tuple[bool, list[str]]:
     return has_ids, names
 
 
+def _numeral(text: str, parse=float):
+    """``parse(text)`` on the numerals a dataset cell may hold: ASCII, no ``_`` grouping."""
+    if "_" in text or not text.isascii():  # float() and int() take both
+        raise ValueError
+    return parse(text)
+
+
 def _read_checked(path) -> tuple[list[str], list[str] | None, array]:
     """Names, ids and the flat values, every cell checked as its row is read."""
     ids: list[str] = []
@@ -218,10 +225,7 @@ def _read_checked(path) -> tuple[list[str], list[str] | None, array]:
                 for c, cell in enumerate(row[has_ids:], start=1):
                     text = cell.strip()
                     try:
-                        # float() takes `_` grouping and non-ASCII digits, the format does not
-                        if "_" in text or not text.isascii():
-                            raise ValueError
-                        value = float(text)
+                        value = _numeral(text)
                     except ValueError:
                         raise ParseError(
                             f"{path}: row {r}, column {c}: {text!r} is not a number",
@@ -544,12 +548,8 @@ def stream_report(
     the per-person records a few thousand at a time, with no report dict.
     """
     y = dataset.achievements
-    if y.d != config.d:
-        raise ValidationError(
-            f"dataset has d = {y.d} dimensions, config has d = {config.d}"
-        )
-    # the aggregate's own counts and statuses, so the rows match it exactly;
-    # the pass keeps no censored matrix, so only they outlive it
+    # the pass checks d; its own counts and statuses make the rows match the
+    # aggregate exactly, and it keeps no N x d array
     result, counts, statuses = _coefficient_pass(y, config)[:3]
     head: dict = {
         "fgt_value": _round12(result.value),

@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from test_deprivation import clipped_gaps
 
 from netpoverty import (
     DependenceStructure,
@@ -404,8 +406,9 @@ def test_total_is_fsum_over_the_row_sums_bitwise(rng):
 def whole_array_pass(y, config, kind):
     """The coefficient pass over the whole N x d array at once: the row blocks' bit oracle.
 
-    (value, denominator, hash, counts, statuses, censored), each step
-    taken over every cell before the next; the hash is of the censored row sums.
+    (value, denominator, hash, counts, statuses, weighted gaps, row sums),
+    each step taken over every cell before the next; the row sums are of
+    the cells censored one by one, and the hash is of the row sums.
     """
     n, d = y.shape
     z, k = config.cutoffs.values, config.k
@@ -414,11 +417,11 @@ def whole_array_pass(y, config, kind):
     counts = np.sum(np.where(y < z, coef, 0.0), axis=1)
     statuses = (counts >= k - 1e-12 * max(1.0, k)).astype(np.int64)
     gaps = np.where(y < z, np.clip((z - y) / z, 0.0, 1.0) ** config.alpha, 0.0)
-    censored = (gaps * coef) * statuses[:, None]
+    weighted = gaps * coef
     denominator = n * d if naive else n * config.score_ceiling
-    row_sums = np.sum(censored, axis=1)
+    row_sums = np.sum(weighted * statuses[:, None], axis=1)
     value = math.fsum(row_sums) / denominator
-    return value, denominator, row_sums_hash(row_sums, d), counts, statuses, censored
+    return value, denominator, row_sums_hash(row_sums, d), counts, statuses, weighted, row_sums
 
 
 def row_sums_hash(row_sums, d):
@@ -445,6 +448,12 @@ def force_cpus(monkeypatch, cpus):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
 
 
+def wrap_pass_body(patch, wrap):
+    """Make the aggregate pass run ``wrap(body)`` on its row blocks, not its own ``body``."""
+    real = aggregation._row_blocks
+    patch.setattr(aggregation, "_row_blocks", lambda n, width, body: real(n, width, wrap(body)))
+
+
 def spy_blocks(monkeypatch, fail_on=None):
     """Record (thread, first row) of every block the pass runs, once its body has returned.
 
@@ -452,27 +461,29 @@ def spy_blocks(monkeypatch, fail_on=None):
     is recorded and raises, and until then the other side's blocks wait.
     """
     seen = []
-    real = aggregation._pass_block
     caller = threading.current_thread()
     failed, lock = threading.Event(), threading.Lock()
 
-    def spy(rows, *args):
-        # the thread object, not its id: a finished thread's id can be reused
-        thread = threading.current_thread()
-        if fail_on is not None:
-            if (thread is caller) == (fail_on == "caller"):
-                with lock:
-                    first = not failed.is_set()
-                    failed.set()
-                if first:
-                    seen.append((thread, rows.start))
-                    raise RuntimeError(f"block at row {rows.start}")
-            else:
-                assert failed.wait(10)
-        real(rows, *args)
-        seen.append((thread, rows.start))
+    def spy(body):
+        def run(rows, block):
+            # the thread object, not its id: a finished thread's id can be reused
+            thread = threading.current_thread()
+            if fail_on is not None:
+                if (thread is caller) == (fail_on == "caller"):
+                    with lock:
+                        first = not failed.is_set()
+                        failed.set()
+                    if first:
+                        seen.append((thread, rows.start))
+                        raise RuntimeError(f"block at row {rows.start}")
+                else:
+                    assert failed.wait(10)
+            body(rows, block)
+            seen.append((thread, rows.start))
 
-    monkeypatch.setattr(aggregation, "_pass_block", spy)
+        return run
+
+    wrap_pass_body(monkeypatch, spy)
     return seen
 
 
@@ -499,20 +510,23 @@ def assert_schedule(seen, started, n, step, workers):
     assert len(ran) <= min(workers + 1, len(blocks))
 
 
-def censored_blocks(pass_, *args):
-    """``pass_(*args)``'s result and the censored matrix, rebuilt from its blocks.
+def gap_blocks(pass_, *args):
+    """``pass_(*args)``'s result and its weighted gaps, rebuilt from its blocks.
 
     Each block is copied as soon as the real body has returned, on whichever
     thread ran it; together the blocks must cover every row exactly once.
     """
-    real, blocks = aggregation._pass_block, []
+    blocks = []
 
-    def spy(rows, block, *rest):
-        real(rows, block, *rest)
-        blocks.append((rows, block.copy()))
+    def spy(body):
+        def run(rows, block):
+            body(rows, block)
+            blocks.append((rows, block.copy()))
+
+        return run
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(aggregation, "_pass_block", spy)
+        wrap_pass_body(patch, spy)
         result = pass_(*args)
     blocks.sort(key=lambda ran: ran[0].start)
     starts = [rows.start for rows, _ in blocks]
@@ -523,32 +537,31 @@ def censored_blocks(pass_, *args):
 
 
 def assert_whole_array_bits(y, config, kind):
-    (result, counts, statuses, row_sums), censored = censored_blocks(
+    (result, counts, statuses, row_sums), weighted = gap_blocks(
         _coefficient_pass, y, config, kind
     )
-    value, denominator, digest, want_counts, want_statuses, want_censored = (
+    value, denominator, digest, want_counts, want_statuses, want_weighted, want_row_sums = (
         whole_array_pass(y, config, kind)
     )
     assert (result.value, result.denominator) == (value, denominator)
     assert result.censored_matrix_hash == digest == row_sums_hash(row_sums, y.shape[1])
     assert counts.tobytes() == want_counts.tobytes()
     assert statuses.statuses.tobytes() == want_statuses.tobytes()
-    assert censored.tobytes() == want_censored.tobytes()
-    assert row_sums.tobytes() == np.sum(want_censored, axis=1).tobytes()
+    assert weighted.tobytes() == want_weighted.tobytes()
+    assert row_sums.tobytes() == want_row_sums.tobytes()
 
 
 def assert_group_bits(y, labels, cfg):
     """decompose_by_group's totals, sizes, values and hashes against the whole-array pass."""
     result = decompose_by_group(y, labels.tolist(), cfg)
-    _, _, digest, _, _, censored = whole_array_pass(y, cfg, "network_adjusted")
+    _, _, digest, _, _, _, all_row_sums = whole_array_pass(y, cfg, "network_adjusted")
     assert result.total.censored_matrix_hash == digest
     assert list(result.group_results) == list(dict.fromkeys(labels.tolist()))
     for g, got in result.group_results.items():
-        rows_g = censored[labels == g]
-        size = rows_g.shape[0]
+        row_sums = all_row_sums[labels == g]
+        size = row_sums.shape[0]
         assert result.group_sizes[g] == size
         assert got.denominator == size * cfg.score_ceiling
-        row_sums = np.sum(rows_g, axis=1)
         assert got.value == math.fsum(row_sums) / got.denominator
         assert got.censored_matrix_hash == row_sums_hash(row_sums, cfg.d)
 
@@ -685,6 +698,37 @@ class TestRowBlocks:
         # the other's coefficient 1.5 over the ceiling 2.5 is the whole value
         result = fgt_network_adjusted([[1e300, 0.0]], [1e-10, 1.0], WORKED_M, None, 1.0, 1.0)
         assert result.value == 0.6
+
+
+@st.composite
+def edge_inputs(draw):
+    """Up to 40 x 6 cells at 0, -0.0, 5e-324, just below, at and twice their cutoffs
+    of 1e-300, 1 or 1e300, or anywhere up to twice them, with a config on them."""
+    from conftest import random_structure, random_weights
+
+    d, n = draw(st.integers(2, 6)), draw(st.integers(1, 40))
+    cells = st.lists(st.integers(0, 6), min_size=n * d, max_size=n * d)
+    z = np.array(draw(st.lists(st.sampled_from([1e-300, 1.0, 1e300]), min_size=d, max_size=d)))
+    uniform = np.array(draw(st.lists(st.floats(0.0, 2.0), min_size=n * d, max_size=n * d)))
+    choices = [0.0, -0.0, 5e-324, np.nextafter(z, 0), z, 2 * z, uniform.reshape(n, d) * z]
+    y = np.choose(np.array(draw(cells)).reshape(n, d), np.broadcast_arrays(*choices))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = random_structure(rng, d)
+    w = random_weights(rng, d) if draw(st.booleans()) else None
+    alpha = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.7]))
+    k = draw(st.floats(0.01, 1.0)) * weighted_upper_bound(m, w)
+    return y, MethodologyConfig(alpha, k, m, w, z)
+
+
+@settings(deadline=None)
+@given(edge_inputs())
+def test_edge_cells_keep_the_per_cell_bits(inputs):
+    # the gaps take no deprivation mask, and the pass censors whole rows, not cells
+    y, cfg = inputs
+    for kind in ("network_adjusted", "naive"):
+        assert_whole_array_bits(y, cfg, kind)
+    want = clipped_gaps(y, cfg.cutoffs.values, cfg.alpha)
+    assert gap_matrix(y, cfg.cutoffs, cfg.alpha).values.tobytes() == want.tobytes()
 
 
 def traced_peak(call):

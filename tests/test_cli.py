@@ -13,7 +13,7 @@ from test_dataio import _CSV, _JSON
 
 from netpoverty import DependenceStructure, MethodologyConfig, WeightVector
 from netpoverty.bounds import ENUMERATION_LIMIT
-from netpoverty.cli import _warn_k_gap, main
+from netpoverty.cli import _warn_k_gap, build_parser, main
 
 WORKED_CONFIG = {
     "cutoffs": [10.0, 10.0],
@@ -347,6 +347,48 @@ class TestUsage:
     def test_usage_error_exits_1(self, capsys, argv):
         assert main(argv) == 1
         assert_one_error_line(capsys.readouterr().err)
+
+    # every numeric flag and its type; BASE makes the rest of its command valid
+    NUMERIC_FLAGS = [
+        *((command, flag, float) for command in ("compute", "compare")
+          for flag in ("--alpha", "--k", "--k-fraction")),
+        *(("axioms", flag, parse) for flag, parse in
+          (("--alpha", float), ("--trials", int), ("--seed", int))),
+        *(("compare", flag, int) for flag in ("--row", "--col", "--steps")),
+    ]
+    BASE = {
+        "compute": ["compute", "--dataset", "DATA"],
+        "axioms": ["axioms", "--trials", "2"],
+        "compare": ["compare", "--dataset", "DATA", "--row", "2", "--col", "1", "--steps", "3"],
+    }
+
+    def argv(self, worked, command, flag, text):
+        data, config = worked
+        argv = [str(data) if a == "DATA" else a for a in self.BASE[command]]
+        return [*argv, "--config", str(config), flag, text]
+
+    @pytest.mark.parametrize("text", ["1_0", "\u0661"], ids=["underscore", "arabic-indic"])
+    @pytest.mark.parametrize("command, flag, parse", NUMERIC_FLAGS)
+    def test_numeral_outside_the_dataset_format_exits_1(
+        self, worked, tmp_path, capsys, command, flag, parse, text
+    ):
+        # float() and int() read both as 10 and 1; a dataset cell may hold neither
+        out = tmp_path / "out.txt"
+        assert main([*self.argv(worked, command, flag, text), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert err == (
+            f"error: netpoverty {command}: argument {flag}: "
+            f"invalid {parse.__name__} value: {text!r}\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag, parse", NUMERIC_FLAGS)
+    def test_ascii_numerals_still_parse(self, worked, command, flag, parse):
+        for text in [".5", "1e0", " 2 "] if parse is float else [" 2 ", "3"]:
+            args = build_parser().parse_args(self.argv(worked, command, flag, text))
+            parsed = getattr(args, flag[2:].replace("-", "_"))
+            assert type(parsed) is parse and parsed == parse(text)
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as info:

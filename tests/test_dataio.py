@@ -523,7 +523,7 @@ class TestStreamedReport:
         data, config = worked_files
         ds = load_dataset(data)
         cfg = MethodologyConfig(1.0, 1.0, np.eye(3), None, [10.0, 10.0, 10.0])
-        with pytest.raises(ValidationError, match="d = 2 dimensions, config has d = 3"):
+        with pytest.raises(ValidationError, match="d = 2, config has d = 3"):
             stream_report(ds, cfg)
 
     @pytest.mark.parametrize(

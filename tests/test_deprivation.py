@@ -217,7 +217,7 @@ class TestGapValues:
             np.array([1e300, 1e300, 1.0, 1e300, 2.0, 1.0]),  # far above; most overflow
         ])
         y = np.vstack([y, edges])
-        got = _gaps(y, z, alpha, y < z, np.empty(y.shape))
+        got = _gaps(y, z, alpha, np.empty(y.shape))
         assert got.tobytes() == clipped_gaps(y, z, alpha).tobytes()
         if alpha == 20.0:
             assert 0.0 < got[201, 0] < np.finfo(float).tiny
