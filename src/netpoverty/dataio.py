@@ -51,7 +51,16 @@ byte-identical output.
 Every report comes from :func:`stream_report`: every check and all
 numeric work run first, then the text is produced a few thousand
 persons at a time from one fixed per-person template, with no report
-dict.  ``compute`` writes that text; :func:`run_report` and
+dict.  Each chunk's nonzero scores are formatted by one ``%``.  A
+person's record depends on that person's row alone, so the chunks fall
+into contiguous ranges, one per usable CPU and each of at least
+``_FORK_PERSONS`` persons.  The caller formats the first range; every
+other range is formatted by a worker forked for it, which writes its
+text into a pipe that the caller copies out in order.  With one range,
+or with other threads running, nothing is forked.  However the stream
+ends (done, failed, closed or dropped), every worker is reaped before
+the caller goes on; a failed worker raises :class:`WriteError`.  There
+is no option.  ``compute`` writes that text; :func:`run_report` and
 :func:`build_report` also parse it, so their dict is the streamed text
 read back.  The reference the text is tested against is built apart,
 in the tests, from the public counts, statuses, scores and bounds.
@@ -59,9 +68,11 @@ in the tests, from the public counts, statuses, scores and bounds.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
+import os
 import re
 import sys
 from array import array
@@ -87,7 +98,7 @@ from .core import (
     as_dependence_structure,
     validate_weights,
 )
-from .deprivation import _score_values
+from .deprivation import _score_values, _usable_cpus
 from .errors import (
     CutoffOutOfRange,
     EmptyDataset,
@@ -575,6 +586,10 @@ def stream_report(
 
 #: persons formatted per chunk of streamed report text
 _CHUNK_PERSONS = 4096
+#: fewest persons in a range of report text: forking and reaping a worker
+#: takes about 3 ms, a quarter of one chunk's text at d = 5; a report of up
+#: to two chunks and a person is one range
+_FORK_PERSONS = 16_384
 
 
 def _json_float(v: float) -> str:
@@ -590,10 +605,38 @@ def _json_float(v: float) -> str:
     return s if "." in s else s + ".0"
 
 
+def _json_floats(values: np.ndarray) -> list[str]:
+    """``[_json_float(v) for v in values]``, by one ``%`` over all of them.
+
+    A ``%.12g`` text is already the JSON text but where it has no ``.``,
+    as 12 significant digits round to a whole number, so within 5e-12
+    |v| of one; or where its exponent form is not the repr: from 1e12
+    on, where every value is that near a whole number, and for
+    subnormals.  Only the texts of those values are looked at again.
+    """
+    texts = (("%.12g," * values.size) % tuple(values.tolist())).split(",")
+    del texts[-1]  # after the last comma
+    size = np.abs(values)
+    near = (np.abs(values - np.rint(values)) <= 1e-11 * size) | (size < sys.float_info.min)
+    for i in np.flatnonzero(near).tolist():
+        text = texts[i]
+        if "e" in text:
+            texts[i] = repr(float(text))
+        elif "." not in text:
+            texts[i] = text + ".0"
+    return texts
+
+
 def _report_text(
     head: dict, person_ids, counts, statuses, scores, tail: dict
 ) -> Iterator[str]:
-    """The report as ``json.dumps(indent=2)`` writes it, one chunk of persons at a time."""
+    """The report as ``json.dumps(indent=2)`` writes it, one chunk of persons at a time.
+
+    The chunks fall into contiguous ranges of whole chunks, one per
+    usable CPU, each of at least ``_FORK_PERSONS`` persons; every range
+    after the first is formatted by a forked worker (see :func:`_in_order`).
+    With threads running, or one range, nothing is forked.
+    """
     yield json.dumps(head, indent=2)[:-2] + ',\n  "per_person": [\n'
     n, d = scores.shape
     record = (
@@ -604,7 +647,8 @@ def _report_text(
     # counts take at most 2**d values: format each distinct bit pattern once
     levels, level_of = np.unique(counts.view(np.int64), return_inverse=True)
     level_text = np.array([_json_float(v) for v in levels.view(np.float64).tolist()], object)
-    for start in range(0, n, _CHUNK_PERSONS):
+
+    def chunk(start: int) -> str:
         stop = min(start + _CHUNK_PERSONS, n)
         fields = [None] * ((stop - start) * width)
         if person_ids is None:
@@ -617,26 +661,110 @@ def _report_text(
         score_text = np.empty(block.shape, object)
         score_text.fill("0.0")  # +0.0: the score of every undeprived cell
         nonzero = block.view(np.int64) != 0
-        score_text[nonzero] = list(map(_json_float, block[nonzero].tolist()))
+        score_text[nonzero] = _json_floats(block[nonzero])
         for j in range(d):
             fields[3 + j :: width] = score_text[:, j].tolist()
         text = ",\n".join([record] * (stop - start)) % tuple(fields)
-        yield text if start == 0 else ",\n" + text
+        return text if start == 0 else ",\n" + text
+
+    import threading  # here, not at the top: importing the package loads no new module
+
+    starts = range(0, n, _CHUNK_PERSONS)
+    # a worker forked beside another thread could inherit a lock that thread held
+    forking = hasattr(os, "fork") and threading.active_count() == 1
+    ranges = max(1, min(_usable_cpus(), n // _FORK_PERSONS)) if forking else 1
+    cuts = [len(starts) * i // ranges for i in range(ranges + 1)]
+    yield from _in_order([map(chunk, starts[a:b]) for a, b in zip(cuts, cuts[1:])])
     yield "\n  ],\n" + json.dumps(tail, indent=2)[2:] + "\n"
 
 
+def _in_order(parts: list[Iterator[str]]) -> Iterator[str]:
+    """The ASCII text of each part in turn, every part after the first made by a forked worker.
+
+    Each worker formats its whole part into a list of strings, then
+    writes them one by one into its own pipe, and ends by ``os._exit``
+    alone: it never returns into the caller nor flushes an inherited
+    buffer.  The caller formats the first part meanwhile, then copies
+    the pipes out in order; a worker that exits other than 0 raises
+    :class:`WriteError`.  However the caller stops, it closes its read
+    ends, kills every worker not yet reaped, and reaps them all.
+    """
+    workers: list[tuple[int, int]] = []  # (pid, read end), until reaped
+    try:
+        for part in parts[1:]:
+            workers.append(_fork_worker(part, [fd for _, fd in workers]))
+        yield from parts[0]
+        while workers:
+            pid, fd = workers[0]
+            while data := os.read(fd, 1 << 16):  # what a pipe holds
+                yield data.decode("ascii")
+            status = os.waitpid(pid, 0)[1]
+            del workers[0]
+            os.close(fd)
+            if status:
+                code = os.waitstatus_to_exitcode(status)
+                raise WriteError(f"a report text worker failed (exit code {code})")
+    finally:
+        if workers:
+            import signal
+
+            for pid, fd in workers:
+                os.close(fd)
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _fork_worker(part: Iterator[str], inherited: list[int]) -> tuple[int, int]:
+    """Fork a worker that writes ``part`` into a new pipe; its pid and the pipe's read end."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid:
+        os.close(write)
+        return pid, read
+    code = 1
+    try:
+        for fd in (read, *inherited):  # so the caller's close leaves each pipe no reader
+            os.close(fd)
+        texts = list(part)  # all formatted before the first write: the pipe holds 64 KB
+        for text in texts:
+            data = memoryview(text.encode("ascii"))
+            while data:
+                data = data[os.write(write, data) :]
+        code = 0
+    finally:
+        os._exit(code)
+
+
 def write_text(chunks, path=None) -> None:
-    """Write text chunks (a ``str`` is one chunk) to ``path``, or to stdout."""
+    """Write text chunks (a ``str`` is one chunk) to ``path``, or to stdout.
+
+    A file that was opened but could not be written whole is removed, so
+    a failed stream leaves no truncated report behind.
+    """
     if isinstance(chunks, str):
         chunks = (chunks,)
     if path is None:
         sys.stdout.writelines(chunks)
         return
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
+        fh = open(path, "w", encoding="utf-8")
     except OSError as exc:
         raise WriteError(f"could not write {path}: {exc}") from exc
+    try:
+        with fh:
+            fh.writelines(chunks)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            if os.path.isfile(path):  # never a device or a pipe
+                os.remove(path)
+        if isinstance(exc, OSError):
+            raise WriteError(f"could not write {path}: {exc}") from exc
+        raise
 
 
 def run_report(

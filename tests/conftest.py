@@ -1,7 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
-from netpoverty import DependenceStructure, WeightVector
+from netpoverty import DependenceStructure, WeightVector, dataio
 
 
 def random_structure(rng, d, symmetric=False, sparsity=0.35):
@@ -22,3 +24,20 @@ def random_weights(rng, d):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)
+
+
+@pytest.fixture
+def small_ranges(monkeypatch):
+    """Chunks of 16 persons and ranges of at least 48; the pids forked, as a list."""
+    monkeypatch.setattr(dataio, "_CHUNK_PERSONS", 16)
+    monkeypatch.setattr(dataio, "_FORK_PERSONS", 48)
+    forks, fork = [], os.fork
+
+    def spy():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    return forks

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from test_dataio import _CSV, _JSON
+from test_dataio import _CSV, _JSON, fail_in_workers, usable_cpus
 
 from netpoverty import DependenceStructure, MethodologyConfig, WeightVector
 from netpoverty.bounds import ENUMERATION_LIMIT
@@ -280,6 +280,97 @@ class TestBrokenPipe:
         assert proc.wait(timeout=60) == 0
         assert head == b'{\n  "fgt_v'
         assert err == b""
+
+
+#: ``compute`` with two usable CPUs on any runner; with ``fail`` first, the
+#: score formatter raises in every process but the one ``compute`` runs in
+_LAUNCHER = """
+import os, sys
+os.sched_getaffinity = lambda pid: {0, 1}
+from netpoverty import cli, dataio
+if sys.argv[1] == "fail":
+    parent, formatter = os.getpid(), dataio._json_floats
+    def failing(values):
+        if os.getpid() != parent:
+            raise RuntimeError("worker fault")
+        return formatter(values)
+    dataio._json_floats = failing
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+class TestForkedCompute:
+    """``compute`` on a report large enough to fork: no process outlives it."""
+
+    @pytest.fixture
+    def large(self, worked):
+        data, config = worked
+        # two ranges of report text, so one forked worker
+        rows = "".join(f"{i % 17},{i % 5}.25\n" for i in range(40_000))
+        data.write_text("health,education\n" + rows, encoding="utf-8")
+        return ["compute", "--dataset", str(data), "--config", str(config)]
+
+    @staticmethod
+    def launch(mode, argv):
+        """Start compute in its own process group, so every worker it forks is in it."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        return subprocess.Popen(
+            [sys.executable, "-c", _LAUNCHER, mode, *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=path),
+            start_new_session=True,
+        )
+
+    @staticmethod
+    def assert_group_gone(proc):
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+
+    def test_reader_closing_early_exits_0_silently(self, large):
+        proc = self.launch("ok", large)
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert head == b'{\n  "fgt_v'
+        assert err == b""
+        self.assert_group_gone(proc)
+
+    def test_report_equals_serial_report(self, large, monkeypatch, capsys):
+        proc = self.launch("ok", large)
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0
+        assert err == b""
+        self.assert_group_gone(proc)
+        usable_cpus(monkeypatch, 1)  # one range, formatted here
+        assert main(large) == 0
+        assert out == capsys.readouterr().out.encode("utf-8")
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out-file"])
+    def test_worker_failure_exits_3(self, large, tmp_path, to_file):
+        out = tmp_path / "r.json"
+        proc = self.launch("fail", [*large, "--out", str(out)] if to_file else large)
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 3
+        assert_one_error_line(err.decode())
+        assert not out.exists()
+        self.assert_group_gone(proc)
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out-file"])
+    def test_worker_failure_in_process(self, worked, small_ranges, monkeypatch, capsys, to_file):
+        data, config = worked
+        data.write_text("health,education\n" + "5,10\n3,4\n" * 100, encoding="utf-8")
+        usable_cpus(monkeypatch, 2)
+        fail_in_workers(monkeypatch)
+        out = data.parent / "r.json"
+        argv = ["compute", "--dataset", str(data), "--config", str(config)]
+        assert main([*argv, "--out", str(out)] if to_file else argv) == 3
+        assert_one_error_line(capsys.readouterr().err)
+        assert not out.exists()
+        assert len(small_ranges) == 1
 
 
 class TestConfigBoundary:

@@ -2,8 +2,10 @@ import csv
 import inspect
 import json
 import math
+import os
 import struct
 import sys
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -37,6 +39,7 @@ from netpoverty.dataio import (
     _CHUNK_PERSONS,
     _InDoubt,
     _json_float,
+    _json_floats,
     _numbers,
     _read_bulk,
     _read_checked,
@@ -45,6 +48,7 @@ from netpoverty.dataio import (
     config_echo,
     render_report,
     stream_report,
+    write_text,
 )
 from netpoverty.errors import (
     CutoffOutOfRange,
@@ -56,6 +60,7 @@ from netpoverty.errors import (
     RaggedRow,
     ShapeMismatch,
     ValidationError,
+    WriteError,
 )
 
 WORKED_CONFIG = {
@@ -482,6 +487,12 @@ def reference_report(ds, cfg, naive):
     return report
 
 
+_FORMATTER_CASES = [
+    1e-05, -0.0, 0.0, 1.0, 123456789012.0, 1.23456789012e14, 1e16, 5e-324,
+    0.0001, 9.99999999999995e-05, 999999999999.5, 2.9999999999999, -7.0, 1e300,
+]
+
+
 class TestStreamedReport:
     """Every report path gives exactly :func:`reference_report`."""
 
@@ -552,11 +563,7 @@ class TestStreamedReport:
         assert text == render_report({**head, "per_person": persons, **tail})
         assert text.count("-0.0") == 5
 
-    @pytest.mark.parametrize(
-        "v",
-        [1e-05, -0.0, 0.0, 1.0, 123456789012.0, 1.23456789012e14, 1e16, 5e-324,
-         0.0001, 9.99999999999995e-05, 999999999999.5, 2.9999999999999, -7.0, 1e300],
-    )
+    @pytest.mark.parametrize("v", _FORMATTER_CASES)
     def test_formatter_cases(self, v):
         assert _json_float(v) == repr(float(f"{v:.12g}"))
 
@@ -569,6 +576,156 @@ class TestStreamedReport:
         bits = np.random.default_rng(11).integers(0, 2**64, 50_000, dtype=np.uint64)
         values = [v for (v,) in struct.iter_unpack("<d", bits.tobytes()) if math.isfinite(v)]
         assert [_json_float(v) for v in values] == [repr(float(f"{v:.12g}")) for v in values]
+
+
+class TestBatchedFormatter:
+    """``_json_floats`` formats a chunk's scores exactly as ``_json_float`` one by one."""
+
+    @staticmethod
+    def assert_batched(values):
+        assert _json_floats(np.array(values, dtype=float)) == list(map(_json_float, values))
+
+    def test_formatter_cases(self):
+        self.assert_batched(_FORMATTER_CASES)
+
+    def test_pinned_texts(self):
+        values = [-0.0, 5e-324, 999999999999.5, 1e12, 1e13, 1e14, 1e15, 1e16, 1e300]
+        assert _json_floats(np.array(values)) == [
+            "-0.0", "5e-324", "1000000000000.0", "1000000000000.0", "10000000000000.0",
+            "100000000000000.0", "1000000000000000.0", "1e+16", "1e+300",
+        ]
+
+    def test_over_the_whole_exponent_range(self):
+        bits = np.random.default_rng(11).integers(0, 2**64, 50_000, dtype=np.uint64)
+        self.assert_batched([v for (v,) in struct.iter_unpack("<d", bits.tobytes()) if math.isfinite(v)])
+
+    def test_near_whole_numbers_and_form_edges(self):
+        # the values whose text loses its "." or takes exponent form, and their neighbours
+        rng = np.random.default_rng(12)
+        whole = np.concatenate([rng.integers(0, 10**12, 3000), 10 ** rng.integers(0, 17, 3000)])
+        rel = 10.0 ** rng.uniform(-16, -9, whole.size) * rng.choice([-1, 1], whole.size)
+        edges = np.array([1e-4, 1e11, 1e12, 1e16]).repeat(1000)
+        rel_edge = 10.0 ** rng.uniform(-17, -10, edges.size) * rng.choice([-1, 1], edges.size)
+        values = np.concatenate([whole * (1 + rel), edges * (1 + rel_edge)])
+        self.assert_batched(np.concatenate([values, -values]).tolist())
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=50))
+    def test_random_lists(self, values):
+        self.assert_batched(values)
+
+
+def usable_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def fail_in_workers(monkeypatch):
+    """Make the score formatter raise in every process but this one."""
+    parent, formatter = os.getpid(), dataio._json_floats
+
+    def failing(values):
+        if os.getpid() != parent:
+            raise RuntimeError("worker fault")
+        return formatter(values)
+
+    monkeypatch.setattr(dataio, "_json_floats", failing)
+
+
+class TestForkedReport:
+    """A report whose ranges forked workers format is the serial report, byte for byte."""
+
+    @pytest.mark.parametrize("naive", [False, True], ids=["adjusted", "naive"])
+    @pytest.mark.parametrize("ids", [None, _TRICKY_IDS], ids=["integer-ids", "string-ids"])
+    @pytest.mark.parametrize("offset", [-1, 0, 7], ids=["below", "at", "past-a-chunk"])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_equals_rendered_report(
+        self, small_ranges, monkeypatch, tmp_path, cpus, offset, ids, naive
+    ):
+        usable_cpus(monkeypatch, cpus)
+        n = 48 * cpus + offset  # at the threshold, cpus ranges
+        ds, cfg = _golden_inputs(cpus, n, 3, 1.0, 0.4, False, ids)
+        want = reference_report(ds, cfg, naive)
+        text = render_report(want)
+        assert "".join(stream_report(ds, cfg, naive)) == text
+        out = tmp_path / "r.json"
+        assert _exact(run_report(ds, cfg, out_path=out, diagnostic_naive=naive)) == _exact(want)
+        assert out.read_bytes() == text.encode("utf-8")
+        assert _exact(build_report(ds, cfg, naive)) == _exact(want)
+        ranges = max(1, min(cpus, n // 48))
+        assert len(small_ranges) == 3 * (ranges - 1)
+        assert_reaped(small_ranges)
+
+    def test_real_chunk_size(self, monkeypatch):
+        usable_cpus(monkeypatch, 3)
+        monkeypatch.setattr(dataio, "_FORK_PERSONS", _CHUNK_PERSONS)
+        ds, cfg = _golden_inputs(5, 3 * _CHUNK_PERSONS + 5, 2, 2.0, 0.5, True, _TRICKY_IDS)
+        want = render_report(reference_report(ds, cfg, False))
+        assert "".join(stream_report(ds, cfg)) == want
+
+    def test_threads_running_keep_it_serial(self, small_ranges, monkeypatch):
+        usable_cpus(monkeypatch, 2)
+        ds, cfg = _golden_inputs(3, 200, 3, 1.0, 0.4, False, None)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            text = "".join(stream_report(ds, cfg))
+        finally:
+            release.set()
+            thread.join()
+        assert text == render_report(reference_report(ds, cfg, False))
+        assert small_ranges == []
+
+    @pytest.mark.parametrize("stop", ["close", "drop"])
+    def test_stopped_stream_reaps_every_worker(self, small_ranges, monkeypatch, stop):
+        usable_cpus(monkeypatch, 3)
+        ds, cfg = _golden_inputs(3, 400, 3, 1.0, 0.4, False, None)
+        chunks = stream_report(ds, cfg)
+        next(chunks), next(chunks)  # the head and the first chunk: the workers are forked
+        assert len(small_ranges) == 2
+        if stop == "close":
+            chunks.close()
+        else:
+            del chunks
+        assert_reaped(small_ranges)
+
+    def test_worker_failure_raises_and_leaves_no_file(self, small_ranges, monkeypatch, tmp_path):
+        usable_cpus(monkeypatch, 2)
+        fail_in_workers(monkeypatch)
+        ds, cfg = _golden_inputs(3, 200, 3, 1.0, 0.4, False, None)
+        out = tmp_path / "r.json"
+        with pytest.raises(WriteError, match="exit code 1"):
+            run_report(ds, cfg, out_path=out)
+        assert not out.exists()
+        with pytest.raises(WriteError, match="exit code 1"):
+            "".join(stream_report(ds, cfg))
+        assert len(small_ranges) == 2
+        assert_reaped(small_ranges)
+
+
+class TestWriteText:
+    def test_failure_part_way_removes_the_file(self, tmp_path):
+        def chunks():
+            yield "{\n"
+            raise OSError(28, "No space left on device")
+
+        out = tmp_path / "r.json"
+        with pytest.raises(WriteError, match="No space left on device"):
+            write_text(chunks(), out)
+        assert not out.exists()
+
+    def test_unopenable_path_is_left_alone(self, tmp_path):
+        out = tmp_path / "dir"
+        out.mkdir()
+        with pytest.raises(WriteError):
+            write_text("{}", out)
+        assert out.is_dir()
 
 
 # every JSON value shape a config field could hold, keyed by real field names
