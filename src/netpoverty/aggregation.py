@@ -27,13 +27,16 @@ The coefficients and the ceiling are read from the
 :class:`~netpoverty.core.MethodologyConfig`, which derives them once per
 methodology; the public functions taking loose arguments build that
 config first.  Per-person counts and row sums use fixed per-row
-reductions (never a per-person BLAS product) and the cross-person total
-uses exact rounding (math.fsum).  Row sums are therefore bit-identical
-under row permutation and the total is permutation invariant, which
-makes the symmetry and focus axioms hold exactly, not just to
-tolerance.  Every per-person quantity depends only on that person's
-row, so a subgroup's aggregate is the same reduction (exact total,
-denominator, hash) taken over the pass's row sums of its rows.
+reductions (never a per-person BLAS product).  The cross-person total
+is exactly rounded, bit-equal to math.fsum: :func:`_exact_total` sums
+the mantissas per exponent in integers, a slice of values at a time, so
+its memory does not grow with N, and rounds once; below
+``_FSUM_VALUES`` values it is math.fsum itself.  Row sums are therefore bit-identical under row
+permutation and the total is permutation invariant, which makes the
+symmetry and focus axioms hold exactly, not just to tolerance.  Every
+per-person quantity depends only on that person's row, so a subgroup's
+aggregate is the same reduction (exact total, denominator, hash) taken
+over the pass's row sums of its rows.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 from numpy.typing import NDArray
@@ -59,6 +61,11 @@ from .identification import PovertyStatusVector, _k_band
 
 #: equality band for decomposition checks
 RECOMBINATION_TOL = 1e-12
+#: fewer values than this are summed by math.fsum over a list, which is faster there
+_FSUM_VALUES = 1024
+#: values per slice of the exact total's bucket sums
+_TOTAL_SLICE = 8192
+_LOW_26 = np.uint64((1 << 26) - 1)
 
 
 @dataclass(frozen=True)
@@ -88,13 +95,52 @@ class DecompositionResult:
     recombines: bool
 
 
+def _exact_total(values: NDArray[np.float64]) -> float:
+    """The exactly rounded sum of a vector of finite float64 values: ``math.fsum``'s bits.
+
+    Each value's bits give its bucket, the sign bit and the biased exponent,
+    and its integer mantissa.  Per slice of ``_TOTAL_SLICE`` values,
+    ``np.bincount`` counts each bucket's values and sums the low and the
+    high 26 bits of their stored mantissas; a float64 bucket sum stays an
+    exact integer below 2**27 values, and a slice holds far fewer.  The
+    slices fold into int64 totals, exact below 2**37 values.  The buckets
+    then make one Python int, the sum times 2**1074, and one int true
+    division by 2**1074 rounds it once, as fsum does.  Below
+    ``_FSUM_VALUES`` values it is fsum itself.
+
+    Unlike fsum it never overflows in between: ``[1e308, 1e308, -1e308]``
+    (padded to ``_FSUM_VALUES`` values) gives 1e308 where fsum raises
+    "intermediate overflow".  Censored row sums are at most about 2d, so
+    validated input cannot meet that case.
+    """
+    n = values.shape[0]
+    if n < _FSUM_VALUES:
+        return math.fsum(values.tolist())
+    bits = values.view(np.uint64)
+    # per bucket: values, sums of the low and of the high 26 stored mantissa bits
+    sums = np.zeros((3, 4096), np.int64)
+    for start in range(0, n, _TOTAL_SLICE):
+        u = bits[start:start + _TOTAL_SLICE]
+        bucket = (u >> np.uint64(52)).view(np.int64)
+        high = u >> np.uint64(26)
+        high &= _LOW_26
+        sums[0] += np.bincount(bucket, minlength=4096)
+        np.add(sums[1], np.bincount(bucket, u & _LOW_26, 4096), out=sums[1], casting="unsafe")
+        np.add(sums[2], np.bincount(bucket, high, 4096), out=sums[2], casting="unsafe")
+    total, buckets = 0, np.flatnonzero(sums[0])
+    for b, count, low, high in zip(buckets.tolist(), *sums[:, buckets].tolist()):
+        exponent = b & 0x7FF
+        # a normal value's mantissa has its implicit bit; a subnormal's exponent is 1
+        mantissa = (count << 52 if exponent else 0) + (high << 26) + low
+        total += (-mantissa if b >> 11 else mantissa) << max(exponent, 1) - 1
+    return total / (1 << 1074)
+
+
 def _fgt(row_sums: NDArray[np.float64], config: MethodologyConfig, kind: str) -> FgtResult:
     """The exact total of censored row sums over the kind's denominator, and their hash."""
     n = row_sums.shape[0]
     denominator = n * config.d if kind == "naive" else n * config.score_ceiling
-    # one exact sum over short lists: faster than the array, bounded memory
-    slices = (row_sums[i:i + 4096].tolist() for i in range(0, n, 4096))
-    value = math.fsum(chain.from_iterable(slices)) / denominator
+    value = _exact_total(row_sums) / denominator
     h = hashlib.sha256(f"{n}x{config.d}:".encode())
     h.update(row_sums)  # hashlib reads a C-contiguous array's buffer, no copy
     return FgtResult(value, config.alpha, config.k, denominator, h.hexdigest(), kind)
@@ -108,11 +154,12 @@ def _coefficient_pass(
     Returns the aggregate with the per-person counts, statuses and
     censored row sums it was built from.  Each block holds the count
     terms, then the deprived cells' weighted gaps, in a thread's reused
-    buffer; a person who is not poor gets the row sum +0.0.  The
-    coefficients and the ceiling come from ``config``, which has already
-    checked k against that ceiling.  The naive kind counts with the
-    uniform coefficients of the structure and divides by N * d instead
-    of N times the ceiling.
+    buffer; at alpha = 0 the two are the same, so a poor person's row
+    sum is their count.  A person who is not poor gets the row sum
+    +0.0.  The coefficients and the ceiling come from ``config``, which
+    has already checked k against that ceiling.  The naive kind counts
+    with the uniform coefficients of the structure and divides by N * d
+    instead of N times the ceiling.
     """
     y, z = _achievement_values(achievements), config.cutoffs.values
     n, d = y.shape
@@ -129,6 +176,9 @@ def _coefficient_pass(
         yb = y[rows]
         np.sum(np.multiply(yb < z, coef, out=block), axis=1, out=counts[rows])
         np.greater_equal(counts[rows], reach, out=poor[rows])
+        if config.alpha == 0.0:  # gaps are the indicators: a poor row sums to its count
+            np.multiply(counts[rows], poor[rows], out=row_sums[rows])
+            return
         _gaps(yb, z, config.alpha, block)
         block *= coef
         np.sum(block, axis=1, out=row_sums[rows])

@@ -5,8 +5,12 @@ levels), implied-weights, axioms (randomized verification suite),
 compare (corrected vs naive aggregate across a dependence-entry sweep).
 
 Exit codes: 0 success, 1 validation or usage error, 2 axiom violation,
-3 I/O error.  A reader that closes stdout early is not an I/O error: the
-output stops and the exit code is the command's own.
+3 I/O error, 143 terminated by SIGTERM.  A reader that closes stdout
+early is not an I/O error: the output stops and the exit code is the
+command's own.  While :func:`main` runs on the main thread, SIGTERM
+raises ``SystemExit(143)``, 128 plus the signal number as a shell
+reports it, so a partial ``--out`` file is removed and every report
+worker is killed and reaped before the process ends.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 from collections.abc import Iterable
 from dataclasses import asdict, replace
@@ -227,15 +232,31 @@ def _write_stdout(chunks) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
+def _terminate(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
-    """Run one subcommand and write its text: a ``str`` or an iterable of chunks."""
+    """Run one subcommand and write its text: a ``str`` or an iterable of chunks.
+
+    On the main thread SIGTERM raises ``SystemExit(143)`` until this
+    returns; then the caller's own handler is back.
+    """
+    try:
+        previous = signal.signal(signal.SIGTERM, _terminate)
+    except ValueError:  # not the main thread, which alone takes signals
+        previous = _terminate
     try:
         args = build_parser().parse_args(argv)
         chunks, code = args.run(args)
-        if args.out is None:
-            _write_stdout(chunks)
-        else:
-            write_text(chunks, args.out)
+        try:
+            if args.out is None:
+                _write_stdout(chunks)
+            else:
+                write_text(chunks, args.out)
+        finally:
+            # a stream stopped by an exception reaps its workers now, not when collected
+            getattr(chunks, "close", lambda: None)()
         return code
     except (WriteError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -243,6 +264,9 @@ def main(argv=None) -> int:
     except NetpovertyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if previous is not _terminate:  # None: set outside Python, so not restorable
+            signal.signal(signal.SIGTERM, previous or signal.SIG_DFL)
 
 
 if __name__ == "__main__":

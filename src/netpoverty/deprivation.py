@@ -123,13 +123,15 @@ def _gaps(y, z, alpha: float, out: NDArray[np.float64]) -> NDArray[np.float64]:
 
     At or above it the base is +0.0, so nothing overflows; validated input puts every
     other base in [2**-53, 1], so no clip, and the alpha = 0 gap is the indicator base > 0.
+    At alpha = 1 the gap is the base itself, as x ** 1.0 is x.
     """
     np.minimum(y, z, out=out)
     np.subtract(z, out, out=out)
     out /= z
     if alpha == 0.0:
         return np.greater(out, 0.0, out=out)
-    out **= alpha
+    if alpha != 1.0:
+        out **= alpha
     return out
 
 

@@ -1,7 +1,20 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
+
+# hypothesis imports libcst, where it is installed, to print a failing example;
+# imported here first with only libcst's mypy_extensions.TypedDict warning
+# ignored, that import is a cache hit even under -W error
+with warnings.catch_warnings():
+    warnings.filterwarnings(
+        "ignore", r"mypy_extensions\.TypedDict is deprecated", DeprecationWarning
+    )
+    try:
+        import libcst  # noqa: F401
+    except ImportError:
+        pass
 
 from netpoverty import DependenceStructure, WeightVector, dataio
 

@@ -403,6 +403,92 @@ def test_total_is_fsum_over_the_row_sums_bitwise(rng):
         assert result.censored_matrix_hash == row_sums_hash(row_sums, cfg.d)
 
 
+def assert_fsum_bits(values):
+    values = np.array(values, dtype=float)
+    assert aggregation._exact_total(values).hex() == math.fsum(values.tolist()).hex()
+
+
+#: 0, subnormals, both sides of 1 and of 1e300, the smallest normal and its neighbour
+_PINNED = [0.0, -0.0, 5e-324, -5e-324, 1e-310, np.nextafter(2.2250738585072014e-308, 0),
+           2.2250738585072014e-308, np.nextafter(1.0, 0), 1.0, np.nextafter(1.0, 2),
+           -np.nextafter(1.0, 2), 1e300, np.nextafter(1e300, np.inf), -1e300,
+           -np.nextafter(1e300, 0), 3.5, -7.25e-200]
+
+
+class TestExactTotal:
+    """The bucket sum gives math.fsum's bits on every length and every exponent."""
+
+    LENGTHS = [1, 2, 1023, 1024, 1025, aggregation._TOTAL_SLICE - 1, aggregation._TOTAL_SLICE,
+               aggregation._TOTAL_SLICE + 1, 3 * aggregation._TOTAL_SLICE + 17]
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_pinned_values_at_every_length(self, rng, n):
+        assert_fsum_bits(rng.choice(_PINNED, n))
+        # cancellation: each value with its negation, and what is left is one subnormal
+        values = rng.choice(_PINNED, n // 2)
+        assert_fsum_bits(rng.permutation(np.concatenate([values, -values, [5e-324] * (n % 2)])))
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    @pytest.mark.parametrize("n", [1, 1023, 1024, 2 * aggregation._TOTAL_SLICE + 1])
+    def test_zeros_of_either_sign(self, n, zero):
+        assert_fsum_bits([zero] * n)
+        assert_fsum_bits([zero] * (n - 1) + [-zero])
+
+    def test_one_value_per_exponent(self, rng):
+        # every biased exponent 0..2046, largest first with alternating signs, so no
+        # partial sum of fsum's overflows
+        exponents = np.arange(2046, -1, -1, dtype=np.uint64)
+        mantissas = rng.integers(0, 1 << 52, exponents.shape[0], dtype=np.uint64)
+        signs = (np.arange(exponents.shape[0], dtype=np.uint64) % 2) << np.uint64(63)
+        values = (signs | exponents << np.uint64(52) | mantissas).view(np.float64)
+        assert_fsum_bits(values)
+        assert_fsum_bits(values[2:])  # below 2**1022, so any order
+        assert_fsum_bits(rng.permutation(values[2:]))
+
+    @pytest.mark.parametrize("n", [1024, 1025, 1026, 1027, 3000])
+    def test_slices_of_three(self, monkeypatch, rng, n):
+        # many slices, the last one full, one short or two short
+        monkeypatch.setattr(aggregation, "_TOTAL_SLICE", 3)
+        assert_fsum_bits(rng.choice(_PINNED, n))
+        assert_fsum_bits(rng.random(n) * 10.0 ** rng.integers(-320, 300, n))
+
+    def test_no_intermediate_overflow_unlike_fsum(self):
+        # the documented difference: fsum overflows on its way, the exact sum is 1e308
+        values = np.array([1e308, 1e308, -1e308] + [0.0] * 1021)
+        with pytest.raises(OverflowError):
+            math.fsum(values.tolist())
+        assert aggregation._exact_total(values) == 1e308
+        # a total past the largest float raises, as fsum does
+        with pytest.raises(OverflowError):
+            aggregation._exact_total(np.array([1e308, 1e308] + [0.0] * 1022))
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=40),
+        st.sampled_from(LENGTHS),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_fsum_bits_on_finite_floats(self, pool, n, seed):
+        # lists of either sign, drawn n times over; 1e300 * n stays finite
+        assert_fsum_bits(np.random.default_rng(seed).choice(pool, n))
+
+    @settings(deadline=None)
+    @given(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=60),
+        st.integers(1024, 1100),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_fsum_bits_on_any_finite_floats(self, values, n, seed):
+        # any magnitude, spread among zeros of either sign up to a length past fsum's route
+        rng = np.random.default_rng(seed)
+        values = rng.permutation(values + rng.choice([0.0, -0.0], n - len(values)).tolist())
+        try:
+            want = math.fsum(values.tolist())
+        except OverflowError:  # fsum's intermediate overflow, or a total past the range
+            return
+        assert aggregation._exact_total(values).hex() == want.hex()
+
+
 def whole_array_pass(y, config, kind):
     """The coefficient pass over the whole N x d array at once: the row blocks' bit oracle.
 
@@ -698,6 +784,44 @@ class TestRowBlocks:
         # the other's coefficient 1.5 over the ceiling 2.5 is the whole value
         result = fgt_network_adjusted([[1e300, 0.0]], [1e-10, 1.0], WORKED_M, None, 1.0, 1.0)
         assert result.value == 0.6
+
+
+class TestAlphaShortcuts:
+    """At alpha = 0 a row sum is the count of the poor, at alpha = 1 a gap is its base,
+    across real block edges on one and two CPUs."""
+
+    D, STEP = 5, 12
+
+    @pytest.fixture
+    def small_blocks(self, monkeypatch, request):
+        # blocks of 12 rows, and threads from 24 rows on
+        monkeypatch.setattr(deprivation, "_BLOCK_CELLS", self.D * self.STEP)
+        monkeypatch.setattr(deprivation, "_PARALLEL_CELLS", 2 * self.D * self.STEP)
+        force_cpus(monkeypatch, request.param)
+        return spy_threads(monkeypatch), request.param
+
+    @pytest.mark.parametrize("small_blocks", [1, 2], indirect=True, ids=["1cpu", "2cpus"])
+    @pytest.mark.parametrize("kind", ["network_adjusted", "naive"])
+    @pytest.mark.parametrize("n", [11, 12, 13, 7 * 12 + 5])
+    def test_alpha_0_row_sums_are_counts_of_the_poor(self, rng, small_blocks, kind, n):
+        started, cpus = small_blocks
+        y, cfg = block_test_data(rng, n, self.D, weighted=kind == "network_adjusted")
+        config = MethodologyConfig(0.0, cfg.k, cfg.structure, cfg.weights, cfg.cutoffs)
+        _, counts, statuses, row_sums = _coefficient_pass(y, config, kind)
+        assert row_sums.tobytes() == (counts * statuses.statuses).tobytes()
+        assert 0 < statuses.statuses.sum() < n  # both sides of the cutoff
+        assert_whole_array_bits(y, config, kind)
+        assert len(started) == (2 * (cpus - 1) if n >= 2 * self.STEP else 0)
+
+    @pytest.mark.parametrize("small_blocks", [1, 2], indirect=True, ids=["1cpu", "2cpus"])
+    @pytest.mark.parametrize("n", [11, 12, 13, 7 * 12 + 5])
+    def test_alpha_1_gaps_are_the_clipped_bases(self, rng, small_blocks, n):
+        started, cpus = small_blocks
+        y, cfg = block_test_data(rng, n, self.D, weighted=True)
+        y[::3, 1] = np.nextafter(cfg.cutoffs.values[1], 0)
+        gaps = gap_matrix(y, cfg.cutoffs, 1.0).values
+        assert gaps.tobytes() == clipped_gaps(y, cfg.cutoffs.values, 1.0).tobytes()
+        assert len(started) == (cpus - 1 if n >= 2 * self.STEP else 0)
 
 
 @st.composite

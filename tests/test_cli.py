@@ -2,16 +2,19 @@ import contextlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from test_dataio import _CSV, _JSON, fail_in_workers, usable_cpus
+from test_dataio import _CSV, _JSON, assert_reaped, fail_in_workers, usable_cpus
 
-from netpoverty import DependenceStructure, MethodologyConfig, WeightVector
+from netpoverty import DependenceStructure, MethodologyConfig, WeightVector, dataio
 from netpoverty.bounds import ENUMERATION_LIMIT
 from netpoverty.cli import _warn_k_gap, build_parser, main
 
@@ -283,18 +286,24 @@ class TestBrokenPipe:
 
 
 #: ``compute`` with two usable CPUs on any runner; with ``fail`` first, the
-#: score formatter raises in every process but the one ``compute`` runs in
+#: score formatter raises in every process but the one ``compute`` runs in;
+#: with ``stall``, that process sleeps a minute before its second chunk's scores
 _LAUNCHER = """
-import os, sys
+import os, sys, time
 os.sched_getaffinity = lambda pid: {0, 1}
 from netpoverty import cli, dataio
-if sys.argv[1] == "fail":
-    parent, formatter = os.getpid(), dataio._json_floats
-    def failing(values):
-        if os.getpid() != parent:
-            raise RuntimeError("worker fault")
-        return formatter(values)
-    dataio._json_floats = failing
+parent, formatter, calls = os.getpid(), dataio._json_floats, []
+def failing(values):
+    if os.getpid() != parent:
+        raise RuntimeError("worker fault")
+    return formatter(values)
+def stalling(values):
+    if os.getpid() == parent:
+        calls.append(None)
+        if len(calls) == 2:
+            time.sleep(60)
+    return formatter(values)
+dataio._json_floats = {"ok": formatter, "fail": failing, "stall": stalling}[sys.argv[1]]
 sys.exit(cli.main(sys.argv[2:]))
 """
 
@@ -360,6 +369,29 @@ class TestForkedCompute:
         self.assert_group_gone(proc)
 
     @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out-file"])
+    def test_sigterm_mid_write_exits_143_and_cleans_up(self, large, tmp_path, to_file):
+        # the first chunk is written, then compute stalls with its worker running
+        out = tmp_path / "r.json"
+        proc = self.launch("stall", [*large, "--out", str(out)] if to_file else large)
+        try:
+            if to_file:
+                deadline = time.monotonic() + 60
+                while not (out.exists() and out.stat().st_size > 0):
+                    assert time.monotonic() < deadline and proc.poll() is None
+                    time.sleep(0.01)
+            else:
+                assert proc.stdout.read(1 << 16)[:10] == b'{\n  "fgt_v'
+            proc.send_signal(signal.SIGTERM)
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == 143
+        assert err == b""
+        assert not out.exists()
+        self.assert_group_gone(proc)
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out-file"])
     def test_worker_failure_in_process(self, worked, small_ranges, monkeypatch, capsys, to_file):
         data, config = worked
         data.write_text("health,education\n" + "5,10\n3,4\n" * 100, encoding="utf-8")
@@ -371,6 +403,84 @@ class TestForkedCompute:
         assert_one_error_line(capsys.readouterr().err)
         assert not out.exists()
         assert len(small_ranges) == 1
+
+
+class TestSigterm:
+    """While ``main`` runs, SIGTERM ends it in SystemExit(143); then the old handler is back."""
+
+    @staticmethod
+    def own_handler():
+        """Set a caller's SIGTERM handler, which fails the test if it runs; it and the old one."""
+
+        def handler(signum, frame):
+            raise AssertionError("the caller's handler ran")
+
+        return handler, signal.signal(signal.SIGTERM, handler)
+
+    @pytest.mark.parametrize(
+        "where", ["formatting-stdout", "formatting-out-file", "writing-stdout"]
+    )
+    def test_sigterm_mid_write(self, worked, small_ranges, monkeypatch, capsys, where):
+        # SIGTERM once the first chunk of persons is written: while the second is
+        # formatted, or while the stream waits, suspended, for a write to stdout
+        data, config = worked
+        data.write_text("health,education\n" + "5,10\n3,4\n" * 100, encoding="utf-8")
+        usable_cpus(monkeypatch, 2)
+        formatter, calls = dataio._json_floats, []
+
+        def terminating(values):
+            calls.append(None)
+            if len(calls) == 2:
+                os.kill(os.getpid(), signal.SIGTERM)
+            return formatter(values)
+
+        class TerminatingStdout(io.StringIO):
+            def write(self, text):
+                if self.tell():  # past the head
+                    os.kill(os.getpid(), signal.SIGTERM)
+                return super().write(text)
+
+        if where == "writing-stdout":
+            monkeypatch.setattr(sys, "stdout", TerminatingStdout())
+        else:
+            monkeypatch.setattr(dataio, "_json_floats", terminating)
+        to_file = where.endswith("out-file")
+        handler, previous = self.own_handler()
+        out = data.parent / "r.json"
+        argv = ["compute", "--dataset", str(data), "--config", str(config)]
+        try:
+            with pytest.raises(SystemExit) as exited:
+                main([*argv, "--out", str(out)] if to_file else argv)
+            assert signal.getsignal(signal.SIGTERM) is handler
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert exited.value.code == 143
+        assert not out.exists()
+        assert capsys.readouterr().err == ""
+        assert len(small_ranges) == 1
+        assert_reaped(small_ranges)
+
+    def test_handler_restored_after_a_run(self, worked, capsys):
+        data, config = worked
+        handler, previous = self.own_handler()
+        try:
+            assert main(["compute", "--dataset", str(data), "--config", str(config)]) == 0
+            assert signal.getsignal(signal.SIGTERM) is handler
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+
+    def test_off_the_main_thread_no_handler_is_set(self, worked, capsys):
+        data, config = worked
+        before, codes = signal.getsignal(signal.SIGTERM), []
+        thread = threading.Thread(
+            target=lambda: codes.append(
+                main(["compute", "--dataset", str(data), "--config", str(config)])
+            )
+        )
+        thread.start()
+        thread.join()
+        assert codes == [0]
+        assert signal.getsignal(signal.SIGTERM) is before
 
 
 class TestConfigBoundary:
