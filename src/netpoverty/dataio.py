@@ -592,27 +592,15 @@ _CHUNK_PERSONS = 4096
 _FORK_PERSONS = 16_384
 
 
-def _json_float(v: float) -> str:
-    """``json.dumps(_round12(v))``, rounding while formatting.
-
-    Up to 12 significant digits outside exponent form read back as the
-    same double, whose shortest repr is those digits (with ``.0`` for an
-    integer).  Exponent forms, subnormals among them, take the round trip.
-    """
-    s = "%.12g" % v
-    if "e" in s:
-        return repr(float(s))
-    return s if "." in s else s + ".0"
-
-
 def _json_floats(values: np.ndarray) -> list[str]:
-    """``[_json_float(v) for v in values]``, by one ``%`` over all of them.
+    """Each value as ``json.dumps(_round12(v))`` writes it, by one ``%`` over all of them.
 
-    A ``%.12g`` text is already the JSON text but where it has no ``.``,
-    as 12 significant digits round to a whole number, so within 5e-12
-    |v| of one; or where its exponent form is not the repr: from 1e12
-    on, where every value is that near a whole number, and for
-    subnormals.  Only the texts of those values are looked at again.
+    That text is ``repr(float("%.12g" % v))``.  The ``%.12g`` text is
+    already it but where it has no ``.``, as 12 significant digits round
+    to a whole number, so within 5e-12 |v| of one; or where its exponent
+    form is not the repr: from 1e12 on, where every value is that near a
+    whole number, and for subnormals.  Only the texts of those values are
+    looked at again.
     """
     texts = (("%.12g," * values.size) % tuple(values.tolist())).split(",")
     del texts[-1]  # after the last comma
@@ -646,7 +634,7 @@ def _report_text(
     width = d + 3
     # counts take at most 2**d values: format each distinct bit pattern once
     levels, level_of = np.unique(counts.view(np.int64), return_inverse=True)
-    level_text = np.array([_json_float(v) for v in levels.view(np.float64).tolist()], object)
+    level_text = np.array(_json_floats(levels.view(np.float64)), object)
 
     def chunk(start: int) -> str:
         stop = min(start + _CHUNK_PERSONS, n)
@@ -795,8 +783,8 @@ def recompute_fgt_value(report: dict) -> float:
 
     Must reproduce ``fgt_value`` to 1e-12; used to confirm a report is
     internally consistent.  A report without the fields this reads, or
-    with records that are not objects or scores that are not numbers,
-    raises ValidationError.
+    with records that are not objects, a ``poor`` other than 0 or 1, or
+    scores that are not numbers with a finite sum, raises ValidationError.
     """
     config = _report_field(report, "config", "the report")
     structure = as_dependence_structure(_report_field(config, "dependence", "config"))
@@ -807,11 +795,21 @@ def recompute_fgt_value(report: dict) -> float:
         raise ValidationError("malformed report: per_person must be a nonempty array")
     sums = []
     for i, rec in enumerate(persons):
-        if _report_field(rec, "poor", f"per_person[{i}]") == 1:
-            try:
-                sums.append(math.fsum(_report_field(rec, "scores", f"per_person[{i}]")))
-            except TypeError:
-                raise ValidationError(
-                    f"malformed report: per_person[{i}] scores must be an array of numbers"
-                ) from None
-    return math.fsum(sums) / (len(persons) * ceiling)
+        where = f"per_person[{i}]"
+        poor = _report_field(rec, "poor", where)
+        if poor not in (0, 1):
+            raise ValidationError(f"malformed report: {where} poor must be 0 or 1, got {poor!r}")
+        if poor == 1:
+            sums.append(_finite_sum(_report_field(rec, "scores", where), f"{where} scores"))
+    return _finite_sum(sums, "the poor persons' scores") / (len(persons) * ceiling)
+
+
+def _finite_sum(values, what: str) -> float:
+    """``math.fsum`` of a report's numbers, which must have a finite sum."""
+    try:
+        total = math.fsum(values)
+    except (TypeError, ValueError, OverflowError):  # not numbers, inf - inf, past the range
+        total = math.nan
+    if not math.isfinite(total):
+        raise ValidationError(f"malformed report: {what} must be numbers with a finite sum")
+    return total

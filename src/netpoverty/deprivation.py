@@ -198,13 +198,17 @@ def _score_values(
 
 
 def deprivation_score(gaps, structure: DependenceStructure, j: int) -> float:
-    """Dependence-adjusted score of dimension j (1-based) for one gap row."""
+    """Dependence-adjusted score of dimension j (1-based) for one gap row, each gap in [0, 1]."""
     structure = as_dependence_structure(structure)
     d = structure.d
     j = check_dimension_index(j, d)
     g = _frozen_array(gaps, "gap row", 1)
     if g.shape[0] != d:
         raise ShapeMismatch(f"gap row has length {g.shape[0]}, structure has d = {d}")
+    outside = np.flatnonzero(~((g >= 0.0) & (g <= 1.0)))  # NaN is outside too
+    if outside.size:
+        c = int(outside[0])
+        raise ValidationError(f"gap {c + 1} of the row is {float(g[c])!r}; gaps lie in [0, 1]")
     off_row = structure.off_diagonal()[j - 1]
     return float(g[j - 1] + np.sum(g * off_row) / (d - 1))
 

@@ -2,13 +2,13 @@
 
 Run with:  pytest tests/test_acceptance.py -v -s
 
-Oracles here are written independently of the library internals (plain
-loops and fsum), so agreement is evidence, not tautology.  Random draws
-for the unit-endpoint checks come from the configuration family where
-the per-dimension aggregation coefficients sum to the weighted count
-ceiling (symmetric structure, or uniform weights); outside that family
-the unit endpoint provably fails, see the weights module notes and
-tests/test_cli.py::TestAxioms::test_inconsistent_methodology_reports_violation.
+The oracles, from ``tests/oracles.py``, are written independently of the
+library internals (plain loops and fsum), so agreement is evidence, not
+tautology.  Random draws for the unit-endpoint checks come from the
+configuration family where the per-dimension aggregation coefficients
+sum to the weighted count ceiling (symmetric structure, or uniform
+weights); outside that family the unit endpoint provably fails, see the
+weights module notes and tests/test_cli.py::TestAxioms::test_inconsistent_methodology_reports_violation.
 """
 
 import json
@@ -21,28 +21,15 @@ import numpy as np
 import pytest
 
 import netpoverty as npv
-
-
-def _random_structure(rng, d, symmetric=False):
-    m = rng.uniform(0.0, 1.0, (d, d))
-    m[rng.random((d, d)) < 0.35] = 0.0
-    if symmetric:
-        m = np.triu(m, 1)
-        m = m + m.T
-    np.fill_diagonal(m, 1.0)
-    return npv.validate_dependence_structure(m)
-
-
-def _random_weights(rng, d):
-    u = rng.uniform(0.2, 1.8, d)
-    return npv.validate_weights(u * (d / math.fsum(u)), d)
+import oracles
+from conftest import random_structure, random_weights
 
 
 def _consistent_family(rng, d):
     """(structure, weights) on which the unit endpoint holds exactly."""
     if rng.random() < 0.5:
-        return _random_structure(rng, d, symmetric=True), _random_weights(rng, d)
-    return _random_structure(rng, d, symmetric=False), None
+        return random_structure(rng, d, symmetric=True), random_weights(rng, d)
+    return random_structure(rng, d, symmetric=False), None
 
 
 def test_criterion_01_normalization_endpoints():
@@ -78,17 +65,8 @@ def test_criterion_02_lemma_bounds_brute_force():
     rng = np.random.default_rng(102)
     for _ in range(100):
         d = int(rng.integers(2, 7))
-        structure = _random_structure(rng, d, symmetric=bool(rng.integers(0, 2)))
-        m = structure.entries
-        counts = []
-        for bits in range(1, 2**d):
-            g = [(bits >> j) & 1 for j in range(d)]
-            per_dim = [
-                g[j]
-                + math.fsum(m[j, jp] * g[jp] for jp in range(d) if jp != j) / (d - 1)
-                for j in range(d)
-            ]
-            counts.append(math.fsum(per_dim))
+        structure = random_structure(rng, d, symmetric=bool(rng.integers(0, 2)))
+        counts = oracles.pattern_counts(structure)[1:]  # every pattern but the empty one
         assert abs(max(counts) - npv.upper_bound(structure)) <= 1e-12
         assert abs(min(counts) - npv.lower_bound(structure)) <= 1e-12
     elapsed = time.perf_counter() - start
@@ -108,17 +86,6 @@ def test_criterion_03_special_structures_exact():
     print("criterion  3 PASS: identity and all-ones bounds exact for d in 2..6")
 
 
-def _classic_adjusted_fgt(y, z, alpha, k):
-    n, d = y.shape
-    total = 0.0
-    for i in range(n):
-        deprived = [j for j in range(d) if y[i, j] < z[j]]
-        if len(deprived) < k:
-            continue
-        total += math.fsum(((z[j] - y[i, j]) / z[j]) ** alpha for j in deprived)
-    return total / (n * d)
-
-
 def test_criterion_04_classic_adjusted_fgt_reduction():
     rng = np.random.default_rng(104)
     for _ in range(100):
@@ -131,7 +98,7 @@ def test_criterion_04_classic_adjusted_fgt_reduction():
         ours = npv.fgt_network_adjusted(
             y, z, npv.DependenceStructure.identity(d), None, alpha, k
         )
-        assert abs(ours.value - _classic_adjusted_fgt(y, z, alpha, k)) <= 1e-12
+        assert abs(ours.value - oracles.classic_adjusted_fgt(y, z, None, alpha, k)) <= 1e-12
     print("criterion  4 PASS: identity structure reproduces classic adjusted FGT")
 
 
@@ -140,24 +107,26 @@ def test_criterion_05_coefficient_rewriting_identity():
     for _ in range(100):
         d = int(rng.integers(2, 7))
         n = int(rng.integers(1, 21))
-        structure = _random_structure(rng, d, symmetric=bool(rng.integers(0, 2)))
-        weights = _random_weights(rng, d) if rng.random() < 0.75 else None
+        structure = random_structure(rng, d, symmetric=bool(rng.integers(0, 2)))
+        weights = random_weights(rng, d) if rng.random() < 0.75 else None
         z = rng.uniform(0.5, 10, d)
         y = rng.uniform(0, 2 * z, (n, d))
         alpha = float(rng.choice([0.0, 0.5, 1.0, 2.0]))
         k = float(rng.uniform(0.05, 1.0)) * npv.weighted_upper_bound(structure, weights)
+        want = oracles.fgt(y, z, structure, weights, alpha, k)
         a = npv.fgt_network_adjusted(y, z, structure, weights, alpha, k)
         b = npv.fgt_via_coefficients(y, z, structure, weights, alpha, k)
-        assert abs(a.value - b.value) <= 1e-12
-    print("criterion  5 PASS: coefficient-form aggregate equals the direct form")
+        assert abs(a.value - want) <= 1e-12
+        assert abs(b.value - want) <= 1e-12
+    print("criterion  5 PASS: both public aggregates equal the score-form oracle")
 
 
 def test_criterion_06_symmetric_coefficient_identity():
     rng = np.random.default_rng(106)
     for _ in range(100):
         d = int(rng.integers(2, 7))
-        structure = _random_structure(rng, d, symmetric=True)
-        weights = _random_weights(rng, d)
+        structure = random_structure(rng, d, symmetric=True)
+        weights = random_weights(rng, d)
         report = npv.check_symmetric_consistency(structure, weights)
         assert abs(report.coefficient_sum - report.weighted_upper) <= 1e-9
         assert report.equal
@@ -210,12 +179,12 @@ def test_criterion_09_sensitivity_finite_differences():
     h = 1e-6
     for _ in range(50):
         d = int(rng.integers(2, 7))
-        structure = _random_structure(rng, d, symmetric=bool(rng.integers(0, 2)))
+        structure = random_structure(rng, d, symmetric=bool(rng.integers(0, 2)))
         alpha = float(rng.choice([1.0, 2.0]))
         z = rng.uniform(0.5, 10, d)
         eta = float(rng.uniform(0.1, 0.9))  # common relative achievement
         y = np.full(d, eta) * z
-        gaps = np.array([((z[j] - y[j]) / z[j]) ** alpha for j in range(d)])
+        gaps = np.array(oracles.gaps(y, z, alpha))
         theta = -alpha * (1 - eta) ** (alpha - 1)
 
         j = int(rng.integers(1, d + 1))
@@ -223,7 +192,7 @@ def test_criterion_09_sensitivity_finite_differences():
             before = npv.deprivation_score(gaps, structure, j)
             y2 = y.copy()
             y2[jp - 1] = (eta + h) * z[jp - 1]
-            gaps2 = np.array([((z[c] - y2[c]) / z[c]) ** alpha if y2[c] < z[c] else 0.0 for c in range(d)])
+            gaps2 = np.array(oracles.gaps(y2, z, alpha))
             fd = (npv.deprivation_score(gaps2, structure, j) - before) / h
             expected = theta * npv.gap_sensitivity(structure, j, jp)
             if abs(expected) > 1e-12:
@@ -240,7 +209,7 @@ def test_criterion_09_sensitivity_finite_differences():
         for jp in range(d):
             if jp != j - 1:
                 y3[jp] = (eta + h) * z[jp]
-        gaps3 = np.array([((z[c] - y3[c]) / z[c]) ** alpha if y3[c] < z[c] else 0.0 for c in range(d)])
+        gaps3 = np.array(oracles.gaps(y3, z, alpha))
         fd_total = (npv.deprivation_score(gaps3, structure, j) - npv.deprivation_score(gaps, structure, j)) / h
         if abs(total) > 1e-12:
             assert abs(fd_total - total) <= 1e-4 * abs(total)

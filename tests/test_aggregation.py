@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from test_deprivation import clipped_gaps
+from oracles import classic_adjusted_fgt, clipped_gaps
 
 from netpoverty import (
     DependenceStructure,
@@ -18,6 +18,7 @@ from netpoverty import (
     deprivation_matrix,
     fgt_naive,
     fgt_network_adjusted,
+    fgt_via_coefficients,
     gap_matrix,
     identify,
     upper_bound,
@@ -35,31 +36,15 @@ WORKED_Y = np.array([[5.0, 10.0], [10.0, 10.0]])
 WORKED_Z = [10.0, 10.0]
 
 
-def classic_adjusted_fgt(y, z, w, alpha, k):
-    """Independent oracle: plain weighted adjusted FGT, no dependence."""
-    y = np.asarray(y, float)
-    z = np.asarray(z, float)
-    w = np.asarray(w, float)
-    n, d = y.shape
-    total = 0.0
-    for i in range(n):
-        count = math.fsum(w[j] for j in range(d) if y[i, j] < z[j])
-        if count < k:
-            continue
-        total += math.fsum(
-            w[j] * ((z[j] - y[i, j]) / z[j]) ** alpha
-            for j in range(d)
-            if y[i, j] < z[j]
-        )
-    return total / (n * d)
-
-
 class TestNetworkAdjusted:
     def test_worked_instance(self):
         result = fgt_network_adjusted(WORKED_Y, WORKED_Z, WORKED_M, None, 1.0, 1.0)
         assert result.value == pytest.approx(0.1, abs=1e-15)
         assert result.denominator == 5.0
         assert result.kind == "network_adjusted"
+        labelled = fgt_via_coefficients(WORKED_Y, WORKED_Z, WORKED_M, None, 1.0, 1.0)
+        assert labelled.value == pytest.approx(0.1, abs=1e-15)
+        assert labelled.kind == "network_adjusted_coefficient_form"
 
     def test_everyone_at_cutoff_scores_zero_exactly(self, rng):
         from conftest import random_structure, random_weights
@@ -97,12 +82,10 @@ class TestNetworkAdjusted:
             y = rng.uniform(0, 2 * z, (n, d))
             k = float(rng.uniform(0.1, d))
             alpha = float(rng.choice([0.0, 0.5, 1.0, 2.0]))
-            ours = fgt_network_adjusted(
-                y, z, DependenceStructure.identity(d), None, alpha, k
-            )
-            assert ours.value == pytest.approx(
-                classic_adjusted_fgt(y, z, np.ones(d), alpha, k), abs=1e-12
-            )
+            classic = classic_adjusted_fgt(y, z, None, alpha, k)
+            for fgt in (fgt_network_adjusted, fgt_via_coefficients):
+                ours = fgt(y, z, DependenceStructure.identity(d), None, alpha, k)
+                assert ours.value == pytest.approx(classic, abs=1e-12)
 
     def test_value_in_unit_interval_on_consistent_family(self, rng):
         from conftest import random_structure, random_weights
@@ -502,8 +485,7 @@ def whole_array_pass(y, config, kind):
     coef = _coefficient_values(config.structure, np.ones(d)) if naive else config.coefficients
     counts = np.sum(np.where(y < z, coef, 0.0), axis=1)
     statuses = (counts >= k - 1e-12 * max(1.0, k)).astype(np.int64)
-    gaps = np.where(y < z, np.clip((z - y) / z, 0.0, 1.0) ** config.alpha, 0.0)
-    weighted = gaps * coef
+    weighted = clipped_gaps(y, z, config.alpha) * coef
     denominator = n * d if naive else n * config.score_ceiling
     row_sums = np.sum(weighted * statuses[:, None], axis=1)
     value = math.fsum(row_sums) / denominator

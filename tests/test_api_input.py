@@ -56,6 +56,13 @@ PROBES = {
         ShapeMismatch,
     ),
     "score-str-gaps": (lambda: npv.deprivation_score(["x", "y", "z"], S, 1), ShapeMismatch),
+    # a gap lies in [0, 1]
+    "score-nan-gap": (lambda: npv.deprivation_score([math.nan, 0.0, 0.0], S, 1), ValidationError),
+    "score-inf-gap": (lambda: npv.deprivation_score([math.inf, 0.0, 0.0], S, 1), ValidationError),
+    "score-gap-out-of-range": (
+        lambda: npv.deprivation_score([2.0, -1.0, 0.0], S, 1),
+        ValidationError,
+    ),
     "normalized-gap-str": (lambda: npv.normalized_gap("a", 1, 1), NegativeAchievement),
     "weights-ragged": (lambda: npv.validate_weights([[1], [1, 1]], 2), ShapeMismatch),
     # input that used to be silently reinterpreted
@@ -164,6 +171,24 @@ PROBES = {
     "recompute-str-scores": (
         lambda: npv.recompute_fgt_value(
             dict(REPORT, per_person=[{"poor": 1, "scores": ["a"]}])
+        ),
+        ValidationError,
+    ),
+    "recompute-nan-score": (
+        lambda: npv.recompute_fgt_value(
+            dict(REPORT, per_person=[{"poor": 1, "scores": [math.nan, 0.0]}])
+        ),
+        ValidationError,
+    ),
+    "recompute-overflowing-scores": (
+        lambda: npv.recompute_fgt_value(
+            dict(REPORT, per_person=[{"poor": 1, "scores": [1e308, 1e308]}])
+        ),
+        ValidationError,
+    ),
+    "recompute-poor-2": (
+        lambda: npv.recompute_fgt_value(
+            dict(REPORT, per_person=[{"poor": 2, "scores": [0.5, 0.0]}])
         ),
         ValidationError,
     ),

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import oracles
 import pytest
 
 from netpoverty import (
@@ -17,22 +18,6 @@ from netpoverty import (
 from netpoverty.errors import DimensionTooLargeForEnumeration, IndexOutOfRange
 
 ASYM = validate_dependence_structure([[1, 0.5, 0], [0.2, 1, 0.4], [0, 0, 1]])
-
-
-def brute_force_counts(structure):
-    """All attainable unweighted counts, straight from the score definition."""
-    m = structure.entries
-    d = structure.d
-    out = []
-    for bits in range(1, 2**d):
-        g = [(bits >> j) & 1 for j in range(d)]
-        per_dim = [
-            g[j]
-            + math.fsum(m[j, jp] * g[jp] for jp in range(d) if jp != j) / (d - 1)
-            for j in range(d)
-        ]
-        out.append(math.fsum(per_dim))
-    return out
 
 
 class TestUpperBound:
@@ -64,7 +49,7 @@ class TestBruteForceOracle:
         for _ in range(30):
             d = int(rng.integers(2, 7))
             m = random_structure(rng, d)
-            counts = brute_force_counts(m)
+            counts = oracles.pattern_counts(m)[1:]  # every pattern but the empty one
             assert max(counts) == pytest.approx(upper_bound(m), abs=1e-12)
             assert min(counts) == pytest.approx(lower_bound(m), abs=1e-12)
 

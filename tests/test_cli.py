@@ -288,6 +288,7 @@ class TestBrokenPipe:
 #: ``compute`` with two usable CPUs on any runner; with ``fail`` first, the
 #: score formatter raises in every process but the one ``compute`` runs in;
 #: with ``stall``, that process sleeps a minute before its second chunk's scores
+#: (its first call formats the count levels, its second the first chunk's scores)
 _LAUNCHER = """
 import os, sys, time
 os.sched_getaffinity = lambda pid: {0, 1}
@@ -300,7 +301,7 @@ def failing(values):
 def stalling(values):
     if os.getpid() == parent:
         calls.append(None)
-        if len(calls) == 2:
+        if len(calls) == 3:
             time.sleep(60)
     return formatter(values)
 dataio._json_floats = {"ok": formatter, "fail": failing, "stall": stalling}[sys.argv[1]]
@@ -428,9 +429,9 @@ class TestSigterm:
         usable_cpus(monkeypatch, 2)
         formatter, calls = dataio._json_floats, []
 
-        def terminating(values):
+        def terminating(values):  # the count levels, the first chunk, then the second
             calls.append(None)
-            if len(calls) == 2:
+            if len(calls) == 3:
                 os.kill(os.getpid(), signal.SIGTERM)
             return formatter(values)
 

@@ -38,7 +38,6 @@ from netpoverty.aggregation import _coefficient_pass
 from netpoverty.dataio import (
     _CHUNK_PERSONS,
     _InDoubt,
-    _json_float,
     _json_floats,
     _numbers,
     _read_bulk,
@@ -493,6 +492,11 @@ _FORMATTER_CASES = [
 ]
 
 
+def assert_json_texts(values):
+    """``_json_floats`` gives each value's JSON text by its definition, ``repr(float("%.12g" % v))``."""
+    assert _json_floats(np.array(values, dtype=float)) == [repr(float(f"{v:.12g}")) for v in values]
+
+
 class TestStreamedReport:
     """Every report path gives exactly :func:`reference_report`."""
 
@@ -565,28 +569,24 @@ class TestStreamedReport:
 
     @pytest.mark.parametrize("v", _FORMATTER_CASES)
     def test_formatter_cases(self, v):
-        assert _json_float(v) == repr(float(f"{v:.12g}"))
+        assert_json_texts([v])
 
     @settings(max_examples=500, deadline=None)
     @given(v=st.floats(allow_nan=False, allow_infinity=False))
     def test_formatter_random_floats(self, v):
-        assert _json_float(v) == repr(float(f"{v:.12g}"))
+        assert_json_texts([v])
 
     def test_formatter_over_the_whole_exponent_range(self):
         bits = np.random.default_rng(11).integers(0, 2**64, 50_000, dtype=np.uint64)
         values = [v for (v,) in struct.iter_unpack("<d", bits.tobytes()) if math.isfinite(v)]
-        assert [_json_float(v) for v in values] == [repr(float(f"{v:.12g}")) for v in values]
+        assert_json_texts(values)
 
 
 class TestBatchedFormatter:
-    """``_json_floats`` formats a chunk's scores exactly as ``_json_float`` one by one."""
-
-    @staticmethod
-    def assert_batched(values):
-        assert _json_floats(np.array(values, dtype=float)) == list(map(_json_float, values))
+    """``_json_floats`` formats a whole chunk of scores as each value's definition says."""
 
     def test_formatter_cases(self):
-        self.assert_batched(_FORMATTER_CASES)
+        assert_json_texts(_FORMATTER_CASES)
 
     def test_pinned_texts(self):
         values = [-0.0, 5e-324, 999999999999.5, 1e12, 1e13, 1e14, 1e15, 1e16, 1e300]
@@ -594,10 +594,6 @@ class TestBatchedFormatter:
             "-0.0", "5e-324", "1000000000000.0", "1000000000000.0", "10000000000000.0",
             "100000000000000.0", "1000000000000000.0", "1e+16", "1e+300",
         ]
-
-    def test_over_the_whole_exponent_range(self):
-        bits = np.random.default_rng(11).integers(0, 2**64, 50_000, dtype=np.uint64)
-        self.assert_batched([v for (v,) in struct.iter_unpack("<d", bits.tobytes()) if math.isfinite(v)])
 
     def test_near_whole_numbers_and_form_edges(self):
         # the values whose text loses its "." or takes exponent form, and their neighbours
@@ -607,12 +603,12 @@ class TestBatchedFormatter:
         edges = np.array([1e-4, 1e11, 1e12, 1e16]).repeat(1000)
         rel_edge = 10.0 ** rng.uniform(-17, -10, edges.size) * rng.choice([-1, 1], edges.size)
         values = np.concatenate([whole * (1 + rel), edges * (1 + rel_edge)])
-        self.assert_batched(np.concatenate([values, -values]).tolist())
+        assert_json_texts(np.concatenate([values, -values]).tolist())
 
     @settings(max_examples=300, deadline=None)
     @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=50))
     def test_random_lists(self, values):
-        self.assert_batched(values)
+        assert_json_texts(values)
 
 
 def usable_cpus(monkeypatch, cpus):

@@ -3,6 +3,7 @@ import os
 import threading
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, strategies as st
 
@@ -145,8 +146,7 @@ class TestDeprivationMatrix:
                 )
 
     def test_average_form_equivalence(self, rng):
-        # the score can also be written as an average over the other
-        # dimensions of (own gap + scaled neighbor gap); both forms must agree
+        # the vectorised scores against the formula's explicit neighbour loop
         from conftest import random_structure
 
         for _ in range(20):
@@ -156,15 +156,9 @@ class TestDeprivationMatrix:
             y = rng.uniform(0, 2 * z, (4, d))
             alpha = float(rng.uniform(0, 3))
             scored = deprivation_matrix(y, z, m, alpha)
-            gaps = gap_matrix(y, z, alpha).values
             for i in range(4):
-                for j in range(d):
-                    direct = math.fsum(
-                        gaps[i, j] + m.entries[j, jp] * gaps[i, jp]
-                        for jp in range(d)
-                        if jp != j
-                    ) / (d - 1)
-                    assert scored.values[i, j] == pytest.approx(direct, abs=1e-12)
+                direct = oracles.scores(oracles.gaps(y[i], z, alpha), m)
+                assert scored.values[i] == pytest.approx(direct, abs=1e-12)
 
     def test_chunked_neighbor_path_matches_single_pass(self, rng, monkeypatch):
         import netpoverty.deprivation as dep
@@ -193,14 +187,6 @@ class TestDeprivationMatrix:
         assert np.array_equal(before, after)
 
 
-def clipped_gaps(y, z, alpha):
-    """The gap formula with its [0, 1] clip, over every cell at once."""
-    deprived = y < z
-    with np.errstate(over="ignore"):  # the clip takes the overflowed cells to 0
-        base = np.clip((z - y) / z, 0.0, 1.0)
-    return np.where(deprived, base**alpha, 0.0)
-
-
 class TestGapValues:
     """Without the clip or np.where the in-place gaps keep every bit of the clipped formula."""
 
@@ -218,7 +204,7 @@ class TestGapValues:
         ])
         y = np.vstack([y, edges])
         got = _gaps(y, z, alpha, np.empty(y.shape))
-        assert got.tobytes() == clipped_gaps(y, z, alpha).tobytes()
+        assert got.tobytes() == oracles.clipped_gaps(y, z, alpha).tobytes()
         if alpha == 20.0:
             assert 0.0 < got[201, 0] < np.finfo(float).tiny
 
@@ -377,15 +363,6 @@ class TestBlockedCounts:
         assert threading.active_count() == baseline
 
 
-def whole_array_scores(y, z, m, alpha, w=None):
-    """The scores by the whole-array formula: every gap, then one broadcast neighbor sum."""
-    gaps = clipped_gaps(y, z, alpha)
-    off_diag = m.off_diagonal()
-    d = off_diag.shape[0]
-    scores = gaps + np.sum(gaps[:, None, :] * off_diag[None, :, :], axis=2) / (d - 1)
-    return scores if w is None else scores * w.values
-
-
 def score_inputs(rng, n, d):
     from conftest import random_structure, random_weights
 
@@ -423,7 +400,7 @@ class TestBlockedScores:
         for alpha in (0.0, 0.5, 1.0, 2.0):
             for weights in (None, w):
                 got = deprivation_matrix(y, z, m, alpha, weights)
-                want = whole_array_scores(y, z, m, alpha, weights)
+                want = oracles.whole_array_scores(y, z, m, alpha, weights)
                 assert got.weighted is (weights is not None)
                 assert got.values.tobytes() == want.tobytes()
                 calls += 1
@@ -471,7 +448,7 @@ class TestBlockedGaps:
         for alpha in alphas:
             got = gap_matrix(y, z, alpha)
             assert got.alpha == alpha and not got.values.flags.writeable
-            assert got.values.tobytes() == clipped_gaps(y, z, alpha).tobytes()
+            assert got.values.tobytes() == oracles.clipped_gaps(y, z, alpha).tobytes()
         # from the threshold on, every call starts one thread per CPU past the caller's
         threads = cpus - 1 if size == "parallel" else 0
         assert len(started) == len(alphas) * threads

@@ -2,6 +2,7 @@ from fractions import Fraction
 from itertools import product
 
 import numpy as np
+import oracles
 import pytest
 
 from netpoverty import (
@@ -107,15 +108,10 @@ class TestExactLevels:
         rng = np.random.default_rng(d)
         for _ in range(12):
             entries, weights, cutoffs = _decimal_methodology(rng, d)
+            # each deprivation pattern's count, in exact arithmetic on the decimal text
             m = [[Fraction(v) for v in row] for row in entries]
-            w = [Fraction(v) for v in weights]
-            # each dimension's coefficient on a deprivation, in exact arithmetic
-            coef = [
-                w[l] + sum(w[j] * m[j][l] for j in range(d) if j != l) / (d - 1)
-                for l in range(d)
-            ]
+            exact = oracles.pattern_counts(m, [Fraction(v) for v in weights])
             patterns = list(product([0, 1], repeat=d))
-            exact = [sum(c for c, dep in zip(coef, p) if dep) for p in patterns]
             structure = DependenceStructure([[float(v) for v in row] for row in entries])
             wv = [float(v) for v in weights]
             z = np.array([float(v) for v in cutoffs])

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import oracles
 import pytest
 
 from netpoverty import (
@@ -8,7 +9,6 @@ from netpoverty import (
     aggregation_coefficient,
     aggregation_coefficients,
     check_symmetric_consistency,
-    fgt_network_adjusted,
     fgt_via_coefficients,
     gap_matrix,
     implied_weights,
@@ -47,23 +47,8 @@ class TestAggregationCoefficients:
 
 
 class TestCoefficientFormIdentity:
-    def test_worked_instance_matches(self):
-        m = validate_dependence_structure([[1, 0.5], [0, 1]])
-        y = [[5.0, 10.0], [10.0, 10.0]]
-        a = fgt_network_adjusted(y, [10, 10], m, None, 1.0, 1.0)
-        b = fgt_via_coefficients(y, [10, 10], m, None, 1.0, 1.0)
-        assert b.value == pytest.approx(a.value, abs=1e-12)
-
-    def test_identity_uniform_is_classic(self, rng):
-        d = 3
-        z = np.full(d, 10.0)
-        y = rng.uniform(0, 20, (8, d))
-        m = DependenceStructure.identity(d)
-        a = fgt_network_adjusted(y, z, m, None, 1.0, 1.0)
-        b = fgt_via_coefficients(y, z, m, None, 1.0, 1.0)
-        assert b.value == pytest.approx(a.value, abs=1e-15)
-
     def test_random_instances_agree(self, rng):
+        """The coefficient-form label against the score-form oracle, not against itself."""
         from conftest import random_structure, random_weights
 
         for _ in range(50):
@@ -75,10 +60,10 @@ class TestCoefficientFormIdentity:
             y = rng.uniform(0, 2 * z, (n, d))
             alpha = float(rng.choice([0.0, 0.5, 1.0, 2.0]))
             k = float(rng.uniform(0.05, 1.0)) * weighted_upper_bound(m, w)
-            a = fgt_network_adjusted(y, z, m, w, alpha, k)
             b = fgt_via_coefficients(y, z, m, w, alpha, k)
-            assert b.value == pytest.approx(a.value, abs=1e-12)
-            assert b.k == a.k
+            assert b.value == pytest.approx(oracles.fgt(y, z, m, w, alpha, k), abs=1e-12)
+            assert b.k == k
+            assert b.kind == "network_adjusted_coefficient_form"
 
 
 class TestImpliedWeights:
