@@ -56,7 +56,9 @@ person's record depends on that person's row alone, so the chunks fall
 into contiguous ranges, one per usable CPU and each of at least
 ``_FORK_PERSONS`` persons.  The caller formats the first range; every
 other range is formatted by a worker forked for it, which writes its
-text into a pipe that the caller copies out in order.  With one range,
+text into a pipe that the caller copies out in order, 64 KB a read.
+The fork, pipe and reaping code is :func:`netpoverty.deprivation._forked`,
+which the axiom suite runs its trials on too.  With one range,
 or with other threads running, nothing is forked.  However the stream
 ends (done, failed, closed or dropped), every worker is reaped before
 the caller goes on; a failed worker raises :class:`WriteError`.  There
@@ -98,7 +100,7 @@ from .core import (
     as_dependence_structure,
     validate_weights,
 )
-from .deprivation import _score_values, _usable_cpus
+from .deprivation import _fork_count, _forked, _score_values
 from .errors import (
     CutoffOutOfRange,
     EmptyDataset,
@@ -622,8 +624,9 @@ def _report_text(
 
     The chunks fall into contiguous ranges of whole chunks, one per
     usable CPU, each of at least ``_FORK_PERSONS`` persons; every range
-    after the first is formatted by a forked worker (see :func:`_in_order`).
-    With threads running, or one range, nothing is forked.
+    after the first is formatted by a forked worker (see
+    :func:`netpoverty.deprivation._forked`).  With threads running, or one
+    range, nothing is forked.
     """
     yield json.dumps(head, indent=2)[:-2] + ',\n  "per_person": [\n'
     n, d = scores.shape
@@ -655,77 +658,13 @@ def _report_text(
         text = ",\n".join([record] * (stop - start)) % tuple(fields)
         return text if start == 0 else ",\n" + text
 
-    import threading  # here, not at the top: importing the package loads no new module
-
     starts = range(0, n, _CHUNK_PERSONS)
-    # a worker forked beside another thread could inherit a lock that thread held
-    forking = hasattr(os, "fork") and threading.active_count() == 1
-    ranges = max(1, min(_usable_cpus(), n // _FORK_PERSONS)) if forking else 1
+    ranges = _fork_count(n, _FORK_PERSONS)
     cuts = [len(starts) * i // ranges for i in range(ranges + 1)]
-    yield from _in_order([map(chunk, starts[a:b]) for a, b in zip(cuts, cuts[1:])])
+    parts = [map(chunk, starts[a:b]) for a, b in zip(cuts, cuts[1:])]
+    # a worker's range goes through its pipe as ASCII, read 64 KB at a time
+    yield from _forked([parts[0], *(map(str.encode, p) for p in parts[1:])], 1 << 16, bytes.decode)
     yield "\n  ],\n" + json.dumps(tail, indent=2)[2:] + "\n"
-
-
-def _in_order(parts: list[Iterator[str]]) -> Iterator[str]:
-    """The ASCII text of each part in turn, every part after the first made by a forked worker.
-
-    Each worker formats its whole part into a list of strings, then
-    writes them one by one into its own pipe, and ends by ``os._exit``
-    alone: it never returns into the caller nor flushes an inherited
-    buffer.  The caller formats the first part meanwhile, then copies
-    the pipes out in order; a worker that exits other than 0 raises
-    :class:`WriteError`.  However the caller stops, it closes its read
-    ends, kills every worker not yet reaped, and reaps them all.
-    """
-    workers: list[tuple[int, int]] = []  # (pid, read end), until reaped
-    try:
-        for part in parts[1:]:
-            workers.append(_fork_worker(part, [fd for _, fd in workers]))
-        yield from parts[0]
-        while workers:
-            pid, fd = workers[0]
-            while data := os.read(fd, 1 << 16):  # what a pipe holds
-                yield data.decode("ascii")
-            status = os.waitpid(pid, 0)[1]
-            del workers[0]
-            os.close(fd)
-            if status:
-                code = os.waitstatus_to_exitcode(status)
-                raise WriteError(f"a report text worker failed (exit code {code})")
-    finally:
-        if workers:
-            import signal
-
-            for pid, fd in workers:
-                os.close(fd)
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-
-
-def _fork_worker(part: Iterator[str], inherited: list[int]) -> tuple[int, int]:
-    """Fork a worker that writes ``part`` into a new pipe; its pid and the pipe's read end."""
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        raise
-    if pid:
-        os.close(write)
-        return pid, read
-    code = 1
-    try:
-        for fd in (read, *inherited):  # so the caller's close leaves each pipe no reader
-            os.close(fd)
-        texts = list(part)  # all formatted before the first write: the pipe holds 64 KB
-        for text in texts:
-            data = memoryview(text.encode("ascii"))
-            while data:
-                data = data[os.write(write, data) :]
-        code = 0
-    finally:
-        os._exit(code)
 
 
 def write_text(chunks, path=None) -> None:

@@ -20,6 +20,9 @@ between them.
 
 ``_gaps`` is the one gap routine, in place and overflow-free.  Gaps,
 scores, counts and the aggregates' pass all run on :func:`_row_blocks`.
+Work that splits into parts of whole persons or whole trials, the report
+text and the axiom suite, runs on :func:`_forked`: one part here, each
+other in a worker process forked for it.
 
 Determinism: every per-person quantity here depends only on that
 person's row and is computed through fixed reduction trees, so results
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +54,13 @@ from .core import (
     as_weight_vector,
     check_dimension_index,
 )
-from .errors import NegativeAchievement, NonPositiveCutoff, ShapeMismatch, ValidationError
+from .errors import (
+    NegativeAchievement,
+    NonPositiveCutoff,
+    ShapeMismatch,
+    ValidationError,
+    WriteError,
+)
 
 # cells per row block of a blocked pass: 256 KB of doubles, so a block stays in L2
 _BLOCK_CELLS = 1 << 15
@@ -292,6 +302,83 @@ def _row_blocks(n: int, width: int, body) -> None:
             thread.join()
     if errors:
         raise errors[0]
+
+
+def _fork_count(items: int, least: int) -> int:
+    """How many parts :func:`_forked` runs ``items`` in.
+
+    One per usable CPU, each of at least ``least`` items; but one where
+    ``os.fork`` is missing or other threads are running, as a worker
+    forked beside another thread could inherit a lock that thread held.
+    """
+    import threading  # here, not at the top: importing the package loads no new module
+
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    return max(1, min(_usable_cpus(), items // least))
+
+
+def _forked(parts: list, size: int, decode=None) -> Iterator:
+    """The items of ``parts[0]``, made here, then of each later part, made by a forked worker.
+
+    Each worker makes its whole part, an iterable of bytes, then writes
+    them one by one into its own pipe, and ends by ``os._exit`` alone: it
+    never returns into the caller nor flushes an inherited buffer.  The
+    caller makes the first part meanwhile, then reads the pipes in order,
+    at most ``size`` bytes a read, each read passed through ``decode``
+    when given; a worker that exits other than 0 raises
+    :class:`WriteError`.  However the caller stops, it closes its read
+    ends, kills every worker not yet reaped, and reaps them all.
+    """
+    workers: list[tuple[int, int]] = []  # (pid, read end), until reaped
+    try:
+        for part in parts[1:]:
+            workers.append(_fork_worker(part, [fd for _, fd in workers]))
+        yield from parts[0]
+        while workers:
+            pid, fd = workers[0]
+            while data := os.read(fd, size):
+                yield data if decode is None else decode(data)
+            status = os.waitpid(pid, 0)[1]
+            del workers[0]
+            os.close(fd)
+            if status:
+                code = os.waitstatus_to_exitcode(status)
+                raise WriteError(f"a forked worker failed (exit code {code})")
+    finally:
+        if workers:
+            import signal
+
+            for pid, fd in workers:
+                os.close(fd)
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _fork_worker(part, inherited: list[int]) -> tuple[int, int]:
+    """Fork a worker that writes ``part`` into a new pipe; its pid and the pipe's read end."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid:
+        os.close(write)
+        return pid, read
+    code = 1
+    try:
+        for fd in (read, *inherited):  # so the caller's close leaves each pipe no reader
+            os.close(fd)
+        blobs = list(part)  # all made before the first write: a pipe holds 64 KB
+        for blob in blobs:
+            data = memoryview(blob)
+            while data:
+                data = data[os.write(write, data) :]
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _count_values(

@@ -40,17 +40,23 @@ def rng():
 
 
 @pytest.fixture
-def small_ranges(monkeypatch):
-    """Chunks of 16 persons and ranges of at least 48; the pids forked, as a list."""
-    monkeypatch.setattr(dataio, "_CHUNK_PERSONS", 16)
-    monkeypatch.setattr(dataio, "_FORK_PERSONS", 48)
-    forks, fork = [], os.fork
+def forks(monkeypatch):
+    """The pids this process forks during the test, as a list."""
+    pids, fork = [], os.fork
 
     def spy():
         pid = fork()
         if pid:
-            forks.append(pid)
+            pids.append(pid)
         return pid
 
     monkeypatch.setattr(os, "fork", spy)
+    return pids
+
+
+@pytest.fixture
+def small_ranges(monkeypatch, forks):
+    """Chunks of 16 persons and ranges of at least 48; the pids forked, as a list."""
+    monkeypatch.setattr(dataio, "_CHUNK_PERSONS", 16)
+    monkeypatch.setattr(dataio, "_FORK_PERSONS", 48)
     return forks

@@ -1,8 +1,13 @@
+import hashlib
+import json
+import os
+import threading
 from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from test_dataio import assert_reaped, usable_cpus
 
 from netpoverty import (
     AXIOMS,
@@ -34,6 +39,7 @@ from netpoverty.errors import (
     NonPositiveAmount,
     NotBistochastic,
     PersonNotPoor,
+    ValidationError,
 )
 
 CFG = MethodologyConfig(
@@ -241,6 +247,139 @@ class TestSuite:
     def test_negative_seed_rejected(self):
         with pytest.raises(InvalidGeneratorSettings):
             GeneratorSettings(seed=-1)
+
+
+def bit_rows(reports):
+    """Each report's row with its worst defect as ``float.hex``, so -0.0 and 0.0 differ."""
+    return [
+        [r.axiom, r.trials, r.violations, r.trials and r.worst_violation.hex(), r.status]
+        for r in reports
+    ]
+
+
+def serial_rows(monkeypatch, config, settings):
+    usable_cpus(monkeypatch, 1)
+    return bit_rows(run_axiom_suite(config, settings))
+
+
+def replace_trial(monkeypatch, axiom, wrapper):
+    """Run ``wrapper(trial, rng, *args)`` in place of the axiom's trial."""
+    trial = axioms._TRIALS[axiom]
+    monkeypatch.setitem(axioms._TRIALS, axiom, lambda *args: wrapper(trial, *args))
+
+
+class TestForkedSuite:
+    """Shares folded by forked workers give the serial rows; no worker outlives the suite."""
+
+    SETTINGS = GeneratorSettings(trials=30, seed=4)
+    PINNED = MethodologyConfig(
+        alpha=2.0,
+        k=1.1,
+        structure=DependenceStructure([[1.0, 0.6, 0.0], [0.2, 1.0, 0.9], [0.0, 0.4, 1.0]]),
+        weights=[0.6, 1.0, 1.4],
+        cutoffs=[2.0, 5.0, 9.0],
+    )
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_rows_are_pinned(self, monkeypatch, cpus):
+        # the rows at 200 trials and seed 1, as the serial suite wrote them
+        usable_cpus(monkeypatch, cpus)
+        rows = bit_rows(run_axiom_suite(1.0, GeneratorSettings(trials=200, seed=1)))
+        assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
+            "21cef1c9baa4a7933aa0a88369d6c1cf12efa7c0ffd95fcbf199c3bbb4a9e109"
+        )
+
+    @pytest.mark.parametrize(
+        "config, seed",
+        [(alpha, seed) for alpha in (0.0, 1.0, 2.0) for seed in (0, 1, 9)] + [("pinned", 3)],
+    )
+    def test_equals_serial_on_every_cpu_count(self, forks, monkeypatch, config, seed):
+        config = self.PINNED if config == "pinned" else config
+        settings = GeneratorSettings(trials=30, seed=seed)
+        want = serial_rows(monkeypatch, config, settings)
+        assert forks == []
+        for cpus in (2, 3):
+            usable_cpus(monkeypatch, cpus)
+            assert bit_rows(run_axiom_suite(config, settings)) == want
+        assert len(forks) == 1 + 2
+        assert_reaped(forks)
+
+    def test_threads_running_keep_it_serial(self, forks, monkeypatch):
+        want = serial_rows(monkeypatch, 1.0, self.SETTINGS)
+        usable_cpus(monkeypatch, 2)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            rows = bit_rows(run_axiom_suite(1.0, self.SETTINGS))
+        finally:
+            release.set()
+            thread.join()
+        assert rows == want
+        assert forks == []
+
+    @pytest.mark.parametrize("trials, forked", [(1, 0), (2, 1)])
+    def test_a_share_needs_fork_trials(self, forks, monkeypatch, trials, forked):
+        # 12 covered axioms at alpha 1: one share at 12 trials in all, two at 24
+        monkeypatch.setattr(axioms, "_FORK_TRIALS", 12)
+        settings = GeneratorSettings(trials=trials, seed=2)
+        want = serial_rows(monkeypatch, 1.0, settings)
+        usable_cpus(monkeypatch, 3)
+        assert bit_rows(run_axiom_suite(1.0, settings)) == want
+        assert len(forks) == forked
+        assert_reaped(forks)
+
+    def test_failure_only_in_a_worker_gives_the_serial_rows(self, forks, monkeypatch):
+        parent = os.getpid()
+
+        def failing(trial, *args):
+            if os.getpid() != parent:
+                raise RuntimeError("worker fault")
+            return trial(*args)
+
+        replace_trial(monkeypatch, "symmetry", failing)
+        want = serial_rows(monkeypatch, 1.0, self.SETTINGS)
+        usable_cpus(monkeypatch, 3)
+        assert bit_rows(run_axiom_suite(1.0, self.SETTINGS)) == want
+        assert len(forks) == 2
+        assert_reaped(forks)
+
+    @pytest.mark.parametrize("raising", [(3,), (3, 4)], ids=["worker", "worker-and-caller"])
+    def test_error_is_the_serial_error(self, forks, monkeypatch, raising):
+        # symmetry's trial t is at position 2 * 30 + t: odd t in the worker's share
+        # of two, even t in the caller's; the serial loop reaches t = 3 first
+        def failing(trial, rng, *args):
+            seed, idx, t = rng.bit_generator.seed_seq.entropy
+            if t in raising:
+                raise ValidationError(f"trial {t} of axiom {idx} at seed {seed}")
+            return trial(rng, *args)
+
+        replace_trial(monkeypatch, "symmetry", failing)
+        usable_cpus(monkeypatch, 1)
+        with pytest.raises(ValidationError) as serial:
+            run_axiom_suite(1.0, self.SETTINGS)
+        usable_cpus(monkeypatch, 2)
+        with pytest.raises(ValidationError) as forked:
+            run_axiom_suite(1.0, self.SETTINGS)
+        assert type(forked.value) is type(serial.value)
+        assert str(forked.value) == str(serial.value) == "trial 3 of axiom 2 at seed 4"
+        assert len(forks) == 1
+        assert_reaped(forks)
+
+    def test_interrupt_in_the_callers_share_reaps_every_worker(self, forks, monkeypatch):
+        parent = os.getpid()
+
+        def interrupted(trial, *args):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return trial(*args)
+
+        replace_trial(monkeypatch, "weak_transfer", interrupted)
+        usable_cpus(monkeypatch, 3)
+        with pytest.raises(KeyboardInterrupt):
+            run_axiom_suite(1.0, self.SETTINGS)
+        assert len(forks) == 2
+        assert_reaped(forks)
 
 
 class TestRandomDraws:

@@ -287,26 +287,67 @@ class TestBrokenPipe:
 
 #: ``compute`` with two usable CPUs on any runner; with ``fail`` first, the
 #: score formatter raises in every process but the one ``compute`` runs in;
-#: with ``stall``, that process sleeps a minute before its second chunk's scores
-#: (its first call formats the count levels, its second the first chunk's scores)
+#: with ``stall``, once the stream has yielded its first chunk of persons, that
+#: process sleeps a minute in its next call to the formatter
 _LAUNCHER = """
 import os, sys, time
 os.sched_getaffinity = lambda pid: {0, 1}
 from netpoverty import cli, dataio
-parent, formatter, calls = os.getpid(), dataio._json_floats, []
+parent, formatter, report_text, past = os.getpid(), dataio._json_floats, dataio._report_text, []
 def failing(values):
     if os.getpid() != parent:
         raise RuntimeError("worker fault")
     return formatter(values)
 def stalling(values):
-    if os.getpid() == parent:
-        calls.append(None)
-        if len(calls) == 3:
-            time.sleep(60)
+    if past and os.getpid() == parent:
+        time.sleep(60)
     return formatter(values)
+def marking(*args):
+    for i, text in enumerate(report_text(*args)):
+        yield text
+        if i == 1:  # the head, then the first chunk of persons
+            past.append(None)
+dataio._report_text = marking
 dataio._json_floats = {"ok": formatter, "fail": failing, "stall": stalling}[sys.argv[1]]
 sys.exit(cli.main(sys.argv[2:]))
 """
+
+
+def stop_past_the_first_chunk(monkeypatch, stop):
+    """Call ``stop()`` in this process's formatter once the first chunk of persons is out."""
+    formatter, report_text, past = dataio._json_floats, dataio._report_text, []
+
+    def marking(*args):
+        for i, text in enumerate(report_text(*args)):
+            yield text
+            if i == 1:  # the head, then the first chunk of persons
+                past.append(os.getpid())
+
+    def stopping(values):
+        if past == [os.getpid()]:
+            stop()
+        return formatter(values)
+
+    monkeypatch.setattr(dataio, "_report_text", marking)
+    monkeypatch.setattr(dataio, "_json_floats", stopping)
+
+
+def launch_in_session(script, *args):
+    """Start ``script`` in its own session and process group, so every worker it forks is in it."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    return subprocess.Popen(
+        [sys.executable, "-c", script, *args],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=path),
+        start_new_session=True,
+    )
+
+
+def assert_group_gone(proc):
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
 
 
 class TestForkedCompute:
@@ -322,21 +363,7 @@ class TestForkedCompute:
 
     @staticmethod
     def launch(mode, argv):
-        """Start compute in its own process group, so every worker it forks is in it."""
-        src = Path(__file__).resolve().parent.parent / "src"
-        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-        return subprocess.Popen(
-            [sys.executable, "-c", _LAUNCHER, mode, *argv],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            env=dict(os.environ, PYTHONPATH=path),
-            start_new_session=True,
-        )
-
-    @staticmethod
-    def assert_group_gone(proc):
-        with pytest.raises(ProcessLookupError):
-            os.killpg(proc.pid, 0)
+        return launch_in_session(_LAUNCHER, mode, *argv)
 
     def test_reader_closing_early_exits_0_silently(self, large):
         proc = self.launch("ok", large)
@@ -347,14 +374,14 @@ class TestForkedCompute:
         assert proc.wait(timeout=60) == 0
         assert head == b'{\n  "fgt_v'
         assert err == b""
-        self.assert_group_gone(proc)
+        assert_group_gone(proc)
 
     def test_report_equals_serial_report(self, large, monkeypatch, capsys):
         proc = self.launch("ok", large)
         out, err = proc.communicate(timeout=60)
         assert proc.returncode == 0
         assert err == b""
-        self.assert_group_gone(proc)
+        assert_group_gone(proc)
         usable_cpus(monkeypatch, 1)  # one range, formatted here
         assert main(large) == 0
         assert out == capsys.readouterr().out.encode("utf-8")
@@ -367,30 +394,29 @@ class TestForkedCompute:
         assert proc.returncode == 3
         assert_one_error_line(err.decode())
         assert not out.exists()
-        self.assert_group_gone(proc)
+        assert_group_gone(proc)
 
     @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out-file"])
     def test_sigterm_mid_write_exits_143_and_cleans_up(self, large, tmp_path, to_file):
         # the first chunk is written, then compute stalls with its worker running
         out = tmp_path / "r.json"
-        proc = self.launch("stall", [*large, "--out", str(out)] if to_file else large)
-        try:
-            if to_file:
-                deadline = time.monotonic() + 60
-                while not (out.exists() and out.stat().st_size > 0):
-                    assert time.monotonic() < deadline and proc.poll() is None
-                    time.sleep(0.01)
-            else:
-                assert proc.stdout.read(1 << 16)[:10] == b'{\n  "fgt_v'
-            proc.send_signal(signal.SIGTERM)
-            _, err = proc.communicate(timeout=60)
-        finally:
-            proc.kill()
-            proc.wait()
+        with self.launch("stall", [*large, "--out", str(out)] if to_file else large) as proc:
+            try:
+                if to_file:
+                    deadline = time.monotonic() + 60
+                    while not (out.exists() and out.stat().st_size > 0):
+                        assert time.monotonic() < deadline and proc.poll() is None
+                        time.sleep(0.01)
+                else:
+                    assert proc.stdout.read(1 << 16)[:10] == b'{\n  "fgt_v'
+                proc.send_signal(signal.SIGTERM)
+                _, err = proc.communicate(timeout=60)
+            finally:
+                proc.kill()  # the pipes are closed on every path as the block ends
         assert proc.returncode == 143
         assert err == b""
         assert not out.exists()
-        self.assert_group_gone(proc)
+        assert_group_gone(proc)
 
     @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out-file"])
     def test_worker_failure_in_process(self, worked, small_ranges, monkeypatch, capsys, to_file):
@@ -427,13 +453,6 @@ class TestSigterm:
         data, config = worked
         data.write_text("health,education\n" + "5,10\n3,4\n" * 100, encoding="utf-8")
         usable_cpus(monkeypatch, 2)
-        formatter, calls = dataio._json_floats, []
-
-        def terminating(values):  # the count levels, the first chunk, then the second
-            calls.append(None)
-            if len(calls) == 3:
-                os.kill(os.getpid(), signal.SIGTERM)
-            return formatter(values)
 
         class TerminatingStdout(io.StringIO):
             def write(self, text):
@@ -444,7 +463,7 @@ class TestSigterm:
         if where == "writing-stdout":
             monkeypatch.setattr(sys, "stdout", TerminatingStdout())
         else:
-            monkeypatch.setattr(dataio, "_json_floats", terminating)
+            stop_past_the_first_chunk(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGTERM))
         to_file = where.endswith("out-file")
         handler, previous = self.own_handler()
         out = data.parent / "r.json"
@@ -719,6 +738,58 @@ class TestAxioms:
         ]
         by_name = {r["axiom"]: r for r in records}
         assert by_name["normalization"]["status"] == "fail"
+
+
+#: ``axioms`` with as many usable CPUs as the first argument says, on any runner;
+#: the process ``main`` runs in creates the file the second argument names as it
+#: starts its own share of the trials, by when every worker is forked
+_SUITE_LAUNCHER = """
+import os, sys
+os.sched_getaffinity = lambda pid: set(range(int(sys.argv[1])))
+from netpoverty import axioms, cli
+parent, mark, first = os.getpid(), sys.argv[2], axioms._TRIALS["decomposability"]
+def marking(*args):
+    if os.getpid() == parent and not os.path.exists(mark):
+        open(mark, "x").close()
+    return first(*args)
+axioms._TRIALS["decomposability"] = marking
+sys.exit(cli.main(sys.argv[3:]))
+"""
+
+
+class TestForkedAxioms:
+    """``axioms`` on two CPUs writes the one-CPU output, and no worker outlives it."""
+
+    def test_output_equals_one_cpu_output(self, worked, tmp_path):
+        argv = ["axioms", "--config", str(worked[1]), "--trials", "200", "--seed", "5"]
+        outputs = []
+        for cpus in (1, 2):
+            mark = tmp_path / str(cpus)
+            with launch_in_session(_SUITE_LAUNCHER, str(cpus), str(mark), *argv) as proc:
+                out, err = proc.communicate(timeout=60)
+            assert proc.returncode == 0
+            assert err == b""
+            assert_group_gone(proc)
+            outputs.append(out)
+        assert outputs[0].count(b"\n") == 12
+        assert outputs[1] == outputs[0]
+
+    def test_sigterm_mid_suite_exits_143_and_reaps(self, worked, tmp_path):
+        mark = tmp_path / "running"
+        argv = ["axioms", "--config", str(worked[1]), "--trials", "2000"]
+        with launch_in_session(_SUITE_LAUNCHER, "2", str(mark), *argv) as proc:
+            try:
+                deadline = time.monotonic() + 60
+                while not mark.exists():
+                    assert time.monotonic() < deadline and proc.poll() is None
+                    time.sleep(0.01)
+                proc.send_signal(signal.SIGTERM)
+                out, err = proc.communicate(timeout=60)
+            finally:
+                proc.kill()  # the pipes are closed on every path as the block ends
+        assert proc.returncode == 143
+        assert out == err == b""
+        assert_group_gone(proc)
 
 
 class TestCompare:
