@@ -11,10 +11,10 @@ removes.
 Numerical contract: every aggregate is evaluated through the
 coefficient form of :mod:`netpoverty.weights`, with no N x d x d
 neighbor sums, in one pass over row blocks (the schedule is
-:func:`netpoverty.deprivation._row_blocks`'s).  Each block is counted
-and identified, and its deprived cells' weighted gaps are summed per row
-in a thread's reused block buffer, never in an N x d array.  Censoring
-is per person, as the measure counts only the poor's terms: a person
+:func:`netpoverty.deprivation._row_blocks`'s).  Each block is counted,
+and its cells' weighted gaps are summed per row in a thread's reused
+block buffer, never in an N x d array.  As in the dual cutoff, k only
+applies after the pass: the counts are identified once, then a person
 who is not poor gets the row sum +0.0.  Raw achievements are read in
 place, after the checks of :class:`~netpoverty.core.AchievementMatrix`.
 A result's ``censored_matrix_hash`` is the SHA-256 of ``"{n}x{d}:"``
@@ -55,9 +55,9 @@ from .core import (
     _achievement_values,
     _coefficient_values,
 )
-from .deprivation import _gaps, _row_blocks
+from .deprivation import _row_sums
 from .errors import InvalidPartition, ShapeMismatch
-from .identification import PovertyStatusVector, _k_band
+from .identification import PovertyStatusVector, _identify
 
 #: equality band for decomposition checks
 RECOMBINATION_TOL = 1e-12
@@ -149,44 +149,32 @@ def _fgt(row_sums: NDArray[np.float64], config: MethodologyConfig, kind: str) ->
 def _coefficient_pass(
     achievements, config: MethodologyConfig, kind: str = "network_adjusted"
 ) -> tuple[FgtResult, NDArray[np.float64], PovertyStatusVector, NDArray[np.float64]]:
-    """Counts, identification and censored row sums, one row block at a time.
+    """Counts and row sums in one row-block pass, then identification and censoring once.
 
     Returns the aggregate with the per-person counts, statuses and
-    censored row sums it was built from.  Each block holds the count
-    terms, then the deprived cells' weighted gaps, in a thread's reused
-    buffer; at alpha = 0 the two are the same, so a poor person's row
-    sum is their count.  A person who is not poor gets the row sum
-    +0.0.  The coefficients and the ceiling come from ``config``, which
-    has already checked k against that ceiling.  The naive kind counts
-    with the uniform coefficients of the structure and divides by N * d
-    instead of N times the ceiling.
+    censored row sums it was built from.  The pass,
+    :func:`~netpoverty.deprivation._row_sums`, does not read k; then
+    :func:`~netpoverty.identification._identify` marks the poor, and a
+    person who is not poor gets the row sum +0.0.  At alpha = 0 the row
+    sums are the counts.  The coefficients and the ceiling come from
+    ``config``, which has already checked k against that ceiling.  The
+    naive kind counts with the uniform coefficients of the structure and
+    divides by N * d instead of N times the ceiling.
     """
     y, z = _achievement_values(achievements), config.cutoffs.values
-    n, d = y.shape
+    d = y.shape[1]
     if d != config.d:
         raise ShapeMismatch(f"achievements have d = {d}, config has d = {config.d}")
     if kind == "naive":
         coef = _coefficient_values(config.structure, np.ones(d))
     else:
         coef = config.coefficients
-    reach = config.k - _k_band(config.k)
-    counts, poor, row_sums = np.empty(n), np.empty(n, dtype=bool), np.empty(n)
-
-    def aggregate(rows: slice, block: NDArray[np.float64]) -> None:
-        yb = y[rows]
-        np.sum(np.multiply(yb < z, coef, out=block), axis=1, out=counts[rows])
-        np.greater_equal(counts[rows], reach, out=poor[rows])
-        if config.alpha == 0.0:  # gaps are the indicators: a poor row sums to its count
-            np.multiply(counts[rows], poor[rows], out=row_sums[rows])
-            return
-        _gaps(yb, z, config.alpha, block)
-        block *= coef
-        np.sum(block, axis=1, out=row_sums[rows])
-        row_sums[rows] *= poor[rows]
-
-    _row_blocks(n, d, aggregate)
-    result = _fgt(row_sums, config, kind)
-    return result, counts, PovertyStatusVector(poor, config.k), row_sums
+    counts, row_sums = _row_sums(y, z, coef, config.alpha)
+    statuses = _identify(counts, config.k)
+    if row_sums is counts:  # alpha = 0: censor a copy, the counts stay whole
+        row_sums = counts.copy()
+    row_sums *= statuses.statuses
+    return _fgt(row_sums, config, kind), counts, statuses, row_sums
 
 
 def fgt_network_adjusted(

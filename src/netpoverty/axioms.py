@@ -81,7 +81,7 @@ from .core import (
     _real,
     check_dimension_index,
 )
-from .deprivation import _count_values, _fork_count, _forked
+from .deprivation import _fork_count, _forked, _row_sums
 from .errors import (
     IndexOutOfRange,
     InvalidGeneratorSettings,
@@ -169,7 +169,7 @@ class AxiomReport:
 
 def _statuses(cfg: MethodologyConfig, y: NDArray[np.float64]) -> PovertyStatusVector:
     """Who is poor among the rows of the checked array ``y`` under the methodology."""
-    return _identify(_count_values(y, cfg.cutoffs.values, cfg.coefficients), cfg.k)
+    return _identify(_row_sums(y, cfg.cutoffs.values, cfg.coefficients, 0.0)[0], cfg.k)
 
 
 def _evaluate(cfg: MethodologyConfig, y) -> tuple[float, PovertyStatusVector]:
@@ -364,7 +364,7 @@ def _draw_materials(
             y = _random_population(rng, n, z)
             coef = _coefficient_values(structure, weights.values)
             ceiling = weighted_upper_bound(structure, weights)
-            counts = _count_values(y, z, coef)
+            counts = _row_sums(y, z, coef, 0.0)[0]
             k = _choose_k(rng, counts, ceiling, min_poor, min_non_poor)
             if k is None:
                 continue

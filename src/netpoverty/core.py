@@ -137,7 +137,12 @@ def _check_k(k: float, upper: float | None = None) -> float:
     k = _real(k, CutoffOutOfRange, "k")
     if not math.isfinite(k) or k <= 0.0:
         raise CutoffOutOfRange(f"k = {k} must be a positive real")
-    if upper is not None and k > _real(upper, CutoffOutOfRange, "upper") * (1 + REL_TOL):
+    if upper is None:
+        return k
+    upper = _real(upper, CutoffOutOfRange, "upper")
+    if not math.isfinite(upper) or upper <= 0.0:
+        raise CutoffOutOfRange(f"upper = {upper} must be a positive real")
+    if k > upper * (1 + REL_TOL):
         raise CutoffOutOfRange(f"k = {k} exceeds the attainable ceiling {upper}")
     return k
 

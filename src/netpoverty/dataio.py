@@ -722,8 +722,9 @@ def recompute_fgt_value(report: dict) -> float:
 
     Must reproduce ``fgt_value`` to 1e-12; used to confirm a report is
     internally consistent.  A report without the fields this reads, or
-    with records that are not objects, a ``poor`` other than 0 or 1, or
-    scores that are not numbers with a finite sum, raises ValidationError.
+    with records that are not objects, a ``poor`` other than the integer 0
+    or 1, scores other than d numbers (booleans are not numbers here), or
+    a poor person's scores without a finite sum, raises ValidationError.
     """
     config = _report_field(report, "config", "the report")
     structure = as_dependence_structure(_report_field(config, "dependence", "config"))
@@ -736,10 +737,19 @@ def recompute_fgt_value(report: dict) -> float:
     for i, rec in enumerate(persons):
         where = f"per_person[{i}]"
         poor = _report_field(rec, "poor", where)
-        if poor not in (0, 1):
+        if type(poor) is not int or poor not in (0, 1):
             raise ValidationError(f"malformed report: {where} poor must be 0 or 1, got {poor!r}")
-        if poor == 1:
-            sums.append(_finite_sum(_report_field(rec, "scores", where), f"{where} scores"))
+        scores = _report_field(rec, "scores", where)
+        if not (
+            isinstance(scores, list)
+            and len(scores) == structure.d
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in scores)
+        ):
+            raise ValidationError(
+                f"malformed report: {where} scores must be an array of {structure.d} numbers"
+            )
+        if poor:
+            sums.append(_finite_sum(scores, f"{where} scores"))
     return _finite_sum(sums, "the poor persons' scores") / (len(persons) * ceiling)
 
 

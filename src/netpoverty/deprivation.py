@@ -18,16 +18,18 @@ finished score.  They are never applied inside the neighbor average,
 which would conflate the importance of dimensions with the dependence
 between them.
 
-``_gaps`` is the one gap routine, in place and overflow-free.  Gaps,
-scores, counts and the aggregates' pass all run on :func:`_row_blocks`.
+``_gaps`` is the one gap routine, in place and overflow-free.  Three kernels,
+none reading k, run on :func:`_row_blocks`: the gaps, the scores and
+:func:`_row_sums`, the counts and uncensored row sums every aggregate shares.
 Work that splits into parts of whole persons or whole trials, the report
 text and the axiom suite, runs on :func:`_forked`: one part here, each
 other in a worker process forked for it.
 
 Determinism: every per-person quantity here depends only on that
 person's row and is computed through fixed reduction trees, so results
-are bit-for-bit reproducible, invariant under row reordering and the
-same on any number of CPUs.
+are invariant under row reordering, the same on any number of CPUs and
+bit-for-bit reproducible on one machine and numpy build (at alpha other
+than 0, 0.5, 1 and 2, numpy's ``power`` follows the CPU's SIMD dispatch).
 """
 
 from __future__ import annotations
@@ -114,7 +116,8 @@ def normalized_gap(y: float, z: float, alpha: float) -> float:
     """Normalized deprivation gap of a single achievement.
 
     Returns ((z - y) / z) ** alpha when y < z, else 0.  alpha = 0 gives
-    the deprivation indicator (0 at y = z).
+    the deprivation indicator (0 at y = z).  Bit for bit :func:`gap_matrix`'s
+    cell, as both take numpy's ``power``, which may round unlike Python's ``**``.
     """
     alpha = _check_alpha(alpha)
     z = _real(z, NonPositiveCutoff, "cutoff")
@@ -123,9 +126,7 @@ def normalized_gap(y: float, z: float, alpha: float) -> float:
         raise NonPositiveCutoff(f"cutoff {z} must be a positive real")
     if not math.isfinite(y) or y < 0.0:
         raise NegativeAchievement(f"achievement {y} must be a nonnegative real")
-    if y >= z:
-        return 0.0
-    return ((z - y) / z) ** alpha
+    return float(_gaps(np.array([y]), z, alpha, np.empty(1))[0])
 
 
 def _gaps(y, z, alpha: float, out: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -263,7 +264,7 @@ def _row_blocks(n: int, width: int, body) -> None:
     block in row order under one lock; otherwise the caller runs them in
     order.  Nothing reads the blocks in order: an aggregate's
     ``censored_matrix_hash`` is the SHA-256 of ``"{n}x{d}:"`` and the
-    censored row sums its bodies write, taken once after the pass.  A
+    row sums its bodies write, censored and hashed once after the pass.  A
     body's exception is raised here, and no thread outlives the call.
     """
     step = max(1, _BLOCK_CELLS // width)
@@ -381,18 +382,22 @@ def _fork_worker(part, inherited: list[int]) -> tuple[int, int]:
         os._exit(code)
 
 
-def _count_values(
-    y: NDArray[np.float64], z: NDArray[np.float64], coef: NDArray[np.float64]
-) -> NDArray[np.float64]:
-    """Per-person counts: the coefficients of the deprived dimensions, summed."""
+def _row_sums(y, z, coef, alpha: float) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Per-person counts (deprived coefficients, summed) and uncensored weighted-gap row sums."""
     n, d = y.shape
     counts = np.empty(n)
+    row_sums = counts if alpha == 0.0 else np.empty(n)  # alpha = 0: the gaps are indicators
 
-    def count(rows: slice, block: NDArray[np.float64]) -> None:
-        np.sum(np.multiply(y[rows] < z, coef, out=block), axis=1, out=counts[rows])
+    def sums(rows: slice, block: NDArray[np.float64]) -> None:
+        yb = y[rows]
+        np.sum(np.multiply(yb < z, coef, out=block), axis=1, out=counts[rows])
+        if alpha != 0.0:
+            _gaps(yb, z, alpha, block)
+            block *= coef
+            np.sum(block, axis=1, out=row_sums[rows])
 
-    _row_blocks(n, d, count)
-    return counts
+    _row_blocks(n, d, sums)
+    return counts, row_sums
 
 
 def deprivation_counts(
@@ -409,7 +414,7 @@ def deprivation_counts(
     """
     y, z, structure = _consistent_inputs(achievements, cutoffs, structure)
     coef = _coefficient_values(structure, as_weight_vector(weights, structure.d).values)
-    return _adopted(DeprivationCounts, values=_count_values(y, z.values, coef))
+    return _adopted(DeprivationCounts, values=_row_sums(y, z.values, coef, 0.0)[0])
 
 
 def gap_sensitivity(structure: DependenceStructure, j: int, j_prime: int) -> float:

@@ -50,8 +50,8 @@ def identify(
 ) -> PovertyStatusVector:
     """Mark person i poor when count_i >= k - 1e-12 * max(1, k).
 
-    k must be positive; pass the methodology's count ceiling as ``upper``
-    to reject k beyond it.  A count on the boundary is poor.  The band
+    k must be positive; pass the methodology's count ceiling, a positive
+    real, as ``upper`` to reject k beyond it.  A count on the boundary is poor.  The band
     makes a count that reaches k in exact arithmetic reach it in floats
     too: a count is a row sum of coefficients, while k at the intersection
     approach (the ceiling, k-fraction 1, a count level only for symmetric

@@ -518,8 +518,8 @@ def force_cpus(monkeypatch, cpus):
 
 def wrap_pass_body(patch, wrap):
     """Make the aggregate pass run ``wrap(body)`` on its row blocks, not its own ``body``."""
-    real = aggregation._row_blocks
-    patch.setattr(aggregation, "_row_blocks", lambda n, width, body: real(n, width, wrap(body)))
+    real = deprivation._row_blocks
+    patch.setattr(deprivation, "_row_blocks", lambda n, width, body: real(n, width, wrap(body)))
 
 
 def spy_blocks(monkeypatch, fail_on=None):

@@ -22,6 +22,7 @@ from netpoverty.dataio import ConfigDocument
 from netpoverty.deprivation import _PARALLEL_CELLS
 from netpoverty.errors import (
     CutoffOutOfRange,
+    EntryOutOfRange,
     IndexOutOfRange,
     InvalidAlpha,
     InvalidGeneratorSettings,
@@ -29,6 +30,7 @@ from netpoverty.errors import (
     NetpovertyError,
     NonPositiveAmount,
     NonPositiveCutoff,
+    NotBistochastic,
     ShapeMismatch,
     ValidationError,
 )
@@ -40,6 +42,17 @@ Y = [[1.0, 12.0, 3.0], [11.0, 12.0, 13.0], [2.0, 2.0, 2.0]]
 CFG = npv.MethodologyConfig(1.0, 1.0, S, None, Z)
 STATUSES = npv.identify(npv.deprivation_counts(Y, Z, S), 1.0)
 REPORT = npv.build_report(npv.Dataset(npv.AchievementMatrix(Y), ("a", "b", "c")), CFG)
+# d = 2, identity structure, uniform weights: the ceiling is 2
+REPORT2 = npv.build_report(
+    npv.Dataset(npv.AchievementMatrix([[5.0, 10.0]]), ("a", "b")),
+    npv.MethodologyConfig(1.0, 1.0, np.eye(2), None, [10.0, 10.0]),
+)
+Y2 = [[1.0, 12.0], [11.0, 2.0]]
+
+
+def one_record(report, **record):
+    """``report`` with ``record`` as its only person."""
+    return dict(report, per_person=[record])
 
 
 PROBES = {
@@ -192,6 +205,97 @@ PROBES = {
         ),
         ValidationError,
     ),
+    # a JSON boolean is not a number, and every record holds d scores, poor or not
+    "recompute-bool-score": (
+        lambda: npv.recompute_fgt_value(one_record(REPORT2, poor=1, scores=[True, 0.0])),
+        ValidationError,
+    ),
+    "recompute-bool-poor": (
+        lambda: npv.recompute_fgt_value(one_record(REPORT2, poor=True, scores=[0.5, 0.0])),
+        ValidationError,
+    ),
+    "recompute-short-scores": (
+        lambda: npv.recompute_fgt_value(one_record(REPORT2, poor=1, scores=[0.5])),
+        ValidationError,
+    ),
+    "recompute-long-scores": (
+        lambda: npv.recompute_fgt_value(one_record(REPORT2, poor=1, scores=[0.5, 0.1, 9.0])),
+        ValidationError,
+    ),
+    "recompute-non-poor-junk-scores": (
+        lambda: npv.recompute_fgt_value(one_record(REPORT2, poor=0, scores="junk")),
+        ValidationError,
+    ),
+    "recompute-d-nan-score": (
+        lambda: npv.recompute_fgt_value(one_record(REPORT2, poor=1, scores=[math.nan, 0.0])),
+        ValidationError,
+    ),
+    "recompute-d-overflowing-scores": (
+        lambda: npv.recompute_fgt_value(one_record(REPORT2, poor=1, scores=[1e308, 1e308])),
+        ValidationError,
+    ),
+    "recompute-no-persons": (
+        lambda: npv.recompute_fgt_value(dict(REPORT, per_person=[])),
+        ValidationError,
+    ),
+    # a ceiling k is checked against is a positive real
+    "identify-upper-nan": (lambda: npv.identify([1.0, 2.0], 1.5, math.nan), CutoffOutOfRange),
+    "identify-upper-inf": (lambda: npv.identify([1.0, 2.0], 1.5, math.inf), CutoffOutOfRange),
+    "identify-upper-0": (lambda: npv.identify([1.0, 2.0], 1.5, 0), CutoffOutOfRange),
+    "identify-upper-negative": (lambda: npv.identify([1.0, 2.0], 1.5, -1.0), CutoffOutOfRange),
+    # achievements of d = 2 against a methodology of d = 3
+    "counts-d-mismatch": (lambda: npv.deprivation_counts(Y2, Z, S), ShapeMismatch),
+    "matrix-d-mismatch": (lambda: npv.deprivation_matrix(Y2, Z, S, 1.0), ShapeMismatch),
+    "gap-matrix-d-mismatch": (lambda: npv.gap_matrix(Y2, Z, 1.0), ShapeMismatch),
+    "increment-d-mismatch": (
+        lambda: npv.apply_simple_increment(Y2, 1, 1, 0.5, CFG),
+        ShapeMismatch,
+    ),
+    "structure-nan": (
+        lambda: npv.DependenceStructure([[1, math.nan], [0, 1]]),
+        EntryOutOfRange,
+    ),
+    "weights-empty": (lambda: npv.WeightVector([]), ShapeMismatch),
+    "normalized-gap-negative": (lambda: npv.normalized_gap(-1, 1, 1), NegativeAchievement),
+    "settings-range-reversed": (
+        lambda: npv.GeneratorSettings(n_range=(3, 2)),
+        InvalidGeneratorSettings,
+    ),
+    # a pair axiom draws two persons at least
+    "suite-one-person": (
+        lambda: npv.run_axiom_suite(1.0, npv.GeneratorSettings(trials=1, n_range=(1, 1))),
+        InvalidGeneratorSettings,
+    ),
+    "bistochastic-columns": (
+        lambda: npv.apply_bistochastic_average(Y, [[0.5, 0.5, 0.0]] * 3, [1, 0, 1]),
+        NotBistochastic,
+    ),
+}
+
+# the raise each of these probes reaches, by its message
+PROBE_MESSAGES = {
+    "recompute-bool-score": "per_person[0] scores must be an array of 2 numbers",
+    "recompute-bool-poor": "per_person[0] poor must be 0 or 1, got True",
+    "recompute-short-scores": "per_person[0] scores must be an array of 2 numbers",
+    "recompute-long-scores": "per_person[0] scores must be an array of 2 numbers",
+    "recompute-non-poor-junk-scores": "per_person[0] scores must be an array of 2 numbers",
+    "recompute-d-nan-score": "per_person[0] scores must be numbers with a finite sum",
+    "recompute-d-overflowing-scores": "per_person[0] scores must be numbers with a finite sum",
+    "recompute-no-persons": "per_person must be a nonempty array",
+    "identify-upper-nan": "upper = nan must be a positive real",
+    "identify-upper-inf": "upper = inf must be a positive real",
+    "identify-upper-0": "upper = 0.0 must be a positive real",
+    "identify-upper-negative": "upper = -1.0 must be a positive real",
+    "counts-d-mismatch": "inconsistent dimensions: achievements 2, cutoffs 3, structure 3",
+    "matrix-d-mismatch": "inconsistent dimensions: achievements 2, cutoffs 3, structure 3",
+    "gap-matrix-d-mismatch": "achievements have d = 2, cutoffs have d = 3",
+    "increment-d-mismatch": "achievements have d = 2, config has d = 3",
+    "structure-nan": "dependence entries must be finite",
+    "weights-empty": "weight vector is empty",
+    "normalized-gap-negative": "achievement -1.0 must be a nonnegative real",
+    "settings-range-reversed": "bad n_range (3, 2)",
+    "suite-one-person": "n_range (1, 1) cannot host 2 persons",
+    "bistochastic-columns": "column sums differ from 1",
 }
 
 
@@ -202,6 +306,13 @@ def test_probe_rejected(call, error):
     assert type(info.value) is error
     message = str(info.value)
     assert message and "\n" not in message
+
+
+@pytest.mark.parametrize("name, text", PROBE_MESSAGES.items(), ids=PROBE_MESSAGES.keys())
+def test_probe_reaches_its_raise(name, text):
+    with pytest.raises(NetpovertyError) as info:
+        PROBES[name][0]()
+    assert text in str(info.value)
 
 
 def valid_calls(config_path: Path) -> dict:

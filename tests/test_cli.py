@@ -672,6 +672,15 @@ class TestBounds:
         assert payload["sigma_cols"] == [1.0, 1.5]
         assert payload["attainable_scores"] == [0.0, 1.0, 1.5, 2.5]
 
+    def test_attainable_scores_null_past_the_enumeration_limit(self, tmp_path, capsys):
+        d = ENUMERATION_LIMIT + 1
+        config = tmp_path / "wide.json"
+        config.write_text(json.dumps({"cutoffs": [10] * d, "alpha": 1}), encoding="utf-8")
+        assert main(["bounds", "--config", str(config)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["attainable_scores"] is None
+        assert payload["d_bar"] == d
+
 
 class TestImpliedWeights:
     def test_symmetric_structure(self, tmp_path, capsys):
@@ -793,6 +802,15 @@ class TestForkedAxioms:
 
 
 class TestCompare:
+    def test_one_step_exits_1(self, worked, capsys):
+        data, config = worked
+        argv = ["compare", "--dataset", str(data), "--config", str(config),
+                "--row", "2", "--col", "1", "--steps", "1"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert err == "error: --steps must be at least 2\n"
+
     def test_sweep_monotone_naive(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
         data.write_text("a,b\n5,8\n12,15\n", encoding="utf-8")

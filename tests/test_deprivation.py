@@ -20,9 +20,9 @@ from netpoverty import (
 from netpoverty.deprivation import (
     _BLOCK_CELLS,
     _PARALLEL_CELLS,
-    _count_values,
     _gaps,
     _row_blocks,
+    _row_sums,
 )
 from netpoverty.errors import (
     IndexOutOfRange,
@@ -68,6 +68,17 @@ class TestNormalizedGap:
     def test_non_increasing_in_achievement(self, y1, y2, alpha):
         lo, hi = sorted((y1, y2))
         assert normalized_gap(hi, 10.0, alpha) <= normalized_gap(lo, 10.0, alpha)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 1.0, 1.5, 2.0, 3.0])
+    def test_bitwise_equal_to_gap_matrix(self, rng, alpha):
+        # the scalar gap goes through numpy's power as the matrix does, not
+        # through Python's ** (libm pow), which rounds some cells differently
+        z = rng.uniform(0.5, 10, 3)
+        y = rng.uniform(0, 1.2, (2000, 3)) * z
+        want = gap_matrix(y, z, alpha).values
+        cutoffs = z.tolist()
+        got = [[normalized_gap(v, c, alpha) for v, c in zip(row, cutoffs)] for row in y.tolist()]
+        assert np.array(got).tobytes() == want.tobytes()
 
     def test_strict_decrease_below_cutoff(self):
         rng = np.random.default_rng(3)
@@ -336,7 +347,7 @@ class TestBlockedCounts:
         y[at] = np.broadcast_to(z, (n, d))[at]
         coef = _coefficient_values(random_structure(rng, d), random_weights(rng, d).values)
         want = np.sum(np.where(y < z, coef, 0.0), axis=1)
-        assert _count_values(y, z, coef).tobytes() == want.tobytes()
+        assert _row_sums(y, z, coef, 0.0)[0].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("cpus", [1, 2, 5])
     def test_every_row_once_in_its_threads_buffer(self, monkeypatch, cpus):
