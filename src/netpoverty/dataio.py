@@ -8,16 +8,23 @@ a person identifier and must be unique; every other cell must parse as
 a finite nonnegative real.  Missing cells are rejected, never imputed:
 imputation would silently change poverty counts.  Cells longer than the
 csv module's field limit (131,072 characters by default) are rejected.
-A bulk pass reads the file in chunks of whole lines (about 64 KB) and
-parses each chunk with one numpy call, into one flat buffer of doubles.
-Line ends may be LF or CRLF.  When a chunk holds anything it cannot
-vouch for (a quote, a carriage return not right before a newline, a
-NUL, a blank or ragged row, an over-long line, an id that is not UTF-8,
-an achievement cell with a byte other than ASCII digits, ``.``, ``e``,
-``E``, ``+``, ``-``, space or tab, a value that is not finite or is
-negative), a checking loop reads the file again from the start, row by
-row.  That loop alone names errors, so both give the same
-arrays and the same error.
+A bulk pass splits the lines after the header into contiguous byte
+ranges, one per usable CPU and each of at least ``_FORK_BYTES`` bytes,
+every cut just after a newline.  The caller parses the first range, and
+a worker forked for each other range parses it and sends back its ids
+and its doubles through its pipe (:func:`netpoverty.deprivation._forked`);
+a worker in doubt exits 1.  Each range opens the file for itself, so no
+two processes share a file offset.  Every range is read in chunks
+of whole lines (about 64 KB), each parsed with one numpy call; the
+ranges are joined in file order into one flat buffer of doubles.  With
+one range, nothing is forked.  Line ends may be LF or CRLF.  When a
+chunk holds anything it cannot vouch for (a quote, a carriage return
+not right before a newline, a NUL, a blank or ragged row, an over-long
+line, an id that is not UTF-8, an achievement cell with a byte other
+than ASCII digits, ``.``, ``e``, ``E``, ``+``, ``-``, space or tab, a
+value that is not finite or is negative), or a worker fails, a checking
+loop reads the file again from the start, row by row.  That loop alone
+names errors, so both give the same arrays and the same error.
 
 Config (JSON object):
 
@@ -58,7 +65,7 @@ into contiguous ranges, one per usable CPU and each of at least
 other range is formatted by a worker forked for it, which writes its
 text into a pipe that the caller copies out in order, 64 KB a read.
 The fork, pipe and reaping code is :func:`netpoverty.deprivation._forked`,
-which the axiom suite runs its trials on too.  With one range,
+which the dataset load and the axiom suite run on too.  With one range,
 or with other threads running, nothing is forked.  However the stream
 ends (done, failed, closed or dropped), every worker is reaped before
 the caller goes on; a failed worker raises :class:`WriteError`.  There
@@ -76,11 +83,12 @@ import json
 import math
 import os
 import re
+import struct
 import sys
 from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -174,8 +182,10 @@ def load_dataset(path) -> Dataset:
     an invalid UTF-8 byte is reported when the block of text holding it
     is decoded, which can be before earlier rows in that block are read.
 
-    A bulk pass parses the file first; whenever it cannot vouch for a
-    chunk, the checking loop reads the file again from the start, and
+    A bulk pass parses the file first, in byte ranges of whole lines
+    that forked workers parse beside the caller (see :func:`_read_bulk`).
+    Whenever it cannot vouch for a chunk of any range, or a worker
+    fails, the checking loop reads the file again from the start, and
     that loop alone names errors, so both give the same result.
     """
     try:
@@ -271,6 +281,15 @@ class _InDoubt(Exception):
 
 #: bytes the bulk pass reads at a time; lines up to this long stay in one chunk
 _BLOCK = 1 << 16
+#: fewest bytes of data lines in a range of the bulk pass: on 2 CPUs, loading the
+#: first rows of the 100,000 x 5 benchmark file took 3.0 ms in one range against
+#: 4.2 ms in two at 0.2 MB, 7.6 against 7.3 at 0.5 MB, 11.2 against 9.6 at 0.75 MB,
+#: 16.3 against 13.3 at 1.05 MB and 64.6 against 47.0 at 4.2 MB (median of 21);
+#: two ranges pay from ranges of about 0.23 MB, and this is twice that
+_FORK_BYTES = 1 << 19
+#: a worker's range, as it sends it: the byte lengths of its ids text and of
+#: its values, which follow
+_RECORD = struct.Struct("<qq")
 #: every byte but the cell and row separators, deleted to leave a chunk's skeleton
 _NOT_SEPARATORS = bytes(b for b in range(256) if b not in b",\n")
 #: the bytes of an achievement cell the bulk pass parses: float() syntax for an
@@ -281,63 +300,120 @@ _CSV_SPECIAL = (b'"', b"\r", b"\0")
 
 
 def _read_bulk(path) -> tuple[list[str], list[str] | None, array]:
-    """:func:`_read_checked`'s result a chunk of whole lines at a time, or :class:`_InDoubt`.
+    """:func:`_read_checked`'s result a range of whole lines at a time, or :class:`_InDoubt`.
 
-    The header is the first line of the first chunk.  Each chunk is
-    split into cells and parsed by one ``np.array(cells, dtype=float)``,
-    which calls ``float()`` on each cell, after checks that leave it no
-    other reading: CRLF line ends made LF; no quote, other carriage
-    return or NUL; every row the header's width; achievement cells made
-    of :data:`_NUMERIC` bytes only; ids valid UTF-8; no line longer than
-    the csv field limit.  Finiteness and sign are checked once at the end.
+    The header is the file's first line.  The lines after it fall into
+    contiguous byte ranges, one per usable CPU and each of at least
+    ``_FORK_BYTES`` bytes, every cut just after a newline.  The caller
+    parses the first range; each other range is parsed by a worker forked
+    for it (:func:`netpoverty.deprivation._forked`), which sends back its
+    ids text and its values, or exits 1 when it is in doubt.  Each range
+    opens the file for itself: a worker opens it after the fork, so it
+    shares no file offset with the caller.  One range is parsed in the
+    caller by the same function, with no fork.  Each chunk of a
+    range is split into cells and parsed by one
+    ``np.array(cells, dtype=float)``, which calls ``float()`` on each
+    cell, after checks that leave it no other reading: CRLF line ends
+    made LF; no quote, other carriage return or NUL; every row the
+    header's width; achievement cells made of :data:`_NUMERIC` bytes
+    only; ids valid UTF-8; no line longer than the csv field limit.  The
+    ranges are joined in file order, and finiteness and sign are checked
+    once, on the joined values.  A range in doubt, a worker that fails,
+    or a read or fork that fails makes the whole file :class:`_InDoubt`.
     """
     limit = csv.field_size_limit()
-    ids: list[str] = []
-    values = array("d")
     with open(path, "rb") as fh:
-        # the csv module ends a row at CRLF as at LF; any other carriage return
-        # stays, and the cell checks below refer its chunk to the loop
-        chunks = (chunk.replace(b"\r\n", b"\n") for chunk in _line_blocks(fh, limit))
-        line, _, rest = next(chunks, b"").partition(b"\n")
-        if any(c in line for c in _CSV_SPECIAL):
-            raise _InDoubt
         try:
-            header = line.decode("utf-8-sig").split(",")
-            has_ids, names = _columns(path, [cell.strip() for cell in header])
-        except (UnicodeDecodeError, ValidationError):  # the loop names the fault
-            raise _InDoubt from None
-        width = len(names) + has_ids
-        skeleton = b"," * (width - 1) + b"\n"
-        for chunk in chain([rest], chunks) if rest else chunks:
-            if chunk.translate(None, _NOT_SEPARATORS) != skeleton * chunk.count(b"\n"):
-                raise _InDoubt
-            cells = chunk.replace(b"\n", b",").split(b",")
-            del cells[-1]  # after the last newline
-            if has_ids:
-                text = b"\n".join(cells[::width])
-                del cells[::width]
-                if any(c in text for c in _CSV_SPECIAL):
-                    raise _InDoubt
-                try:
-                    ids += map(str.strip, text.decode("utf-8").split("\n"))
-                except UnicodeDecodeError:
-                    raise _InDoubt from None
-            if b"".join(cells).translate(None, _NUMERIC):
+            size = os.fstat(fh.fileno()).st_size
+            first = next(_line_blocks(fh, limit, 0, size), b"")
+            # the csv module ends a row at CRLF as at LF; any other carriage return
+            # stays, and the cell checks below refer its chunk to the loop
+            line = first.partition(b"\n")[0].removesuffix(b"\r")
+            if any(c in line for c in _CSV_SPECIAL):
                 raise _InDoubt
             try:
-                values.frombytes(np.array(cells, dtype=float).tobytes())
-            except ValueError:
+                header = line.decode("utf-8-sig").split(",")
+                has_ids, names = _columns(path, [cell.strip() for cell in header])
+            except (UnicodeDecodeError, ValidationError):  # the loop names the fault
                 raise _InDoubt from None
+            width = len(names) + has_ids
+            skeleton = b"," * (width - 1) + b"\n"
+
+            def parse(bounds: tuple[int, int]) -> tuple[list[str], array]:
+                """The ids and values of the lines in ``[start, stop)``, or :class:`_InDoubt`."""
+                ids: list[str] = []
+                values = array("d")
+                with open(path, "rb") as own:  # a worker opens its own after the fork
+                    for chunk in _line_blocks(own, limit, *bounds):
+                        chunk = chunk.replace(b"\r\n", b"\n")
+                        if chunk.translate(None, _NOT_SEPARATORS) != skeleton * chunk.count(b"\n"):
+                            raise _InDoubt
+                        cells = chunk.replace(b"\n", b",").split(b",")
+                        del cells[-1]  # after the last newline
+                        if has_ids:
+                            text = b"\n".join(cells[::width])
+                            del cells[::width]
+                            if any(c in text for c in _CSV_SPECIAL):
+                                raise _InDoubt
+                            try:
+                                ids += map(str.strip, text.decode("utf-8").split("\n"))
+                            except UnicodeDecodeError:
+                                raise _InDoubt from None
+                        if b"".join(cells).translate(None, _NUMERIC):
+                            raise _InDoubt
+                        try:
+                            values.frombytes(np.array(cells, dtype=float).tobytes())
+                        except ValueError:
+                            raise _InDoubt from None
+                return ids, values
+
+            def record(bounds: tuple[int, int]) -> bytes:
+                """A worker's range as :data:`_RECORD`, its ids one a line, and its values."""
+                ids, values = parse(bounds)  # in doubt, the worker exits 1
+                text = "\n".join(ids).encode()
+                return b"".join([_RECORD.pack(len(text), len(values) * 8), text, values])
+
+            start = min(first.find(b"\n") + 1, size)  # past the header
+            cuts = [start]
+            ranges = _fork_count(size - start, _FORK_BYTES)
+            for i in range(1, ranges):
+                at = start + (size - start) * i // ranges
+                # just after the first newline from the byte before ``at`` on
+                cut = at + next(_line_blocks(fh, limit, at - 1, size)).index(b"\n")
+                if cuts[-1] < cut < size:  # a line across several cuts makes one range
+                    cuts.append(cut)
+            cuts.append(size)
+            bounds = list(zip(cuts, cuts[1:]))
+            parts = [map(parse, bounds[:1]), *(map(record, [b]) for b in bounds[1:])]
+            stream = _forked(parts, 1 << 16)
+            ids, values = next(stream)  # the first range, parsed here
+            blob = b"".join(stream)  # each other range's record, in file order
+        except (OSError, WriteError):  # a read, a fork or a worker failed
+            raise _InDoubt from None
+    view, at = memoryview(blob), 0
+    while at < len(blob):
+        id_bytes, value_bytes = _RECORD.unpack_from(blob, at)
+        at += _RECORD.size + id_bytes + value_bytes
+        if has_ids:
+            ids += blob[at - value_bytes - id_bytes : at - value_bytes].decode().split("\n")
+        values.frombytes(view[at - value_bytes : at])
     parsed = np.frombuffer(values)
     if parsed.size and not (parsed.min() >= 0.0 and parsed.max() < math.inf):
         raise _InDoubt
     return names, ids if has_ids else None, values
 
 
-def _line_blocks(fh, limit: int) -> Iterator[bytes]:
-    """The rest of a binary file in chunks of whole lines, each ending in a newline."""
+def _line_blocks(fh, limit: int, start: int, stop: int) -> Iterator[bytes]:
+    """Bytes ``[start, stop)`` of a binary file in chunks of whole lines, each ending in a newline.
+
+    Each read seeks first, so other reads of ``fh`` between chunks do not move this one.
+    """
     tail = b""
-    while block := fh.read(_BLOCK):
+    while start < stop:
+        fh.seek(start)
+        if not (block := fh.read(min(_BLOCK, stop - start))):
+            break
+        start += len(block)
         tail += block
         if len(tail) > limit:  # a line, or a chunk, longer than the csv field limit
             raise _InDoubt

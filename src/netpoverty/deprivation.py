@@ -21,15 +21,17 @@ between them.
 ``_gaps`` is the one gap routine, in place and overflow-free.  Three kernels,
 none reading k, run on :func:`_row_blocks`: the gaps, the scores and
 :func:`_row_sums`, the counts and uncensored row sums every aggregate shares.
-Work that splits into parts of whole persons or whole trials, the report
-text and the axiom suite, runs on :func:`_forked`: one part here, each
-other in a worker process forked for it.
+Work that splits into parts of whole lines, whole persons or whole trials,
+the dataset load, the report text and the axiom suite, runs on
+:func:`_forked`: one part here, each other in a worker process forked for it.
 
 Determinism: every per-person quantity here depends only on that
 person's row and is computed through fixed reduction trees, so results
 are invariant under row reordering, the same on any number of CPUs and
-bit-for-bit reproducible on one machine and numpy build (at alpha other
-than 0, 0.5, 1 and 2, numpy's ``power`` follows the CPU's SIMD dispatch).
+bit-for-bit reproducible on one machine and numpy build.  At every alpha
+up to 32 that is a multiple of 1/2 the gaps are made of correctly rounded
+operations only, so they are the same bits on any machine too; at any other
+alpha numpy's ``power`` follows the CPU's SIMD dispatch.
 """
 
 from __future__ import annotations
@@ -70,6 +72,9 @@ _BLOCK_CELLS = 1 << 15
 # 4 blocks; at d = 20 on 2 CPUs, 2 and 3 were slower (counts 307 -> 347 us and
 # 352 -> 431 us, gaps at 3 blocks 574 -> 686 us)
 _PARALLEL_CELLS = 1 << 17
+# largest q for which the gaps at alpha = q / 2 are taken by repeated squaring: at most
+# 5 squarings, 5 products and a sqrt a block, and an error of at most about 32 ulp
+_SQUARING_HALVES = 64
 
 
 @dataclass(frozen=True)
@@ -134,15 +139,33 @@ def _gaps(y, z, alpha: float, out: NDArray[np.float64]) -> NDArray[np.float64]:
 
     At or above it the base is +0.0, so nothing overflows; validated input puts every
     other base in [2**-53, 1], so no clip, and the alpha = 0 gap is the indicator base > 0.
-    At alpha = 1 the gap is the base itself, as x ** 1.0 is x.
+    At alpha = 1 the gap is the base itself, as x ** 1.0 is x.  At any other alpha = q / 2
+    with q whole, up to ``_SQUARING_HALVES``, bar 0.5 and 2, which numpy's ``power`` takes
+    by ``sqrt`` and ``square``, the power is made of correctly rounded products and a
+    ``sqrt`` in a fixed order, so its bits do not follow the CPU's SIMD dispatch as
+    ``power``'s do.  Each product can add half a unit in the last place, and squaring
+    doubles what is there, so the relative error grows to at most about q / 2 units in
+    the last place; above ``_SQUARING_HALVES`` the power is numpy's again.
     """
     np.minimum(y, z, out=out)
     np.subtract(z, out, out=out)
     out /= z
     if alpha == 0.0:
         return np.greater(out, 0.0, out=out)
-    if alpha != 1.0:
+    if alpha == 1.0:
+        return out
+    q = 2.0 * alpha
+    if alpha in (0.5, 2.0) or not q.is_integer() or q > _SQUARING_HALVES:
         out **= alpha
+        return out
+    base = out.copy()
+    # out ** (q // 2) by squaring, left to right over the exponent's bits after the first
+    for bit in bin(int(q) >> 1)[3:]:
+        out *= out
+        if bit == "1":
+            out *= base
+    if q % 2:
+        out *= np.sqrt(base, out=base)
     return out
 
 

@@ -34,6 +34,16 @@ def random_weights(rng, d):
     return WeightVector(u * (d / u.sum()))
 
 
+def usable_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)
@@ -59,4 +69,11 @@ def small_ranges(monkeypatch, forks):
     """Chunks of 16 persons and ranges of at least 48; the pids forked, as a list."""
     monkeypatch.setattr(dataio, "_CHUNK_PERSONS", 16)
     monkeypatch.setattr(dataio, "_FORK_PERSONS", 48)
+    return forks
+
+
+@pytest.fixture
+def byte_ranges(monkeypatch, forks):
+    """Bulk CSV ranges of at least one byte of data lines; the pids forked, as a list."""
+    monkeypatch.setattr(dataio, "_FORK_BYTES", 1)
     return forks

@@ -6,8 +6,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from conftest import assert_reaped, usable_cpus
 from hypothesis import given, strategies as st
-from test_dataio import assert_reaped, usable_cpus
 
 from netpoverty import (
     AXIOMS,

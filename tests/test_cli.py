@@ -11,8 +11,9 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from conftest import assert_reaped, usable_cpus
 from hypothesis import given, settings, strategies as st
-from test_dataio import _CSV, _JSON, assert_reaped, fail_in_workers, usable_cpus
+from test_dataio import _CSV, _JSON, fail_in_workers
 
 from netpoverty import DependenceStructure, MethodologyConfig, WeightVector, dataio
 from netpoverty.bounds import ENUMERATION_LIMIT
@@ -313,6 +314,30 @@ sys.exit(cli.main(sys.argv[2:]))
 """
 
 
+_LOAD_LAUNCHER = """
+import os, sys, time
+os.sched_getaffinity = lambda pid: {0, 1}
+from netpoverty import cli, dataio
+parent, line_blocks, mark = os.getpid(), dataio._line_blocks, sys.argv[1]
+def stalling(*args):
+    if os.getpid() != parent:
+        open(mark, "x").close()
+        time.sleep(60)
+    return line_blocks(*args)
+dataio._FORK_BYTES = 1
+dataio._line_blocks = stalling
+try:
+    sys.exit(cli.main(sys.argv[2:]))
+finally:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        pass
+    else:
+        print("a child process is left", file=sys.stderr)
+"""
+
+
 def stop_past_the_first_chunk(monkeypatch, stop):
     """Call ``stop()`` in this process's formatter once the first chunk of persons is out."""
     formatter, report_text, past = dataio._json_floats, dataio._report_text, []
@@ -409,6 +434,26 @@ class TestForkedCompute:
                         time.sleep(0.01)
                 else:
                     assert proc.stdout.read(1 << 16)[:10] == b'{\n  "fgt_v'
+                proc.send_signal(signal.SIGTERM)
+                _, err = proc.communicate(timeout=60)
+            finally:
+                proc.kill()  # the pipes are closed on every path as the block ends
+        assert proc.returncode == 143
+        assert err == b""
+        assert not out.exists()
+        assert_group_gone(proc)
+
+    def test_sigterm_mid_load_exits_143_and_cleans_up(self, worked, tmp_path):
+        # the dataset's second range is parsed by a worker, which stalls
+        data, config = worked
+        out, mark = tmp_path / "r.json", tmp_path / "parsing"
+        argv = ["compute", "--dataset", str(data), "--config", str(config), "--out", str(out)]
+        with launch_in_session(_LOAD_LAUNCHER, str(mark), *argv) as proc:
+            try:
+                deadline = time.monotonic() + 60
+                while not mark.exists():
+                    assert time.monotonic() < deadline and proc.poll() is None
+                    time.sleep(0.01)
                 proc.send_signal(signal.SIGTERM)
                 _, err = proc.communicate(timeout=60)
             finally:

@@ -1,6 +1,9 @@
 import math
 import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import oracles
@@ -69,7 +72,7 @@ class TestNormalizedGap:
         lo, hi = sorted((y1, y2))
         assert normalized_gap(hi, 10.0, alpha) <= normalized_gap(lo, 10.0, alpha)
 
-    @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
     def test_bitwise_equal_to_gap_matrix(self, rng, alpha):
         # the scalar gap goes through numpy's power as the matrix does, not
         # through Python's ** (libm pow), which rounds some cells differently
@@ -198,11 +201,17 @@ class TestDeprivationMatrix:
         assert np.array_equal(before, after)
 
 
+def squared(b, times):
+    for _ in range(times):
+        b *= b
+    return b
+
+
 class TestGapValues:
     """Without the clip or np.where the in-place gaps keep every bit of the clipped formula."""
 
-    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.7, 2.0, 20.0])
-    def test_bitwise_equal_to_clipped_form(self, rng, alpha):
+    @staticmethod
+    def edge_inputs(rng):
         tiny = 5e-324  # the least subnormal
         z = np.array([10.0, 0.5, 3e-320, 1e-10, 1.0, 7 * tiny])
         y = rng.uniform(0, 2, (200, z.size)) * z
@@ -213,11 +222,80 @@ class TestGapValues:
             np.nextafter(z, np.inf),
             np.array([1e300, 1e300, 1.0, 1e300, 2.0, 1.0]),  # far above; most overflow
         ])
-        y = np.vstack([y, edges])
+        return np.vstack([y, edges]), z
+
+    # numpy's power at every alpha that is not a multiple of 1/2, at 0.5 and 2, and above 32
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.7, 2.0, 20.2, 32.5, 1e300])
+    def test_bitwise_equal_to_clipped_form(self, rng, alpha):
+        y, z = self.edge_inputs(rng)
         got = _gaps(y, z, alpha, np.empty(y.shape))
         assert got.tobytes() == oracles.clipped_gaps(y, z, alpha).tobytes()
+        if alpha == 20.2:
+            assert 0.0 < got[201, 0] < np.finfo(float).tiny
+
+    @pytest.mark.parametrize(
+        "alpha, power",
+        [
+            (1.5, lambda b: b * math.sqrt(b)),
+            (2.5, lambda b: (b * b) * math.sqrt(b)),
+            (3.0, lambda b: (b * b) * b),
+            (3.5, lambda b: ((b * b) * b) * math.sqrt(b)),
+            (4.0, lambda b: (b * b) * (b * b)),
+            # b**2, b**4, b**5, b**10, b**20
+            (20.0, lambda b: (lambda b5: (b5 * b5) * (b5 * b5))((b * b) * (b * b) * b)),
+            (32.0, lambda b: squared(b, 5)),
+        ],
+    )
+    def test_half_integer_alpha_is_products_and_a_sqrt(self, rng, alpha, power):
+        y, z = self.edge_inputs(rng)
+        got = _gaps(y, z, alpha, np.empty(y.shape))
+        bases = oracles.clipped_gaps(y, z, 1.0).tolist()
+        want = [[power(b) if b else 0.0 for b in row] for row in bases]
+        assert got.tobytes() == np.array(want).tobytes()
         if alpha == 20.0:
             assert 0.0 < got[201, 0] < np.finfo(float).tiny
+
+
+_GAP_HASHES = """
+import hashlib
+import numpy as np
+from netpoverty import gap_matrix
+rng = np.random.default_rng(9)
+z = rng.uniform(0.5, 10, 4)
+y = rng.uniform(0, 1.2, (50_000, 4)) * z
+for alpha in (1.5, 2.5, 3.0):
+    print(hashlib.sha256(gap_matrix(y, z, alpha).values.tobytes()).hexdigest())
+"""
+
+
+class TestPortableBits:
+    """At half-integer alpha the gaps' bits do not follow numpy's SIMD dispatch."""
+
+    def test_gap_hashes_with_and_without_simd_features(self):
+        try:
+            from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+        except ImportError:  # numpy < 2
+            from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+        # every feature this CPU has that this build dispatches to; maybe none
+        disabled = " ".join(f for f in __cpu_dispatch__ if __cpu_features__.get(f))
+        src = Path(__file__).resolve().parent.parent / "src"
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+        hashes = [
+            subprocess.run(
+                [sys.executable, "-c", _GAP_HASHES],
+                env=dict(env, PYTHONPATH=path, **extra),
+                capture_output=True,
+                check=True,
+                text=True,
+            ).stdout.split()
+            for extra in ({}, {"NPY_DISABLE_CPU_FEATURES": disabled})
+        ]
+        assert hashes[0] == hashes[1] == [
+            "cab706b699f21643ad5af6861c378157c459a8d4060c4954db30a2f69ff456d6",
+            "e768257fa547089e1265fffd3790b609f06a2673611395d5c71564895208095e",
+            "018e686a91ee718efcbf6f98f93ecc4a05c196d135ae19bc2abd6e24cf38c60b",
+        ]
 
 
 class TestDeprivationCounts:
