@@ -102,8 +102,9 @@ def _exact_total(values: NDArray[np.float64]) -> float:
     and its integer mantissa.  Per slice of ``_TOTAL_SLICE`` values,
     ``np.bincount`` counts each bucket's values and sums the low and the
     high 26 bits of their stored mantissas; a float64 bucket sum stays an
-    exact integer below 2**27 values, and a slice holds far fewer.  The
-    slices fold into int64 totals, exact below 2**37 values.  The buckets
+    exact integer below 2**27 values, and a slice holds far fewer.  Each
+    slice's sums, up to its largest bucket (negatives' are 2048 and up),
+    fold into 4096 int64 totals, exact below 2**37 values.  The buckets
     then make one Python int, the sum times 2**1074, and one int true
     division by 2**1074 rounds it once, as fsum does.  Below
     ``_FSUM_VALUES`` values it is fsum itself.
@@ -124,9 +125,11 @@ def _exact_total(values: NDArray[np.float64]) -> float:
         bucket = (u >> np.uint64(52)).view(np.int64)
         high = u >> np.uint64(26)
         high &= _LOW_26
-        sums[0] += np.bincount(bucket, minlength=4096)
-        np.add(sums[1], np.bincount(bucket, u & _LOW_26, 4096), out=sums[1], casting="unsafe")
-        np.add(sums[2], np.bincount(bucket, high, 4096), out=sums[2], casting="unsafe")
+        count = np.bincount(bucket)  # up to the slice's largest bucket, as are the sums
+        m = len(count)
+        sums[0, :m] += count
+        np.add(sums[1, :m], np.bincount(bucket, u & _LOW_26), out=sums[1, :m], casting="unsafe")
+        np.add(sums[2, :m], np.bincount(bucket, high), out=sums[2, :m], casting="unsafe")
     total, buckets = 0, np.flatnonzero(sums[0])
     for b, count, low, high in zip(buckets.tolist(), *sums[:, buckets].tolist()):
         exponent = b & 0x7FF
@@ -223,9 +226,10 @@ def decompose_by_group(
     and groups keep first-appearance order.  Each group's result is the
     aggregate of its rows, bit for bit, from the one pass over the
     population: the exact total and the hash of the pass's row sums over
-    those rows, in row order.  The weighted average of group values must
-    reproduce the total within 1e-12; the result records the achieved
-    error.
+    those rows, in row order, put in group order by one stable sort of
+    the codes (by radix up to 65,536 groups).  The weighted average of
+    group values must reproduce the total within 1e-12; the result
+    records the achieved error.
     """
     index = {}
     try:
@@ -242,7 +246,8 @@ def decompose_by_group(
             f"{codes.shape[0]} labels for {n} persons; need exactly one per person"
         )
     sizes = np.bincount(codes).tolist()
-    order = np.argsort(codes, kind="stable")
+    # in the least unsigned type that holds every code: a radix sort up to 2**16 groups
+    order = np.argsort(codes.astype(np.min_scalar_type(len(index) - 1)), kind="stable")
     group_results, start = {}, 0
     for g, size in zip(index, sizes):
         group_results[g] = _fgt(row_sums[order[start:start + size]], config, total.kind)

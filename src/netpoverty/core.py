@@ -204,17 +204,29 @@ class DependenceStructure:
         return cls(np.ones((d, d)))
 
 
+def _finite_nonnegative(x: NDArray[np.float64]) -> bool:
+    """Whether a nonempty C-ordered float64 array is all finite and nonnegative (-0.0 too).
+
+    One scan of the bits: +0.0 up to the largest finite double are the patterns below
+    +inf's.  Only -0.0, negatives, infinities and nans lie above: then the order decides.
+    """
+    if x.view(np.uint64).max() < np.uint64(0x7FF0000000000000):  # +inf's bits
+        return True
+    return bool(x.min() >= 0.0 and x.max() < math.inf)  # nan fails both
+
+
 def _achievement_values(y) -> NDArray[np.float64]:
     """``y``'s N x d values, checked nonempty, finite and nonnegative; raw input in place.
 
     A raw C-ordered float array comes back uncopied: read it, never write or keep it.
+    :func:`_finite_nonnegative` checks it; only a failing array is scanned to name a cell.
     """
     if isinstance(y, AchievementMatrix):
         return y.values
     y = _real_array(y, "achievements", 2)
     if y.shape[0] < 1 or y.shape[1] < 1:
         raise ShapeMismatch(f"achievements must be nonempty, got shape {y.shape}")
-    if not (y.min() >= 0.0 and y.max() < math.inf):  # nan fails both; the scans name it
+    if not _finite_nonnegative(y):
         if not np.all(np.isfinite(y)):
             raise NegativeAchievement("achievements must be finite")
         i, j = np.argwhere(y < 0.0)[0] + 1

@@ -103,6 +103,7 @@ from .core import (
     MethodologyConfig,
     WeightVector,
     _adopted,
+    _finite_nonnegative,
     _real,
     as_cutoff_vector,
     as_dependence_structure,
@@ -317,9 +318,10 @@ def _read_bulk(path) -> tuple[list[str], list[str] | None, array]:
     made LF; no quote, other carriage return or NUL; every row the
     header's width; achievement cells made of :data:`_NUMERIC` bytes
     only; ids valid UTF-8; no line longer than the csv field limit.  The
-    ranges are joined in file order, and finiteness and sign are checked
-    once, on the joined values.  A range in doubt, a worker that fails,
-    or a read or fork that fails makes the whole file :class:`_InDoubt`.
+    ranges are joined in file order, and the joined values take the API's
+    check of finiteness and sign, :func:`~netpoverty.core._finite_nonnegative`.
+    A range in doubt, a worker that fails, or a read or fork that fails
+    makes the whole file :class:`_InDoubt`.
     """
     limit = csv.field_size_limit()
     with open(path, "rb") as fh:
@@ -398,7 +400,7 @@ def _read_bulk(path) -> tuple[list[str], list[str] | None, array]:
             ids += blob[at - value_bytes - id_bytes : at - value_bytes].decode().split("\n")
         values.frombytes(view[at - value_bytes : at])
     parsed = np.frombuffer(values)
-    if parsed.size and not (parsed.min() >= 0.0 and parsed.max() < math.inf):
+    if parsed.size and not _finite_nonnegative(parsed):
         raise _InDoubt
     return names, ids if has_ids else None, values
 

@@ -20,7 +20,8 @@ between them.
 
 ``_gaps`` is the one gap routine, in place and overflow-free.  Three kernels,
 none reading k, run on :func:`_row_blocks`: the gaps, the scores and
-:func:`_row_sums`, the counts and uncensored row sums every aggregate shares.
+:func:`_row_sums`, the counts and uncensored row sums every aggregate shares,
+both made in the block's own buffer (the indicator as 1.0 or 0.0, no boolean array).
 Work that splits into parts of whole lines, whole persons or whole trials,
 the dataset load, the report text and the axiom suite, runs on
 :func:`_forked`: one part here, each other in a worker process forked for it.
@@ -406,18 +407,24 @@ def _fork_worker(part, inherited: list[int]) -> tuple[int, int]:
 
 
 def _row_sums(y, z, coef, alpha: float) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Per-person counts (deprived coefficients, summed) and uncensored weighted-gap row sums."""
+    """Per-person counts (deprived coefficients, summed) and uncensored weighted-gap row sums.
+
+    Each is a row reduction of a block buffer of weighted terms: for the counts, ``y < z``
+    written in as 1.0 or 0.0, then the gaps (at alpha = 0 the row sums are the counts).
+    """
     n, d = y.shape
     counts = np.empty(n)
     row_sums = counts if alpha == 0.0 else np.empty(n)  # alpha = 0: the gaps are indicators
 
     def sums(rows: slice, block: NDArray[np.float64]) -> None:
         yb = y[rows]
-        np.sum(np.multiply(yb < z, coef, out=block), axis=1, out=counts[rows])
+        np.less(yb, z, out=block)  # 1.0 or 0.0 in place, no bool temporary
+        block *= coef
+        np.add.reduce(block, axis=1, out=counts[rows])
         if alpha != 0.0:
             _gaps(yb, z, alpha, block)
             block *= coef
-            np.sum(block, axis=1, out=row_sums[rows])
+            np.add.reduce(block, axis=1, out=row_sums[rows])
 
     _row_blocks(n, d, sums)
     return counts, row_sums

@@ -435,6 +435,34 @@ class TestExactTotal:
         assert_fsum_bits(rng.choice(_PINNED, n))
         assert_fsum_bits(rng.random(n) * 10.0 ** rng.integers(-320, 300, n))
 
+    def test_largest_bucket_differs_between_slices(self, rng):
+        # each slice's bucket sums end at its own largest bucket: 0 for subnormals, 2048 or
+        # more for a negative value, 2046 and 4094 for the largest finite of either sign
+        n = aggregation._TOTAL_SLICE
+        largest = 1.7976931348623157e308
+        slices = {
+            "subnormal": rng.integers(1, 1 << 52, n, dtype=np.uint64).view(np.float64),
+            "small": rng.random(n),
+            "negative": -rng.random(n) * 10.0 ** rng.integers(-300, -100, n),
+            "negative-subnormal": -rng.integers(1, 1 << 20, n, dtype=np.uint64).view(np.float64),
+            "largest": np.concatenate([[-largest, largest], rng.random(n - 2)]),
+            "large": rng.random(n) * 1e300,
+        }
+        assert slices["subnormal"].max() < 2.2250738585072014e-308
+        orders = [
+            list(slices),  # later slices with larger buckets than the first
+            list(slices)[::-1],
+            ["negative", "subnormal", "largest", "small"],
+            ["negative-subnormal", "negative", "large"],
+        ]
+        for order in orders:
+            values = np.concatenate([slices[name] for name in order])
+            assert_fsum_bits(values)
+            assert_fsum_bits(values[: n + 7])  # a short last slice
+        for name, one in slices.items():
+            assert_fsum_bits(one)
+            assert_fsum_bits(np.concatenate([one, -one[:17]]))
+
     def test_no_intermediate_overflow_unlike_fsum(self):
         # the documented difference: fsum overflows on its way, the exact sum is 1e308
         values = np.array([1e308, 1e308, -1e308] + [0.0] * 1021)
@@ -632,6 +660,54 @@ def assert_group_bits(y, labels, cfg):
         assert got.denominator == size * cfg.score_ceiling
         assert got.value == math.fsum(row_sums) / got.denominator
         assert got.censored_matrix_hash == row_sums_hash(row_sums, cfg.d)
+
+
+class TestGroupSortTypes:
+    """decompose_by_group on both sides of the group counts where the sorted codes' type widens.
+
+    Each group's size, value and hash is checked against a route with no sort.
+    """
+
+    @pytest.fixture
+    def sorted_types(self, monkeypatch):
+        """The dtype of every stable argsort's input, as a list."""
+        argsort, seen = np.argsort, []
+
+        def spy(a, *args, **kwargs):
+            if kwargs.get("kind") == "stable":
+                seen.append(np.asarray(a).dtype)
+            return argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", spy)
+        return seen
+
+    @pytest.mark.parametrize("groups, dtype", [(255, np.uint8), (256, np.uint8), (257, np.uint16)])
+    def test_hundreds_of_groups(self, rng, sorted_types, groups, dtype):
+        y, cfg = block_test_data(rng, 3 * groups, 3, weighted=True)
+        labels = rng.permutation(np.repeat(np.arange(groups), 3))
+        assert_group_bits(y, labels, cfg)
+        assert sorted_types == [dtype]
+
+    @pytest.mark.parametrize("groups, dtype", [(65_536, np.uint16), (65_537, np.uint32)])
+    def test_tens_of_thousands_of_groups(self, rng, sorted_types, groups, dtype):
+        # every group starts with one person of the first block, in random order; half of
+        # them get a second person later, so the sort moves each to its group's first
+        first = rng.permutation(groups)
+        later = rng.choice(groups, groups // 2, replace=False)
+        labels = np.concatenate([first, later])
+        y, cfg = block_test_data(rng, labels.shape[0], 2, weighted=False)
+        result = decompose_by_group(y, labels.tolist(), cfg)
+        assert sorted_types == [dtype]
+        all_row_sums = whole_array_pass(y, cfg, "network_adjusted")[6]
+        rows = {g: [i] for i, g in enumerate(first.tolist())}
+        for i, g in enumerate(later.tolist(), start=groups):
+            rows[g].append(i)
+        assert list(result.group_results) == first.tolist()
+        for g, got in result.group_results.items():
+            row_sums = all_row_sums[rows[g]]
+            assert result.group_sizes[g] == len(rows[g])
+            assert got.value == math.fsum(row_sums) / (len(rows[g]) * cfg.score_ceiling)
+            assert got.censored_matrix_hash == row_sums_hash(row_sums, cfg.d)
 
 
 class TestRowBlocks:

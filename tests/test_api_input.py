@@ -559,3 +559,81 @@ def test_matrix_payload_is_a_frozen_copy():
     matrix = npv.AchievementMatrix(raw)
     assert not np.shares_memory(matrix.values, raw)
     assert not matrix.values.flags.writeable and raw.flags.writeable
+
+
+def _from_bits(bits: int) -> float:
+    return float(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+class TestOneScanCheckBoundaries:
+    """Raw achievements at the bit boundaries of the finite, nonnegative range.
+
+    The check reads the cells' bits as unsigned integers: +0.0 up to the largest
+    finite double lie below +inf's pattern, and -0.0, the negatives, the
+    infinities and the nans lie above it.
+    """
+
+    # each accepted value, and one below the cutoff 10 or at it that gives the same gaps
+    ACCEPTED = {
+        "plus-zero": (0.0, 0.0),
+        "minus-zero": (-0.0, 0.0),
+        "least-subnormal": (5e-324, 0.0),  # 10 - 5e-324 rounds to 10
+        "largest-finite": (1.7976931348623157e308, 10.0),
+    }
+    NEGATIVE = {"minus-least-subnormal": -5e-324, "minus-one": -1.0}
+    NON_FINITE = {
+        "plus-inf": math.inf,
+        "minus-inf": -math.inf,
+        "nan": math.nan,
+        "sign-bit-nan": _from_bits(0xFFF8000000000000),
+        "least-nan-pattern": _from_bits(0x7FF0000000000001),  # +inf's pattern plus one
+    }
+    CALLS = {
+        "matrix": npv.AchievementMatrix,
+        "network-adjusted": lambda y: npv.fgt_network_adjusted(y, Z, S, None, 1.0, 1.0),
+        "gap-matrix": lambda y: npv.gap_matrix(y, Z, 1.0),
+    }
+    CELLS = [(1, 1), (2, 3), (3, 3)]
+
+    @staticmethod
+    def with_cell(value, row, column):
+        y = np.array(Y)
+        y[row - 1, column - 1] = value
+        return y
+
+    @pytest.mark.parametrize("cell", CELLS)
+    @pytest.mark.parametrize("value, same", ACCEPTED.values(), ids=ACCEPTED.keys())
+    def test_accepted(self, value, same, cell):
+        y, y_same = self.with_cell(value, *cell), self.with_cell(same, *cell)
+        assert npv.AchievementMatrix(y).values.tobytes() == y.tobytes()
+        gaps = npv.gap_matrix(y, Z, 1.0).values
+        assert gaps.tobytes() == npv.gap_matrix(y_same, Z, 1.0).values.tobytes()
+        assert gaps[cell[0] - 1, cell[1] - 1] == npv.normalized_gap(value, 10.0, 1.0)
+        got = npv.fgt_network_adjusted(y, Z, S, None, 1.0, 1.0)
+        want = npv.fgt_network_adjusted(y_same, Z, S, None, 1.0, 1.0)
+        assert (got.value, got.censored_matrix_hash) == (want.value, want.censored_matrix_hash)
+
+    @pytest.mark.parametrize("fill", [0.0, -0.0, 1.7976931348623157e308])
+    @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
+    def test_every_cell_at_a_boundary_accepted(self, call, fill):
+        call(np.full((4, 3), fill))
+
+    @pytest.mark.parametrize("cell", CELLS)
+    @pytest.mark.parametrize("value", NEGATIVE.values(), ids=NEGATIVE.keys())
+    @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
+    def test_negative_rejected_and_named(self, call, value, cell):
+        y = self.with_cell(value, *cell)
+        y[0, 1] = -0.0  # passes the ordered check, so is never named
+        with pytest.raises(NegativeAchievement) as got:
+            call(y)
+        assert str(got.value) == f"achievement ({cell[0]}, {cell[1]}) = {value!r} is negative"
+        assert (got.value.row, got.value.column) == cell
+
+    @pytest.mark.parametrize("cell", CELLS)
+    @pytest.mark.parametrize("value", NON_FINITE.values(), ids=NON_FINITE.keys())
+    @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
+    def test_non_finite_rejected(self, call, value, cell):
+        with pytest.raises(NegativeAchievement) as got:
+            call(self.with_cell(value, *cell))
+        assert str(got.value) == "achievements must be finite"
+        assert (got.value.row, got.value.column) == (None, None)

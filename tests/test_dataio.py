@@ -972,6 +972,19 @@ class TestRangedBulkParse:
         assert _bulk(path) == (names, ids, values.tobytes())
         assert len(byte_ranges) == cpus - 1
 
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_negative_zero_cells(self, tmp_path, byte_ranges, monkeypatch, cpus):
+        # -0.0's bits lie above +inf's, so the joined values take the ordered check too
+        usable_cpus(monkeypatch, cpus)
+        rows = "".join(f"{i},-0,-0.0, -0e3\n" for i in range(9))
+        path = write(tmp_path, "d.csv", "a,b,c,d\n" + rows)
+        names, ids, values = _read_checked(path)
+        assert _bulk(path) == (names, ids, values.tobytes())
+        assert len(byte_ranges) == cpus - 1
+        signs = np.signbit(np.frombuffer(values).reshape(9, 4))
+        assert signs[:, 1:].all() and not signs[:, 0].any()
+        assert _outcome(path) == _checked_outcome(path)
+
     @pytest.mark.parametrize("fault", ['"9",9', "9,-9", "9,x"], ids=["quote", "negative", "cell"])
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_doubt_in_the_last_range_only(self, tmp_path, byte_ranges, monkeypatch, cpus, fault):
