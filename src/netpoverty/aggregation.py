@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections.abc import Mapping, Set as AbstractSet
 from dataclasses import dataclass
 
 import numpy as np
@@ -222,23 +223,31 @@ def decompose_by_group(
     """Aggregate per subgroup and verify the population-share recombination.
 
     ``group_labels`` holds one hashable label per person, so every person
-    lands in exactly one group.  Labels equal as dict keys share a group,
-    and groups keep first-appearance order.  Each group's result is the
-    aggregate of its rows, bit for bit, from the one pass over the
-    population: the exact total and the hash of the pass's row sums over
-    those rows, in row order, put in group order by one stable sort of
-    the codes (by radix up to 65,536 groups).  The weighted average of
-    group values must reproduce the total within 1e-12; the result
-    records the achieved error.
+    lands in exactly one group; a string, bytes, mapping or set is refused,
+    as its items are characters, byte values, keys or hash-ordered members.
+    Labels equal as dict keys share a group, and groups keep
+    first-appearance order.  Each group's result is the aggregate of its
+    rows, bit for bit, from the one pass over the population: the exact
+    total and the hash of the pass's row sums over those rows, in row
+    order, put in group order by one stable sort of the codes (by radix up
+    to 65,536 groups).  The weighted average of group values must
+    reproduce the total within 1e-12; the result records the achieved error.
     """
-    index = {}
-    try:
-        # a code per group, by its first label, in first-appearance order
-        codes = np.fromiter(
-            (index.setdefault(label, len(index)) for label in group_labels), np.intp
+    if isinstance(group_labels, (str, bytes, bytearray, Mapping, AbstractSet)):
+        raise InvalidPartition(
+            f"group labels must be one label per person, not a {type(group_labels).__name__}"
         )
+    try:
+        if not isinstance(group_labels, (list, tuple)):  # read twice: the same objects
+            group_labels = list(group_labels)
+        index = {label: code for code, label in enumerate(dict.fromkeys(group_labels))}
     except TypeError as exc:
         raise InvalidPartition(f"group labels must be hashable values ({exc})") from None
+    # a code per person, its group's in first-appearance order, in the least unsigned type
+    # that holds every code: a radix sort up to 2**16 groups
+    codes = np.fromiter(
+        map(index.__getitem__, group_labels), np.min_scalar_type(len(index) - 1), len(group_labels)
+    )
     total, _, _, row_sums = _coefficient_pass(achievements, config)
     n = row_sums.shape[0]
     if codes.shape[0] != n:
@@ -246,8 +255,7 @@ def decompose_by_group(
             f"{codes.shape[0]} labels for {n} persons; need exactly one per person"
         )
     sizes = np.bincount(codes).tolist()
-    # in the least unsigned type that holds every code: a radix sort up to 2**16 groups
-    order = np.argsort(codes.astype(np.min_scalar_type(len(index) - 1)), kind="stable")
+    order = np.argsort(codes, kind="stable")
     group_results, start = {}, 0
     for g, size in zip(index, sizes):
         group_results[g] = _fgt(row_sums[order[start:start + size]], config, total.kind)

@@ -22,6 +22,8 @@ between them.
 none reading k, run on :func:`_row_blocks`: the gaps, the scores and
 :func:`_row_sums`, the counts and uncensored row sums every aggregate shares,
 both made in the block's own buffer (the indicator as 1.0 or 0.0, no boolean array).
+From two tiles of rows on, :func:`_row_sums` reads the cutoffs and coefficients as
+tiles of half a block, so its elementwise steps run as flat loops, not once per row.
 Work that splits into parts of whole lines, whole persons or whole trials,
 the dataset load, the report text and the axiom suite, runs on
 :func:`_forked`: one part here, each other in a worker process forked for it.
@@ -67,7 +69,10 @@ from .errors import (
     WriteError,
 )
 
-# cells per row block of a blocked pass: 256 KB of doubles, so a block stays in L2
+# cells per row block of a blocked pass: 256 KB of doubles, so a block stays in L2;
+# _row_sums's tiles of cutoffs and of coefficients take half as many each, so the
+# two together are one block's size (full-block tiles were no faster on the
+# sweep-wide benchmark and raised its traced peak by a tenth)
 _BLOCK_CELLS = 1 << 15
 # n * width from which a blocked pass shares its blocks among threads on the usable CPUs:
 # 4 blocks; at d = 20 on 2 CPUs, 2 and 3 were slower (counts 307 -> 347 us and
@@ -411,23 +416,59 @@ def _row_sums(y, z, coef, alpha: float) -> tuple[NDArray[np.float64], NDArray[np
 
     Each is a row reduction of a block buffer of weighted terms: for the counts, ``y < z``
     written in as 1.0 or 0.0, then the gaps (at alpha = 0 the row sums are the counts).
+
+    Broadcast along the rows, the d-vectors ``z`` and ``coef`` have stride 0 there, so
+    numpy runs each elementwise step as one loop of d cells a row.  From two tiles of
+    rows on, they are laid out once per pass as tiles of ``(_BLOCK_CELLS // 2) // d``
+    rows: a block's whole tiles then run as one (tiles, rows, d) view, one flat loop
+    a step, and its rows past them read the tiles' first rows.  Each row is still
+    summed over its own d cells, so the bits are the broadcast form's.  Under two
+    tiles of rows the d-vectors broadcast as they are: the tiles would cost the many
+    tiny passes of the axiom suite more than they save.
     """
     n, d = y.shape
     counts = np.empty(n)
     row_sums = counts if alpha == 0.0 else np.empty(n)  # alpha = 0: the gaps are indicators
 
-    def sums(rows: slice, block: NDArray[np.float64]) -> None:
+    # the arrays are defaults, so :func:`_tiled` can pass a part's views for them, and the
+    # untiled pass, thousands of times a suite on tiny inputs, makes no closure cell for them
+    def sums(rows, block, y=y, z=z, coef=coef, counts=counts, row_sums=row_sums) -> None:
         yb = y[rows]
         np.less(yb, z, out=block)  # 1.0 or 0.0 in place, no bool temporary
         block *= coef
-        np.add.reduce(block, axis=1, out=counts[rows])
+        np.add.reduce(block, axis=-1, out=counts[rows])
         if alpha != 0.0:
             _gaps(yb, z, alpha, block)
             block *= coef
-            np.add.reduce(block, axis=1, out=row_sums[rows])
+            np.add.reduce(block, axis=-1, out=row_sums[rows])
 
+    tile = (_BLOCK_CELLS // 2) // d  # 0 when a row is over half a block: no tiles
+    if n >= 2 * tile > 0:
+        sums = _tiled(sums, y, z, coef, counts, row_sums, tile)
     _row_blocks(n, d, sums)
     return counts, row_sums
+
+
+def _tiled(body, y, z, coef, counts, row_sums, tile: int):
+    """:func:`_row_sums`'s ``body`` on each row block's whole tiles as one view, then its rest.
+
+    ``z`` and ``coef`` are laid out once as tiles of ``tile`` rows; ``body`` takes each
+    part's views in place of the pass's arrays and ``...`` for the rows.  Made here, not
+    in :func:`_row_sums`, whose variables a closure there would turn into cells.
+    """
+    d = y.shape[1]
+    zt, ct = np.tile(z, (tile, 1)), np.tile(coef, (tile, 1))
+
+    def tiled(rows: slice, block: NDArray[np.float64]) -> None:
+        yb, cb, rb = y[rows], counts[rows], row_sums[rows]
+        rest = yb.shape[0] % tile
+        whole = yb.shape[0] - rest
+        body(..., block[:whole].reshape(-1, tile, d), yb[:whole].reshape(-1, tile, d), zt, ct,
+             cb[:whole].reshape(-1, tile), rb[:whole].reshape(-1, tile))
+        if rest:
+            body(..., block[whole:], yb[whole:], zt[:rest], ct[:rest], cb[whole:], rb[whole:])
+
+    return tiled
 
 
 def deprivation_counts(

@@ -371,6 +371,32 @@ class TestDecomposition:
             decompose_by_group(WORKED_Y, labels, self.CFG)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "labels",
+        ["ab", b"ab", {"a": 0, "b": 1}, {"a", "b"}, frozenset({"a", "b"})],
+        ids=["str", "bytes", "dict", "set", "frozenset"],
+    )
+    def test_label_containers_read_as_other_items_are_refused(self, labels):
+        # two items for two persons, but characters, byte values, keys or hash-ordered members
+        with pytest.raises(InvalidPartition) as info:
+            decompose_by_group(WORKED_Y, labels, self.CFG)
+        assert str(info.value) == (
+            f"group labels must be one label per person, not a {type(labels).__name__}"
+        )
+
+    @pytest.mark.parametrize(
+        "form",
+        [lambda labels: (label for label in labels), tuple, np.array],
+        ids=["generator", "tuple", "ndarray"],
+    )
+    def test_label_forms_give_the_lists_result(self, rng, form):
+        y, cfg = block_test_data(rng, 3 * (_BLOCK_CELLS // 5) + 7, 5, weighted=True)
+        labels = rng.choice(["north", "south", "east", "west"], y.shape[0]).tolist()
+        want = decompose_by_group(y, labels, cfg)
+        got = decompose_by_group(y, form(labels), cfg)
+        assert got == want
+        assert list(got.group_results) == list(want.group_results)
+
 
 def test_total_is_fsum_over_the_row_sums_bitwise(rng):
     # heavy cancellation: huge terms of both signs around small ones and subnormals
@@ -500,6 +526,11 @@ class TestExactTotal:
         assert aggregation._exact_total(values).hex() == want.hex()
 
 
+# the gap routine's products and sqrt at the half-integer alphas the row-block tests take
+# (as in test_deprivation.py's TestGapValues); every other alpha is numpy's power
+_PRODUCT_POWERS = {1.5: lambda b: b * np.sqrt(b), 3.0: lambda b: b * b * b}
+
+
 def whole_array_pass(y, config, kind):
     """The coefficient pass over the whole N x d array at once: the row blocks' bit oracle.
 
@@ -513,7 +544,9 @@ def whole_array_pass(y, config, kind):
     coef = _coefficient_values(config.structure, np.ones(d)) if naive else config.coefficients
     counts = np.sum(np.where(y < z, coef, 0.0), axis=1)
     statuses = (counts >= k - 1e-12 * max(1.0, k)).astype(np.int64)
-    weighted = clipped_gaps(y, z, config.alpha) * coef
+    power = _PRODUCT_POWERS.get(config.alpha)
+    gaps = clipped_gaps(y, z, config.alpha) if power is None else power(clipped_gaps(y, z, 1.0))
+    weighted = gaps * coef
     denominator = n * d if naive else n * config.score_ceiling
     row_sums = np.sum(weighted * statuses[:, None], axis=1)
     value = math.fsum(row_sums) / denominator
@@ -715,14 +748,28 @@ class TestRowBlocks:
 
     @pytest.mark.parametrize("kind", ["network_adjusted", "naive"])
     @pytest.mark.parametrize("weighted", [False, True], ids=["uniform", "weighted"])
-    @pytest.mark.parametrize("edge", ["1", "rows-1", "rows", "rows+1", "3rows+7"])
-    @pytest.mark.parametrize("d", [2, 5, 20])
-    def test_bitwise_equal_to_whole_array_pass(self, rng, d, edge, weighted, kind):
-        rows = _BLOCK_CELLS // d
+    @pytest.mark.parametrize(
+        "edge",
+        ["1", "rows-1", "rows", "rows+1", "3rows+7", "2tiles-1", "2tiles", "2tiles+1",
+         "rows+tile+1", "4rows+tile+1/1cpu", "4rows+tile+1/2cpus"],
+    )
+    @pytest.mark.parametrize("d", [2, 5, 20, 7, 100])
+    def test_bitwise_equal_to_whole_array_pass(self, monkeypatch, rng, d, edge, weighted, kind):
+        # the pass tiles its cutoffs and coefficients from two tiles of rows on; at d = 5,
+        # 7 and 100 a full block is two tiles and a row, and past "rows" the last block
+        # is short: a tile and a row, or under a tile
+        rows, tile = _BLOCK_CELLS // d, (_BLOCK_CELLS // 2) // d
         n = {"1": 1, "rows-1": rows - 1, "rows": rows, "rows+1": rows + 1,
-             "3rows+7": 3 * rows + 7}[edge]
+             "3rows+7": 3 * rows + 7, "2tiles-1": 2 * tile - 1, "2tiles": 2 * tile,
+             "2tiles+1": 2 * tile + 1, "rows+tile+1": rows + tile + 1}.get(edge)
+        if n is None:  # past the parallel threshold, on a forced CPU count
+            n = 4 * rows + tile + 1
+            assert n * d >= _PARALLEL_CELLS
+            force_cpus(monkeypatch, 1 if edge.endswith("/1cpu") else 2)
         y, cfg = block_test_data(rng, n, d, weighted)
-        for alpha in (0.0, 0.5, 1.0, 1.7, 2.0):
+        y[::13, d // 2] = -0.0  # deprived: -0.0 < z, with the gap 1
+        # the squaring path at 1.5 and 3, numpy's power at 0.5, 1.7, 2 and 40
+        for alpha in (0.0, 0.5, 1.0, 1.5, 1.7, 2.0, 3.0, 40.0):
             config = MethodologyConfig(alpha, cfg.k, cfg.structure, cfg.weights, cfg.cutoffs)
             assert_whole_array_bits(y, config, kind)
 
