@@ -29,7 +29,8 @@ which is the honest answer.
 Trials are independent: each derives its own generator from the master
 seed, the axiom index and the trial index, so reports are reproducible
 under any scheduling.  A random methodology's coefficients and ceiling are
-derived once, to place k, and its config is adopted from them, not rebuilt.
+derived once, to place k, and its config, structure and weights are adopted
+as drawn, valid by construction, not checked again.
 
 So the suite runs on every usable CPU.  Its trials are numbered in order,
 by axiom index and then trial, and split into one share per usable CPU:
@@ -65,8 +66,9 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .aggregation import _coefficient_pass, decompose_by_group
-from .bounds import weighted_upper_bound
+from .bounds import _ceiling, _column_sums
 from .core import (
+    SYMMETRY_TOL,
     AchievementMatrix,
     CutoffVector,
     DependenceStructure,
@@ -85,6 +87,7 @@ from .deprivation import _fork_count, _forked, _row_sums
 from .errors import (
     IndexOutOfRange,
     InvalidGeneratorSettings,
+    NegativeAchievement,
     NonPoorRowNotIdentity,
     NonPositiveAmount,
     NotBistochastic,
@@ -103,8 +106,9 @@ BISTOCHASTIC_TOL = 1e-12
 _MAX_ATTEMPTS = 500
 
 #: fewest trials in a share of the suite: forking and reaping a worker takes
-#: about 1.7 ms, the work of 8 trials; on 2 CPUs, 24 trials a share already
-#: ran faster than serial (9.6 -> 8.0 ms) and 12 ran slower (5.0 -> 5.6 ms)
+#: about 2.5 ms, the work of 17 trials; on 2 CPUs a share of 12 trials ran
+#: slower than serial (3.7 -> 4.2 ms), of 24 and 48 faster (7.0 -> 6.0,
+#: 13.8 -> 9.5 ms); 32 leaves room for a slower fork
 _FORK_TRIALS = 32
 
 SIMPLE_INCREMENT = "simple_increment"
@@ -128,9 +132,11 @@ class GeneratorSettings:
             (n_lo, n_hi), (d_lo, d_hi) = self.n_range, self.d_range
         except (TypeError, ValueError):
             raise InvalidGeneratorSettings("each range must be a (lo, hi) pair") from None
+        values = (self.trials, n_lo, n_hi, d_lo, d_hi, self.seed)
+        if any(isinstance(v, bool) for v in values):  # int's subclass, not a count
+            raise InvalidGeneratorSettings("each generator setting must be an integer, got bool")
         trials, n_lo, n_hi, d_lo, d_hi, seed = (
-            _index(v, InvalidGeneratorSettings, "each generator setting")
-            for v in (self.trials, n_lo, n_hi, d_lo, d_hi, self.seed)
+            _index(v, InvalidGeneratorSettings, "each generator setting") for v in values
         )
         if trials < 1:
             raise InvalidGeneratorSettings(f"trials = {self.trials} must be >= 1")
@@ -186,7 +192,9 @@ def apply_simple_increment(
     Returns the new matrix and the set of increment kinds that apply
     (always contains "simple_increment"; the others depend on the
     person's poverty status and the cell's position against the cutoff).
-    Person and dimension indices are 1-based.
+    Person and dimension indices are 1-based.  A raised achievement that
+    overflows to infinity is :class:`NegativeAchievement`, naming the cell
+    and the amount.
     """
     y = _achievement_values(achievements)
     n, d = y.shape
@@ -200,11 +208,17 @@ def apply_simple_increment(
     if not math.isfinite(amount) or amount <= 0.0:
         raise NonPositiveAmount(f"amount = {amount} must be a positive real")
 
-    statuses = _statuses(config, y)
     i0, j0 = i - 1, j - 1
     y_ij = y[i0, j0]
+    x_ij = float(y_ij) + amount  # a Python float: an overflow is inf, with no warning
+    if not math.isfinite(x_ij):
+        raise NegativeAchievement(
+            f"achievement ({i}, {j}) = {y_ij} plus amount {amount} is not finite",
+            row=i,
+            column=j,
+        )
+    statuses = _statuses(config, y)
     z_j = config.cutoffs.values[j0]
-    x_ij = y_ij + amount
     poor = statuses.statuses[i0] == 1
 
     labels = {SIMPLE_INCREMENT}
@@ -218,8 +232,8 @@ def apply_simple_increment(
             labels.add(DIMENSIONAL_AMONG_POOR)
 
     new = y.copy()
-    new[i0, j0] = x_ij
-    return AchievementMatrix(new), frozenset(labels)
+    new[i0, j0] = x_ij  # y was checked and x_ij is finite and above y_ij >= 0
+    return _adopted(AchievementMatrix, values=new), frozenset(labels)
 
 
 def apply_bistochastic_average(
@@ -304,15 +318,17 @@ def _random_structure(
         m = np.triu(m, 1)
         m = m + m.T
     np.fill_diagonal(m, 1.0)
-    return DependenceStructure(m)
+    # entries in [0, 1] with a unit diagonal; a draw can be symmetric by chance
+    symmetric = bool(np.max(np.abs(m - m.T)) <= SYMMETRY_TOL)
+    return _adopted(DependenceStructure, entries=m, symmetric=symmetric)
 
 
 def _random_weights(rng: np.random.Generator, d: int, uniform: bool) -> WeightVector:
     if uniform:
-        return WeightVector.uniform(d)
+        return _adopted(WeightVector, values=np.ones(d))
     # every draw is valid: max weight <= 1.8d / (1.8 + 0.2(d - 1)) < d for d >= 2
     u = rng.uniform(0.2, 1.8, d)
-    return WeightVector(u * (d / math.fsum(u)))
+    return _adopted(WeightVector, values=u * (d / math.fsum(u)))
 
 
 def _random_population(
@@ -356,14 +372,14 @@ def _draw_materials(
                     weights = _random_weights(rng, d, uniform=False)
                 else:
                     structure = _random_structure(rng, d, symmetric=False)
-                    weights = WeightVector.uniform(d)
+                    weights = _random_weights(rng, d, uniform=True)
             else:
                 structure = _random_structure(rng, d, symmetric=rng.random() < 0.25)
                 weights = _random_weights(rng, d, uniform=rng.random() < 0.25)
             z = rng.uniform(0.5, 10.0, d)
             y = _random_population(rng, n, z)
             coef = _coefficient_values(structure, weights.values)
-            ceiling = weighted_upper_bound(structure, weights)
+            ceiling = _ceiling(_column_sums(structure), weights.values)
             counts = _row_sums(y, z, coef, 0.0)[0]
             k = _choose_k(rng, counts, ceiling, min_poor, min_non_poor)
             if k is None:
@@ -526,7 +542,7 @@ def _trial_weak_transfer(rng, pinned, alpha, settings) -> float:
     n = mats.y.shape[0]
     poor = np.flatnonzero(mats.statuses.statuses == 1)
     mixing = np.zeros((n, n))
-    keep = np.setdiff1d(np.arange(n), poor)
+    keep = np.flatnonzero(mats.statuses.statuses == 0)
     mixing[keep, keep] = 1.0
     lams = rng.random(int(rng.integers(2, 5))) + 0.1
     lams = lams / np.sum(lams)
@@ -545,7 +561,7 @@ def _trial_weak_rearrangement(rng, pinned, alpha, settings) -> float:
             break
     else:
         raise InvalidGeneratorSettings("no poor person with two positive achievements")
-    others = np.setdiff1d(np.arange(mats.y.shape[0]), [i])
+    others = np.delete(np.arange(mats.y.shape[0]), i)
     i2 = int(_pick(rng, others))
 
     # forge a strictly dominated companion; domination keeps them poor

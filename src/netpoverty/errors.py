@@ -56,7 +56,7 @@ class NonPositiveCutoff(ValidationError):
 
 
 class NegativeAchievement(ValidationError):
-    """Achievements must be nonnegative; rejected rather than clamped."""
+    """Achievements must be finite and nonnegative; rejected rather than clamped."""
 
 
 class NonPositiveWeight(ValidationError):

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import threading
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -11,9 +12,11 @@ from hypothesis import given, strategies as st
 
 from netpoverty import (
     AXIOMS,
+    AchievementMatrix,
     DependenceStructure,
     GeneratorSettings,
     MethodologyConfig,
+    WeightVector,
     apply_bistochastic_average,
     apply_rearrangement,
     apply_simple_increment,
@@ -35,6 +38,7 @@ from netpoverty.axioms import (
 from netpoverty.errors import (
     IndexOutOfRange,
     InvalidGeneratorSettings,
+    NegativeAchievement,
     NonPoorRowNotIdentity,
     NonPositiveAmount,
     NotBistochastic,
@@ -79,6 +83,9 @@ class TestSimpleIncrement:
         after, _ = apply_simple_increment(Y, 1, 1, 2.0, CFG)
         assert Y[0, 0] == 5.0
         assert after.values[0, 0] == 7.0
+        # the result is adopted: read-only, as the constructor would store it
+        assert not after.values.flags.writeable
+        assert after.values.tobytes() == AchievementMatrix(after.values).values.tobytes()
 
     def test_amount_must_be_positive(self):
         with pytest.raises(NonPositiveAmount):
@@ -89,6 +96,16 @@ class TestSimpleIncrement:
             apply_simple_increment(Y, 3, 1, 1.0, CFG)
         with pytest.raises(IndexOutOfRange):
             apply_simple_increment(Y, 1, 3, 1.0, CFG)
+
+    def test_overflow_names_the_cell_and_amount_without_a_warning(self):
+        y = np.array([[1e308, 5.0], [10.0, 10.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NegativeAchievement) as err:
+                apply_simple_increment(y, 1, 1, 1.7e308, CFG)
+        assert str(err.value) == "achievement (1, 1) = 1e+308 plus amount 1.7e+308 is not finite"
+        assert (err.value.row, err.value.column) == (1, 1)
+        assert y[0, 0] == 1e308
 
 
 class TestBistochasticAverage:
@@ -238,15 +255,54 @@ class TestSuite:
         b = run_axiom_suite(1.0, self.SETTINGS)
         assert a == b
 
-    def test_bad_settings_rejected(self):
-        with pytest.raises(InvalidGeneratorSettings):
-            GeneratorSettings(trials=0)
-        with pytest.raises(InvalidGeneratorSettings):
-            GeneratorSettings(d_range=(1, 3))
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"trials": 0},
+            {"d_range": (1, 3)},
+            # a bool is an int to Python, but never a count or a seed
+            {"trials": True},
+            {"n_range": (True, 5)},
+            {"n_range": (2, True)},
+            {"d_range": (True, 3)},
+            {"d_range": (2, True)},
+            {"seed": False},
+        ],
+        ids=lambda kwargs: ",".join(f"{k}={v}" for k, v in kwargs.items()),
+    )
+    def test_bad_settings_rejected(self, kwargs):
+        with pytest.raises(InvalidGeneratorSettings) as err:
+            GeneratorSettings(**kwargs)
+        assert "\n" not in str(err.value)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(InvalidGeneratorSettings):
             GeneratorSettings(seed=-1)
+
+
+def assert_equals_constructed(cfg):
+    """Every part of an adopted random config is what its constructor would store."""
+    built = MethodologyConfig(cfg.alpha, cfg.k, cfg.structure, cfg.weights, cfg.cutoffs)
+    assert type(cfg.k) is float
+    assert (cfg.alpha, cfg.k, cfg.score_ceiling) == (
+        built.alpha,
+        built.k,
+        built.score_ceiling,
+    )
+    assert cfg.cutoffs.values.tobytes() == built.cutoffs.values.tobytes()
+    assert cfg.coefficients.tobytes() == built.coefficients.tobytes()
+    structure = DependenceStructure(cfg.structure.entries)
+    assert cfg.structure.entries.tobytes() == structure.entries.tobytes()
+    assert type(cfg.structure.symmetric) is bool
+    assert cfg.structure.symmetric == structure.symmetric
+    assert cfg.weights.values.tobytes() == WeightVector(cfg.weights.values).values.tobytes()
+    for array in (
+        cfg.coefficients,
+        cfg.cutoffs.values,
+        cfg.structure.entries,
+        cfg.weights.values,
+    ):
+        assert not array.flags.writeable
 
 
 def bit_rows(reports):
@@ -403,53 +459,70 @@ class TestRandomDraws:
         settings = GeneratorSettings(seed=seed)
         for t in range(10):
             rng = np.random.default_rng([seed, t])
-            cfg = _draw_materials(rng, None, 1.5, settings, **flags).cfg
-            built = MethodologyConfig(
-                cfg.alpha, cfg.k, cfg.structure, cfg.weights, cfg.cutoffs
-            )
-            assert type(cfg.k) is float
-            assert (cfg.alpha, cfg.k, cfg.score_ceiling) == (
-                built.alpha,
-                built.k,
-                built.score_ceiling,
-            )
-            assert cfg.cutoffs.values.tobytes() == built.cutoffs.values.tobytes()
-            assert cfg.coefficients.tobytes() == built.coefficients.tobytes()
-            for array in (
-                cfg.coefficients,
-                cfg.cutoffs.values,
-                cfg.structure.entries,
-                cfg.weights.values,
-            ):
-                assert not array.flags.writeable
+            assert_equals_constructed(_draw_materials(rng, None, 1.5, settings, **flags).cfg)
+
+    @pytest.mark.parametrize("flags", FLAGS, ids=lambda f: ",".join(f) or "plain")
+    def test_chance_symmetry_and_uniform_weights_are_adopted_as_built(self, monkeypatch, flags):
+        # at d = 2 an asymmetric draw with both off-diagonal entries zeroed is
+        # symmetric by chance; the adopted flag must say so, as the constructor would
+        drawn = []
+
+        def recorded(draw):
+            def wrapper(rng, d, **flag):  # symmetric= or uniform=
+                out = draw(rng, d, **flag)
+                drawn.append((draw.__name__, *flag.values(), out))
+                return out
+
+            return wrapper
+
+        for name in ("_random_structure", "_random_weights"):
+            monkeypatch.setattr(axioms, name, recorded(getattr(axioms, name)))
+        settings = GeneratorSettings(d_range=(2, 2), seed=5)
+        for t in range(60):
+            rng = np.random.default_rng([5, t])
+            assert_equals_constructed(_draw_materials(rng, None, 1.5, settings, **flags).cfg)
+        by_chance = [
+            out
+            for name, flag, out in drawn
+            if name == "_random_structure" and not flag and out.symmetric
+        ]
+        uniform = [out for name, flag, out in drawn if name == "_random_weights" and flag]
+        assert by_chance and uniform
+        assert all(np.array_equal(s.entries, np.eye(2)) for s in by_chance)
+        assert all(w.values.tobytes() == np.ones(2).tobytes() for w in uniform)
 
     def test_each_draw_derives_constants_once(self, monkeypatch):
         calls = Counter()
 
-        def spy(owner, name):
+        def spy(owner, name, key=None):
             target = getattr(owner, name)
 
             def counted(*args, **kwargs):
-                calls[name] += 1
+                calls[key or name] += 1
                 return target(*args, **kwargs)
 
             monkeypatch.setattr(owner, name, counted)
 
         # every random draw places k once; the config's constructor would
         # derive both constants again, reading core's binding of the
-        # coefficients and the bounds module's ceiling
+        # coefficients and the bounds module's ceiling, which
+        # weighted_upper_bound reads too
         spy(axioms, "_choose_k")
         for module in (axioms, bounds):
-            spy(module, "weighted_upper_bound")
+            spy(module, "_ceiling")
         for module in (axioms, core):
             spy(module, "_coefficient_values")
-        spy(MethodologyConfig, "__post_init__")
+        # and no part of a random config is checked again
+        for cls in (MethodologyConfig, DependenceStructure, WeightVector):
+            spy(cls, "__post_init__", cls.__name__)
         run_axiom_suite(1.0, GeneratorSettings(trials=5, seed=1))
         draws = calls["_choose_k"]
         assert draws >= len(AXIOMS) * 5
-        assert calls["weighted_upper_bound"] == draws
+        assert calls["_ceiling"] == draws
         assert calls["_coefficient_values"] == draws
-        assert calls["__post_init__"] == 0
+        assert calls["MethodologyConfig"] == 0
+        assert calls["DependenceStructure"] == 0
+        assert calls["WeightVector"] == 0
 
     # counts are 0 or sums of positive weights and a ceiling is such a sum,
     # so neither is subnormal; any other finite size is fair
