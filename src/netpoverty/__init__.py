@@ -6,138 +6,58 @@ and the aggregate FGT-family measure divides by the structure's count
 ceiling so it cannot be inflated by declaring extra connections.  The
 axioms module re-verifies the framework's properties on randomized
 instances.
+
+The package is a lazy namespace: ``import netpoverty`` loads no
+submodule (and so no numpy).  ``_EXPORTS`` maps each public name to the
+submodule that defines it; the first access of a name, or of a
+submodule's own name, imports that submodule and stores the value here,
+so every later lookup is a plain attribute.
 """
+
+import sys as _sys
 
 __version__ = "0.1.0"
 
-from .aggregation import (
-    DecompositionResult,
-    FgtResult,
-    decompose_by_group,
-    fgt_naive,
-    fgt_network_adjusted,
-)
-from .axioms import (
-    AXIOMS,
-    AxiomReport,
-    GeneratorSettings,
-    apply_bistochastic_average,
-    apply_rearrangement,
-    apply_simple_increment,
-    axiom_covered,
-    run_axiom_suite,
-)
-from .bounds import (
-    BoundsSummary,
-    attainable_scores,
-    bounds_summary,
-    dimension_jump,
-    dimension_jumps,
-    lower_bound,
-    upper_bound,
-    weighted_upper_bound,
-)
-from .core import (
-    AchievementMatrix,
-    CutoffVector,
-    DependenceStructure,
-    MethodologyConfig,
-    WeightVector,
-    connections_of,
-    is_disconnected,
-    validate_dependence_structure,
-    validate_weights,
-)
-from .dataio import (
-    ConfigDocument,
-    Dataset,
-    build_report,
-    load_config,
-    load_config_document,
-    load_dataset,
-    recompute_fgt_value,
-    resolve_methodology,
-    run_report,
-)
-from .deprivation import (
-    DeprivationCounts,
-    DeprivationMatrix,
-    GapMatrix,
-    deprivation_counts,
-    deprivation_matrix,
-    deprivation_score,
-    gap_matrix,
-    gap_sensitivity,
-    normalized_gap,
-)
-from .identification import PovertyStatusVector, headcount_ratio, identify
-from .weights import (
-    ImpliedWeights,
-    SymmetricConsistencyReport,
-    aggregation_coefficient,
-    aggregation_coefficients,
-    check_symmetric_consistency,
-    fgt_via_coefficients,
-    implied_weights,
-)
+#: each public name and the submodule that defines it
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "aggregation": "DecompositionResult FgtResult decompose_by_group fgt_naive "
+        "fgt_network_adjusted",
+        "axioms": "AXIOMS AxiomReport GeneratorSettings apply_bistochastic_average "
+        "apply_rearrangement apply_simple_increment axiom_covered run_axiom_suite",
+        "bounds": "BoundsSummary attainable_scores bounds_summary dimension_jump "
+        "dimension_jumps lower_bound upper_bound weighted_upper_bound",
+        "core": "AchievementMatrix CutoffVector DependenceStructure MethodologyConfig "
+        "WeightVector connections_of is_disconnected validate_dependence_structure "
+        "validate_weights",
+        "dataio": "ConfigDocument Dataset build_report load_config load_config_document "
+        "load_dataset recompute_fgt_value resolve_methodology run_report",
+        "deprivation": "DeprivationCounts DeprivationMatrix GapMatrix deprivation_counts "
+        "deprivation_matrix deprivation_score gap_matrix gap_sensitivity normalized_gap",
+        "identification": "PovertyStatusVector headcount_ratio identify",
+        "weights": "ImpliedWeights SymmetricConsistencyReport aggregation_coefficient "
+        "aggregation_coefficients check_symmetric_consistency fgt_via_coefficients "
+        "implied_weights",
+    }.items()
+    for name in names.split()
+}
+_SUBMODULES = frozenset({*_EXPORTS.values(), "cli", "errors"})
 
-__all__ = [
-    "AXIOMS",
-    "AchievementMatrix",
-    "AxiomReport",
-    "BoundsSummary",
-    "ConfigDocument",
-    "CutoffVector",
-    "Dataset",
-    "DecompositionResult",
-    "DependenceStructure",
-    "DeprivationCounts",
-    "DeprivationMatrix",
-    "FgtResult",
-    "GapMatrix",
-    "GeneratorSettings",
-    "ImpliedWeights",
-    "MethodologyConfig",
-    "PovertyStatusVector",
-    "SymmetricConsistencyReport",
-    "WeightVector",
-    "aggregation_coefficient",
-    "aggregation_coefficients",
-    "apply_bistochastic_average",
-    "apply_rearrangement",
-    "apply_simple_increment",
-    "attainable_scores",
-    "axiom_covered",
-    "bounds_summary",
-    "build_report",
-    "check_symmetric_consistency",
-    "connections_of",
-    "decompose_by_group",
-    "deprivation_counts",
-    "deprivation_matrix",
-    "deprivation_score",
-    "dimension_jump",
-    "dimension_jumps",
-    "fgt_naive",
-    "fgt_network_adjusted",
-    "fgt_via_coefficients",
-    "gap_matrix",
-    "gap_sensitivity",
-    "headcount_ratio",
-    "identify",
-    "implied_weights",
-    "is_disconnected",
-    "load_config",
-    "load_config_document",
-    "load_dataset",
-    "lower_bound",
-    "normalized_gap",
-    "recompute_fgt_value",
-    "resolve_methodology",
-    "run_axiom_suite",
-    "run_report",
-    "upper_bound",
-    "validate_dependence_structure",
-    "validate_weights",
-    "weighted_upper_bound",
-]
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name, name)
+    if module not in _SUBMODULES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    __import__(f"{__name__}.{module}")  # an import statement's path: -X importtime lists it
+    value = _sys.modules[f"{__name__}.{module}"]
+    if name != module:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

@@ -140,11 +140,22 @@ def _exact_total(values: NDArray[np.float64]) -> float:
     return total / (1 << 1074)
 
 
-def _fgt(row_sums: NDArray[np.float64], config: MethodologyConfig, kind: str) -> FgtResult:
-    """The exact total of censored row sums over the kind's denominator, and their hash."""
+def _denominator(n: int, config: MethodologyConfig, kind: str) -> float:
+    """N times the ceiling, or N * d for the naive kind."""
+    return n * config.d if kind == "naive" else n * config.score_ceiling
+
+
+def _fgt(
+    row_sums: NDArray[np.float64], config: MethodologyConfig, kind: str, value: float | None = None
+) -> FgtResult:
+    """The result for censored row sums: their exact total over the denominator, and their hash.
+
+    ``value`` is that quotient when the caller has it already.
+    """
     n = row_sums.shape[0]
-    denominator = n * config.d if kind == "naive" else n * config.score_ceiling
-    value = _exact_total(row_sums) / denominator
+    denominator = _denominator(n, config, kind)
+    if value is None:
+        value = _exact_total(row_sums) / denominator
     h = hashlib.sha256(f"{n}x{config.d}:".encode())
     h.update(row_sums)  # hashlib reads a C-contiguous array's buffer, no copy
     return FgtResult(value, config.alpha, config.k, denominator, h.hexdigest(), kind)
@@ -152,11 +163,12 @@ def _fgt(row_sums: NDArray[np.float64], config: MethodologyConfig, kind: str) ->
 
 def _coefficient_pass(
     achievements, config: MethodologyConfig, kind: str = "network_adjusted"
-) -> tuple[FgtResult, NDArray[np.float64], PovertyStatusVector, NDArray[np.float64]]:
+) -> tuple[float, NDArray[np.float64], PovertyStatusVector, NDArray[np.float64]]:
     """Counts and row sums in one row-block pass, then identification and censoring once.
 
-    Returns the aggregate with the per-person counts, statuses and
-    censored row sums it was built from.  The pass,
+    Returns the aggregate value with the per-person counts, statuses and
+    censored row sums it was built from; :func:`_aggregate` makes the
+    public result, hash included, from them.  The pass,
     :func:`~netpoverty.deprivation._row_sums`, does not read k; then
     :func:`~netpoverty.identification._identify` marks the poor, and a
     person who is not poor gets the row sum +0.0.  At alpha = 0 the row
@@ -178,7 +190,16 @@ def _coefficient_pass(
     if row_sums is counts:  # alpha = 0: censor a copy, the counts stay whole
         row_sums = counts.copy()
     row_sums *= statuses.statuses
-    return _fgt(row_sums, config, kind), counts, statuses, row_sums
+    value = _exact_total(row_sums) / _denominator(row_sums.shape[0], config, kind)
+    return value, counts, statuses, row_sums
+
+
+def _aggregate(
+    achievements, config: MethodologyConfig, kind: str = "network_adjusted"
+) -> FgtResult:
+    """The public result of one pass: value, inputs and the hash of its row sums."""
+    value, _, _, row_sums = _coefficient_pass(achievements, config, kind)
+    return _fgt(row_sums, config, kind, value)
 
 
 def fgt_network_adjusted(
@@ -196,7 +217,7 @@ def fgt_network_adjusted(
     weights this is the classic adjusted FGT value.
     """
     config = MethodologyConfig(alpha, k, structure, weights, cutoffs)
-    return _coefficient_pass(achievements, config)[0]
+    return _aggregate(achievements, config)
 
 
 def fgt_naive(
@@ -214,7 +235,7 @@ def fgt_naive(
     ceiling the corrected form would use (uniform weights).
     """
     config = MethodologyConfig(alpha, k, structure, None, cutoffs)
-    return _coefficient_pass(achievements, config, "naive")[0]
+    return _aggregate(achievements, config, "naive")
 
 
 def decompose_by_group(
@@ -248,7 +269,8 @@ def decompose_by_group(
     codes = np.fromiter(
         map(index.__getitem__, group_labels), np.min_scalar_type(len(index) - 1), len(group_labels)
     )
-    total, _, _, row_sums = _coefficient_pass(achievements, config)
+    value, _, _, row_sums = _coefficient_pass(achievements, config)
+    total = _fgt(row_sums, config, "network_adjusted", value)
     n = row_sums.shape[0]
     if codes.shape[0] != n:
         raise InvalidPartition(

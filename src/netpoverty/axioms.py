@@ -180,8 +180,8 @@ def _statuses(cfg: MethodologyConfig, y: NDArray[np.float64]) -> PovertyStatusVe
 
 def _evaluate(cfg: MethodologyConfig, y) -> tuple[float, PovertyStatusVector]:
     """The aggregate value of ``y`` and the statuses it was built from."""
-    result, _, statuses, _ = _coefficient_pass(y, cfg)
-    return result.value, statuses
+    value, _, statuses, _ = _coefficient_pass(y, cfg)
+    return value, statuses
 
 
 def apply_simple_increment(

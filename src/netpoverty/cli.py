@@ -3,6 +3,12 @@
 Subcommands: compute (full report), bounds (count bounds and attainable
 levels), implied-weights, axioms (randomized verification suite),
 compare (corrected vs naive aggregate across a dependence-entry sweep).
+The ``netpoverty`` command and ``python -m netpoverty`` enter through
+:mod:`netpoverty.__main__`, which runs :func:`main`.  Importing this
+module runs only the modules every command shares: ``axioms`` and
+``weights`` are registered lazily, so their code runs when
+``axioms`` or ``implied-weights`` first reads them, and ``compute``,
+``compare`` and ``bounds`` never run it.
 
 Exit codes: 0 success, 1 validation or usage error, 2 axiom violation,
 3 I/O error, 143 terminated by SIGTERM.  A reader that closes stdout
@@ -16,6 +22,7 @@ worker is killed and reaped before the process ends.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import signal
@@ -25,8 +32,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 
-from .aggregation import _coefficient_pass
-from .axioms import GeneratorSettings, run_axiom_suite
+from .aggregation import _coefficient_pass, _denominator
 from .bounds import ENUMERATION_LIMIT, _subset_sums, attainable_scores, bounds_summary
 from .core import MethodologyConfig
 from .dataio import (
@@ -42,7 +48,28 @@ from .dataio import (
 )
 from .errors import NetpovertyError, ValidationError, WriteError
 from .identification import _k_band
-from .weights import implied_weights
+
+
+def _lazy(name: str):
+    """Submodule ``name``: in ``sys.modules`` now, its code run at its first attribute read.
+
+    A module already imported is returned as it is.  Registering, unlike
+    importing inside the command, leaves every submodule in
+    ``sys.modules`` for tools that look the package's modules up there,
+    as the benchmark's span tracer does for each layer it wraps.
+    """
+    name = f"{__package__}.{name}"
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+axioms = _lazy("axioms")
+weights = _lazy("weights")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,10 +123,10 @@ def build_parser() -> argparse.ArgumentParser:
     command("bounds", _cmd_bounds, "count bounds, jumps, attainable levels")
     command("implied-weights", _cmd_implied_weights, "weights implied by a symmetric structure")
 
-    axioms = command("axioms", _cmd_axioms, "run the axiom verification suite")
-    axioms.add_argument("--alpha", type=float, default=None, help="override alpha")
-    axioms.add_argument("--trials", type=int, default=200)
-    axioms.add_argument("--seed", type=int, default=0)
+    suite = command("axioms", _cmd_axioms, "run the axiom verification suite")
+    suite.add_argument("--alpha", type=float, default=None, help="override alpha")
+    suite.add_argument("--trials", type=int, default=200)
+    suite.add_argument("--seed", type=int, default=0)
 
     compare = command(
         "compare", _cmd_compare, "corrected vs naive aggregate while one entry sweeps 0..1"
@@ -172,7 +199,7 @@ def _cmd_bounds(args) -> tuple[str, int]:
 
 def _cmd_implied_weights(args) -> tuple[str, int]:
     doc = load_config_document(args.config)
-    result = implied_weights(doc.structure)
+    result = weights.implied_weights(doc.structure)
     summary = bounds_summary(doc.structure)
     payload = {
         "weights": [_round12(v) for v in result.weights.values],
@@ -185,8 +212,8 @@ def _cmd_implied_weights(args) -> tuple[str, int]:
 
 def _cmd_axioms(args) -> tuple[str, int]:
     config = load_config(args.config, args.alpha)
-    settings = GeneratorSettings(trials=args.trials, seed=args.seed)
-    reports = run_axiom_suite(config, settings)
+    settings = axioms.GeneratorSettings(trials=args.trials, seed=args.seed)
+    reports = axioms.run_axiom_suite(config, settings)
     lines = "".join(json.dumps(asdict(r)) + "\n" for r in reports)
     return lines, 2 if any(r.status == "fail" for r in reports) else 0
 
@@ -214,9 +241,9 @@ def _cmd_compare(args) -> tuple[str, int]:
         records.append(
             {
                 "entry_value": _round12(entry),
-                "fgt_adjusted": _round12(adjusted.value),
-                "fgt_naive": _round12(naive.value),
-                "naive_numerator": _round12(naive.value * naive.denominator),
+                "fgt_adjusted": _round12(adjusted),
+                "fgt_naive": _round12(naive),
+                "naive_numerator": _round12(naive * _denominator(y.n, config, "naive")),
             }
         )
     return render_report(records), 0

@@ -91,10 +91,10 @@ def _adopted(cls, **fields):
     the constructor is skipped: the fields must be exactly what it would store.
     """
     obj = object.__new__(cls)
-    for name, value in fields.items():
+    for value in fields.values():
         if isinstance(value, np.ndarray):
             value.flags.writeable = False
-        object.__setattr__(obj, name, value)
+    obj.__dict__.update(fields)
     return obj
 
 

@@ -94,7 +94,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import __version__
-from .aggregation import _coefficient_pass
+from .aggregation import _coefficient_pass, _denominator
 from .bounds import BoundsSummary, bounds_summary, weighted_upper_bound
 from .core import (
     AchievementMatrix,
@@ -641,19 +641,18 @@ def stream_report(
     y = dataset.achievements
     # the pass checks d; its own counts and statuses make the rows match the
     # aggregate exactly, and it keeps no N x d array
-    result, counts, statuses = _coefficient_pass(y, config)[:3]
+    value, counts, statuses, _ = _coefficient_pass(y, config)
     head: dict = {
-        "fgt_value": _round12(result.value),
+        "fgt_value": _round12(value),
         "headcount_ratio": _round12(headcount_ratio(statuses)),
         **_bounds_fields(bounds_summary(config.structure, config.weights)),
     }
     if diagnostic_naive:
         # at the methodology's k, which was checked against d_tilde only
-        naive = _coefficient_pass(y, config, "naive")[0]
         head["naive_diagnostic"] = {
             "label": "naive (manipulable)",
-            "value": _round12(naive.value),
-            "denominator": _round12(naive.denominator),
+            "value": _round12(_coefficient_pass(y, config, "naive")[0]),
+            "denominator": _round12(_denominator(y.n, config, "naive")),
         }
     head["dimensions"] = list(dataset.dimension_names)
     # deprivation_matrix's arithmetic, on arrays the kernel pass already validated

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import _check_k, _frozen_array
+from .core import _adopted, _check_k, _frozen_array
 from .deprivation import DeprivationCounts
 from .errors import ShapeMismatch, ValidationError
 
@@ -20,10 +20,7 @@ class PovertyStatusVector:
     k: float
 
     def __post_init__(self) -> None:
-        s = self.statuses
-        # a comparison's boolean result is 0/1 by construction
-        if not (isinstance(s, np.ndarray) and s.dtype == np.bool_):
-            s = _status_values(s)
+        s = _status_values(self.statuses)
         object.__setattr__(self, "statuses", _frozen_array(s, "statuses", 1, np.int64))
 
     @property
@@ -41,8 +38,12 @@ def _k_band(k: float) -> float:
 
 
 def _identify(values: NDArray[np.float64], k: float) -> PovertyStatusVector:
-    """Statuses for counts the package computed, at a k its config already checked."""
-    return PovertyStatusVector(values >= k - _k_band(k), k)
+    """Statuses for counts the package computed, at a k its config already checked.
+
+    The comparison's 0/1 result, cast to int64 once, is adopted as it is.
+    """
+    statuses = (values >= k - _k_band(k)).astype(np.int64)
+    return _adopted(PovertyStatusVector, statuses=statuses, k=k)
 
 
 def identify(

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .aggregation import FgtResult, _coefficient_pass
+from .aggregation import FgtResult, _aggregate
 from .bounds import dimension_jumps, upper_bound, weighted_upper_bound
 from .core import (
     SYMMETRY_TOL,
@@ -100,7 +100,7 @@ def fgt_via_coefficients(
     not a separate route.  Kept because the benchmark calls it by name.
     """
     config = MethodologyConfig(alpha, k, structure, weights, cutoffs)
-    return _coefficient_pass(achievements, config, "network_adjusted_coefficient_form")[0]
+    return _aggregate(achievements, config, "network_adjusted_coefficient_form")
 
 
 def implied_weights(structure: DependenceStructure) -> ImpliedWeights:

@@ -666,13 +666,14 @@ def gap_blocks(pass_, *args):
 
 
 def assert_whole_array_bits(y, config, kind):
-    (result, counts, statuses, row_sums), weighted = gap_blocks(
+    (got, counts, statuses, row_sums), weighted = gap_blocks(
         _coefficient_pass, y, config, kind
     )
     value, denominator, digest, want_counts, want_statuses, want_weighted, want_row_sums = (
         whole_array_pass(y, config, kind)
     )
-    assert (result.value, result.denominator) == (value, denominator)
+    result = _fgt(row_sums, config, kind)
+    assert (got, result.value, result.denominator) == (value, value, denominator)
     assert result.censored_matrix_hash == digest == row_sums_hash(row_sums, y.shape[1])
     assert counts.tobytes() == want_counts.tobytes()
     assert statuses.statuses.tobytes() == want_statuses.tobytes()

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import os
@@ -284,6 +285,94 @@ class TestBrokenPipe:
         assert proc.wait(timeout=60) == 0
         assert head == b'{\n  "fgt_v'
         assert err == b""
+
+
+#: the console script's entry, then on stderr's last line the package modules
+#: whose code ran (a module registered but never read is not a plain module)
+#: and whether the entry froze the collector
+_ENTRY_LAUNCHER = """
+import atexit, gc, json, sys, types
+def report():
+    ran = [m for m, v in sys.modules.items() if type(v) is types.ModuleType]
+    print(json.dumps([sorted(ran), gc.get_freeze_count() > 0]), file=sys.stderr)
+atexit.register(report)
+from netpoverty.__main__ import main
+main()
+"""
+
+
+class TestEntry:
+    """One entry for ``python -m netpoverty`` and the console script."""
+
+    @pytest.fixture
+    def argvs(self, worked, tmp_path):
+        data, config = worked
+        symmetric = tmp_path / "symmetric.json"
+        symmetric.write_text(
+            json.dumps({"cutoffs": [10, 10], "dependence": [[1, 0.5], [0.5, 1]]}),
+            encoding="utf-8",
+        )
+        dataset = ["--dataset", str(data), "--config", str(config)]
+        return {
+            "compute": ["compute", *dataset],
+            "compare": ["compare", *dataset, "--row", "1", "--col", "2", "--steps", "3"],
+            "bounds": ["bounds", "--config", str(config)],
+            "axioms": ["axioms", "--config", str(config), "--trials", "2"],
+            "implied-weights": ["implied-weights", "--config", str(symmetric)],
+        }
+
+    @staticmethod
+    def run_entry(argv):
+        """(exit code, modules whose code ran, frozen) of the entry on ``argv``."""
+        with launch_in_session(_ENTRY_LAUNCHER, *argv) as proc:
+            _, err = proc.communicate(timeout=60)
+        ran, frozen = json.loads(err.decode().splitlines()[-1])
+        return proc.returncode, set(ran), frozen
+
+    @pytest.mark.parametrize("command", ["compute", "compare", "bounds"])
+    def test_shared_commands_never_run_axioms_or_weights(self, argvs, command):
+        code, ran, frozen = self.run_entry(argvs[command])
+        assert code == 0 and frozen
+        assert {"netpoverty.cli", "netpoverty.dataio"} <= ran
+        assert not {"netpoverty.axioms", "netpoverty.weights"} & ran
+
+    @pytest.mark.parametrize(
+        "command, module",
+        [("axioms", "netpoverty.axioms"), ("implied-weights", "netpoverty.weights")],
+    )
+    def test_a_command_runs_the_module_it_reads(self, argvs, command, module):
+        code, ran, frozen = self.run_entry(argvs[command])
+        assert code == 0 and frozen
+        assert module in ran
+
+    def test_exits_with_the_commands_code(self, argvs):
+        code, _, frozen = self.run_entry([*argvs["axioms"], "--seed", "-1"])
+        assert code == 1 and frozen
+
+    @pytest.mark.parametrize("command", ["compute", "bounds"])
+    def test_importtime_lists_neither_axioms_nor_weights(self, argvs, command):
+        src = Path(__file__).resolve().parent.parent / "src"
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "netpoverty", *argvs[command]],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        imported = {
+            line.rpartition("|")[2].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:")
+        }
+        assert {"netpoverty.cli", "netpoverty.dataio"} <= imported
+        assert not {"netpoverty.axioms", "netpoverty.weights"} & imported
+
+    def test_main_in_process_does_not_freeze(self, argvs, capsys):
+        frozen = gc.get_freeze_count()
+        assert main(argvs["compute"]) == 0
+        assert gc.get_freeze_count() == frozen
 
 
 #: ``compute`` with two usable CPUs on any runner; with ``fail`` first, the

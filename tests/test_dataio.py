@@ -35,7 +35,7 @@ from netpoverty import (
     weighted_upper_bound,
 )
 from netpoverty import dataio
-from netpoverty.aggregation import _coefficient_pass
+from netpoverty.aggregation import _aggregate
 from netpoverty.dataio import (
     _CHUNK_PERSONS,
     _InDoubt,
@@ -465,7 +465,7 @@ def reference_report(ds, cfg, naive):
     }
     if naive:
         # fgt_naive takes uniform weights, and so rejects a k above their ceiling
-        result = _coefficient_pass(y, cfg, "naive")[0]
+        result = _aggregate(y, cfg, "naive")
         report["naive_diagnostic"] = {
             "label": "naive (manipulable)",
             "value": _round12(result.value),
