@@ -31,8 +31,8 @@ _EXPORTS = {
         "core": "AchievementMatrix CutoffVector DependenceStructure MethodologyConfig "
         "WeightVector connections_of is_disconnected validate_dependence_structure "
         "validate_weights",
-        "dataio": "ConfigDocument Dataset build_report load_config load_config_document "
-        "load_dataset recompute_fgt_value resolve_methodology run_report",
+        "config": "ConfigDocument load_config load_config_document resolve_methodology",
+        "dataio": "Dataset build_report load_dataset recompute_fgt_value run_report",
         "deprivation": "DeprivationCounts DeprivationMatrix GapMatrix deprivation_counts "
         "deprivation_matrix deprivation_score gap_matrix gap_sensitivity normalized_gap",
         "identification": "PovertyStatusVector headcount_ratio identify",

@@ -41,7 +41,6 @@ over the pass's row sums of its rows.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from collections.abc import Mapping, Set as AbstractSet
 from dataclasses import dataclass
@@ -156,6 +155,8 @@ def _fgt(
     denominator = _denominator(n, config, kind)
     if value is None:
         value = _exact_total(row_sums) / denominator
+    import hashlib  # only where a hash is made: a process that hashes nothing never loads OpenSSL
+
     h = hashlib.sha256(f"{n}x{config.d}:".encode())
     h.update(row_sums)  # hashlib reads a C-contiguous array's buffer, no copy
     return FgtResult(value, config.alpha, config.k, denominator, h.hexdigest(), kind)

@@ -34,13 +34,12 @@ import numpy as np
 
 from .aggregation import _coefficient_pass, _denominator
 from .bounds import ENUMERATION_LIMIT, _subset_sums, attainable_scores, bounds_summary
+from .config import load_config, load_config_document
 from .core import MethodologyConfig
 from .dataio import (
     _bounds_fields,
     _numeral,
     _round12,
-    load_config,
-    load_config_document,
     load_dataset,
     render_report,
     stream_report,

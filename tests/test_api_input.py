@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import netpoverty as npv
-from netpoverty.dataio import ConfigDocument
+from netpoverty.config import ConfigDocument
 from netpoverty.deprivation import _PARALLEL_CELLS
 from netpoverty.errors import (
     CutoffOutOfRange,

@@ -349,25 +349,36 @@ class TestEntry:
         code, _, frozen = self.run_entry([*argvs["axioms"], "--seed", "-1"])
         assert code == 1 and frozen
 
-    @pytest.mark.parametrize("command", ["compute", "bounds"])
-    def test_importtime_lists_neither_axioms_nor_weights(self, argvs, command):
+    @staticmethod
+    def importtime(argv):
+        """The modules ``python -X importtime -m netpoverty`` lists on ``argv``."""
         src = Path(__file__).resolve().parent.parent / "src"
         path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
-            [sys.executable, "-X", "importtime", "-m", "netpoverty", *argvs[command]],
+            [sys.executable, "-X", "importtime", "-m", "netpoverty", *argv],
             capture_output=True,
             text=True,
             env=dict(os.environ, PYTHONPATH=path),
             timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
-        imported = {
+        return {
             line.rpartition("|")[2].strip()
             for line in proc.stderr.splitlines()
             if line.startswith("import time:")
         }
+
+    @pytest.mark.parametrize("command", ["compute", "bounds"])
+    def test_importtime_lists_neither_axioms_nor_weights(self, argvs, command):
+        imported = self.importtime(argvs[command])
         assert {"netpoverty.cli", "netpoverty.dataio"} <= imported
         assert not {"netpoverty.axioms", "netpoverty.weights"} & imported
+
+    def test_compute_imports_no_hashlib(self, argvs):
+        # compute builds no result hash, so it never pays for OpenSSL
+        imported = self.importtime(argvs["compute"])
+        assert "netpoverty.aggregation" in imported
+        assert not {"hashlib", "_hashlib"} & imported
 
     def test_main_in_process_does_not_freeze(self, argvs, capsys):
         frozen = gc.get_freeze_count()
@@ -663,6 +674,37 @@ class TestConfigBoundary:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ('{"cutoffs": [10, 10], "alpha": 1, "alpha": 2, "k": 1}', "config field 'alpha'"),
+            (
+                '{"cutoffs": [10, 10], "alpha": 1, '
+                '"k": {"mode": "fraction", "value": 0.5, "value": 1.0}}',
+                "k field 'value'",
+            ),
+        ],
+        ids=["top-level", "inside-k"],
+    )
+    @pytest.mark.parametrize("command", ["compute", "bounds"])
+    def test_repeated_field_named(self, worked, tmp_path, capsys, command, text, named):
+        data, _ = worked
+        bad = tmp_path / "bad.json"
+        bad.write_text(text, encoding="utf-8")
+        inputs = ["--dataset", str(data)] if command == "compute" else []
+        assert main([command, *inputs, "--config", str(bad)]) == 1
+        assert capsys.readouterr().err == f"error: {bad}: duplicate {named}\n"
+
+    def test_byte_order_mark_is_ignored(self, worked, tmp_path, capsys):
+        data, config = worked
+        marked = tmp_path / "marked.json"
+        marked.write_bytes(b"\xef\xbb\xbf" + config.read_bytes())
+        outputs = []
+        for path in (config, marked):
+            assert main(["compute", "--dataset", str(data), "--config", str(path)]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize(
         "field, command, hint",

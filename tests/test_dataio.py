@@ -36,16 +36,15 @@ from netpoverty import (
 )
 from netpoverty import dataio
 from netpoverty.aggregation import _aggregate
+from netpoverty.config import _numbers, config_echo
 from netpoverty.dataio import (
     _CHUNK_PERSONS,
     _InDoubt,
     _json_floats,
-    _numbers,
     _read_bulk,
     _read_checked,
     _report_text,
     _round12,
-    config_echo,
     render_report,
     stream_report,
     write_text,
@@ -261,6 +260,49 @@ class TestLoadConfig:
         with pytest.raises(ValidationError) as info:
             load_config_document(path)
         assert str(info.value) == f"{path}: {named}"
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ('{"cutoffs": [10, 10], "alpha": 1, "alpha": 2, "k": 1}', "config field 'alpha'"),
+            (
+                '{"cutoffs": [10, 10], "alpha": 1, '
+                '"k": {"mode": "fraction", "value": 0.5, "value": 1.0}}',
+                "k field 'value'",
+            ),
+            ('{"alpha": 1, "k": 1, "k": 2, "alpha": 2, "cutoffs": [1]}', "config field 'k'"),
+        ],
+        ids=["top-level", "inside-k", "first-repeat-named"],
+    )
+    def test_repeated_field_named(self, tmp_path, text, named):
+        path = write(tmp_path, "c.json", text)
+        with pytest.raises(ValidationError) as info:
+            load_config_document(path)
+        assert str(info.value) == f"{path}: duplicate {named}"
+
+    def test_repeated_key_elsewhere_is_an_object_of_the_wrong_type(self, tmp_path):
+        path = write(tmp_path, "c.json", '{"cutoffs": [{"a": 1, "a": 2}]}')
+        with pytest.raises(ValidationError) as info:
+            load_config_document(path)
+        assert str(info.value) == (
+            f"{path}: config field 'cutoffs[0]' must be a number, got an object"
+        )
+
+    @pytest.mark.parametrize(
+        "text", [json.dumps(WORKED_CONFIG), '{"cutoffs": []}'], ids=["valid", "invalid"]
+    )
+    def test_byte_order_mark_is_ignored(self, tmp_path, text):
+        def outcome(path):
+            try:
+                cfg = load_config(path)
+            except NetpovertyError as exc:
+                return type(exc), str(exc).replace(str(path), "<path>")
+            fields = (cfg.cutoffs.values, cfg.structure.entries, cfg.weights.values)
+            return cfg.alpha, cfg.k, [a.tobytes() for a in fields], config_echo(cfg)
+
+        plain = outcome(write(tmp_path, "plain.json", text))
+        marked = outcome(write(tmp_path, "marked.json", "\ufeff" + text))
+        assert marked == plain
 
     @pytest.mark.parametrize(
         "doc, named",

@@ -80,18 +80,37 @@ def test_import_alone_loads_no_submodule_and_no_numpy():
     assert loaded == ["netpoverty"]
 
 
-def test_a_name_loads_only_its_modules_dependencies():
+#: a config file any test here may load
+CONFIG = json.dumps({"cutoffs": [1.0, 2.0], "alpha": 1, "k": {"mode": "fraction", "value": 0.5}})
+#: what loading a config must never import: readers, kernels, report code, hashing
+NOT_FOR_A_CONFIG = {
+    "netpoverty.dataio", "netpoverty.aggregation", "netpoverty.deprivation",
+    "netpoverty.identification", "netpoverty.cli", "netpoverty.axioms", "netpoverty.weights",
+    "csv", "hashlib",
+}
+
+
+def test_a_name_loads_only_its_modules_dependencies(tmp_path):
     # as a fresh interpreter that reads a config does
+    config = tmp_path / "c.json"
+    config.write_text(CONFIG, encoding="utf-8")
     loaded = json.loads(run_fresh(
         "import json, sys, netpoverty\n"
-        "netpoverty.load_config\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('netpoverty.'))))"
+        f"netpoverty.load_config({str(config)!r})\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.partition('.')[0] == 'netpoverty')))"
     ).stdout)
-    assert "netpoverty.dataio" in loaded
-    assert not {"netpoverty.axioms", "netpoverty.cli", "netpoverty.weights"} & set(loaded)
+    assert loaded == [
+        "netpoverty", "netpoverty.bounds", "netpoverty.config", "netpoverty.core",
+        "netpoverty.errors",
+    ]
 
 
-def test_importtime_lists_what_a_name_imports():
-    err = run_fresh("import netpoverty; netpoverty.load_config", "-X", "importtime").stderr
-    imported = [line.rpartition("|")[2].strip() for line in err.splitlines()]
-    assert "netpoverty.dataio" in imported and "netpoverty.axioms" not in imported
+def test_importtime_lists_what_a_name_imports(tmp_path):
+    config = tmp_path / "c.json"
+    config.write_text(CONFIG, encoding="utf-8")
+    err = run_fresh(
+        f"import netpoverty; netpoverty.load_config({str(config)!r})", "-X", "importtime"
+    ).stderr
+    imported = {line.rpartition("|")[2].strip() for line in err.splitlines()}
+    assert "netpoverty.config" in imported
+    assert not NOT_FOR_A_CONFIG & imported
