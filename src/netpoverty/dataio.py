@@ -39,16 +39,23 @@ byte-identical output.
 
 Every report comes from :func:`stream_report`: every check and all
 numeric work run first, then the text is produced a few thousand
-persons at a time from one fixed per-person template, with no report
-dict.  Each chunk's nonzero scores are formatted by one ``%``.  A
-person's record depends on that person's row alone, so the chunks fall
-into contiguous ranges, one per usable CPU and each of at least
-``_FORK_PERSONS`` persons.  The caller formats the first range; every
-other range is formatted by a worker forked for it, which writes its
-text into a pipe that the caller copies out in order, 64 KB a read.
-The fork, pipe and reaping code is :func:`netpoverty.deprivation._forked`,
-which the dataset load and the axiom suite run on too.  With one range,
-or with other threads running, nothing is forked.  However the stream
+persons at a time, with no report dict.  Each chunk of persons is one
+``uint8`` matrix, a row a person, holding the record template's bytes
+and the id, count, ``poor`` and score fields, each NUL-padded; the
+matrix's bytes with the NULs deleted are the chunk's text, and a chunk
+whose matrix would pass ``_MATRIX_BYTES`` is built in halves.  A float's
+text is written from its 12 significant digits by integer arithmetic
+and tables of 3-digit groups; a value that path cannot vouch for (a
+near tie, one below 1e-4 or from 1e3 on, -0.0) takes the definition,
+``repr(float("%.12g" % v))``.  A person's record depends on that
+person's row alone, so the chunks fall into contiguous ranges, one per
+usable CPU and each of at least ``_FORK_PERSONS`` persons.  The caller
+formats the first range; every other range is formatted by a worker
+forked for it, which writes its bytes into a pipe that the caller reads
+in order, 64 KB a read, decoding each read.  The fork, pipe and
+reaping code is :func:`netpoverty.deprivation._forked`, which the
+dataset load and the axiom suite run on too.  With one range, or with
+other threads running, nothing is forked.  However the stream
 ends (done, failed, closed or dropped), every worker is reaped before
 the caller goes on; a failed worker raises :class:`WriteError`.  There
 is no option.  ``compute`` writes that text; :func:`run_report` and
@@ -61,6 +68,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import json
 import math
 import os
@@ -458,35 +466,162 @@ def stream_report(
     return _report_text(head, dataset.person_ids, counts, statuses.statuses, scores, tail)
 
 
-#: persons formatted per chunk of streamed report text
+#: persons formatted per chunk of streamed report text: on a shared 2-CPU
+#: VM the 100,000 x 5 benchmark report took 109.9 ms in one range at 1,024
+#: persons a chunk, 105.2 at 2,048, 104.4 at 3,072, 107.6 at 4,096 and 113.4
+#: at 8,192 (median of 21), and its compute child 325.3 ms at 4,096 against
+#: 335.2 at 2,048 (median of 30 pairs), peaking 1.1 MB higher
 _CHUNK_PERSONS = 4096
 #: fewest persons in a range of report text: forking and reaping a worker
-#: takes about 3 ms, a quarter of one chunk's text at d = 5; a report of up
-#: to two chunks and a person is one range
+#: beside the loaded benchmark input takes about 3.7 ms, near one chunk's
+#: text at d = 5; its first n persons took 20.1 ms in one range against 36.4
+#: in two at n = 16,384, 26.4 against 26.4 at 24,576, 35.8 against 33.2 at
+#: 32,768 and 54.9 against 47.7 at 49,152 (median of 31): two ranges pay
+#: from about 25,000 persons, so two ranges of this size are the fewest
+#: persons that fork
 _FORK_PERSONS = 16_384
+#: most bytes a chunk's record matrix may take: a chunk with wider rows (a
+#: long id, many dimensions) is formatted in halves, so that one long id
+#: costs about its own row rather than a chunk of rows as wide as it
+_MATRIX_BYTES = 1 << 23
+#: bytes a formatted float takes in a record's row, NULs included: the
+#: longest JSON text of a rounded double, ``-1.23456789012e-308``, is 19
+_FLOAT_FIELD = 24
+#: ``10.0 ** i`` for i from 0 to 15, every one exact
+_POWERS = (10 ** np.arange(16, dtype=np.int64)).astype(np.float64)
+#: the doubles nearest 10**e for e from -4 to 2: none is below the power it stands for
+_DECADES = np.array([1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0])
+
+
+@functools.cache  # built on first use, so importing the module builds nothing
+def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The 3-digit groups and the integer parts a float's text is made of, as NUL-padded words.
+
+    Group entry g (g < 1000) is g's three digits, entry 1000 + g the same
+    with its trailing zeros dropped, and entry 2000 is ``0``; each is 4
+    bytes, a ``uint32``.  Prefix entry i (i < 1000) is i's digits and the
+    point, entry 1000 + z is ``0.`` and z zeros; each is 8 bytes, a ``uint64``.
+    """
+    g = np.arange(1000)[:, None]
+    digits = g // np.array([100, 10, 1]) % 10 + ord("0")
+    groups = np.zeros((2001, 4), np.uint8)
+    groups[:1000, :3] = digits
+    groups[1000:2000, :3] = digits * (g % np.array([1000, 100, 10]) != 0)
+    groups[2000, 0] = ord("0")
+    prefixes = np.zeros((1004, 8), np.uint8)
+    # leading zeros dropped, the units digit kept
+    prefixes[:1000, :3] = digits * (g >= np.array([100, 10, 0]))
+    prefixes[:1000, 3] = ord(".")
+    prefixes[1000:, :2] = np.frombuffer(b"0.", np.uint8)
+    prefixes[1000:, 2:5] = (np.arange(3) < np.arange(4)[:, None]) * ord("0")
+    return groups.view(np.uint32).ravel(), prefixes.view(np.uint64).ravel()
 
 
 def _json_floats(values: np.ndarray) -> list[str]:
-    """Each value as ``json.dumps(_round12(v))`` writes it, by one ``%`` over all of them.
+    """Each value as ``json.dumps(_round12(v))`` writes it: ``repr(float("%.12g" % v))``."""
+    return [repr(_round12(v)) for v in values.tolist()]
 
-    That text is ``repr(float("%.12g" % v))``.  The ``%.12g`` text is
-    already it but where it has no ``.``, as 12 significant digits round
-    to a whole number, so within 5e-12 |v| of one; or where its exponent
-    form is not the repr: from 1e12 on, where every value is that near a
-    whole number, and for subnormals.  Only the texts of those values are
-    looked at again.
+
+def _float_fields(values: np.ndarray) -> np.ndarray:
+    """Each finite value's :func:`_json_floats` text as a row of ``_FLOAT_FIELD`` bytes.
+
+    The text's bytes lie in the row in order, with NULs between and after them.
+
+    A value v with 1e-4 <= v < 1e3 takes e = floor(log10 v) and
+    p = v * 10**(11 - e), whose one rounding errs by at most 2**-14, so
+    m = rint(p) is v's 12 significant digits wherever p is more than
+    2.5e-4 from a half-integer and e is right.  e is right, whatever
+    log10's error, where v is at least the double nearest 10**e (which is
+    at or above 10**e) and m < 10**12.  Its text is its integer part and
+    its four 3-digit groups after the point, each looked up in a table.
+    Every other value is written as m = 0 with e = -1, which reads
+    ``0.0``: right for +0.0, and for the rest (a near tie,
+    0.0 < v < 1e-4, v >= 1e3, -0.0, a negative) replaced by
+    :func:`_json_floats`' text, the definition.  Masks enter as 0/1
+    factors, not as selections, so no step branches on a value.
     """
-    texts = (("%.12g," * values.size) % tuple(values.tolist())).split(",")
-    del texts[-1]  # after the last comma
-    size = np.abs(values)
-    near = (np.abs(values - np.rint(values)) <= 1e-11 * size) | (size < sys.float_info.min)
-    for i in np.flatnonzero(near).tolist():
-        text = texts[i]
-        if "e" in text:
-            texts[i] = repr(float(text))
-        elif "." not in text:
-            texts[i] = text + ".0"
-    return texts
+    inside = (values >= 1e-4) & (values < 1e3)
+    e = np.clip(np.floor(np.log10(np.maximum(values, 1e-4))), -4, 2).astype(np.intp)
+    p = values * inside * _POWERS[11 - e]
+    m = np.rint(p)
+    exact = inside & (values >= _DECADES[e + 4]) & (m < 1e12)
+    exact &= np.abs(p - np.floor(p) - 0.5) > 2.5e-4
+    e = (e + 1) * exact - 1
+    # 12 digits after the point: v's own, then as many zeros as the integer part has
+    digits = (m * exact * _POWERS[np.maximum(e + 1, 0)]).astype(np.int64)
+    whole = digits // 10**12
+    rest = fraction = digits - whole * 10**12
+    groups, prefixes = _digit_tables()
+    words = np.empty((values.size, _FLOAT_FIELD // 4), np.uint32)
+    words.view(np.uint64)[:, 0] = prefixes[whole + (e < 0) * (999 - e)]
+    first = 1000 * (fraction == 0)  # a whole number's first group reads "0"
+    for column, power in enumerate([10**9, 10**6, 10**3, 1], start=2):
+        group = rest // power
+        rest = rest - group * power
+        words[:, column] = groups[group + 1000 * (rest == 0) + first]  # trailing zeros dropped
+        first = 0
+    fields = words.view(np.uint8)
+    other = ~exact & (values.view(np.int64) != 0)
+    if other.any():
+        texts = np.array(_json_floats(values[other]), f"S{_FLOAT_FIELD}")
+        fields[other] = texts.view(np.uint8).reshape(-1, _FLOAT_FIELD)
+    return fields
+
+
+#: a record's text around its fields, each record after the one before's ``,\n``
+_RECORD_HEAD = b',\n    {\n      "id": '
+_COUNT_HEAD = b',\n      "deprivation_count": '
+_POOR_HEAD = b',\n      "poor": '
+_SCORES_HEAD = b',\n      "scores": [\n        '
+_SCORE_SEP = b',\n        '
+_RECORD_TAIL = b"\n      ]\n    }"
+
+
+def _id_fields(ids) -> np.ndarray:
+    """Each id's JSON text as a row of bytes, NUL-padded: a ``range`` of ints, or the texts."""
+    if isinstance(ids, range):
+        power = 10 ** np.arange(len(str(ids[-1])) - 1, -1, -1, dtype=np.int64)
+        value = np.arange(ids.start, ids.stop, dtype=np.int64)[:, None]
+        return np.where(value < power, 0, value // power % 10 + ord("0")).astype(np.uint8)
+    widths = np.fromiter(map(len, ids), np.intp, len(ids))
+    fields = np.zeros((len(ids), widths.max()), np.uint8)
+    text = np.frombuffer("".join(ids).encode(), np.uint8)
+    fields[np.arange(fields.shape[1]) < widths[:, None]] = text
+    return fields
+
+
+def _records(ids, count_fields, poor, scores) -> bytearray:
+    """One chunk of per-person records as report text, each after a ``,\n``.
+
+    ``ids`` is a ``range`` of integer ids or a list of string ids' JSON
+    texts.  The chunk is one ``uint8`` matrix, a row a person, of the
+    template's bytes and the NUL-padded id, count, ``poor`` and score
+    fields; its bytes with the NULs deleted are the text.  A chunk whose
+    matrix would pass ``_MATRIX_BYTES`` is formatted in halves.
+    """
+    rows, d = scores.shape
+    id_width = len(str(ids[-1])) if isinstance(ids, range) else max(map(len, ids))
+    if rows > 1 and rows * (id_width + d * _FLOAT_FIELD) > _MATRIX_BYTES:
+        halves = slice(rows // 2), slice(rows // 2, rows)
+        return bytearray().join(
+            _records(ids[h], count_fields[h], poor[h], scores[h]) for h in halves
+        )
+    score_fields = _float_fields(scores.ravel()).reshape(rows, d, _FLOAT_FIELD)
+    poor_fields = (poor + ord("0")).astype(np.uint8)[:, None]
+    fields = [_id_fields(ids), count_fields, poor_fields, *score_fields.transpose(1, 0, 2)]
+    heads = [_RECORD_HEAD, _COUNT_HEAD, _POOR_HEAD, _SCORES_HEAD] + [_SCORE_SEP] * (d - 1)
+    # every row starts as the template, each field's place in it NUL; the
+    # matrix is a view of a bytearray, so its text takes no copy of it
+    template = b"".join(h + bytes(f.shape[1]) for h, f in zip(heads, fields)) + _RECORD_TAIL
+    buffer = bytearray(rows * len(template))
+    matrix = np.frombuffer(buffer, np.uint8).reshape(rows, -1)
+    matrix[:] = np.frombuffer(template, np.uint8)
+    at = 0
+    for head, field in zip(heads, fields):
+        at += len(head)
+        matrix[:, at : at + field.shape[1]] = field
+        at += field.shape[1]
+    return buffer.translate(None, b"\0")
 
 
 def _report_text(
@@ -497,45 +632,29 @@ def _report_text(
     The chunks fall into contiguous ranges of whole chunks, one per
     usable CPU, each of at least ``_FORK_PERSONS`` persons; every range
     after the first is formatted by a forked worker (see
-    :func:`netpoverty.deprivation._forked`).  With threads running, or one
+    :func:`netpoverty.deprivation._forked`), which sends its records'
+    bytes as :func:`_records` made them.  With threads running, or one
     range, nothing is forked.
     """
     yield json.dumps(head, indent=2)[:-2] + ',\n  "per_person": [\n'
-    n, d = scores.shape
-    record = (
-        '    {\n      "id": %s,\n      "deprivation_count": %s,\n      "poor": %d,\n'
-        '      "scores": [\n' + ",\n".join(["        %s"] * d) + "\n      ]\n    }"
-    )
-    width = d + 3
+    n = scores.shape[0]
+    ids = range(1, n + 1) if person_ids is None else person_ids
     # counts take at most 2**d values: format each distinct bit pattern once
     levels, level_of = np.unique(counts.view(np.int64), return_inverse=True)
-    level_text = np.array(_json_floats(levels.view(np.float64)), object)
+    level_fields = _float_fields(levels.view(np.float64))
 
-    def chunk(start: int) -> str:
-        stop = min(start + _CHUNK_PERSONS, n)
-        fields = [None] * ((stop - start) * width)
-        if person_ids is None:
-            fields[0::width] = range(start + 1, stop + 1)
-        else:
-            fields[0::width] = map(encode_basestring_ascii, person_ids[start:stop])
-        fields[1::width] = level_text[level_of[start:stop]].tolist()
-        fields[2::width] = statuses[start:stop].tolist()
-        block = scores[start:stop]
-        score_text = np.empty(block.shape, object)
-        score_text.fill("0.0")  # +0.0: the score of every undeprived cell
-        nonzero = block.view(np.int64) != 0
-        score_text[nonzero] = _json_floats(block[nonzero])
-        for j in range(d):
-            fields[3 + j :: width] = score_text[:, j].tolist()
-        text = ",\n".join([record] * (stop - start)) % tuple(fields)
-        return text if start == 0 else ",\n" + text
+    def chunk(start: int) -> bytearray:
+        rows = slice(start, start + _CHUNK_PERSONS)
+        texts = ids[rows] if person_ids is None else list(map(encode_basestring_ascii, ids[rows]))
+        text = _records(texts, level_fields[level_of[rows]], statuses[rows], scores[rows])
+        return text if start else text[2:]  # the first record follows no other
 
     starts = range(0, n, _CHUNK_PERSONS)
     ranges = _fork_count(n, _FORK_PERSONS)
     cuts = [len(starts) * i // ranges for i in range(ranges + 1)]
     parts = [map(chunk, starts[a:b]) for a, b in zip(cuts, cuts[1:])]
-    # a worker's range goes through its pipe as ASCII, read 64 KB at a time
-    yield from _forked([parts[0], *(map(str.encode, p) for p in parts[1:])], 1 << 16, bytes.decode)
+    # the text is ASCII: a worker's bytes are read 64 KB at a time, each read decoded
+    yield from _forked([map(bytearray.decode, parts[0]), *parts[1:]], 1 << 16, bytes.decode)
     yield "\n  ],\n" + json.dumps(tail, indent=2)[2:] + "\n"
 
 

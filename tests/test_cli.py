@@ -387,29 +387,29 @@ class TestEntry:
 
 
 #: ``compute`` with two usable CPUs on any runner; with ``fail`` first, the
-#: score formatter raises in every process but the one ``compute`` runs in;
-#: with ``stall``, once the stream has yielded its first chunk of persons, that
-#: process sleeps a minute in its next call to the formatter
+#: per-chunk record formatter raises in every process but the one ``compute``
+#: runs in; with ``stall``, once the stream has yielded its first chunk of
+#: persons, that process sleeps a minute in its next call to the formatter
 _LAUNCHER = """
 import os, sys, time
 os.sched_getaffinity = lambda pid: {0, 1}
 from netpoverty import cli, dataio
-parent, formatter, report_text, past = os.getpid(), dataio._json_floats, dataio._report_text, []
-def failing(values):
+parent, records, report_text, past = os.getpid(), dataio._records, dataio._report_text, []
+def failing(*args):
     if os.getpid() != parent:
         raise RuntimeError("worker fault")
-    return formatter(values)
-def stalling(values):
+    return records(*args)
+def stalling(*args):
     if past and os.getpid() == parent:
         time.sleep(60)
-    return formatter(values)
+    return records(*args)
 def marking(*args):
     for i, text in enumerate(report_text(*args)):
         yield text
         if i == 1:  # the head, then the first chunk of persons
             past.append(None)
 dataio._report_text = marking
-dataio._json_floats = {"ok": formatter, "fail": failing, "stall": stalling}[sys.argv[1]]
+dataio._records = {"ok": records, "fail": failing, "stall": stalling}[sys.argv[1]]
 sys.exit(cli.main(sys.argv[2:]))
 """
 
@@ -439,8 +439,8 @@ finally:
 
 
 def stop_past_the_first_chunk(monkeypatch, stop):
-    """Call ``stop()`` in this process's formatter once the first chunk of persons is out."""
-    formatter, report_text, past = dataio._json_floats, dataio._report_text, []
+    """Call ``stop()`` in this process's record formatter once the first chunk of persons is out."""
+    records, report_text, past = dataio._records, dataio._report_text, []
 
     def marking(*args):
         for i, text in enumerate(report_text(*args)):
@@ -448,13 +448,13 @@ def stop_past_the_first_chunk(monkeypatch, stop):
             if i == 1:  # the head, then the first chunk of persons
                 past.append(os.getpid())
 
-    def stopping(values):
+    def stopping(*args):
         if past == [os.getpid()]:
             stop()
-        return formatter(values)
+        return records(*args)
 
     monkeypatch.setattr(dataio, "_report_text", marking)
-    monkeypatch.setattr(dataio, "_json_floats", stopping)
+    monkeypatch.setattr(dataio, "_records", stopping)
 
 
 def launch_in_session(script, *args):

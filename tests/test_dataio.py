@@ -7,6 +7,7 @@ import struct
 import sys
 import threading
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -40,6 +41,7 @@ from netpoverty.config import _numbers, config_echo
 from netpoverty.dataio import (
     _CHUNK_PERSONS,
     _InDoubt,
+    _float_fields,
     _json_floats,
     _read_bulk,
     _read_checked,
@@ -654,16 +656,192 @@ class TestBatchedFormatter:
         assert_json_texts(values)
 
 
-def fail_in_workers(monkeypatch):
-    """Make the score formatter raise in every process but this one."""
-    parent, formatter = os.getpid(), dataio._json_floats
+def float_texts(values):
+    """Each value's text as :func:`_float_fields` writes it, its row with the NULs deleted."""
+    fields = _float_fields(np.array(values, dtype=float))
+    assert fields.shape == (len(values), dataio._FLOAT_FIELD)
+    return [row.tobytes().replace(b"\0", b"").decode("ascii") for row in fields]
 
-    def failing(values):
+
+def definition_texts(values):
+    return [repr(float(f"{v:.12g}")) for v in values]
+
+
+def ulps_around(values, ulps=1):
+    """``values`` and their neighbours up to ``ulps`` representable doubles away, both sides."""
+    values = np.asarray(values, dtype=float)
+    out, down, up = [values], values, values
+    for _ in range(ulps):
+        down, up = np.nextafter(down, -np.inf), np.nextafter(up, np.inf)
+        out += [down, up]
+    return np.concatenate(out).tolist()
+
+
+class TestFloatFields:
+    """``_float_fields`` writes ``repr(float("%.12g" % v))`` for every value, table path or not."""
+
+    def test_exact_twelve_digit_ties_and_neighbours(self):
+        # q / 2**(12 - e) with q odd has 13 significant digits ending in a 5
+        # whenever it lies in [10**e, 10**(e + 1)): an exact tie, rounded half even
+        ties = []
+        for e in range(-4, 3):
+            scale = 2.0 ** (12 - e)
+            q = np.arange(math.ceil(10.0**e * scale) | 1, 10.0 ** (e + 1) * scale, 2)
+            ties.append(q[:: max(1, q.size // 400)] / scale)
+        ties = np.concatenate(ties)
+        assert all(f"{v:.13g}".rstrip("0").endswith("5") for v in ties[:50])
+        values = ulps_around(ties, 2)
+        assert float_texts(values) == definition_texts(values)
+
+    def test_decimal_ties_and_neighbours(self):
+        # the doubles nearest to a 13-digit decimal ending in 5, in every decade the tables cover
+        rng = np.random.default_rng(31)
+        digits = rng.integers(10**11, 10**12, 5000)
+        exponent = rng.integers(-5, 4, digits.size)
+        ties = [float(f"{m}5e{x - 12}") for m, x in zip(digits.tolist(), exponent.tolist())]
+        values = ulps_around(ties, 2)
+        assert float_texts(values) == definition_texts(values)
+
+    def test_powers_of_ten_and_neighbours(self):
+        powers = np.array([10.0**k for k in range(-5, 4)])
+        # and where 12 digits below a power of ten stop rounding up to it
+        below = powers[:, None] * (1 - np.arange(1, 13) * 1e-13)
+        values = ulps_around(powers, 3) + ulps_around(below.ravel(), 1)
+        assert float_texts(values) == definition_texts(values)
+
+    def test_pinned_texts(self):
+        values = [0.1, 1.0, 1e3, 0.0, -0.0, 5e-324, 2.0, 123.0, 0.000123]
+        assert float_texts(values) == [
+            "0.1", "1.0", "1000.0", "0.0", "-0.0", "5e-324", "2.0", "123.0", "0.000123",
+        ]
+
+    def test_decades_are_at_or_above_their_powers(self):
+        # so v >= _DECADES[e + 4] shows 10**e <= v exactly
+        decades = zip(range(-4, 3), dataio._DECADES.tolist(), strict=True)
+        assert all(Fraction(x) >= Fraction(10) ** e for e, x in decades)
+
+    def test_powers_of_ten_take_the_tables(self, monkeypatch):
+        # a deprived dimension with no deprived neighbour scores 1.0 at alpha 0
+        monkeypatch.setattr(dataio, "_json_floats", None)
+        values = [1e-4, 1e-3, 0.01, 0.1, 1.0, 10.0, 100.0, 0.0, 2.5]
+        assert float_texts(values) == definition_texts(values)
+
+    def test_just_below_one_ten_thousandth(self):
+        values = ulps_around([1e-4], 4) + [9.99999999999995e-05, 9.9999999999999e-05, 9.9e-05]
+        assert float_texts(values) == definition_texts(values)
+
+    def test_every_path_in_one_call(self):
+        # table rows, "0.0" rows and definition rows interleaved in one matrix
+        values = [0.0, 0.5, -0.0, 5e-324, 1.000244140625, 7.5, 1e3, 2e-5, 0.333333333333333, 1e300]
+        assert float_texts(values * 3) == definition_texts(values * 3)
+
+    @settings(max_examples=500, deadline=None)
+    @given(values=st.lists(st.floats(0.0, 1e4), min_size=1, max_size=40))
+    def test_random_floats(self, values):
+        assert float_texts(values) == definition_texts(values)
+
+
+def assert_report_in_ranges(monkeypatch, forks, ds, cfg):
+    """The streamed report is the rendered reference, in one range and in two forced ranges."""
+    want = render_report(reference_report(ds, cfg, False))
+    usable_cpus(monkeypatch, 1)
+    assert "".join(stream_report(ds, cfg)) == want
+    assert forks == []
+    usable_cpus(monkeypatch, 2)
+    monkeypatch.setattr(dataio, "_FORK_PERSONS", 1)
+    assert "".join(stream_report(ds, cfg)) == want
+    assert len(forks) == min(ds.n, 2) - 1  # one person is one range
+    assert_reaped(forks)
+
+
+class TestRecordMatrix:
+    """Each chunk's records, built as one byte matrix, make the reference report's text."""
+
+    @pytest.fixture
+    def small_chunks(self, monkeypatch, forks):
+        monkeypatch.setattr(dataio, "_CHUNK_PERSONS", 16)
+        return forks
+
+    def test_escaped_and_plain_ids_in_one_chunk(self, monkeypatch, small_chunks):
+        ids = ["p1", 'a"b', "p2", "back\\slash", "bell\x07", "caf\u00e9", "", "\u2028", "p3"] * 5
+        ds, cfg = _golden_inputs(41, len(ids), 3, 1.0, 0.4, False, ids)
+        assert_report_in_ranges(monkeypatch, small_chunks, ds, cfg)
+
+    def test_plain_ids_of_one_width(self, monkeypatch, small_chunks):
+        ids = [f"p{i:06d}" for i in range(1, 61)]
+        ds, cfg = _golden_inputs(42, len(ids), 4, 1.0, 0.4, True, ids)
+        assert_report_in_ranges(monkeypatch, small_chunks, ds, cfg)
+
+    def test_no_id_column(self, monkeypatch, small_chunks):
+        ds, cfg = _golden_inputs(43, 150, 3, 2.0, 0.3, False, None)
+        assert_report_in_ranges(monkeypatch, small_chunks, ds, cfg)
+
+    @pytest.mark.parametrize("ids", [None, ("p", "q\n", "r")], ids=["integer-ids", "string-ids"])
+    @pytest.mark.parametrize("n", [1, _CHUNK_PERSONS - 1, _CHUNK_PERSONS, _CHUNK_PERSONS + 1])
+    def test_real_chunk_boundaries(self, monkeypatch, forks, n, ids):
+        if ids is not None:  # one id in three needs an escape
+            ids = [f"{ids[i % 3]}{i}" for i in range(n)]
+        ds, cfg = _golden_inputs(44, n, 3, 1.0, 0.4, False, ids)
+        assert_report_in_ranges(monkeypatch, forks, ds, cfg)
+
+    def test_one_id_much_longer_than_its_neighbours(self, monkeypatch, small_chunks):
+        ids = [f"p{i}" for i in range(50)]
+        ids[20] = "long id " * 500 + '"quoted"'
+        ds, cfg = _golden_inputs(45, len(ids), 3, 1.0, 0.4, False, ids)
+        assert_report_in_ranges(monkeypatch, small_chunks, ds, cfg)
+
+    def test_id_at_the_csv_field_limit_costs_about_its_own_row(self, monkeypatch, forks):
+        # at the real chunk size: were every row of its chunk padded to its width,
+        # the chunk's matrix alone would take half a gigabyte
+        ids = [f"p{i}" for i in range(_CHUNK_PERSONS)]
+        ids[5] = "x" * csv.field_size_limit()
+        ds, cfg = _golden_inputs(48, len(ids), 5, 1.0, 0.4, False, ids)
+        usable_cpus(monkeypatch, 1)
+        tracemalloc.start()
+        try:
+            text = "".join(stream_report(ds, cfg))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text == render_report(reference_report(ds, cfg, False))
+        assert peak < 4 * dataio._MATRIX_BYTES
+
+    def test_scores_at_or_above_1e3_and_below_1e_4(self, monkeypatch, small_chunks):
+        # weight d - 1 on a dimension every other one feeds, 1 / (d - 1) on each of the
+        # rest, which no other feeds: past 1e3 where most are deprived, below 1e-4 on a
+        # shallow gap of a light dimension
+        d = 600
+        w = np.full(d, 1.0 / (d - 1))
+        w[0] = d - 1.0
+        m = np.eye(d)
+        m[0] = 1.0
+        rng = np.random.default_rng(46)
+        z = np.full(d, 10.0)
+        deep = rng.random((40, d)) < 0.9
+        y = z * np.where(deep, rng.uniform(0, 0.05, (40, d)), 0.999)
+        y[::7] = 20.0  # nobody deprived: every score 0.0
+        cfg = MethodologyConfig(1.0, 0.3 * weighted_upper_bound(m, w), m, w, z)
+        ds = Dataset(AchievementMatrix(y), tuple(f"d{j}" for j in range(d)))
+        scores = deprivation_matrix(ds.achievements, z, m, 1.0, w).values
+        assert scores.max() >= 1e3 and 0 < scores[scores > 0].min() < 1e-4
+        assert_report_in_ranges(monkeypatch, small_chunks, ds, cfg)
+
+    @pytest.mark.parametrize("d", [2, 12])
+    def test_dimension_counts(self, monkeypatch, small_chunks, d):
+        ds, cfg = _golden_inputs(47 + d, 70, d, 0.5, 0.4, False, _TRICKY_IDS)
+        assert_report_in_ranges(monkeypatch, small_chunks, ds, cfg)
+
+
+def fail_in_workers(monkeypatch):
+    """Make the per-chunk record formatter raise in every process but this one."""
+    parent, records = os.getpid(), dataio._records
+
+    def failing(*args):
         if os.getpid() != parent:
             raise RuntimeError("worker fault")
-        return formatter(values)
+        return records(*args)
 
-    monkeypatch.setattr(dataio, "_json_floats", failing)
+    monkeypatch.setattr(dataio, "_records", failing)
 
 
 class TestForkedReport:
