@@ -31,7 +31,7 @@ def main() -> None:
     )
     print("dependence structure:")
     print(structure.entries)
-    print("symmetric:", structure.symmetric)
+    print("symmetric:", bool(np.array_equal(structure.entries, structure.entries.T)))
     for j, name in enumerate(["health", "education", "income"], start=1):
         print(f"connections of {name}: {sorted(npv.connections_of(structure, j))}")
     print("disconnected:", npv.is_disconnected(structure))

@@ -1,10 +1,15 @@
-"""Weights implied by a symmetric dependence structure.
+"""Weights implied by a dependence structure.
 
 Instead of ranking dimensions directly, one can specify pairwise
-connections and let the structure induce the weights.  The demo checks
-the coefficient identity that makes this reading valid, derives the
-implied weights, and shows they are not unique: different symmetric
-structures with the same column totals imply the same weights.
+connections and let the structure induce the weights.  At uniform
+weights each dimension's coefficient is its jump, so the measure is the
+classic weighted adjusted FGT with weights d * jump / upper and the
+cutoff scaled by d / upper, for a symmetric structure or not.  The demo
+derives the implied weights of both kinds, checks that equality on a
+small population, and shows the weights are not unique: different
+structures with the same column totals imply the same weights.  It also
+shows where symmetry still matters: the coefficient sum equals the
+weighted ceiling for every weight choice only then.
 """
 
 import os
@@ -43,6 +48,24 @@ def main() -> None:
     print("dimension 1 carries more weight: it is connected to both others")
 
     asym = npv.validate_dependence_structure([[1.0, 0.8], [0.0, 1.0]])
+    implied = npv.implied_weights(asym)
+    print("\nasymmetric structure:", asym.entries.tolist())
+    print("implied weights:", implied.weights.values, "sum:", implied.weights.values.sum())
+    cutoffs = [10.0, 10.0]
+    people = [[4.0, 12.0], [6.0, 3.0], [11.0, 9.0]]
+    k = 1.5
+    ours = npv.fgt_network_adjusted(people, cutoffs, asym, None, 1.0, k)
+    classic = npv.fgt_network_adjusted(
+        people,
+        cutoffs,
+        npv.DependenceStructure.identity(2),
+        implied.weights,
+        1.0,
+        asym.d * k / implied.upper,
+    )
+    print(f"M at k = {k}: {ours.value:.12g}")
+    print(f"classic M, implied weights and scaled k: {classic.value:.12g}")
+
     bad = npv.check_symmetric_consistency(asym, [1.5, 0.5])
     print(
         "\nasymmetric structure with non-uniform weights:",

@@ -23,11 +23,11 @@ _EXPORTS = {
     name: module
     for module, names in {
         "aggregation": "DecompositionResult FgtResult decompose_by_group fgt_naive "
-        "fgt_network_adjusted",
+        "fgt_network_adjusted fgt_via_coefficients",
         "axioms": "AXIOMS AxiomReport GeneratorSettings apply_bistochastic_average "
         "apply_rearrangement apply_simple_increment axiom_covered run_axiom_suite",
-        "bounds": "BoundsSummary attainable_scores bounds_summary dimension_jump "
-        "dimension_jumps lower_bound upper_bound weighted_upper_bound",
+        "bounds": "BoundsSummary attainable_scores bounds_summary dimension_jumps "
+        "lower_bound upper_bound weighted_upper_bound",
         "core": "AchievementMatrix CutoffVector DependenceStructure MethodologyConfig "
         "WeightVector connections_of is_disconnected validate_dependence_structure "
         "validate_weights",
@@ -36,9 +36,8 @@ _EXPORTS = {
         "deprivation": "DeprivationCounts DeprivationMatrix GapMatrix deprivation_counts "
         "deprivation_matrix deprivation_score gap_matrix gap_sensitivity normalized_gap",
         "identification": "PovertyStatusVector headcount_ratio identify",
-        "weights": "ImpliedWeights SymmetricConsistencyReport aggregation_coefficient "
-        "aggregation_coefficients check_symmetric_consistency fgt_via_coefficients "
-        "implied_weights",
+        "weights": "ImpliedWeights SymmetricConsistencyReport aggregation_coefficients "
+        "check_symmetric_consistency implied_weights",
     }.items()
     for name in names.split()
 }

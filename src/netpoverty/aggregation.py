@@ -221,6 +221,10 @@ def fgt_network_adjusted(
     return _aggregate(achievements, config)
 
 
+#: the same function: the benchmark's sweep-wide workload calls it by this name
+fgt_via_coefficients = fgt_network_adjusted
+
+
 def fgt_naive(
     achievements,
     cutoffs,

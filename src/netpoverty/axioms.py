@@ -68,7 +68,6 @@ from numpy.typing import NDArray
 from .aggregation import _coefficient_pass, decompose_by_group
 from .bounds import _ceiling, _column_sums
 from .core import (
-    SYMMETRY_TOL,
     AchievementMatrix,
     CutoffVector,
     DependenceStructure,
@@ -318,9 +317,8 @@ def _random_structure(
         m = np.triu(m, 1)
         m = m + m.T
     np.fill_diagonal(m, 1.0)
-    # entries in [0, 1] with a unit diagonal; a draw can be symmetric by chance
-    symmetric = bool(np.max(np.abs(m - m.T)) <= SYMMETRY_TOL)
-    return _adopted(DependenceStructure, entries=m, symmetric=symmetric)
+    # entries in [0, 1] with a unit diagonal: what the constructor would store
+    return _adopted(DependenceStructure, entries=m)
 
 
 def _random_weights(rng: np.random.Generator, d: int, uniform: bool) -> WeightVector:
@@ -645,7 +643,7 @@ def run_axiom_suite(
 
         parts = [map(packed, [share]) for share in range(shares)]
         try:
-            folds = array("d", b"".join(_forked(parts, 16 * len(counts))))
+            folds = array("d", b"".join(_forked(parts)))
         except Exception:  # every worker is reaped; the serial loop alone names errors
             pass
     if folds is None:

@@ -27,7 +27,6 @@ from .core import (
     _frozen_array,
     as_dependence_structure,
     as_weight_vector,
-    check_dimension_index,
 )
 from .errors import DimensionTooLargeForEnumeration
 
@@ -86,15 +85,8 @@ def lower_bound(structure: DependenceStructure) -> float:
     return float(np.min(dimension_jumps(structure)))
 
 
-def dimension_jump(structure: DependenceStructure, j: int) -> float:
-    """Increase in the unweighted count when dimension j (1-based) turns deprived."""
-    structure = as_dependence_structure(structure)
-    j = check_dimension_index(j, structure.d)
-    return float(dimension_jumps(structure)[j - 1])
-
-
 def dimension_jumps(structure: DependenceStructure) -> NDArray[np.float64]:
-    """All per-dimension jumps as an array."""
+    """Increase in the unweighted count when each dimension turns deprived, as an array."""
     return _jumps(_column_sums(as_dependence_structure(structure)))
 
 

@@ -120,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     command("bounds", _cmd_bounds, "count bounds, jumps, attainable levels")
-    command("implied-weights", _cmd_implied_weights, "weights implied by a symmetric structure")
+    command("implied-weights", _cmd_implied_weights, "weights implied by a structure")
 
     suite = command("axioms", _cmd_axioms, "run the axiom verification suite")
     suite.add_argument("--alpha", type=float, default=None, help="override alpha")

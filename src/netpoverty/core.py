@@ -51,10 +51,6 @@ from .errors import (
 #: the underlying model is exact.
 REL_TOL = 1e-9
 
-#: Structures are user-authored, so symmetry is expected to be exact up
-#: to representation noise.
-SYMMETRY_TOL = 1e-12
-
 
 def _real_array(values: ArrayLike, name: str, ndim: int, dtype=float) -> NDArray:
     """``values`` as a C-ordered ``ndim``-D array (one order for row sums); uncopied if so.
@@ -149,14 +145,9 @@ def _check_k(k: float, upper: float | None = None) -> float:
 
 @dataclass(frozen=True)
 class DependenceStructure:
-    """Validated d x d matrix of interdimensional effects.
-
-    ``symmetric`` is recorded at validation time (within
-    ``SYMMETRY_TOL``); implied-weight derivation requires it.
-    """
+    """Validated d x d matrix of interdimensional effects."""
 
     entries: NDArray[np.float64]
-    symmetric: bool = field(init=False)
 
     def __post_init__(self) -> None:
         m = _frozen_array(self.entries, "dependence structure", 2)
@@ -178,9 +169,7 @@ class DependenceStructure:
         if np.any(off > REL_TOL):
             j = int(np.argmax(off)) + 1
             raise DiagonalNotOne(f"diagonal entry ({j}, {j}) = {m[j - 1, j - 1]} != 1")
-        symmetric = bool(np.max(np.abs(m - m.T)) <= SYMMETRY_TOL)
         object.__setattr__(self, "entries", m)
-        object.__setattr__(self, "symmetric", symmetric)
 
     @property
     def d(self) -> int:
@@ -377,8 +366,8 @@ class MethodologyConfig:
 def as_dependence_structure(m) -> DependenceStructure:
     """Validate a raw square matrix as a dependence structure.
 
-    Checks entries in [0, 1] and a unit diagonal; records whether the
-    matrix is symmetric.  A structure passes through unchanged.
+    Checks entries in [0, 1] and a unit diagonal.  A structure passes
+    through unchanged.
     """
     return m if isinstance(m, DependenceStructure) else DependenceStructure(m)
 

@@ -52,7 +52,7 @@ person's row alone, so the chunks fall into contiguous ranges, one per
 usable CPU and each of at least ``_FORK_PERSONS`` persons.  The caller
 formats the first range; every other range is formatted by a worker
 forked for it, which writes its bytes into a pipe that the caller reads
-in order, 64 KB a read, decoding each read.  The fork, pipe and
+in order, up to 64 KB a read, decoding each read.  The fork, pipe and
 reaping code is :func:`netpoverty.deprivation._forked`, which the
 dataset load and the axiom suite run on too.  With one range, or with
 other threads running, nothing is forked.  However the stream
@@ -168,7 +168,9 @@ def load_dataset(path) -> Dataset:
         _reject_duplicates(path, ids, "person id")
     # both readers checked every cell, so the parsed buffer is frozen as the payload
     y = np.frombuffer(values).reshape(-1, len(names))
-    return Dataset(
+    # one id a row, each from a strict UTF-8 decode: no surrogate, so nothing to re-check
+    return _adopted(
+        Dataset,
         achievements=_adopted(AchievementMatrix, values=y),
         dimension_names=tuple(names),
         person_ids=None if ids is None else tuple(ids),
@@ -356,7 +358,7 @@ def _read_bulk(path) -> tuple[list[str], list[str] | None, array]:
             cuts.append(size)
             bounds = list(zip(cuts, cuts[1:]))
             parts = [map(parse, bounds[:1]), *(map(record, [b]) for b in bounds[1:])]
-            stream = _forked(parts, 1 << 16)
+            stream = _forked(parts)
             ids, values = next(stream)  # the first range, parsed here
             blob = b"".join(stream)  # each other range's record, in file order
         except (OSError, WriteError):  # a read, a fork or a worker failed
@@ -653,8 +655,8 @@ def _report_text(
     ranges = _fork_count(n, _FORK_PERSONS)
     cuts = [len(starts) * i // ranges for i in range(ranges + 1)]
     parts = [map(chunk, starts[a:b]) for a, b in zip(cuts, cuts[1:])]
-    # the text is ASCII: a worker's bytes are read 64 KB at a time, each read decoded
-    yield from _forked([map(bytearray.decode, parts[0]), *parts[1:]], 1 << 16, bytes.decode)
+    # the text is ASCII: each chunk, or each read of a worker's bytes, decodes alone
+    yield from (chunk.decode() for chunk in _forked(parts))
     yield "\n  ],\n" + json.dumps(tail, indent=2)[2:] + "\n"
 
 

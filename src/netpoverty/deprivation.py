@@ -348,15 +348,16 @@ def _fork_count(items: int, least: int) -> int:
     return max(1, min(_usable_cpus(), items // least))
 
 
-def _forked(parts: list, size: int, decode=None) -> Iterator:
+def _forked(parts: list) -> Iterator:
     """The items of ``parts[0]``, made here, then of each later part, made by a forked worker.
 
     Each worker makes its whole part, an iterable of bytes, then writes
     them one by one into its own pipe, and ends by ``os._exit`` alone: it
     never returns into the caller nor flushes an inherited buffer.  The
-    caller makes the first part meanwhile, then reads the pipes in order,
-    at most ``size`` bytes a read, each read passed through ``decode``
-    when given; a worker that exits other than 0 raises
+    caller makes the first part meanwhile, then reads the pipes in order.
+    A read asks for 4 KB, and twice the last size after one that filled
+    it, up to 64 KB, what a pipe holds: a pipe of a few hundred bytes
+    never costs a 64 KB buffer.  A worker that exits other than 0 raises
     :class:`WriteError`.  However the caller stops, it closes its read
     ends, kills every worker not yet reaped, and reaps them all.
     """
@@ -367,8 +368,11 @@ def _forked(parts: list, size: int, decode=None) -> Iterator:
         yield from parts[0]
         while workers:
             pid, fd = workers[0]
+            size = 1 << 12
             while data := os.read(fd, size):
-                yield data if decode is None else decode(data)
+                yield data
+                if len(data) == size:
+                    size = min(2 * size, 1 << 16)
             status = os.waitpid(pid, 0)[1]
             del workers[0]
             os.close(fd)

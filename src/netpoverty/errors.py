@@ -36,10 +36,6 @@ class DiagonalNotOne(ValidationError):
     """Dependence diagonal entry differs from 1."""
 
 
-class NotSymmetric(ValidationError):
-    """Operation requires a symmetric dependence structure."""
-
-
 # --- vectors and matrices ----------------------------------------------------
 
 

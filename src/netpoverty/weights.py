@@ -17,12 +17,15 @@ and ceiling once, on construction; every evaluation reads them from it.
 features, and the tests hold every evaluation to the score-form oracle
 in ``tests/oracles.py`` within 1e-12.
 
-When the structure is symmetric, the coefficients sum to the weighted
-count ceiling for every weight choice, so a symmetric structure with no
-explicit weights behaves exactly like a classic weighted measure.  The
-weights it implies are d * jump[j] / ceiling, which sum to d by
-construction.  Asymmetric structures admit no such reading; deriving
-implied weights from one is rejected rather than silently symmetrized.
+At uniform weights each coefficient is the dimension's jump, for every
+structure, so the measure with no explicit weights is a classic
+weighted one (Alkire and Foster's adjusted FGT): with the implied
+weights w* = d * jump / upper, which sum to d, and the cutoff
+k* = d * k / upper, every count is d / upper times the classic weighted
+count and M(m, k) = M_AF(w*, k*).  Structures with equal column sums
+imply the same weights, so the identification is not unique.  When the
+structure is symmetric, the coefficients also sum to the weighted count
+ceiling for every weight choice.
 """
 
 from __future__ import annotations
@@ -33,19 +36,14 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .aggregation import FgtResult, _aggregate
 from .bounds import dimension_jumps, upper_bound, weighted_upper_bound
 from .core import (
-    SYMMETRY_TOL,
     DependenceStructure,
-    MethodologyConfig,
     WeightVector,
     _coefficient_values,
     as_dependence_structure,
     as_weight_vector,
-    check_dimension_index,
 )
-from .errors import NotSymmetric
 
 #: band for the symmetric-structure coefficient identity
 CONSISTENCY_TOL = 1e-9
@@ -53,7 +51,7 @@ CONSISTENCY_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ImpliedWeights:
-    """Weights induced by a symmetric dependence structure."""
+    """Weights induced by a dependence structure."""
 
     weights: WeightVector
     source: DependenceStructure
@@ -77,48 +75,14 @@ def aggregation_coefficients(
     return _coefficient_values(structure, as_weight_vector(weights, structure.d).values)
 
 
-def aggregation_coefficient(
-    structure: DependenceStructure, weights: WeightVector | None, j: int
-) -> float:
-    """Coefficient of dimension j (1-based); positive for all valid inputs."""
-    structure = as_dependence_structure(structure)
-    j = check_dimension_index(j, structure.d)
-    return float(aggregation_coefficients(structure, weights)[j - 1])
-
-
-def fgt_via_coefficients(
-    achievements,
-    cutoffs,
-    structure: DependenceStructure,
-    weights: WeightVector | None,
-    alpha: float,
-    k: float,
-) -> FgtResult:
-    """:func:`netpoverty.aggregation.fgt_network_adjusted`'s evaluation under another label.
-
-    The same pass, labelled ``network_adjusted_coefficient_form``; it is
-    not a separate route.  Kept because the benchmark calls it by name.
-    """
-    config = MethodologyConfig(alpha, k, structure, weights, cutoffs)
-    return _aggregate(achievements, config, "network_adjusted_coefficient_form")
-
-
 def implied_weights(structure: DependenceStructure) -> ImpliedWeights:
-    """Weights a symmetric structure implies: d * jump[j] / upper bound.
+    """Weights a structure implies: d * jump[j] / upper bound, which sum to d.
 
-    The sum is d by construction.  Asymmetric input is rejected; the
-    coefficient identity behind this reading fails there, and silently
-    symmetrizing would hide a modeling error.
+    With them, and k scaled by d / upper, the classic weighted measure
+    equals this one at uniform weights, for every structure (see the
+    module docstring).
     """
     structure = as_dependence_structure(structure)
-    if not structure.symmetric:
-        m = structure.entries
-        mismatch = np.abs(m - m.T) > SYMMETRY_TOL
-        j, jp = (int(v) for v in np.argwhere(mismatch)[0])
-        raise NotSymmetric(
-            f"structure is asymmetric at ({j + 1}, {jp + 1}): "
-            f"{m[j, jp]} vs {m[jp, j]}"
-        )
     d = structure.d
     upper = upper_bound(structure)
     w = d * dimension_jumps(structure) / upper

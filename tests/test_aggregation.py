@@ -42,9 +42,7 @@ class TestNetworkAdjusted:
         assert result.value == pytest.approx(0.1, abs=1e-15)
         assert result.denominator == 5.0
         assert result.kind == "network_adjusted"
-        labelled = fgt_via_coefficients(WORKED_Y, WORKED_Z, WORKED_M, None, 1.0, 1.0)
-        assert labelled.value == pytest.approx(0.1, abs=1e-15)
-        assert labelled.kind == "network_adjusted_coefficient_form"
+        assert fgt_via_coefficients is fgt_network_adjusted  # the coefficient form's old name
 
     def test_everyone_at_cutoff_scores_zero_exactly(self, rng):
         from conftest import random_structure, random_weights
@@ -83,9 +81,8 @@ class TestNetworkAdjusted:
             k = float(rng.uniform(0.1, d))
             alpha = float(rng.choice([0.0, 0.5, 1.0, 2.0]))
             classic = classic_adjusted_fgt(y, z, None, alpha, k)
-            for fgt in (fgt_network_adjusted, fgt_via_coefficients):
-                ours = fgt(y, z, DependenceStructure.identity(d), None, alpha, k)
-                assert ours.value == pytest.approx(classic, abs=1e-12)
+            ours = fgt_network_adjusted(y, z, DependenceStructure.identity(d), None, alpha, k)
+            assert ours.value == pytest.approx(classic, abs=1e-12)
 
     def test_value_in_unit_interval_on_consistent_family(self, rng):
         from conftest import random_structure, random_weights

@@ -57,7 +57,7 @@ def one_record(report, **record):
 
 PROBES = {
     # errors that used to escape as ValueError or TypeError
-    "dimension-jump-str": (lambda: npv.dimension_jump(S, "x"), IndexOutOfRange),
+    "connections-of-str": (lambda: npv.connections_of(S, "x"), IndexOutOfRange),
     "settings-trials-str": (lambda: npv.GeneratorSettings(trials="x"), InvalidGeneratorSettings),
     "gap-sensitivity-none": (lambda: npv.gap_sensitivity(S, None, 1), IndexOutOfRange),
     "fgt-str-achievements": (
@@ -79,7 +79,7 @@ PROBES = {
     "normalized-gap-str": (lambda: npv.normalized_gap("a", 1, 1), NegativeAchievement),
     "weights-ragged": (lambda: npv.validate_weights([[1], [1, 1]], 2), ShapeMismatch),
     # input that used to be silently reinterpreted
-    "dimension-jump-float": (lambda: npv.dimension_jump(S, 1.7), IndexOutOfRange),
+    "connections-of-float": (lambda: npv.connections_of(S, 1.7), IndexOutOfRange),
     "settings-trials-float": (lambda: npv.GeneratorSettings(trials=2.5), InvalidGeneratorSettings),
     "identify-matrix": (lambda: npv.identify([[1, 2], [3, 4]], 1), ShapeMismatch),
     "identify-nan": (lambda: npv.identify([math.nan], 1), ValidationError),
@@ -334,7 +334,6 @@ def valid_calls(config_path: Path) -> dict:
         "PovertyStatusVector": (npv.PovertyStatusVector, [[0, 1], 1.0]),
         "SymmetricConsistencyReport": (npv.SymmetricConsistencyReport, [2.0, 2.0, True]),
         "WeightVector": (npv.WeightVector, [[1.0, 1.0, 1.0]]),
-        "aggregation_coefficient": (npv.aggregation_coefficient, [S, None, 1]),
         "aggregation_coefficients": (npv.aggregation_coefficients, [S, None]),
         "apply_bistochastic_average": (npv.apply_bistochastic_average, [Y, np.eye(3), STATUSES]),
         "apply_rearrangement": (npv.apply_rearrangement, [Y, 1, 3, [1], [1, 0, 1]]),
@@ -348,7 +347,6 @@ def valid_calls(config_path: Path) -> dict:
         "deprivation_counts": (npv.deprivation_counts, [Y, Z, S, None]),
         "deprivation_matrix": (npv.deprivation_matrix, [Y, Z, S, 1.0, None]),
         "deprivation_score": (npv.deprivation_score, [[0.5, 0.0, 0.2], S, 1]),
-        "dimension_jump": (npv.dimension_jump, [S, 1]),
         "dimension_jumps": (npv.dimension_jumps, [S]),
         "fgt_naive": (npv.fgt_naive, [Y, Z, S, 1.0, 1.0]),
         "fgt_network_adjusted": (npv.fgt_network_adjusted, [Y, Z, S, None, 1.0, 1.0]),

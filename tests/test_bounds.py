@@ -8,14 +8,13 @@ from netpoverty import (
     DependenceStructure,
     attainable_scores,
     bounds_summary,
-    dimension_jump,
     dimension_jumps,
     lower_bound,
     upper_bound,
     validate_dependence_structure,
     weighted_upper_bound,
 )
-from netpoverty.errors import DimensionTooLargeForEnumeration, IndexOutOfRange
+from netpoverty.errors import DimensionTooLargeForEnumeration
 
 ASYM = validate_dependence_structure([[1, 0.5, 0], [0.2, 1, 0.4], [0, 0, 1]])
 
@@ -56,20 +55,14 @@ class TestBruteForceOracle:
 
 class TestDimensionJump:
     def test_identity_jump_is_one(self):
-        for j in (1, 2, 3):
-            assert dimension_jump(DependenceStructure.identity(3), j) == 1.0
+        assert np.array_equal(dimension_jumps(DependenceStructure.identity(3)), np.ones(3))
 
     def test_column_sum_drives_jump(self):
         m = validate_dependence_structure([[1, 0.5], [0, 1]])
-        assert dimension_jump(m, 1) == 1.0
-        assert dimension_jump(m, 2) == 1.5
+        assert dimension_jumps(m).tolist() == [1.0, 1.5]
 
     def test_asymmetric_example(self):
-        assert dimension_jump(ASYM, 2) == pytest.approx(1.25, abs=1e-12)
-
-    def test_index_checked(self):
-        with pytest.raises(IndexOutOfRange):
-            dimension_jump(ASYM, 0)
+        assert dimension_jumps(ASYM)[1] == pytest.approx(1.25, abs=1e-12)
 
     def test_read_from_the_jump_array_bitwise(self, rng):
         from conftest import random_structure
@@ -83,10 +76,8 @@ class TestDimensionJump:
                 np.fill_diagonal(entries, 1.0)
                 m = DependenceStructure(entries)
             cols = [math.fsum(m.entries[:, j]) for j in range(d)]
-            jumps = dimension_jumps(m)
             assert lower_bound(m) == 1.0 + (min(cols) - 1.0) / (d - 1)
-            for j in range(1, d + 1):
-                assert dimension_jump(m, j) == jumps[j - 1]
+            assert lower_bound(m) == min(dimension_jumps(m))
 
 
 class TestWeightedUpperBound:

@@ -876,10 +876,15 @@ class TestImpliedWeights:
         assert payload["weights"] == [1.125, 0.9375, 0.9375]
         assert payload["d_bar"] == 4.0
 
-    def test_asymmetric_structure_exits_1(self, worked, capsys):
+    def test_asymmetric_structure_exits_0(self, worked, capsys):
+        # d * jump / upper: jumps 1 and 1.5 from the column sums, upper 2.5
         _, config = worked
-        assert main(["implied-weights", "--config", str(config)]) == 1
-        assert "asymmetric at" in capsys.readouterr().err
+        assert main(["implied-weights", "--config", str(config)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["weights"] == [0.8, 1.2]
+        assert sum(payload["weights"]) == 2.0
+        assert payload["deltas"] == [1.0, 1.5]
+        assert payload["d_bar"] == 2.5
 
 
 class TestAxioms:

@@ -38,7 +38,7 @@ def draw(rng):
     d = int(rng.integers(2, 6))
     n = int(rng.integers(1, 13))
     m = random_structure(rng, d)
-    while m.symmetric:
+    while np.array_equal(m.entries, m.entries.T):
         m = random_structure(rng, d)
     w = random_weights(rng, d)
     z = rng.uniform(0.5, 10, d)
