@@ -32,9 +32,9 @@ _EXPORTS = {
         "WeightVector connections_of is_disconnected validate_dependence_structure "
         "validate_weights",
         "config": "ConfigDocument load_config load_config_document resolve_methodology",
-        "dataio": "Dataset build_report load_dataset recompute_fgt_value run_report",
+        "dataio": "Dataset load_dataset recompute_fgt_value run_report",
         "deprivation": "DeprivationCounts DeprivationMatrix GapMatrix deprivation_counts "
-        "deprivation_matrix deprivation_score gap_matrix gap_sensitivity normalized_gap",
+        "deprivation_matrix deprivation_score gap_matrix gap_sensitivity",
         "identification": "PovertyStatusVector headcount_ratio identify",
         "weights": "ImpliedWeights SymmetricConsistencyReport aggregation_coefficients "
         "check_symmetric_consistency implied_weights",

@@ -139,10 +139,11 @@ class GeneratorSettings:
         )
         if trials < 1:
             raise InvalidGeneratorSettings(f"trials = {self.trials} must be >= 1")
-        if not 1 <= n_lo <= n_hi:
-            raise InvalidGeneratorSettings(f"bad n_range {self.n_range}")
-        if not 2 <= d_lo <= d_hi:
-            raise InvalidGeneratorSettings(f"bad d_range {self.d_range} (need d >= 2)")
+        # the sizes are drawn as int64
+        if not 1 <= n_lo <= n_hi < 2**63:
+            raise InvalidGeneratorSettings(f"bad n_range {self.n_range} (need 1 <= n < 2**63)")
+        if not 2 <= d_lo <= d_hi < 2**63:
+            raise InvalidGeneratorSettings(f"bad d_range {self.d_range} (need 2 <= d < 2**63)")
         if seed < 0:
             raise InvalidGeneratorSettings(f"seed = {self.seed} must be >= 0")
         object.__setattr__(self, "trials", trials)
@@ -301,13 +302,6 @@ def apply_rearrangement(
 # --- randomized instances -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Materials:
-    cfg: MethodologyConfig
-    y: NDArray[np.float64]
-    statuses: PovertyStatusVector
-
-
 def _random_structure(
     rng: np.random.Generator, d: int, symmetric: bool
 ) -> DependenceStructure:
@@ -348,7 +342,8 @@ def _draw_materials(
     min_n: int = 1,
     need_non_deprived: bool = False,
     need_material_gap: bool = False,
-) -> _Materials:
+) -> tuple[MethodologyConfig, NDArray[np.float64], PovertyStatusVector]:
+    """A methodology, a population and its statuses that meet a trial's preconditions."""
     n_lo, n_hi = settings.n_range
     n_lo = max(n_lo, min_n, min_poor + min_non_poor)
     if n_lo > n_hi:
@@ -396,7 +391,7 @@ def _draw_materials(
             continue
         if need_material_gap and _material_cells(y, cfg, statuses).shape[0] == 0:
             continue
-        return _Materials(cfg=cfg, y=y, statuses=statuses)
+        return cfg, y, statuses
     raise InvalidGeneratorSettings(
         "could not draw an instance satisfying the axiom's preconditions"
     )
@@ -448,80 +443,80 @@ def _change(cfg: MethodologyConfig, before, after) -> float:
 
 
 def _trial_decomposability(rng, pinned, alpha, settings) -> float:
-    mats = _draw_materials(rng, pinned, alpha, settings, min_n=2)
-    n = mats.y.shape[0]
+    cfg, y, _ = _draw_materials(rng, pinned, alpha, settings, min_n=2)
+    n = y.shape[0]
     labels = rng.integers(0, 2, n)
     labels[0], labels[-1] = 0, 1  # both groups nonempty
-    result = decompose_by_group(mats.y, labels.tolist(), mats.cfg)
+    result = decompose_by_group(y, labels.tolist(), cfg)
     return result.recombination_error - TOL
 
 
 def _trial_replication(rng, pinned, alpha, settings) -> float:
-    mats = _draw_materials(rng, pinned, alpha, settings)
+    cfg, y, _ = _draw_materials(rng, pinned, alpha, settings)
     m = int(rng.integers(2, 5))
-    return abs(_change(mats.cfg, mats.y, np.tile(mats.y, (m, 1)))) - TOL
+    return abs(_change(cfg, y, np.tile(y, (m, 1)))) - TOL
 
 
 def _trial_symmetry(rng, pinned, alpha, settings) -> float:
-    mats = _draw_materials(rng, pinned, alpha, settings)
-    perm = rng.permutation(mats.y.shape[0])
-    return abs(_change(mats.cfg, mats.y, mats.y[perm]))
+    cfg, y, _ = _draw_materials(rng, pinned, alpha, settings)
+    perm = rng.permutation(y.shape[0])
+    return abs(_change(cfg, y, y[perm]))
 
 
-def _focus_defect(rng, mats: _Materials, i: int, j: int, label: str) -> float:
+def _focus_defect(rng, cfg, y, i: int, j: int, label: str) -> float:
     """Raise cell (i, j) (0-based), which must carry ``label``: no change allowed."""
-    amount = rng.uniform(0.01, 1.0) * mats.cfg.cutoffs.values[j]
-    after, labels = apply_simple_increment(mats.y, i + 1, j + 1, amount, mats.cfg)
+    amount = rng.uniform(0.01, 1.0) * cfg.cutoffs.values[j]
+    after, labels = apply_simple_increment(y, i + 1, j + 1, amount, cfg)
     assert label in labels
-    return abs(_change(mats.cfg, mats.y, after))
+    return abs(_change(cfg, y, after))
 
 
 def _trial_poverty_focus(rng, pinned, alpha, settings) -> float:
-    mats = _draw_materials(rng, pinned, alpha, settings, min_non_poor=1)
-    i = int(_pick(rng, np.flatnonzero(mats.statuses.statuses == 0)))
-    j = int(rng.integers(0, mats.cfg.d))
-    return _focus_defect(rng, mats, i, j, AMONG_NON_POOR)
+    cfg, y, statuses = _draw_materials(rng, pinned, alpha, settings, min_non_poor=1)
+    i = int(_pick(rng, np.flatnonzero(statuses.statuses == 0)))
+    j = int(rng.integers(0, cfg.d))
+    return _focus_defect(rng, cfg, y, i, j, AMONG_NON_POOR)
 
 
 def _trial_deprivation_focus(rng, pinned, alpha, settings) -> float:
-    mats = _draw_materials(rng, pinned, alpha, settings, need_non_deprived=True)
-    cells = np.argwhere(mats.y > mats.cfg.cutoffs.values)
+    cfg, y, _ = _draw_materials(rng, pinned, alpha, settings, need_non_deprived=True)
+    cells = np.argwhere(y > cfg.cutoffs.values)
     i, j = (int(v) for v in _pick(rng, cells))
-    return _focus_defect(rng, mats, i, j, AMONG_NON_DEPRIVED)
+    return _focus_defect(rng, cfg, y, i, j, AMONG_NON_DEPRIVED)
 
 
 def _trial_weak_monotonicity(rng, pinned, alpha, settings) -> float:
-    mats = _draw_materials(rng, pinned, alpha, settings)
-    i = int(rng.integers(0, mats.y.shape[0]))
-    j = int(rng.integers(0, mats.cfg.d))
-    amount = rng.uniform(0.01, 2.0) * mats.cfg.cutoffs.values[j]
-    after, _ = apply_simple_increment(mats.y, i + 1, j + 1, amount, mats.cfg)
-    return _change(mats.cfg, mats.y, after)
+    cfg, y, _ = _draw_materials(rng, pinned, alpha, settings)
+    i = int(rng.integers(0, y.shape[0]))
+    j = int(rng.integers(0, cfg.d))
+    amount = rng.uniform(0.01, 2.0) * cfg.cutoffs.values[j]
+    after, _ = apply_simple_increment(y, i + 1, j + 1, amount, cfg)
+    return _change(cfg, y, after)
 
 
 def _trial_monotonicity(rng, pinned, alpha, settings, label=DEPRIVED_AMONG_POOR) -> float:
     """Strict decrease; a dimensional increment always clears the cutoff."""
-    mats = _draw_materials(
+    cfg, y, statuses = _draw_materials(
         rng, pinned, alpha, settings, min_poor=1, need_material_gap=True
     )
-    i, j = (int(v) for v in _pick(rng, _material_cells(mats.y, mats.cfg, mats.statuses)))
-    z_j = mats.cfg.cutoffs.values[j]
-    room = z_j - mats.y[i, j]
+    i, j = (int(v) for v in _pick(rng, _material_cells(y, cfg, statuses)))
+    z_j = cfg.cutoffs.values[j]
+    room = z_j - y[i, j]
     if label == DEPRIVED_AMONG_POOR and rng.random() < 0.5:
         amount = rng.uniform(0.1, 0.9) * room  # stays deprived
     else:
         amount = room + rng.uniform(0.05, 0.5) * z_j  # clears the cutoff
-    after, labels = apply_simple_increment(mats.y, i + 1, j + 1, amount, mats.cfg)
+    after, labels = apply_simple_increment(y, i + 1, j + 1, amount, cfg)
     assert label in labels
-    return _change(mats.cfg, mats.y, after) + TOL
+    return _change(cfg, y, after) + TOL
 
 
 def _boundary_values(rng, pinned, alpha, settings) -> tuple[float, float]:
-    mats = _draw_materials(rng, pinned, alpha, settings, restricted=True)
-    n = mats.y.shape[0]
-    z = mats.cfg.cutoffs.values
-    v0 = _evaluate(mats.cfg, np.zeros_like(mats.y))[0]
-    vz = _evaluate(mats.cfg, np.tile(z, (n, 1)))[0]
+    cfg, y, _ = _draw_materials(rng, pinned, alpha, settings, restricted=True)
+    n = y.shape[0]
+    z = cfg.cutoffs.values
+    v0 = _evaluate(cfg, np.zeros_like(y))[0]
+    vz = _evaluate(cfg, np.tile(z, (n, 1)))[0]
     return v0, vz
 
 
@@ -536,41 +531,40 @@ def _trial_normalization(rng, pinned, alpha, settings) -> float:
 
 
 def _trial_weak_transfer(rng, pinned, alpha, settings) -> float:
-    mats = _draw_materials(rng, pinned, alpha, settings, min_poor=2)
-    n = mats.y.shape[0]
-    poor = np.flatnonzero(mats.statuses.statuses == 1)
+    cfg, y, statuses = _draw_materials(rng, pinned, alpha, settings, min_poor=2)
+    n = y.shape[0]
+    poor = np.flatnonzero(statuses.statuses == 1)
     mixing = np.zeros((n, n))
-    keep = np.flatnonzero(mats.statuses.statuses == 0)
+    keep = np.flatnonzero(statuses.statuses == 0)
     mixing[keep, keep] = 1.0
     lams = rng.random(int(rng.integers(2, 5))) + 0.1
     lams = lams / np.sum(lams)
     for lam in lams:
         perm = rng.permutation(poor.shape[0])
         mixing[poor, poor[perm]] += lam
-    after = apply_bistochastic_average(mats.y, mixing, mats.statuses)
-    return _change(mats.cfg, mats.y, after) - TOL
+    after = apply_bistochastic_average(y, mixing, statuses)
+    return _change(cfg, y, after) - TOL
 
 
 def _trial_weak_rearrangement(rng, pinned, alpha, settings) -> float:
     for _ in range(_MAX_ATTEMPTS):
-        mats = _draw_materials(rng, pinned, alpha, settings, min_poor=1, min_n=2)
-        i = int(_pick(rng, np.flatnonzero(mats.statuses.statuses == 1)))
-        if int(np.sum(mats.y[i] > 0.0)) >= 2:
+        cfg, y, statuses = _draw_materials(rng, pinned, alpha, settings, min_poor=1, min_n=2)
+        i = int(_pick(rng, np.flatnonzero(statuses.statuses == 1)))
+        if int(np.sum(y[i] > 0.0)) >= 2:
             break
     else:
         raise InvalidGeneratorSettings("no poor person with two positive achievements")
-    others = np.delete(np.arange(mats.y.shape[0]), i)
+    others = np.delete(np.arange(y.shape[0]), i)
     i2 = int(_pick(rng, others))
 
     # forge a strictly dominated companion; domination keeps them poor
-    cfg = mats.cfg
-    forged = np.array(mats.y, copy=True)
-    forged[i2] = mats.y[i] * rng.uniform(0.2, 0.95, cfg.d)
+    forged = np.array(y, copy=True)
+    forged[i2] = y[i] * rng.uniform(0.2, 0.95, cfg.d)
     before, statuses = _evaluate(cfg, forged)
     assert statuses.statuses[i] == 1 and statuses.statuses[i2] == 1
 
     # split the strictly ordered dimensions across the swap boundary
-    positive = np.flatnonzero(mats.y[i] > 0.0)
+    positive = np.flatnonzero(y[i] > 0.0)
     inside, outside = (int(v) for v in rng.permutation(positive)[:2])
     swap = {inside + 1}
     for j in range(cfg.d):

@@ -285,7 +285,10 @@ class WeightVector:
         if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
             j = int(np.argmin(w)) + 1
             raise NonPositiveWeight(f"weight {j} = {w[j - 1]} must be a positive real")
-        total = math.fsum(w)
+        try:
+            total = math.fsum(w)
+        except OverflowError:  # finite weights whose sum passes the largest double
+            total = math.inf
         if abs(total - d) > REL_TOL * d:
             raise SumNotD(f"weights sum to {total}, expected {d}")
         if np.any(w >= d):

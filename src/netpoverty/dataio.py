@@ -41,7 +41,8 @@ Every report comes from :func:`stream_report`: every check and all
 numeric work run first, then the text is produced a few thousand
 persons at a time, with no report dict.  Each chunk of persons is one
 ``uint8`` matrix, a row a person, holding the record template's bytes
-and the id, count, ``poor`` and score fields, each NUL-padded; the
+and the id, count, ``poor`` and score fields, each NUL-padded (an id
+is its JSON text: a dataset without ids numbers its persons from 1); the
 matrix's bytes with the NULs deleted are the chunk's text, and a chunk
 whose matrix would pass ``_MATRIX_BYTES`` is built in halves.  A float's
 text is written from its 12 significant digits by integer arithmetic
@@ -58,10 +59,10 @@ dataset load and the axiom suite run on too.  With one range, or with
 other threads running, nothing is forked.  However the stream
 ends (done, failed, closed or dropped), every worker is reaped before
 the caller goes on; a failed worker raises :class:`WriteError`.  There
-is no option.  ``compute`` writes that text; :func:`run_report` and
-:func:`build_report` also parse it, so their dict is the streamed text
-read back.  The reference the text is tested against is built apart,
-in the tests, from the public counts, statuses, scores and bounds.
+is no option.  ``compute`` writes that text; :func:`run_report` also
+parses it, so its dict is the streamed text read back.  The reference
+the text is tested against is built apart, in the tests, from the
+public counts, statuses, scores and bounds.
 """
 
 from __future__ import annotations
@@ -422,13 +423,6 @@ def _bounds_fields(summary: BoundsSummary) -> dict:
     }
 
 
-def build_report(
-    dataset: Dataset, config: MethodologyConfig, diagnostic_naive: bool = False
-) -> dict:
-    """The report dict, keys in their documented order: :func:`stream_report`'s text, parsed."""
-    return run_report(dataset, config, None, diagnostic_naive)
-
-
 def render_report(report) -> str:
     """A report, or any JSON payload, as indented JSON ending in a newline."""
     return json.dumps(report, indent=2) + "\n"
@@ -579,12 +573,8 @@ _SCORE_SEP = b',\n        '
 _RECORD_TAIL = b"\n      ]\n    }"
 
 
-def _id_fields(ids) -> np.ndarray:
-    """Each id's JSON text as a row of bytes, NUL-padded: a ``range`` of ints, or the texts."""
-    if isinstance(ids, range):
-        power = 10 ** np.arange(len(str(ids[-1])) - 1, -1, -1, dtype=np.int64)
-        value = np.arange(ids.start, ids.stop, dtype=np.int64)[:, None]
-        return np.where(value < power, 0, value // power % 10 + ord("0")).astype(np.uint8)
+def _id_fields(ids: list[str]) -> np.ndarray:
+    """Each id's JSON text as a row of bytes, NUL-padded."""
     widths = np.fromiter(map(len, ids), np.intp, len(ids))
     fields = np.zeros((len(ids), widths.max()), np.uint8)
     text = np.frombuffer("".join(ids).encode(), np.uint8)
@@ -595,15 +585,14 @@ def _id_fields(ids) -> np.ndarray:
 def _records(ids, count_fields, poor, scores) -> bytearray:
     """One chunk of per-person records as report text, each after a ``,\n``.
 
-    ``ids`` is a ``range`` of integer ids or a list of string ids' JSON
-    texts.  The chunk is one ``uint8`` matrix, a row a person, of the
-    template's bytes and the NUL-padded id, count, ``poor`` and score
-    fields; its bytes with the NULs deleted are the text.  A chunk whose
-    matrix would pass ``_MATRIX_BYTES`` is formatted in halves.
+    ``ids`` is a list of the ids' JSON texts.  The chunk is one ``uint8``
+    matrix, a row a person, of the template's bytes and the NUL-padded id,
+    count, ``poor`` and score fields; its bytes with the NULs deleted are
+    the text.  A chunk whose matrix would pass ``_MATRIX_BYTES`` is
+    formatted in halves.
     """
     rows, d = scores.shape
-    id_width = len(str(ids[-1])) if isinstance(ids, range) else max(map(len, ids))
-    if rows > 1 and rows * (id_width + d * _FLOAT_FIELD) > _MATRIX_BYTES:
+    if rows > 1 and rows * (max(map(len, ids)) + d * _FLOAT_FIELD) > _MATRIX_BYTES:
         halves = slice(rows // 2), slice(rows // 2, rows)
         return bytearray().join(
             _records(ids[h], count_fields[h], poor[h], scores[h]) for h in halves
@@ -641,13 +630,14 @@ def _report_text(
     yield json.dumps(head, indent=2)[:-2] + ',\n  "per_person": [\n'
     n = scores.shape[0]
     ids = range(1, n + 1) if person_ids is None else person_ids
+    encode = str if person_ids is None else encode_basestring_ascii  # ints, or quoted text
     # counts take at most 2**d values: format each distinct bit pattern once
     levels, level_of = np.unique(counts.view(np.int64), return_inverse=True)
     level_fields = _float_fields(levels.view(np.float64))
 
     def chunk(start: int) -> bytearray:
         rows = slice(start, start + _CHUNK_PERSONS)
-        texts = ids[rows] if person_ids is None else list(map(encode_basestring_ascii, ids[rows]))
+        texts = list(map(encode, ids[rows]))
         text = _records(texts, level_fields[level_of[rows]], statuses[rows], scores[rows])
         return text if start else text[2:]  # the first record follows no other
 

@@ -39,7 +39,6 @@ alpha numpy's ``power`` follows the CPU's SIMD dispatch.
 
 from __future__ import annotations
 
-import math
 import os
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -55,19 +54,12 @@ from .core import (
     _check_alpha,
     _coefficient_values,
     _frozen_array,
-    _real,
     as_cutoff_vector,
     as_dependence_structure,
     as_weight_vector,
     check_dimension_index,
 )
-from .errors import (
-    NegativeAchievement,
-    NonPositiveCutoff,
-    ShapeMismatch,
-    ValidationError,
-    WriteError,
-)
+from .errors import ShapeMismatch, ValidationError, WriteError
 
 # cells per row block of a blocked pass: 256 KB of doubles, so a block stays in L2;
 # _row_sums's tiles of cutoffs and of coefficients take half as many each, so the
@@ -121,23 +113,6 @@ class DeprivationCounts:
     @property
     def n(self) -> int:
         return self.values.shape[0]
-
-
-def normalized_gap(y: float, z: float, alpha: float) -> float:
-    """Normalized deprivation gap of a single achievement.
-
-    Returns ((z - y) / z) ** alpha when y < z, else 0.  alpha = 0 gives
-    the deprivation indicator (0 at y = z).  Bit for bit :func:`gap_matrix`'s
-    cell, as both take numpy's ``power``, which may round unlike Python's ``**``.
-    """
-    alpha = _check_alpha(alpha)
-    z = _real(z, NonPositiveCutoff, "cutoff")
-    y = _real(y, NegativeAchievement, "achievement")
-    if not math.isfinite(z) or z <= 0.0:
-        raise NonPositiveCutoff(f"cutoff {z} must be a positive real")
-    if not math.isfinite(y) or y < 0.0:
-        raise NegativeAchievement(f"achievement {y} must be a nonnegative real")
-    return float(_gaps(np.array([y]), z, alpha, np.empty(1))[0])
 
 
 def _gaps(y, z, alpha: float, out: NDArray[np.float64]) -> NDArray[np.float64]:

@@ -33,8 +33,8 @@ class PovertyStatusVector:
 
 
 def _k_band(k: float) -> float:
-    """How far a count may lie below k and still reach it: 1e-12 * max(1, k)."""
-    return 1e-12 * max(1.0, k)
+    """How far a count may lie below k and still reach it: 1e-12 * max(1, k), at most k / 2."""
+    return min(1e-12 * max(1.0, k), 0.5 * k)
 
 
 def _identify(values: NDArray[np.float64], k: float) -> PovertyStatusVector:
@@ -49,7 +49,7 @@ def _identify(values: NDArray[np.float64], k: float) -> PovertyStatusVector:
 def identify(
     counts: DeprivationCounts, k: float, upper: float | None = None
 ) -> PovertyStatusVector:
-    """Mark person i poor when count_i >= k - 1e-12 * max(1, k).
+    """Mark person i poor when count_i >= k - min(1e-12 * max(1, k), k / 2).
 
     k must be positive; pass the methodology's count ceiling, a positive
     real, as ``upper`` to reject k beyond it.  A count on the boundary is poor.  The band
@@ -59,6 +59,7 @@ def identify(
     structures or uniform weights) is an ``fsum`` over column sums, and
     the two can differ in the last bits.  Distinct count levels from
     inputs of a few decimal digits lie far further apart than the band.
+    The band is at most k / 2, so a count of 0 never reaches a positive k.
     """
     if not isinstance(counts, DeprivationCounts):
         counts = DeprivationCounts(counts)

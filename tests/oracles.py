@@ -77,8 +77,8 @@ def pattern_counts(m, w=None):
 
 
 def is_poor(count_, k):
-    """Dual-cutoff identification: poor when the count reaches k - 1e-12 * max(1, k)."""
-    return count_ >= k - 1e-12 * max(1.0, k)
+    """Dual-cutoff identification: poor when the count reaches k - min(1e-12 * max(1, k), k / 2)."""
+    return count_ >= k - min(1e-12 * max(1.0, k), 0.5 * k)
 
 
 def d_tilde(m, w=None):

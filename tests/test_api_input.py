@@ -14,6 +14,7 @@ import os
 from pathlib import Path
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -29,9 +30,9 @@ from netpoverty.errors import (
     NegativeAchievement,
     NetpovertyError,
     NonPositiveAmount,
-    NonPositiveCutoff,
     NotBistochastic,
     ShapeMismatch,
+    SumNotD,
     ValidationError,
 )
 
@@ -41,9 +42,9 @@ Z = [10.0, 10.0, 10.0]
 Y = [[1.0, 12.0, 3.0], [11.0, 12.0, 13.0], [2.0, 2.0, 2.0]]
 CFG = npv.MethodologyConfig(1.0, 1.0, S, None, Z)
 STATUSES = npv.identify(npv.deprivation_counts(Y, Z, S), 1.0)
-REPORT = npv.build_report(npv.Dataset(npv.AchievementMatrix(Y), ("a", "b", "c")), CFG)
+REPORT = npv.run_report(npv.Dataset(npv.AchievementMatrix(Y), ("a", "b", "c")), CFG)
 # d = 2, identity structure, uniform weights: the ceiling is 2
-REPORT2 = npv.build_report(
+REPORT2 = npv.run_report(
     npv.Dataset(npv.AchievementMatrix([[5.0, 10.0]]), ("a", "b")),
     npv.MethodologyConfig(1.0, 1.0, np.eye(2), None, [10.0, 10.0]),
 )
@@ -76,7 +77,6 @@ PROBES = {
         lambda: npv.deprivation_score([2.0, -1.0, 0.0], S, 1),
         ValidationError,
     ),
-    "normalized-gap-str": (lambda: npv.normalized_gap("a", 1, 1), NegativeAchievement),
     "weights-ragged": (lambda: npv.validate_weights([[1], [1, 1]], 2), ShapeMismatch),
     # input that used to be silently reinterpreted
     "connections-of-float": (lambda: npv.connections_of(S, 1.7), IndexOutOfRange),
@@ -137,15 +137,6 @@ PROBES = {
         lambda: npv.DependenceStructure(np.array([[1.0, "0.5"], [0.0, 1.0]], dtype=object)),
         ShapeMismatch,
     ),
-    "normalized-gap-underscore": (
-        lambda: npv.normalized_gap("1_000", "2000", 1),
-        NonPositiveCutoff,
-    ),
-    "normalized-gap-str-achievement": (
-        lambda: npv.normalized_gap("1_000", 2000, 1),
-        NegativeAchievement,
-    ),
-    "normalized-gap-bytes-alpha": (lambda: npv.normalized_gap(1, 2, b"1"), InvalidAlpha),
     "fgt-str-alpha": (
         lambda: npv.fgt_network_adjusted(Y, Z, S, None, "1", 1.0),
         InvalidAlpha,
@@ -256,9 +247,19 @@ PROBES = {
         EntryOutOfRange,
     ),
     "weights-empty": (lambda: npv.WeightVector([]), ShapeMismatch),
-    "normalized-gap-negative": (lambda: npv.normalized_gap(-1, 1, 1), NegativeAchievement),
+    # positive, finite weights whose sum passes the largest double
+    "weights-sum-overflows": (lambda: npv.validate_weights([1e308, 1e308], 2), SumNotD),
     "settings-range-reversed": (
         lambda: npv.GeneratorSettings(n_range=(3, 2)),
+        InvalidGeneratorSettings,
+    ),
+    # the sizes are drawn as int64
+    "settings-n-range-past-int64": (
+        lambda: npv.GeneratorSettings(n_range=(2, 2**63)),
+        InvalidGeneratorSettings,
+    ),
+    "settings-d-range-past-int64": (
+        lambda: npv.GeneratorSettings(d_range=(2, 2**63)),
         InvalidGeneratorSettings,
     ),
     # a pair axiom draws two persons at least
@@ -292,8 +293,10 @@ PROBE_MESSAGES = {
     "increment-d-mismatch": "achievements have d = 2, config has d = 3",
     "structure-nan": "dependence entries must be finite",
     "weights-empty": "weight vector is empty",
-    "normalized-gap-negative": "achievement -1.0 must be a nonnegative real",
+    "weights-sum-overflows": "weights sum to inf, expected 2",
     "settings-range-reversed": "bad n_range (3, 2)",
+    "settings-n-range-past-int64": "bad n_range (2, 9223372036854775808)",
+    "settings-d-range-past-int64": "bad d_range (2, 9223372036854775808)",
     "suite-one-person": "n_range (1, 1) cannot host 2 persons",
     "bistochastic-columns": "column sums differ from 1",
 }
@@ -359,7 +362,6 @@ def valid_calls(config_path: Path) -> dict:
         "is_disconnected": (npv.is_disconnected, [S]),
         "load_config": (npv.load_config, [config_path, 1.0, None, 0.5]),
         "lower_bound": (npv.lower_bound, [S]),
-        "normalized_gap": (npv.normalized_gap, [1.0, 2.0, 1.0]),
         "resolve_methodology": (npv.resolve_methodology, [doc, 1.0, None, 0.5]),
         "run_axiom_suite": (npv.run_axiom_suite, [1.0, suite]),
         "upper_bound": (npv.upper_bound, [S]),
@@ -376,7 +378,6 @@ NOT_FUZZED = {
     "Dataset",
     "DecompositionResult",
     "ImpliedWeights",
-    "build_report",
     "load_config_document",
     "load_dataset",
     "recompute_fgt_value",
@@ -606,7 +607,7 @@ class TestOneScanCheckBoundaries:
         assert npv.AchievementMatrix(y).values.tobytes() == y.tobytes()
         gaps = npv.gap_matrix(y, Z, 1.0).values
         assert gaps.tobytes() == npv.gap_matrix(y_same, Z, 1.0).values.tobytes()
-        assert gaps[cell[0] - 1, cell[1] - 1] == npv.normalized_gap(value, 10.0, 1.0)
+        assert gaps[cell[0] - 1, cell[1] - 1] == oracles.gap(value, 10.0, 1.0)
         got = npv.fgt_network_adjusted(y, Z, S, None, 1.0, 1.0)
         want = npv.fgt_network_adjusted(y_same, Z, S, None, 1.0, 1.0)
         assert (got.value, got.censored_matrix_hash) == (want.value, want.censored_matrix_hash)

@@ -458,7 +458,7 @@ class TestRandomDraws:
         settings = GeneratorSettings(seed=seed)
         for t in range(10):
             rng = np.random.default_rng([seed, t])
-            assert_equals_constructed(_draw_materials(rng, None, 1.5, settings, **flags).cfg)
+            assert_equals_constructed(_draw_materials(rng, None, 1.5, settings, **flags)[0])
 
     @pytest.mark.parametrize("flags", FLAGS, ids=lambda f: ",".join(f) or "plain")
     def test_chance_symmetry_and_uniform_weights_are_adopted_as_built(self, monkeypatch, flags):
@@ -479,7 +479,7 @@ class TestRandomDraws:
         settings = GeneratorSettings(d_range=(2, 2), seed=5)
         for t in range(60):
             rng = np.random.default_rng([5, t])
-            assert_equals_constructed(_draw_materials(rng, None, 1.5, settings, **flags).cfg)
+            assert_equals_constructed(_draw_materials(rng, None, 1.5, settings, **flags)[0])
         by_chance = [
             out
             for name, flag, out in drawn

@@ -94,11 +94,14 @@ class TestCompute:
         report = json.loads(capsys.readouterr().out)
         assert report["config"]["k"]["value"] == 2.5
 
-    def test_gap_warning_on_stderr(self, worked, capsys):
+    # a k far below the identification band's 1e-12 still leaves count 0 short of it
+    @pytest.mark.parametrize("k", ["0.7", "1e-13"])
+    def test_gap_warning_on_stderr(self, worked, capsys, k):
         data, config = worked
-        main(["compute", "--dataset", str(data), "--config", str(config), "--k", "0.7"])
-        err = capsys.readouterr().err
-        assert "lies strictly between attainable counts" in err
+        main(["compute", "--dataset", str(data), "--config", str(config), "--k", k])
+        out, err = capsys.readouterr()
+        assert f"k = {float(k)!r} lies strictly between attainable counts 0.0 and 1.0;" in err
+        assert json.loads(out)["headcount_ratio"] == 0.5
 
     def test_no_warning_when_k_on_attainable_level(self, worked, capsys):
         data, config = worked
@@ -662,6 +665,7 @@ class TestConfigBoundary:
             {"dependence": [[1, 0], [0]]},
             {"cutoffs": [[5, 5], [5, 5]]},
             {"weights": [[1, 1]]},
+            {"weights": [1e308, 1e308]},  # positive and finite, but their sum overflows
             {"dependance": [[1, 1], [1, 1]], "weigths": [1.5, 0.5]},
             {"k": {"mode": "fraction", "value": 0.5, "valu": 0.9}},
         ],

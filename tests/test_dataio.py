@@ -21,7 +21,6 @@ from netpoverty import (
     Dataset,
     MethodologyConfig,
     bounds_summary,
-    build_report,
     deprivation_counts,
     deprivation_matrix,
     fgt_network_adjusted,
@@ -336,7 +335,7 @@ class TestLoadConfig:
 class TestReports:
     def test_worked_report_values(self, worked_files):
         data, config = worked_files
-        report = build_report(load_dataset(data), load_config(config))
+        report = run_report(load_dataset(data), load_config(config))
         assert report["fgt_value"] == 0.1
         assert report["headcount_ratio"] == 0.5
         assert report["d_bar"] == 2.5
@@ -349,7 +348,7 @@ class TestReports:
 
     def test_field_order_is_stable(self, worked_files):
         data, config = worked_files
-        report = build_report(load_dataset(data), load_config(config))
+        report = run_report(load_dataset(data), load_config(config))
         assert list(report) == [
             "fgt_value",
             "headcount_ratio",
@@ -365,9 +364,7 @@ class TestReports:
 
     def test_diagnostic_naive_labeled(self, worked_files):
         data, config = worked_files
-        report = build_report(
-            load_dataset(data), load_config(config), diagnostic_naive=True
-        )
+        report = run_report(load_dataset(data), load_config(config), diagnostic_naive=True)
         assert report["naive_diagnostic"]["label"] == "naive (manipulable)"
         # identity denominators differ: naive divides by N*d
         assert report["naive_diagnostic"]["value"] == pytest.approx(0.125)
@@ -383,7 +380,7 @@ class TestReports:
 
     def test_round_trip_recompute(self, worked_files):
         data, config = worked_files
-        report = build_report(load_dataset(data), load_config(config))
+        report = run_report(load_dataset(data), load_config(config))
         assert recompute_fgt_value(report) == pytest.approx(
             report["fgt_value"], abs=1e-12
         )
@@ -409,7 +406,7 @@ class TestReports:
             rows = "\n".join(",".join(repr(float(v)) for v in row) for row in y)
             data = write(tmp_path, f"d{trial}.csv", f"{header}\n{rows}\n")
             config = write(tmp_path, f"c{trial}.json", json.dumps(doc))
-            report = build_report(load_dataset(data), load_config(config))
+            report = run_report(load_dataset(data), load_config(config))
             assert recompute_fgt_value(report) == pytest.approx(
                 report["fgt_value"], abs=1e-12
             )
@@ -417,7 +414,7 @@ class TestReports:
     def test_config_echo_reloads_identically(self, worked_files, tmp_path):
         data, config = worked_files
         cfg = load_config(config)
-        report = build_report(load_dataset(data), cfg)
+        report = run_report(load_dataset(data), cfg)
         echoed = write(tmp_path, "echo.json", json.dumps(report["config"]))
         cfg2 = load_config(echoed)
         assert cfg2.alpha == cfg.alpha and cfg2.k == cfg.k
@@ -427,7 +424,7 @@ class TestReports:
 
     def test_render_ends_with_newline(self, worked_files):
         data, config = worked_files
-        report = build_report(load_dataset(data), load_config(config))
+        report = run_report(load_dataset(data), load_config(config))
         assert render_report(report).endswith("}\n")
 
     def test_rows_match_public_counts_and_statuses_bitwise(self, rng):
@@ -448,7 +445,7 @@ class TestReports:
             )
             names = tuple(f"d{j}" for j in range(d))
             ds = Dataset(achievements=AchievementMatrix(y), dimension_names=names)
-            rows = build_report(ds, cfg)["per_person"]
+            rows = run_report(ds, cfg)["per_person"]
             counts = deprivation_counts(y, z, m, w)
             statuses = identify(counts, cfg.k, upper=cfg.score_ceiling).statuses
             got = np.array([rec["deprivation_count"] for rec in rows])
@@ -563,9 +560,7 @@ class TestStreamedReport:
         ds, cfg = _golden_inputs(seed, n, d, alpha, fraction, uniform_weights, ids)
         want = reference_report(ds, cfg, naive)
         assert "".join(stream_report(ds, cfg, naive)) == render_report(want)
-        returned = run_report(ds, cfg, diagnostic_naive=naive)
-        assert _exact(returned) == _exact(want)
-        assert _exact(build_report(ds, cfg, naive)) == _exact(want)
+        assert _exact(run_report(ds, cfg, None, naive)) == _exact(want)
 
     @pytest.mark.parametrize("ids", [None, _TRICKY_IDS], ids=["integer-ids", "string-ids"])
     @pytest.mark.parametrize("n", [1, 2 * _CHUNK_PERSONS + 1])
@@ -863,7 +858,7 @@ class TestForkedReport:
         out = tmp_path / "r.json"
         assert _exact(run_report(ds, cfg, out_path=out, diagnostic_naive=naive)) == _exact(want)
         assert out.read_bytes() == text.encode("utf-8")
-        assert _exact(build_report(ds, cfg, naive)) == _exact(want)
+        assert _exact(run_report(ds, cfg, None, naive)) == _exact(want)
         ranges = max(1, min(cpus, n // 48))
         assert len(small_ranges) == 3 * (ranges - 1)
         assert_reaped(small_ranges)

@@ -17,7 +17,6 @@ from netpoverty import (
     deprivation_score,
     gap_matrix,
     gap_sensitivity,
-    normalized_gap,
     validate_dependence_structure,
 )
 from netpoverty.deprivation import (
@@ -37,31 +36,36 @@ from netpoverty.errors import (
 ASYM = validate_dependence_structure([[1, 0.5, 0], [0.2, 1, 0.4], [0, 0, 1]])
 
 
-class TestNormalizedGap:
+def cell_gap(y, z, alpha):
+    """One achievement's gap, as gap_matrix computes it."""
+    return float(gap_matrix([[y]], [z], alpha).values[0, 0])
+
+
+class TestGapMatrixCells:
     def test_midpoint_linear_gap(self):
-        assert normalized_gap(5, 10, 1) == 0.5
+        assert cell_gap(5, 10, 1) == oracles.gap(5, 10, 1) == 0.5
 
     def test_at_cutoff_is_zero_for_any_alpha(self):
         for alpha in (0.0, 0.5, 1.0, 2.0):
-            assert normalized_gap(10, 10, alpha) == 0.0
+            assert cell_gap(10, 10, alpha) == 0.0
 
     def test_above_cutoff_is_zero(self):
-        assert normalized_gap(15, 10, 2) == 0.0
+        assert cell_gap(15, 10, 2) == 0.0
 
     def test_squared_gap(self):
-        assert normalized_gap(2.5, 10, 2) == 0.5625
+        assert cell_gap(2.5, 10, 2) == oracles.gap(2.5, 10, 2) == 0.5625
 
     def test_alpha_zero_is_indicator(self):
-        assert normalized_gap(9.999, 10, 0) == 1.0
-        assert normalized_gap(0, 10, 0) == 1.0
+        assert cell_gap(9.999, 10, 0) == 1.0
+        assert cell_gap(0, 10, 0) == 1.0
 
     def test_non_positive_cutoff_rejected(self):
         with pytest.raises(NonPositiveCutoff):
-            normalized_gap(5, 0, 1)
+            gap_matrix([[5]], [0], 1)
 
     def test_negative_alpha_rejected(self):
         with pytest.raises(InvalidAlpha):
-            normalized_gap(5, 10, -1)
+            gap_matrix([[5]], [10], -1)
 
     @given(
         y1=st.floats(0, 20, allow_nan=False),
@@ -69,26 +73,27 @@ class TestNormalizedGap:
         alpha=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
     )
     def test_non_increasing_in_achievement(self, y1, y2, alpha):
-        lo, hi = sorted((y1, y2))
-        assert normalized_gap(hi, 10.0, alpha) <= normalized_gap(lo, 10.0, alpha)
+        lo, hi = gap_matrix([[min(y1, y2)], [max(y1, y2)]], [10.0], alpha).values[:, 0]
+        assert hi <= lo
 
     @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
-    def test_bitwise_equal_to_gap_matrix(self, rng, alpha):
-        # the scalar gap goes through numpy's power as the matrix does, not
-        # through Python's ** (libm pow), which rounds some cells differently
+    def test_cells_match_the_formula(self, rng, alpha):
         z = rng.uniform(0.5, 10, 3)
         y = rng.uniform(0, 1.2, (2000, 3)) * z
-        want = gap_matrix(y, z, alpha).values
+        got = gap_matrix(y, z, alpha).values
         cutoffs = z.tolist()
-        got = [[normalized_gap(v, c, alpha) for v, c in zip(row, cutoffs)] for row in y.tolist()]
-        assert np.array(got).tobytes() == want.tobytes()
+        want = [[oracles.gap(v, c, alpha) for v, c in zip(row, cutoffs)] for row in y.tolist()]
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+        # numpy's power, as the clipped form takes it, off the half-integer squaring path
+        if alpha % 0.5 or alpha in (0.0, 0.5, 1.0, 2.0):
+            assert got.tobytes() == oracles.clipped_gaps(y, z, alpha).tobytes()
 
     def test_strict_decrease_below_cutoff(self):
         rng = np.random.default_rng(3)
         for alpha in (0.5, 1.0, 2.0):
             y = np.sort(rng.uniform(0.001, 9.99, 50))
-            gaps = [normalized_gap(v, 10.0, alpha) for v in y]
-            assert all(a > b for a, b in zip(gaps, gaps[1:]))
+            gaps = gap_matrix(y[:, None], [10.0], alpha).values[:, 0]
+            assert np.all(gaps[:-1] > gaps[1:])
 
 
 class TestDeprivationScore:
@@ -386,11 +391,11 @@ def test_finite_difference_matches_sensitivity(alpha, rng):
         j = int(rng.integers(1, d + 1))
         jp = int(rng.integers(1, d + 1))
 
-        gaps = np.array([normalized_gap(y[c], z[c], alpha) for c in range(d)])
+        gaps = gap_matrix([y], z, alpha).values[0]
         before = deprivation_score(gaps, m, j)
         y2 = y.copy()
         y2[jp - 1] = (eta[jp - 1] + h) * z[jp - 1]
-        gaps2 = np.array([normalized_gap(y2[c], z[c], alpha) for c in range(d)])
+        gaps2 = gap_matrix([y2], z, alpha).values[0]
         after = deprivation_score(gaps2, m, j)
 
         theta_fd = (gaps2[jp - 1] - gaps[jp - 1]) / h

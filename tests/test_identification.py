@@ -21,8 +21,10 @@ from netpoverty.errors import CutoffOutOfRange, ShapeMismatch
 
 
 class TestIdentify:
-    def test_threshold_splits_poor_from_non_poor(self):
-        statuses = identify(DeprivationCounts(np.array([2.35, 0.0])), 1.0)
+    # the band below k is at most k / 2, so a count of 0 stays short of a tiny k
+    @pytest.mark.parametrize("k", [1.0, 1e-13])
+    def test_threshold_splits_poor_from_non_poor(self, k):
+        statuses = identify(DeprivationCounts(np.array([2.35, 0.0])), k)
         assert list(statuses.statuses) == [1, 0]
 
     def test_boundary_count_is_poor(self):
