@@ -132,8 +132,6 @@ class GeneratorSettings:
         except (TypeError, ValueError):
             raise InvalidGeneratorSettings("each range must be a (lo, hi) pair") from None
         values = (self.trials, n_lo, n_hi, d_lo, d_hi, self.seed)
-        if any(isinstance(v, bool) for v in values):  # int's subclass, not a count
-            raise InvalidGeneratorSettings("each generator setting must be an integer, got bool")
         trials, n_lo, n_hi, d_lo, d_hi, seed = (
             _index(v, InvalidGeneratorSettings, "each generator setting") for v in values
         )

@@ -5,10 +5,12 @@ levels), implied-weights, axioms (randomized verification suite),
 compare (corrected vs naive aggregate across a dependence-entry sweep).
 The ``netpoverty`` command and ``python -m netpoverty`` enter through
 :mod:`netpoverty.__main__`, which runs :func:`main`.  Importing this
-module runs only the modules every command shares: ``axioms`` and
-``weights`` are registered lazily, so their code runs when
-``axioms`` or ``implied-weights`` first reads them, and ``compute``,
-``compare`` and ``bounds`` never run it.
+module runs ``dataio`` and ``aggregation`` and the kernels they import,
+which ``bounds`` never runs, as the benchmark's span tracer looks each
+layer it wraps up in ``sys.modules``.  ``axioms`` and ``weights`` are
+registered lazily, so their code runs when ``axioms`` or
+``implied-weights`` first reads them, and ``compute``, ``compare`` and
+``bounds`` never run it.
 
 Exit codes: 0 success, 1 validation or usage error, 2 axiom violation,
 3 I/O error, 143 terminated by SIGTERM.  A reader that closes stdout

@@ -95,9 +95,10 @@ def _adopted(cls, **fields):
 
 
 def _real(value, error: type[Exception], name: str) -> float:
-    """``value`` as a float, or ``error`` naming the type it had; text is refused."""
+    """``value`` as a float, or ``error`` naming the type it had; text and booleans are refused."""
     try:
-        if isinstance(value, (str, bytes)):  # float() parses "1_000" and other digits
+        # float() parses "1_000" and other digits, and reads True as 1
+        if isinstance(value, (str, bytes, bool, np.bool_)):
             raise TypeError
         return float(value)
     except (TypeError, ValueError, OverflowError):
@@ -105,8 +106,10 @@ def _real(value, error: type[Exception], name: str) -> float:
 
 
 def _index(value, error: type[Exception], name: str) -> int:
-    """``value`` as an int (numpy integers included), or ``error`` naming its type."""
+    """``value`` as an int (numpy integers included, booleans not), or ``error`` naming its type."""
     try:
+        if isinstance(value, bool):  # int's subclass, not a count
+            raise TypeError
         return operator.index(value)
     except TypeError:
         raise error(f"{name} must be an integer, got {type(value).__name__}") from None

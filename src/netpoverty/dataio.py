@@ -10,23 +10,15 @@ a person identifier and must be unique; every other cell must parse as
 a finite nonnegative real.  Missing cells are rejected, never imputed:
 imputation would silently change poverty counts.  Cells longer than the
 csv module's field limit (131,072 characters by default) are rejected.
-A bulk pass splits the lines after the header into contiguous byte
-ranges, one per usable CPU and each of at least ``_FORK_BYTES`` bytes,
-every cut just after a newline.  The caller parses the first range, and
-a worker forked for each other range parses it and sends back its ids
-and its doubles through its pipe (:func:`netpoverty.deprivation._forked`);
-a worker in doubt exits 1.  Each range opens the file for itself, so no
-two processes share a file offset.  Every range is read in chunks
-of whole lines (about 64 KB), each parsed with one numpy call; the
-ranges are joined in file order into one flat buffer of doubles.  With
-one range, nothing is forked.  Line ends may be LF or CRLF.  When a
+A bulk pass reads the lines after the header in chunks of whole lines
+(about 64 KB), each parsed with one ``np.loadtxt`` into one flat buffer
+of doubles; it forks nothing.  Line ends may be LF or CRLF.  When a
 chunk holds anything it cannot vouch for (a quote, a carriage return
 not right before a newline, a NUL, a blank or ragged row, an over-long
-line, an id that is not UTF-8, an achievement cell with a byte other
-than ASCII digits, ``.``, ``e``, ``E``, ``+``, ``-``, space or tab, a
-value that is not finite or is negative), or a worker fails, a checking
-loop reads the file again from the start, row by row.  That loop alone
-names errors, so both give the same arrays and the same error.
+line, bytes that are not UTF-8, a cell numpy does not read as a number,
+a value that is not finite or is negative), a checking loop reads the
+file again from the start, row by row.  That loop alone names errors,
+so both give the same arrays and the same error.
 
 Report (JSON object, fixed key order): fgt_value, headcount_ratio,
 d_bar, d_under, d_tilde, deltas, optional naive_diagnostic, dimensions,
@@ -55,14 +47,14 @@ formats the first range; every other range is formatted by a worker
 forked for it, which writes its bytes into a pipe that the caller reads
 in order, up to 64 KB a read, decoding each read.  The fork, pipe and
 reaping code is :func:`netpoverty.deprivation._forked`, which the
-dataset load and the axiom suite run on too.  With one range, or with
-other threads running, nothing is forked.  However the stream
-ends (done, failed, closed or dropped), every worker is reaped before
-the caller goes on; a failed worker raises :class:`WriteError`.  There
-is no option.  ``compute`` writes that text; :func:`run_report` also
-parses it, so its dict is the streamed text read back.  The reference
-the text is tested against is built apart, in the tests, from the
-public counts, statuses, scores and bounds.
+axiom suite runs on too.  With one range, or with other threads
+running, nothing is forked.  However the stream ends (done, failed,
+closed or dropped), every worker is reaped before the caller goes on;
+a failed worker raises :class:`WriteError`.  There is no option.
+``compute`` writes that text; :func:`run_report` also parses it, so its
+dict is the streamed text read back.  The reference the text is tested
+against is built apart, in the tests, from the public counts, statuses,
+scores and bounds.
 """
 
 from __future__ import annotations
@@ -70,10 +62,10 @@ from __future__ import annotations
 import contextlib
 import csv
 import functools
+import itertools
 import json
 import math
 import os
-import struct
 import sys
 from array import array
 from collections.abc import Iterator
@@ -153,11 +145,10 @@ def load_dataset(path) -> Dataset:
     an invalid UTF-8 byte is reported when the block of text holding it
     is decoded, which can be before earlier rows in that block are read.
 
-    A bulk pass parses the file first, in byte ranges of whole lines
-    that forked workers parse beside the caller (see :func:`_read_bulk`).
-    Whenever it cannot vouch for a chunk of any range, or a worker
-    fails, the checking loop reads the file again from the start, and
-    that loop alone names errors, so both give the same result.
+    A bulk pass parses the file first, a chunk of whole lines at a time
+    (see :func:`_read_bulk`).  Whenever it cannot vouch for a chunk, the
+    checking loop reads the file again from the start, and that loop
+    alone names errors, so both give the same result.
     """
     try:
         names, ids, values = _read_bulk(path)
@@ -254,55 +245,36 @@ class _InDoubt(Exception):
 
 #: bytes the bulk pass reads at a time; lines up to this long stay in one chunk
 _BLOCK = 1 << 16
-#: fewest bytes of data lines in a range of the bulk pass: on 2 CPUs, loading the
-#: first rows of the 100,000 x 5 benchmark file took 3.0 ms in one range against
-#: 4.2 ms in two at 0.2 MB, 7.6 against 7.3 at 0.5 MB, 11.2 against 9.6 at 0.75 MB,
-#: 16.3 against 13.3 at 1.05 MB and 64.6 against 47.0 at 4.2 MB (median of 21);
-#: two ranges pay from ranges of about 0.23 MB, and this is twice that
-_FORK_BYTES = 1 << 19
-#: a worker's range, as it sends it: the byte lengths of its ids text and of
-#: its values, which follow
-_RECORD = struct.Struct("<qq")
 #: every byte but the cell and row separators, deleted to leave a chunk's skeleton
 _NOT_SEPARATORS = bytes(b for b in range(256) if b not in b",\n")
-#: the bytes of an achievement cell the bulk pass parses: float() syntax for an
-#: ASCII decimal, plus the spaces and tabs strip() removes (no `_`, inf or nan)
-_NUMERIC = b"0123456789.eE+- \t"
 #: bytes the csv module reads specially, other than the separators
 _CSV_SPECIAL = (b'"', b"\r", b"\0")
 
 
 def _read_bulk(path) -> tuple[list[str], list[str] | None, array]:
-    """:func:`_read_checked`'s result a range of whole lines at a time, or :class:`_InDoubt`.
+    """:func:`_read_checked`'s result a chunk of whole lines at a time, or :class:`_InDoubt`.
 
-    The header is the file's first line.  The lines after it fall into
-    contiguous byte ranges, one per usable CPU and each of at least
-    ``_FORK_BYTES`` bytes, every cut just after a newline.  The caller
-    parses the first range; each other range is parsed by a worker forked
-    for it (:func:`netpoverty.deprivation._forked`), which sends back its
-    ids text and its values, or exits 1 when it is in doubt.  Each range
-    opens the file for itself: a worker opens it after the fork, so it
-    shares no file offset with the caller.  One range is parsed in the
-    caller by the same function, with no fork.  Each chunk of a
-    range is split into cells and parsed by one
-    ``np.array(cells, dtype=float)``, which calls ``float()`` on each
-    cell, after checks that leave it no other reading: CRLF line ends
-    made LF; no quote, other carriage return or NUL; every row the
-    header's width; achievement cells made of :data:`_NUMERIC` bytes
-    only; ids valid UTF-8; no line longer than the csv field limit.  The
-    ranges are joined in file order, and the joined values take the API's
-    check of finiteness and sign, :func:`~netpoverty.core._finite_nonnegative`.
-    A range in doubt, a worker that fails, or a read or fork that fails
-    makes the whole file :class:`_InDoubt`.
+    The header is the file's first line.  The lines after it are read in
+    chunks of whole lines (about ``_BLOCK`` bytes), and each chunk is
+    parsed by one ``np.loadtxt``, numpy's C reader, which reads a cell
+    as ``float()`` does but refuses ``_`` grouping and non-ASCII digits.
+    Checks first leave it no other reading: CRLF line ends made LF; no
+    quote, other carriage return or NUL; no blank line (``np.loadtxt``
+    would skip it); every row the header's width; the chunk valid UTF-8;
+    no line longer than the csv field limit.  An id is its line's first
+    cell, stripped.  The joined values take the API's check of finiteness
+    and sign, :func:`~netpoverty.core._finite_nonnegative`.  A chunk in
+    doubt or a failed read makes the whole file :class:`_InDoubt`.
     """
-    limit = csv.field_size_limit()
+    ids: list[str] = []
+    values = array("d")
     with open(path, "rb") as fh:
         try:
-            size = os.fstat(fh.fileno()).st_size
-            first = next(_line_blocks(fh, limit, 0, size), b"")
+            chunks = _line_blocks(fh, csv.field_size_limit(), os.fstat(fh.fileno()).st_size)
             # the csv module ends a row at CRLF as at LF; any other carriage return
-            # stays, and the cell checks below refer its chunk to the loop
-            line = first.partition(b"\n")[0].removesuffix(b"\r")
+            # stays, and the chunk checks below refer it to the loop
+            line, _, rest = next(chunks, b"").partition(b"\n")
+            line = line.removesuffix(b"\r")
             if any(c in line for c in _CSV_SPECIAL):
                 raise _InDoubt
             try:
@@ -312,82 +284,36 @@ def _read_bulk(path) -> tuple[list[str], list[str] | None, array]:
                 raise _InDoubt from None
             width = len(names) + has_ids
             skeleton = b"," * (width - 1) + b"\n"
-
-            def parse(bounds: tuple[int, int]) -> tuple[list[str], array]:
-                """The ids and values of the lines in ``[start, stop)``, or :class:`_InDoubt`."""
-                ids: list[str] = []
-                values = array("d")
-                with open(path, "rb") as own:  # a worker opens its own after the fork
-                    for chunk in _line_blocks(own, limit, *bounds):
-                        chunk = chunk.replace(b"\r\n", b"\n")
-                        if chunk.translate(None, _NOT_SEPARATORS) != skeleton * chunk.count(b"\n"):
-                            raise _InDoubt
-                        cells = chunk.replace(b"\n", b",").split(b",")
-                        del cells[-1]  # after the last newline
-                        if has_ids:
-                            text = b"\n".join(cells[::width])
-                            del cells[::width]
-                            if any(c in text for c in _CSV_SPECIAL):
-                                raise _InDoubt
-                            try:
-                                ids += map(str.strip, text.decode("utf-8").split("\n"))
-                            except UnicodeDecodeError:
-                                raise _InDoubt from None
-                        if b"".join(cells).translate(None, _NUMERIC):
-                            raise _InDoubt
-                        try:
-                            values.frombytes(np.array(cells, dtype=float).tobytes())
-                        except ValueError:
-                            raise _InDoubt from None
-                return ids, values
-
-            def record(bounds: tuple[int, int]) -> bytes:
-                """A worker's range as :data:`_RECORD`, its ids one a line, and its values."""
-                ids, values = parse(bounds)  # in doubt, the worker exits 1
-                text = "\n".join(ids).encode()
-                return b"".join([_RECORD.pack(len(text), len(values) * 8), text, values])
-
-            start = min(first.find(b"\n") + 1, size)  # past the header
-            cuts = [start]
-            ranges = _fork_count(size - start, _FORK_BYTES)
-            for i in range(1, ranges):
-                at = start + (size - start) * i // ranges
-                # just after the first newline from the byte before ``at`` on
-                cut = at + next(_line_blocks(fh, limit, at - 1, size)).index(b"\n")
-                if cuts[-1] < cut < size:  # a line across several cuts makes one range
-                    cuts.append(cut)
-            cuts.append(size)
-            bounds = list(zip(cuts, cuts[1:]))
-            parts = [map(parse, bounds[:1]), *(map(record, [b]) for b in bounds[1:])]
-            stream = _forked(parts)
-            ids, values = next(stream)  # the first range, parsed here
-            blob = b"".join(stream)  # each other range's record, in file order
-        except (OSError, WriteError):  # a read, a fork or a worker failed
+            for chunk in itertools.chain([rest] if rest else [], chunks):
+                chunk = chunk.replace(b"\r\n", b"\n")
+                if (
+                    chunk.translate(None, _NOT_SEPARATORS) != skeleton * chunk.count(b"\n")
+                    or chunk.startswith(b"\n")
+                    or b"\n\n" in chunk
+                    or any(c in chunk for c in _CSV_SPECIAL)
+                ):
+                    raise _InDoubt
+                lines = chunk.decode("utf-8").split("\n")
+                del lines[-1]  # after the last newline
+                if has_ids:
+                    ids += [line.partition(",")[0].strip() for line in lines]
+                cells = np.loadtxt(
+                    lines, delimiter=",", comments=None, usecols=range(has_ids, width), ndmin=2
+                )
+                values.frombytes(cells.tobytes())
+        except (OSError, ValueError):  # a failed read, bytes not UTF-8, a cell numpy refused
             raise _InDoubt from None
-    view, at = memoryview(blob), 0
-    while at < len(blob):
-        id_bytes, value_bytes = _RECORD.unpack_from(blob, at)
-        at += _RECORD.size + id_bytes + value_bytes
-        if has_ids:
-            ids += blob[at - value_bytes - id_bytes : at - value_bytes].decode().split("\n")
-        values.frombytes(view[at - value_bytes : at])
     parsed = np.frombuffer(values)
     if parsed.size and not _finite_nonnegative(parsed):
         raise _InDoubt
     return names, ids if has_ids else None, values
 
 
-def _line_blocks(fh, limit: int, start: int, stop: int) -> Iterator[bytes]:
-    """Bytes ``[start, stop)`` of a binary file in chunks of whole lines, each ending in a newline.
-
-    Each read seeks first, so other reads of ``fh`` between chunks do not move this one.
-    """
+def _line_blocks(fh, limit: int, size: int) -> Iterator[bytes]:
+    """The first ``size`` bytes of a binary file in chunks of whole lines, each ending in a newline."""
     tail = b""
-    while start < stop:
-        fh.seek(start)
-        if not (block := fh.read(min(_BLOCK, stop - start))):
-            break
-        start += len(block)
+    while size > 0 and (block := fh.read(min(_BLOCK, size))):
+        size -= len(block)
         tail += block
         if len(tail) > limit:  # a line, or a chunk, longer than the csv field limit
             raise _InDoubt

@@ -24,9 +24,9 @@ none reading k, run on :func:`_row_blocks`: the gaps, the scores and
 both made in the block's own buffer (the indicator as 1.0 or 0.0, no boolean array).
 From two tiles of rows on, :func:`_row_sums` reads the cutoffs and coefficients as
 tiles of half a block, so its elementwise steps run as flat loops, not once per row.
-Work that splits into parts of whole lines, whole persons or whole trials,
-the dataset load, the report text and the axiom suite, runs on
-:func:`_forked`: one part here, each other in a worker process forked for it.
+Work that splits into parts of whole persons or whole trials, the report
+text and the axiom suite, runs on :func:`_forked`: one part here, each other
+in a worker process forked for it.
 
 Determinism: every per-person quantity here depends only on that
 person's row and is computed through fixed reduction trees, so results

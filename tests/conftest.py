@@ -71,9 +71,3 @@ def small_ranges(monkeypatch, forks):
     monkeypatch.setattr(dataio, "_FORK_PERSONS", 48)
     return forks
 
-
-@pytest.fixture
-def byte_ranges(monkeypatch, forks):
-    """Bulk CSV ranges of at least one byte of data lines; the pids forked, as a list."""
-    monkeypatch.setattr(dataio, "_FORK_BYTES", 1)
-    return forks

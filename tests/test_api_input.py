@@ -271,6 +271,29 @@ PROBES = {
         lambda: npv.apply_bistochastic_average(Y, [[0.5, 0.5, 0.0]] * 3, [1, 0, 1]),
         NotBistochastic,
     ),
+    # a boolean is not a number: float() and operator.index() would read True as 1
+    "fgt-bool-alpha": (
+        lambda: npv.fgt_network_adjusted([[0, 0], [3, 3]], [1, 1], np.eye(2), None, True, 1.0),
+        InvalidAlpha,
+    ),
+    "fgt-numpy-bool-k": (
+        lambda: npv.fgt_network_adjusted([[0, 0], [3, 3]], [1, 1], np.eye(2), None, 1.0, np.True_),
+        CutoffOutOfRange,
+    ),
+    "identify-bool-upper": (lambda: npv.identify([1.0, 0.0], 0.5, upper=True), CutoffOutOfRange),
+    "connections-of-bool": (lambda: npv.connections_of(np.eye(2), True), IndexOutOfRange),
+    "increment-bool-person": (
+        lambda: npv.apply_simple_increment(Y, True, 1, 0.5, CFG),
+        IndexOutOfRange,
+    ),
+    "increment-bool-amount": (
+        lambda: npv.apply_simple_increment(Y, 1, 1, True, CFG),
+        NonPositiveAmount,
+    ),
+    "settings-trials-bool": (
+        lambda: npv.GeneratorSettings(trials=True),
+        InvalidGeneratorSettings,
+    ),
 }
 
 # the raise each of these probes reaches, by its message
@@ -299,6 +322,13 @@ PROBE_MESSAGES = {
     "settings-d-range-past-int64": "bad d_range (2, 9223372036854775808)",
     "suite-one-person": "n_range (1, 1) cannot host 2 persons",
     "bistochastic-columns": "column sums differ from 1",
+    "fgt-bool-alpha": "alpha must be a real number, got bool",
+    "fgt-numpy-bool-k": "k must be a real number, got bool",
+    "identify-bool-upper": "upper must be a real number, got bool",
+    "connections-of-bool": "dimension index must be an integer, got bool",
+    "increment-bool-person": "person index must be an integer, got bool",
+    "increment-bool-amount": "amount must be a real number, got bool",
+    "settings-trials-bool": "each generator setting must be an integer, got bool",
 }
 
 

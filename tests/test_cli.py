@@ -419,15 +419,13 @@ sys.exit(cli.main(sys.argv[2:]))
 
 _LOAD_LAUNCHER = """
 import os, sys, time
-os.sched_getaffinity = lambda pid: {0, 1}
 from netpoverty import cli, dataio
-parent, line_blocks, mark = os.getpid(), dataio._line_blocks, sys.argv[1]
+line_blocks, mark = dataio._line_blocks, sys.argv[1]
 def stalling(*args):
-    if os.getpid() != parent:
+    for chunk in line_blocks(*args):
         open(mark, "x").close()
         time.sleep(60)
-    return line_blocks(*args)
-dataio._FORK_BYTES = 1
+        yield chunk
 dataio._line_blocks = stalling
 try:
     sys.exit(cli.main(sys.argv[2:]))
@@ -547,7 +545,7 @@ class TestForkedCompute:
         assert_group_gone(proc)
 
     def test_sigterm_mid_load_exits_143_and_cleans_up(self, worked, tmp_path):
-        # the dataset's second range is parsed by a worker, which stalls
+        # compute stalls in its own read of the dataset, past the first chunk
         data, config = worked
         out, mark = tmp_path / "r.json", tmp_path / "parsing"
         argv = ["compute", "--dataset", str(data), "--config", str(config), "--out", str(out)]
