@@ -13,9 +13,14 @@ coefficient form of :mod:`netpoverty.weights`, with no N x d x d
 neighbor sums, in one pass over row blocks (the schedule is
 :func:`netpoverty.deprivation._row_blocks`'s).  Each block is counted,
 and its cells' weighted gaps are summed per row in a thread's reused
-block buffer, never in an N x d array.  As in the dual cutoff, k only
-applies after the pass: the counts are identified once, then a person
-who is not poor gets the row sum +0.0.  Raw achievements are read in
+block buffer, never in an N x d array.  In the dual cutoff each person
+is identified from their own row, so k applies inside the pass: each
+block compares its counts with k's floor and writes its persons'
+censored row sums, +0.0 for one who is not poor, into the one N-vector
+a value-only call holds (:func:`_censored`).  Only the callers that also
+need the counts and statuses, the report and the axiom suite, take the
+k-free pass and identify after it (:func:`_coefficient_pass`), to the
+same bits.  Raw achievements are read in
 place, after the checks of :class:`~netpoverty.core.AchievementMatrix`.
 A result's ``censored_matrix_hash`` is the SHA-256 of ``"{n}x{d}:"``
 followed by the bytes of its N censored row sums, the exact terms its
@@ -57,7 +62,7 @@ from .core import (
 )
 from .deprivation import _row_sums
 from .errors import InvalidPartition, ShapeMismatch
-from .identification import PovertyStatusVector, _identify
+from .identification import PovertyStatusVector, _identify, _k_floor
 
 #: equality band for decomposition checks
 RECOMBINATION_TOL = 1e-12
@@ -144,22 +149,47 @@ def _denominator(n: int, config: MethodologyConfig, kind: str) -> float:
     return n * config.d if kind == "naive" else n * config.score_ceiling
 
 
-def _fgt(
-    row_sums: NDArray[np.float64], config: MethodologyConfig, kind: str, value: float | None = None
-) -> FgtResult:
-    """The result for censored row sums: their exact total over the denominator, and their hash.
-
-    ``value`` is that quotient when the caller has it already.
-    """
+def _fgt(row_sums: NDArray[np.float64], config: MethodologyConfig, kind: str) -> FgtResult:
+    """The result for censored row sums: their exact total over the denominator, and their hash."""
     n = row_sums.shape[0]
     denominator = _denominator(n, config, kind)
-    if value is None:
-        value = _exact_total(row_sums) / denominator
+    value = _exact_total(row_sums) / denominator
     import hashlib  # only where a hash is made: a process that hashes nothing never loads OpenSSL
 
     h = hashlib.sha256(f"{n}x{config.d}:".encode())
     h.update(row_sums)  # hashlib reads a C-contiguous array's buffer, no copy
     return FgtResult(value, config.alpha, config.k, denominator, h.hexdigest(), kind)
+
+
+def _pass_inputs(achievements, config: MethodologyConfig, kind: str) -> tuple:
+    """The checked achievement values, the cutoffs and the coefficients of one pass.
+
+    The naive kind counts with the uniform coefficients of the structure.
+    """
+    y = _achievement_values(achievements)
+    d = y.shape[1]
+    if d != config.d:
+        raise ShapeMismatch(f"achievements have d = {d}, config has d = {config.d}")
+    if kind == "naive":
+        return y, config.cutoffs.values, _coefficient_values(config.structure, np.ones(d))
+    return y, config.cutoffs.values, config.coefficients
+
+
+def _censored(
+    achievements, config: MethodologyConfig, kind: str = "network_adjusted"
+) -> NDArray[np.float64]:
+    """The censored row sums, the one N-vector of a value-only call.
+
+    :func:`~netpoverty.deprivation._row_sums` takes k's floor and censors
+    each row block in the pass, so no N-long counts or statuses are made.
+    """
+    return _row_sums(*_pass_inputs(achievements, config, kind), config.alpha, _k_floor(config.k))
+
+
+def _value(achievements, config: MethodologyConfig, kind: str = "network_adjusted") -> float:
+    """The aggregate value alone, with no hash: the exact total over the denominator."""
+    row_sums = _censored(achievements, config, kind)
+    return _exact_total(row_sums) / _denominator(row_sums.shape[0], config, kind)
 
 
 def _coefficient_pass(
@@ -168,24 +198,18 @@ def _coefficient_pass(
     """Counts and row sums in one row-block pass, then identification and censoring once.
 
     Returns the aggregate value with the per-person counts, statuses and
-    censored row sums it was built from; :func:`_aggregate` makes the
-    public result, hash included, from them.  The pass,
-    :func:`~netpoverty.deprivation._row_sums`, does not read k; then
+    censored row sums it was built from, for the callers that need the
+    counts and statuses too.  The pass,
+    :func:`~netpoverty.deprivation._row_sums` without a floor, does not read k; then
     :func:`~netpoverty.identification._identify` marks the poor, and a
     person who is not poor gets the row sum +0.0.  At alpha = 0 the row
     sums are the counts.  The coefficients and the ceiling come from
     ``config``, which has already checked k against that ceiling.  The
     naive kind counts with the uniform coefficients of the structure and
-    divides by N * d instead of N times the ceiling.
+    divides by N * d instead of N times the ceiling.  The row sums are bit
+    for bit those of :func:`_censored`.
     """
-    y, z = _achievement_values(achievements), config.cutoffs.values
-    d = y.shape[1]
-    if d != config.d:
-        raise ShapeMismatch(f"achievements have d = {d}, config has d = {config.d}")
-    if kind == "naive":
-        coef = _coefficient_values(config.structure, np.ones(d))
-    else:
-        coef = config.coefficients
+    y, z, coef = _pass_inputs(achievements, config, kind)
     counts, row_sums = _row_sums(y, z, coef, config.alpha)
     statuses = _identify(counts, config.k)
     if row_sums is counts:  # alpha = 0: censor a copy, the counts stay whole
@@ -198,9 +222,8 @@ def _coefficient_pass(
 def _aggregate(
     achievements, config: MethodologyConfig, kind: str = "network_adjusted"
 ) -> FgtResult:
-    """The public result of one pass: value, inputs and the hash of its row sums."""
-    value, _, _, row_sums = _coefficient_pass(achievements, config, kind)
-    return _fgt(row_sums, config, kind, value)
+    """The public result of one censoring pass: value, inputs and the hash of its row sums."""
+    return _fgt(_censored(achievements, config, kind), config, kind)
 
 
 def fgt_network_adjusted(
@@ -274,13 +297,14 @@ def decompose_by_group(
     codes = np.fromiter(
         map(index.__getitem__, group_labels), np.min_scalar_type(len(index) - 1), len(group_labels)
     )
-    value, _, _, row_sums = _coefficient_pass(achievements, config)
-    total = _fgt(row_sums, config, "network_adjusted", value)
-    n = row_sums.shape[0]
-    if codes.shape[0] != n:
+    y, z, coef = _pass_inputs(achievements, config, "network_adjusted")
+    n = y.shape[0]
+    if codes.shape[0] != n:  # before the pass and its allocations
         raise InvalidPartition(
             f"{codes.shape[0]} labels for {n} persons; need exactly one per person"
         )
+    row_sums = _row_sums(y, z, coef, config.alpha, _k_floor(config.k))
+    total = _fgt(row_sums, config, "network_adjusted")
     sizes = np.bincount(codes).tolist()
     order = np.argsort(codes, kind="stable")
     group_results, start = {}, 0

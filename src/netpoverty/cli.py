@@ -34,7 +34,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 
-from .aggregation import _coefficient_pass, _denominator
+from .aggregation import _denominator, _value
 from .bounds import ENUMERATION_LIMIT, _subset_sums, attainable_scores, bounds_summary
 from .config import load_config, load_config_document
 from .core import MethodologyConfig
@@ -237,8 +237,8 @@ def _cmd_compare(args) -> tuple[str, int]:
         m[row - 1, col - 1] = entry
         # one methodology per step: k is checked against this step's ceiling
         config = replace(base, structure=m)
-        adjusted = _coefficient_pass(y, config)[0]
-        naive = _coefficient_pass(y, config, "naive")[0]
+        adjusted = _value(y, config)
+        naive = _value(y, config, "naive")
         records.append(
             {
                 "entry_value": _round12(entry),

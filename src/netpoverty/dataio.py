@@ -75,7 +75,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import __version__
-from .aggregation import _coefficient_pass, _denominator
+from .aggregation import _coefficient_pass, _denominator, _value
 from .bounds import BoundsSummary, bounds_summary, weighted_upper_bound
 from .config import config_echo
 from .core import (
@@ -259,8 +259,9 @@ def _read_bulk(path) -> tuple[list[str], list[str] | None, array]:
     parsed by one ``np.loadtxt``, numpy's C reader, which reads a cell
     as ``float()`` does but refuses ``_`` grouping and non-ASCII digits.
     Checks first leave it no other reading: CRLF line ends made LF; no
-    quote, other carriage return or NUL; no blank line (``np.loadtxt``
-    would skip it); every row the header's width; the chunk valid UTF-8;
+    quote, other carriage return or NUL; every row the header's width;
+    no blank line (``np.loadtxt`` would skip it), which from two columns
+    on the width check already finds; the chunk valid UTF-8;
     no line longer than the csv field limit.  An id is its line's first
     cell, stripped.  The joined values take the API's check of finiteness
     and sign, :func:`~netpoverty.core._finite_nonnegative`.  A chunk in
@@ -285,11 +286,12 @@ def _read_bulk(path) -> tuple[list[str], list[str] | None, array]:
             width = len(names) + has_ids
             skeleton = b"," * (width - 1) + b"\n"
             for chunk in itertools.chain([rest] if rest else [], chunks):
-                chunk = chunk.replace(b"\r\n", b"\n")
+                if b"\r" in chunk:
+                    chunk = chunk.replace(b"\r\n", b"\n")
+                # from two columns on, a blank line has no comma and breaks the skeleton
                 if (
                     chunk.translate(None, _NOT_SEPARATORS) != skeleton * chunk.count(b"\n")
-                    or chunk.startswith(b"\n")
-                    or b"\n\n" in chunk
+                    or (width == 1 and (chunk.startswith(b"\n") or b"\n\n" in chunk))
                     or any(c in chunk for c in _CSV_SPECIAL)
                 ):
                     raise _InDoubt
@@ -376,7 +378,7 @@ def stream_report(
         # at the methodology's k, which was checked against d_tilde only
         head["naive_diagnostic"] = {
             "label": "naive (manipulable)",
-            "value": _round12(_coefficient_pass(y, config, "naive")[0]),
+            "value": _round12(_value(y, config, "naive")),
             "denominator": _round12(_denominator(y.n, config, "naive")),
         }
     head["dimensions"] = list(dataset.dimension_names)

@@ -18,10 +18,11 @@ finished score.  They are never applied inside the neighbor average,
 which would conflate the importance of dimensions with the dependence
 between them.
 
-``_gaps`` is the one gap routine, in place and overflow-free.  Three kernels,
-none reading k, run on :func:`_row_blocks`: the gaps, the scores and
-:func:`_row_sums`, the counts and uncensored row sums every aggregate shares,
-both made in the block's own buffer (the indicator as 1.0 or 0.0, no boolean array).
+``_gaps`` is the one gap routine, in place and overflow-free.  Three kernels
+run on :func:`_row_blocks`: the gaps, the scores and :func:`_row_sums`, the
+counts and row sums every aggregate shares, both made in the block's own
+buffer (the indicator as 1.0 or 0.0, no boolean array).  Only :func:`_row_sums`
+can read k, as a floor that censors each block's row sums in the pass.
 From two tiles of rows on, :func:`_row_sums` reads the cutoffs and coefficients as
 tiles of half a block, so its elementwise steps run as flat loops, not once per row.
 Work that splits into parts of whole persons or whole trials, the report
@@ -268,7 +269,7 @@ def _row_blocks(n: int, width: int, body) -> None:
     block in row order under one lock; otherwise the caller runs them in
     order.  Nothing reads the blocks in order: an aggregate's
     ``censored_matrix_hash`` is the SHA-256 of ``"{n}x{d}:"`` and the
-    row sums its bodies write, censored and hashed once after the pass.  A
+    censored row sums its bodies write, hashed once after the pass.  A
     body's exception is raised here, and no thread outlives the call.
     """
     step = max(1, _BLOCK_CELLS // width)
@@ -390,11 +391,19 @@ def _fork_worker(part, inherited: list[int]) -> tuple[int, int]:
         os._exit(code)
 
 
-def _row_sums(y, z, coef, alpha: float) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Per-person counts (deprived coefficients, summed) and uncensored weighted-gap row sums.
+def _row_sums(y, z, coef, alpha: float, floor: float | None = None):
+    """Per-person counts (deprived coefficients, summed) and weighted-gap row sums.
 
     Each is a row reduction of a block buffer of weighted terms: for the counts, ``y < z``
     written in as 1.0 or 0.0, then the gaps (at alpha = 0 the row sums are the counts).
+    Without ``floor`` the pass reads no k and returns the counts and the uncensored row
+    sums.  With it, the least count that reaches k
+    (:func:`~netpoverty.identification._k_floor`), the dual cutoff applies block by
+    block, as each person is identified from their own row: a block's counts go into
+    its rows of the one N-vector returned, each is compared with ``floor``, and the
+    block's row sums, written over them, are multiplied by 1.0 for a poor person and
+    0.0 for any other.  That vector is the censored row sums, +0.0 for the non-poor;
+    no N-long counts or statuses exist.
 
     Broadcast along the rows, the d-vectors ``z`` and ``coef`` have stride 0 there, so
     numpy runs each elementwise step as one loop of d cells a row.  From two tiles of
@@ -407,25 +416,30 @@ def _row_sums(y, z, coef, alpha: float) -> tuple[NDArray[np.float64], NDArray[np
     """
     n, d = y.shape
     counts = np.empty(n)
-    row_sums = counts if alpha == 0.0 else np.empty(n)  # alpha = 0: the gaps are indicators
+    # at alpha = 0 the gaps are indicators; with a floor the row sums overwrite the counts
+    row_sums = counts if alpha == 0.0 or floor is not None else np.empty(n)
 
     # the arrays are defaults, so :func:`_tiled` can pass a part's views for them, and the
     # untiled pass, thousands of times a suite on tiny inputs, makes no closure cell for them
     def sums(rows, block, y=y, z=z, coef=coef, counts=counts, row_sums=row_sums) -> None:
-        yb = y[rows]
+        yb, cb = y[rows], counts[rows]
         np.less(yb, z, out=block)  # 1.0 or 0.0 in place, no bool temporary
         block *= coef
-        np.add.reduce(block, axis=-1, out=counts[rows])
+        np.add.reduce(block, axis=-1, out=cb)
+        if floor is not None:
+            poor = cb >= floor
         if alpha != 0.0:
             _gaps(yb, z, alpha, block)
             block *= coef
             np.add.reduce(block, axis=-1, out=row_sums[rows])
+        if floor is not None:
+            cb *= poor  # cb holds the row sums now
 
     tile = (_BLOCK_CELLS // 2) // d  # 0 when a row is over half a block: no tiles
     if n >= 2 * tile > 0:
         sums = _tiled(sums, y, z, coef, counts, row_sums, tile)
     _row_blocks(n, d, sums)
-    return counts, row_sums
+    return (counts, row_sums) if floor is None else row_sums
 
 
 def _tiled(body, y, z, coef, counts, row_sums, tile: int):

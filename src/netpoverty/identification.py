@@ -37,12 +37,17 @@ def _k_band(k: float) -> float:
     return min(1e-12 * max(1.0, k), 0.5 * k)
 
 
+def _k_floor(k: float) -> float:
+    """The least count that reaches k: k less its band, the one floor every pass compares with."""
+    return k - _k_band(k)
+
+
 def _identify(values: NDArray[np.float64], k: float) -> PovertyStatusVector:
     """Statuses for counts the package computed, at a k its config already checked.
 
     The comparison's 0/1 result, cast to int64 once, is adopted as it is.
     """
-    statuses = (values >= k - _k_band(k)).astype(np.int64)
+    statuses = (values >= _k_floor(k)).astype(np.int64)
     return _adopted(PovertyStatusVector, statuses=statuses, k=k)
 
 

@@ -25,11 +25,16 @@ from netpoverty import (
     validate_dependence_structure,
     weighted_upper_bound,
 )
-from netpoverty import aggregation, deprivation
-from netpoverty.aggregation import _coefficient_pass, _fgt
+from netpoverty import aggregation, deprivation, identification
+from netpoverty.aggregation import _censored, _coefficient_pass, _fgt
 from netpoverty.core import _coefficient_values
 from netpoverty.deprivation import _BLOCK_CELLS, _PARALLEL_CELLS
-from netpoverty.errors import CutoffOutOfRange, InvalidPartition, ShapeMismatch
+from netpoverty.errors import (
+    CutoffOutOfRange,
+    InvalidPartition,
+    NegativeAchievement,
+    ShapeMismatch,
+)
 
 WORKED_M = validate_dependence_structure([[1, 0.5], [0, 1]])
 WORKED_Y = np.array([[5.0, 10.0], [10.0, 10.0]])
@@ -367,6 +372,25 @@ class TestDecomposition:
         with pytest.raises(InvalidPartition) as info:
             decompose_by_group(WORKED_Y, labels, self.CFG)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("labels", [["a"], ["a", "b", "a"]], ids=["too-few", "too-many"])
+    def test_a_label_count_mismatch_starts_no_pass(self, monkeypatch, labels):
+        passes = []
+        real = aggregation._row_sums
+        monkeypatch.setattr(
+            aggregation, "_row_sums", lambda *args: passes.append(args) or real(*args)
+        )
+        with pytest.raises(InvalidPartition) as info:
+            decompose_by_group(WORKED_Y, labels, self.CFG)
+        assert str(info.value) == (
+            f"{len(labels)} labels for 2 persons; need exactly one per person"
+        )
+        # an invalid achievement array still raises first
+        with pytest.raises(NegativeAchievement):
+            decompose_by_group([[-1.0, 10.0], [10.0, 10.0]], labels, self.CFG)
+        assert passes == []
+        decompose_by_group(WORKED_Y, ["a", "b"], self.CFG)
+        assert len(passes) == 1
 
     @pytest.mark.parametrize(
         "labels",
@@ -927,6 +951,77 @@ class TestAlphaShortcuts:
         assert len(started) == (cpus - 1 if n >= 2 * self.STEP else 0)
 
 
+def cutoff_levels(y, cfg, kind):
+    """k on a count level, k whose floor is that level exactly, and k between two levels.
+
+    The level is the median of the positive counts; at the second k a count
+    lies exactly on the floor ``k - _k_band(k)``, inside the band below k.
+    """
+    levels = np.unique(_coefficient_pass(y, cfg, kind)[1])
+    positive = levels[levels > 0]
+    level = float(positive[positive.shape[0] // 2])
+    lower = levels[levels < level]
+    # the k nearest level + band whose floor rounds to the level itself
+    k = level + 1e-12 * max(1.0, level)
+    for _ in range(64):
+        floor = k - identification._k_band(k)
+        if floor == level:
+            break
+        k = float(np.nextafter(k, level if floor > level else math.inf))
+    assert identification._k_floor(k) == level < k
+    return [level, k, (float(lower[-1]) + level) / 2 if lower.size else level / 2]
+
+
+def assert_cutoff_bits(y, config, kind, labels):
+    """The censoring pass against the k-free route and the whole-array oracle, bit for bit."""
+    value, _, _, want = _coefficient_pass(y, config, kind)
+    got = _censored(y, config, kind)
+    assert got.tobytes() == want.tobytes()
+    if config.alpha == 1.0:  # the band itself, at one alpha a k
+        assert got.tobytes() == whole_array_pass(y, config, kind)[6].tobytes()
+    k_free = _fgt(want, config, kind)
+    assert k_free.value == value
+    if kind == "naive":
+        result = fgt_naive(y, config.cutoffs, config.structure, config.alpha, config.k)
+    else:
+        result = fgt_network_adjusted(
+            y, config.cutoffs, config.structure, config.weights, config.alpha, config.k
+        )
+    assert result == k_free
+    if kind == "network_adjusted":
+        groups = decompose_by_group(y, labels.tolist(), config)
+        assert groups.total == k_free
+        for g, got_group in groups.group_results.items():
+            assert got_group == _fgt(want[labels == g], config, kind)
+
+
+class TestCutoffPass:
+    """The pass that censors each row block against k's floor gives the censored row sums
+    of the k-free pass and identification after it, bit for bit, at every block edge."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "edge",
+        ["1", "2tiles-1", "2tiles", "2tiles+1", "threshold-1", "threshold", "threshold+1"],
+    )
+    @pytest.mark.parametrize("d", [5, 20])
+    def test_bitwise_equal_to_the_k_free_route(self, monkeypatch, rng, d, edge, cpus):
+        tile, threshold = (_BLOCK_CELLS // 2) // d, -(-_PARALLEL_CELLS // d)
+        n = {"1": 1, "2tiles-1": 2 * tile - 1, "2tiles": 2 * tile, "2tiles+1": 2 * tile + 1,
+             "threshold-1": threshold - 1, "threshold": threshold,
+             "threshold+1": threshold + 1}[edge]
+        force_cpus(monkeypatch, cpus)
+        for kind in ("network_adjusted", "naive"):
+            y, cfg = block_test_data(rng, n, d, weighted=kind == "network_adjusted")
+            y[0, 0] = 0.0  # a positive count in every population
+            y[::13, d // 2] = -0.0  # deprived: -0.0 < z, with the gap 1
+            labels = rng.integers(0, 5, n)
+            for k in cutoff_levels(y, cfg, kind):
+                for alpha in (0.0, 0.5, 1.0, 1.7, 2.0):
+                    config = MethodologyConfig(alpha, k, cfg.structure, cfg.weights, cfg.cutoffs)
+                    assert_cutoff_bits(y, config, kind, labels)
+
+
 @st.composite
 def edge_inputs(draw):
     """Up to 40 x 6 cells at 0, -0.0, 5e-324, just below, at and twice their cutoffs
@@ -981,18 +1076,34 @@ class TestBoundedMemory:
         labels = rng.integers(0, 8, self.N).tolist()
         return y, cfg, labels
 
-    @pytest.mark.parametrize("call", ["network-adjusted", "naive", "groups"])
-    def test_aggregates_stay_below_half_the_matrix(self, data, call):
+    @staticmethod
+    def aggregate(data, call):
         y, cfg, labels = data
-        run = {
+        return {
             "network-adjusted": lambda: fgt_network_adjusted(
                 y, cfg.cutoffs, cfg.structure, cfg.weights, cfg.alpha, cfg.k
             ),
             "naive": lambda: fgt_naive(y, cfg.cutoffs, cfg.structure, cfg.alpha, cfg.k),
             "groups": lambda: decompose_by_group(y, labels, cfg),
         }[call]
-        peak, _ = traced_peak(run)
+
+    @pytest.mark.parametrize("call", ["network-adjusted", "naive", "groups"])
+    def test_aggregates_stay_below_half_the_matrix(self, data, call):
+        peak, _ = traced_peak(self.aggregate(data, call))
         assert peak < self.N * self.D * 8 / 2
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    @pytest.mark.parametrize("call", ["network-adjusted", "naive", "groups"])
+    def test_a_value_only_call_holds_one_person_vector(self, data, call, alpha):
+        # the censored row sums, a block buffer for each of the 2 threads, the tiles of
+        # the cutoffs and of the coefficients, 64 KB, and for groups a byte of code a
+        # person: no room for N-long counts or statuses besides
+        y, cfg, labels = data
+        cfg = MethodologyConfig(alpha, cfg.k, cfg.structure, cfg.weights, cfg.cutoffs)
+        rows, tile = _BLOCK_CELLS // self.D, (_BLOCK_CELLS // 2) // self.D
+        bound = 8 * self.N + (2 * rows + 2 * tile) * self.D * 8 + 64 * 1024
+        peak, _ = traced_peak(self.aggregate((y, cfg, labels), call))
+        assert peak <= bound + (self.N if call == "groups" else 0)
 
     def test_groups_peak_at_most_12_bytes_a_person_above_the_total(self, data):
         y, cfg, labels = data

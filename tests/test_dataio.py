@@ -1160,6 +1160,22 @@ class TestBulkParse:
         assert _bulk(path) is None
         assert _outcome(path) == _checked_outcome(path)
 
+    @pytest.mark.parametrize("block", [1, 3, 1 << 16])
+    @pytest.mark.parametrize(
+        "raw",
+        [b"a,b\n\n5,6\n", b"a,b\n5,6\n\n7,8\n", b"a,b\n5,6\n\n", b"a,b\r\n5,6\r\n\r\n7,8\r\n"],
+        ids=["first", "between", "last", "crlf"],
+    )
+    def test_a_blank_line_among_two_columns_goes_to_the_checking_loop(
+        self, tmp_path, monkeypatch, raw, block
+    ):
+        # with no comma, the blank line breaks the rows' separator skeleton
+        monkeypatch.setattr(dataio, "_BLOCK", block)
+        path = tmp_path / "d.csv"
+        path.write_bytes(raw)
+        assert _bulk(path) is None
+        assert _outcome(path) == _checked_outcome(path)
+
     def test_byte_order_mark_in_an_id_is_kept(self, tmp_path):
         rows = "".join(f"\ufeffp{i},{i}\n" for i in range(9))
         path = write(tmp_path, "d.csv", "\ufeffID,a\n" + rows)
