@@ -17,10 +17,10 @@ block buffer, never in an N x d array.  In the dual cutoff each person
 is identified from their own row, so k applies inside the pass: each
 block compares its counts with k's floor and writes its persons'
 censored row sums, +0.0 for one who is not poor, into the one N-vector
-a value-only call holds (:func:`_censored`).  Only the callers that also
-need the counts and statuses, the report and the axiom suite, take the
-k-free pass and identify after it (:func:`_coefficient_pass`), to the
-same bits.  Raw achievements are read in
+a call holds (:func:`_censored`).  A caller that also needs the counts
+and statuses, the report or the axiom suite, takes them from the same
+pass at alpha 0 with a floor that censors nobody
+(:func:`~netpoverty.deprivation._counts`).  Raw achievements are read in
 place, after the checks of :class:`~netpoverty.core.AchievementMatrix`.
 A result's ``censored_matrix_hash`` is the SHA-256 of ``"{n}x{d}:"``
 followed by the bytes of its N censored row sums, the exact terms its
@@ -62,7 +62,7 @@ from .core import (
 )
 from .deprivation import _row_sums
 from .errors import InvalidPartition, ShapeMismatch
-from .identification import PovertyStatusVector, _identify, _k_floor
+from .identification import _k_floor
 
 #: equality band for decomposition checks
 RECOMBINATION_TOL = 1e-12
@@ -178,7 +178,7 @@ def _pass_inputs(achievements, config: MethodologyConfig, kind: str) -> tuple:
 def _censored(
     achievements, config: MethodologyConfig, kind: str = "network_adjusted"
 ) -> NDArray[np.float64]:
-    """The censored row sums, the one N-vector of a value-only call.
+    """The censored row sums, the one N-vector of an aggregate call.
 
     :func:`~netpoverty.deprivation._row_sums` takes k's floor and censors
     each row block in the pass, so no N-long counts or statuses are made.
@@ -190,33 +190,6 @@ def _value(achievements, config: MethodologyConfig, kind: str = "network_adjuste
     """The aggregate value alone, with no hash: the exact total over the denominator."""
     row_sums = _censored(achievements, config, kind)
     return _exact_total(row_sums) / _denominator(row_sums.shape[0], config, kind)
-
-
-def _coefficient_pass(
-    achievements, config: MethodologyConfig, kind: str = "network_adjusted"
-) -> tuple[float, NDArray[np.float64], PovertyStatusVector, NDArray[np.float64]]:
-    """Counts and row sums in one row-block pass, then identification and censoring once.
-
-    Returns the aggregate value with the per-person counts, statuses and
-    censored row sums it was built from, for the callers that need the
-    counts and statuses too.  The pass,
-    :func:`~netpoverty.deprivation._row_sums` without a floor, does not read k; then
-    :func:`~netpoverty.identification._identify` marks the poor, and a
-    person who is not poor gets the row sum +0.0.  At alpha = 0 the row
-    sums are the counts.  The coefficients and the ceiling come from
-    ``config``, which has already checked k against that ceiling.  The
-    naive kind counts with the uniform coefficients of the structure and
-    divides by N * d instead of N times the ceiling.  The row sums are bit
-    for bit those of :func:`_censored`.
-    """
-    y, z, coef = _pass_inputs(achievements, config, kind)
-    counts, row_sums = _row_sums(y, z, coef, config.alpha)
-    statuses = _identify(counts, config.k)
-    if row_sums is counts:  # alpha = 0: censor a copy, the counts stay whole
-        row_sums = counts.copy()
-    row_sums *= statuses.statuses
-    value = _exact_total(row_sums) / _denominator(row_sums.shape[0], config, kind)
-    return value, counts, statuses, row_sums
 
 
 def _aggregate(

@@ -65,8 +65,8 @@ from functools import partial
 import numpy as np
 from numpy.typing import NDArray
 
-from .aggregation import _coefficient_pass, decompose_by_group
-from .bounds import _ceiling, _column_sums
+from .aggregation import _value, decompose_by_group
+from .bounds import _ceiling
 from .core import (
     AchievementMatrix,
     CutoffVector,
@@ -82,7 +82,7 @@ from .core import (
     _real,
     check_dimension_index,
 )
-from .deprivation import _fork_count, _forked, _row_sums
+from .deprivation import _counts, _fork_count, _forked
 from .errors import (
     IndexOutOfRange,
     InvalidGeneratorSettings,
@@ -173,13 +173,7 @@ class AxiomReport:
 
 def _statuses(cfg: MethodologyConfig, y: NDArray[np.float64]) -> PovertyStatusVector:
     """Who is poor among the rows of the checked array ``y`` under the methodology."""
-    return _identify(_row_sums(y, cfg.cutoffs.values, cfg.coefficients, 0.0)[0], cfg.k)
-
-
-def _evaluate(cfg: MethodologyConfig, y) -> tuple[float, PovertyStatusVector]:
-    """The aggregate value of ``y`` and the statuses it was built from."""
-    value, _, statuses, _ = _coefficient_pass(y, cfg)
-    return value, statuses
+    return _identify(_counts(y, cfg.cutoffs.values, cfg.coefficients), cfg.k)
 
 
 def apply_simple_increment(
@@ -370,8 +364,8 @@ def _draw_materials(
             z = rng.uniform(0.5, 10.0, d)
             y = _random_population(rng, n, z)
             coef = _coefficient_values(structure, weights.values)
-            ceiling = _ceiling(_column_sums(structure), weights.values)
-            counts = _row_sums(y, z, coef, 0.0)[0]
+            ceiling = _ceiling(structure, weights.values)
+            counts = _counts(y, z, coef)
             k = _choose_k(rng, counts, ceiling, min_poor, min_non_poor)
             if k is None:
                 continue
@@ -434,7 +428,7 @@ def _pick(rng: np.random.Generator, items: NDArray) -> NDArray:
 
 def _change(cfg: MethodologyConfig, before, after) -> float:
     """Aggregate value after a transformation minus the value before it."""
-    return _evaluate(cfg, after)[0] - _evaluate(cfg, before)[0]
+    return _value(after, cfg) - _value(before, cfg)
 
 
 # --- per-axiom trials ----------------------------------------------------------
@@ -513,8 +507,8 @@ def _boundary_values(rng, pinned, alpha, settings) -> tuple[float, float]:
     cfg, y, _ = _draw_materials(rng, pinned, alpha, settings, restricted=True)
     n = y.shape[0]
     z = cfg.cutoffs.values
-    v0 = _evaluate(cfg, np.zeros_like(y))[0]
-    vz = _evaluate(cfg, np.tile(z, (n, 1)))[0]
+    v0 = _value(np.zeros_like(y), cfg)
+    vz = _value(np.tile(z, (n, 1)), cfg)
     return v0, vz
 
 
@@ -558,7 +552,8 @@ def _trial_weak_rearrangement(rng, pinned, alpha, settings) -> float:
     # forge a strictly dominated companion; domination keeps them poor
     forged = np.array(y, copy=True)
     forged[i2] = y[i] * rng.uniform(0.2, 0.95, cfg.d)
-    before, statuses = _evaluate(cfg, forged)
+    before = _value(forged, cfg)  # checks ``forged`` before the statuses read it
+    statuses = _statuses(cfg, forged)
     assert statuses.statuses[i] == 1 and statuses.statuses[i2] == 1
 
     # split the strictly ordered dimensions across the swap boundary
@@ -574,7 +569,8 @@ def _trial_weak_rearrangement(rng, pinned, alpha, settings) -> float:
     assert association_decreasing
 
     # both must remain poor for the axiom's terms to just rearrange
-    value, statuses_after = _evaluate(cfg, after)
+    value = _value(after, cfg)
+    statuses_after = _statuses(cfg, after.values)
     assert statuses_after.statuses[i] == 1 and statuses_after.statuses[i2] == 1
     return (value - before) - TOL
 

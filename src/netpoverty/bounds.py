@@ -65,8 +65,8 @@ def _jumps(cols: list[float]) -> NDArray[np.float64]:
     return np.array([1.0 + (c - 1.0) / (d - 1) for c in cols])
 
 
-def _ceiling(cols: list[float], w: NDArray[np.float64]) -> float:
-    d = len(cols)
+def _ceiling(structure: DependenceStructure, w: NDArray[np.float64]) -> float:
+    cols, d = _column_sums(structure), structure.d
     total = math.fsum(w[j] * cols[j] for j in range(d))
     return d + (total - d) / (d - 1)
 
@@ -99,7 +99,7 @@ def weighted_upper_bound(
     """
     structure = as_dependence_structure(structure)
     w = as_weight_vector(weights, structure.d)
-    return _ceiling(_column_sums(structure), w.values)
+    return _ceiling(structure, w.values)
 
 
 def attainable_scores(
@@ -142,9 +142,9 @@ def bounds_summary(
     cols = _column_sums(structure)
     jumps = _jumps(cols)
     return BoundsSummary(
-        upper=_ceiling(cols, np.ones(d)),
+        upper=_ceiling(structure, np.ones(d)),
         lower_nonzero=float(np.min(jumps)),
-        weighted_upper=_ceiling(cols, w.values),
+        weighted_upper=_ceiling(structure, w.values),
         jumps=jumps,
         entry_total=math.fsum(cols),
         column_totals=np.array(cols),

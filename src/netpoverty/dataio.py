@@ -75,7 +75,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import __version__
-from .aggregation import _coefficient_pass, _denominator, _value
+from .aggregation import _denominator, _value
 from .bounds import BoundsSummary, bounds_summary, weighted_upper_bound
 from .config import config_echo
 from .core import (
@@ -86,7 +86,7 @@ from .core import (
     as_dependence_structure,
     validate_weights,
 )
-from .deprivation import _fork_count, _forked, _score_values
+from .deprivation import _counts, _fork_count, _forked, _score_values
 from .errors import (
     EmptyDataset,
     NegativeAchievement,
@@ -96,7 +96,7 @@ from .errors import (
     ValidationError,
     WriteError,
 )
-from .identification import headcount_ratio
+from .identification import _identify, headcount_ratio
 
 
 @dataclass(frozen=True)
@@ -366,9 +366,12 @@ def stream_report(
     the per-person records a few thousand at a time, with no report dict.
     """
     y = dataset.achievements
-    # the pass checks d; its own counts and statuses make the rows match the
-    # aggregate exactly, and it keeps no N x d array
-    value, counts, statuses, _ = _coefficient_pass(y, config)
+    # the censoring pass checks d; the rows' counts come from the same pass censoring
+    # nobody, so they and their statuses match the aggregate exactly, and neither pass
+    # keeps an N x d array
+    value = _value(y, config)
+    counts = _counts(y.values, config.cutoffs.values, config.coefficients)
+    statuses = _identify(counts, config.k)
     head: dict = {
         "fgt_value": _round12(value),
         "headcount_ratio": _round12(headcount_ratio(statuses)),

@@ -20,9 +20,10 @@ between them.
 
 ``_gaps`` is the one gap routine, in place and overflow-free.  Three kernels
 run on :func:`_row_blocks`: the gaps, the scores and :func:`_row_sums`, the
-counts and row sums every aggregate shares, both made in the block's own
-buffer (the indicator as 1.0 or 0.0, no boolean array).  Only :func:`_row_sums`
-can read k, as a floor that censors each block's row sums in the pass.
+one pass of every aggregate and every count.  It counts each block and sums
+its weighted gaps in the block's own buffer (the indicator as 1.0 or 0.0, no
+boolean array), and censors the row sums at k's floor in the pass; the counts
+are that pass at alpha 0 with a floor that censors nobody (:func:`_counts`).
 From two tiles of rows on, :func:`_row_sums` reads the cutoffs and coefficients as
 tiles of half a block, so its elementwise steps run as flat loops, not once per row.
 Work that splits into parts of whole persons or whole trials, the report
@@ -40,6 +41,7 @@ alpha numpy's ``power`` follows the CPU's SIMD dispatch.
 
 from __future__ import annotations
 
+import math
 import os
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -391,19 +393,17 @@ def _fork_worker(part, inherited: list[int]) -> tuple[int, int]:
         os._exit(code)
 
 
-def _row_sums(y, z, coef, alpha: float, floor: float | None = None):
-    """Per-person counts (deprived coefficients, summed) and weighted-gap row sums.
+def _row_sums(y, z, coef, alpha: float, floor: float):
+    """Per-person weighted-gap row sums, censored at the count ``floor``: the one N-vector.
 
-    Each is a row reduction of a block buffer of weighted terms: for the counts, ``y < z``
-    written in as 1.0 or 0.0, then the gaps (at alpha = 0 the row sums are the counts).
-    Without ``floor`` the pass reads no k and returns the counts and the uncensored row
-    sums.  With it, the least count that reaches k
-    (:func:`~netpoverty.identification._k_floor`), the dual cutoff applies block by
-    block, as each person is identified from their own row: a block's counts go into
-    its rows of the one N-vector returned, each is compared with ``floor``, and the
-    block's row sums, written over them, are multiplied by 1.0 for a poor person and
-    0.0 for any other.  That vector is the censored row sums, +0.0 for the non-poor;
-    no N-long counts or statuses exist.
+    Each row block is counted first, as a row reduction of the block buffer with ``y < z``
+    written in as 1.0 or 0.0 and multiplied by ``coef``, into the block's rows of the
+    vector returned.  As each person is identified from their own row, the dual cutoff
+    applies there: each count is compared with ``floor``, the least count that reaches k
+    (:func:`~netpoverty.identification._k_floor`), and the block's row sums of weighted
+    gaps, written over the counts, are multiplied by 1.0 for a poor person and 0.0 for
+    any other.  At alpha = 0 the row sums are the counts.  A floor of ``-math.inf``
+    censors nobody, as ``x * 1.0`` is ``x``: that is :func:`_counts`.
 
     Broadcast along the rows, the d-vectors ``z`` and ``coef`` have stride 0 there, so
     numpy runs each elementwise step as one loop of d cells a row.  From two tiles of
@@ -415,34 +415,35 @@ def _row_sums(y, z, coef, alpha: float, floor: float | None = None):
     tiny passes of the axiom suite more than they save.
     """
     n, d = y.shape
-    counts = np.empty(n)
-    # at alpha = 0 the gaps are indicators; with a floor the row sums overwrite the counts
-    row_sums = counts if alpha == 0.0 or floor is not None else np.empty(n)
+    row_sums = np.empty(n)
 
     # the arrays are defaults, so :func:`_tiled` can pass a part's views for them, and the
     # untiled pass, thousands of times a suite on tiny inputs, makes no closure cell for them
-    def sums(rows, block, y=y, z=z, coef=coef, counts=counts, row_sums=row_sums) -> None:
-        yb, cb = y[rows], counts[rows]
+    def sums(rows, block, y=y, z=z, coef=coef, row_sums=row_sums) -> None:
+        yb, rb = y[rows], row_sums[rows]
         np.less(yb, z, out=block)  # 1.0 or 0.0 in place, no bool temporary
         block *= coef
-        np.add.reduce(block, axis=-1, out=cb)
-        if floor is not None:
-            poor = cb >= floor
+        np.add.reduce(block, axis=-1, out=rb)
+        poor = rb >= floor
         if alpha != 0.0:
             _gaps(yb, z, alpha, block)
             block *= coef
-            np.add.reduce(block, axis=-1, out=row_sums[rows])
-        if floor is not None:
-            cb *= poor  # cb holds the row sums now
+            np.add.reduce(block, axis=-1, out=rb)
+        rb *= poor
 
     tile = (_BLOCK_CELLS // 2) // d  # 0 when a row is over half a block: no tiles
     if n >= 2 * tile > 0:
-        sums = _tiled(sums, y, z, coef, counts, row_sums, tile)
+        sums = _tiled(sums, y, z, coef, row_sums, tile)
     _row_blocks(n, d, sums)
-    return (counts, row_sums) if floor is None else row_sums
+    return row_sums
 
 
-def _tiled(body, y, z, coef, counts, row_sums, tile: int):
+def _counts(y, z, coef) -> NDArray[np.float64]:
+    """Per-person counts: the deprived coefficients summed, :func:`_row_sums` censoring nobody."""
+    return _row_sums(y, z, coef, 0.0, -math.inf)
+
+
+def _tiled(body, y, z, coef, row_sums, tile: int):
     """:func:`_row_sums`'s ``body`` on each row block's whole tiles as one view, then its rest.
 
     ``z`` and ``coef`` are laid out once as tiles of ``tile`` rows; ``body`` takes each
@@ -453,13 +454,13 @@ def _tiled(body, y, z, coef, counts, row_sums, tile: int):
     zt, ct = np.tile(z, (tile, 1)), np.tile(coef, (tile, 1))
 
     def tiled(rows: slice, block: NDArray[np.float64]) -> None:
-        yb, cb, rb = y[rows], counts[rows], row_sums[rows]
+        yb, rb = y[rows], row_sums[rows]
         rest = yb.shape[0] % tile
         whole = yb.shape[0] - rest
         body(..., block[:whole].reshape(-1, tile, d), yb[:whole].reshape(-1, tile, d), zt, ct,
-             cb[:whole].reshape(-1, tile), rb[:whole].reshape(-1, tile))
+             rb[:whole].reshape(-1, tile))
         if rest:
-            body(..., block[whole:], yb[whole:], zt[:rest], ct[:rest], cb[whole:], rb[whole:])
+            body(..., block[whole:], yb[whole:], zt[:rest], ct[:rest], rb[whole:])
 
     return tiled
 
@@ -472,13 +473,13 @@ def deprivation_counts(
 ) -> DeprivationCounts:
     """Per-person sums of (weighted) indicator-level scores.
 
-    Same coefficient-form route the aggregates identify the poor by, so
-    a count exactly at k is classified alike.  With a disconnected
+    The aggregates' own pass, censoring nobody (:func:`_counts`), so a
+    count exactly at k is classified alike.  With a disconnected
     structure and unit weights this is the classic deprived-dimension count.
     """
     y, z, structure = _consistent_inputs(achievements, cutoffs, structure)
     coef = _coefficient_values(structure, as_weight_vector(weights, structure.d).values)
-    return _adopted(DeprivationCounts, values=_row_sums(y, z.values, coef, 0.0)[0])
+    return _adopted(DeprivationCounts, values=_counts(y, z.values, coef))
 
 
 def gap_sensitivity(structure: DependenceStructure, j: int, j_prime: int) -> float:

@@ -26,9 +26,9 @@ from netpoverty import (
     weighted_upper_bound,
 )
 from netpoverty import aggregation, deprivation, identification
-from netpoverty.aggregation import _censored, _coefficient_pass, _fgt
+from netpoverty.aggregation import _censored, _fgt, _pass_inputs
 from netpoverty.core import _coefficient_values
-from netpoverty.deprivation import _BLOCK_CELLS, _PARALLEL_CELLS
+from netpoverty.deprivation import _BLOCK_CELLS, _PARALLEL_CELLS, _counts, _row_sums
 from netpoverty.errors import (
     CutoffOutOfRange,
     InvalidPartition,
@@ -681,20 +681,26 @@ def gap_blocks(pass_, *args):
     blocks.sort(key=lambda ran: ran[0].start)
     starts = [rows.start for rows, _ in blocks]
     stops = [rows.stop for rows, _ in blocks]
-    assert starts == [0, *stops[:-1]] and stops[-1] == result[1].shape[0]
+    assert starts == [0, *stops[:-1]] and stops[-1] == result.shape[0]
     assert all(block.shape[0] == rows.stop - rows.start for rows, block in blocks)
     return result, np.concatenate([block for _, block in blocks])
 
 
+def pass_results(y, config, kind="network_adjusted"):
+    """The censored row sums of ``y``, and the counts and statuses the report takes."""
+    counts = _counts(*_pass_inputs(y, config, kind))
+    return _censored(y, config, kind), counts, identification._identify(counts, config.k)
+
+
 def assert_whole_array_bits(y, config, kind):
-    (got, counts, statuses, row_sums), weighted = gap_blocks(
-        _coefficient_pass, y, config, kind
-    )
+    row_sums, weighted = gap_blocks(_censored, y, config, kind)
+    counts = _counts(*_pass_inputs(y, config, kind))
+    statuses = identification._identify(counts, config.k)
     value, denominator, digest, want_counts, want_statuses, want_weighted, want_row_sums = (
         whole_array_pass(y, config, kind)
     )
     result = _fgt(row_sums, config, kind)
-    assert (got, result.value, result.denominator) == (value, value, denominator)
+    assert (result.value, result.denominator) == (value, denominator)
     assert result.censored_matrix_hash == digest == row_sums_hash(row_sums, y.shape[1])
     assert counts.tobytes() == want_counts.tobytes()
     assert statuses.statuses.tobytes() == want_statuses.tobytes()
@@ -806,6 +812,9 @@ class TestRowBlocks:
         y, cfg = block_test_data(rng, n, d, weighted=True)
         started = spy_threads(monkeypatch)
         assert_whole_array_bits(y, cfg, "network_adjusted")
+        seen.clear()
+        started.clear()
+        _censored(y, cfg)
         assert_schedule(seen, started, n, _BLOCK_CELLS // d, 0 if offset < 0 else 1)
 
     @pytest.mark.parametrize("kind", ["network_adjusted", "naive"])
@@ -827,9 +836,10 @@ class TestRowBlocks:
         started = spy_threads(monkeypatch)
         for alpha in (0.0, 0.5, 1.0, 2.0):
             config = MethodologyConfig(alpha, cfg.k, cfg.structure, cfg.weights, cfg.cutoffs)
+            assert_whole_array_bits(y, config, kind)
             seen.clear()
             started.clear()
-            assert_whole_array_bits(y, config, kind)
+            _censored(y, config, kind)
             assert_schedule(seen, started, n, step, cpus - 1)
 
     def test_one_cpu_gives_the_threaded_bits(self, monkeypatch, rng):
@@ -837,15 +847,15 @@ class TestRowBlocks:
         n = 9 * (_BLOCK_CELLS // d) + 3
         y, cfg = block_test_data(rng, n, d, weighted=True)
         force_cpus(monkeypatch, 3)
-        threaded = _coefficient_pass(y, cfg)
+        threaded = pass_results(y, cfg)
         force_cpus(monkeypatch, 1)
         seen = spy_blocks(monkeypatch)
-        serial = _coefficient_pass(y, cfg)
+        serial = pass_results(y, cfg)
         assert {thread for thread, _ in seen} == {threading.current_thread()}
-        assert serial[0] == threaded[0]
+        assert aggregation._value(y, cfg) == _fgt(threaded[0], cfg, "network_adjusted").value
         assert serial[1].tobytes() == threaded[1].tobytes()
         assert serial[2].statuses.tobytes() == threaded[2].statuses.tobytes()
-        assert serial[3].tobytes() == threaded[3].tobytes()
+        assert serial[0].tobytes() == threaded[0].tobytes()
 
     def test_more_threads_than_cores_under_fast_switching(self, monkeypatch, rng):
         # a block claimed twice, or one thread's buffer shared with another, change the bits
@@ -872,7 +882,7 @@ class TestRowBlocks:
         seen = spy_blocks(monkeypatch, fail_on=where)
         started = spy_threads(monkeypatch)
         with pytest.raises(RuntimeError, match=r"^block at row \d+$") as raised:
-            _coefficient_pass(y, cfg)
+            _censored(y, cfg)
         fail_at = int(str(raised.value).rsplit(" ", 1)[1])
         assert fail_at % step == 0 and fail_at < n
         (thread,) = [thread for thread, start in seen if start == fail_at]
@@ -934,11 +944,13 @@ class TestAlphaShortcuts:
         started, cpus = small_blocks
         y, cfg = block_test_data(rng, n, self.D, weighted=kind == "network_adjusted")
         config = MethodologyConfig(0.0, cfg.k, cfg.structure, cfg.weights, cfg.cutoffs)
-        _, counts, statuses, row_sums = _coefficient_pass(y, config, kind)
+        row_sums, counts, statuses = pass_results(y, config, kind)
         assert row_sums.tobytes() == (counts * statuses.statuses).tobytes()
         assert 0 < statuses.statuses.sum() < n  # both sides of the cutoff
         assert_whole_array_bits(y, config, kind)
-        assert len(started) == (2 * (cpus - 1) if n >= 2 * self.STEP else 0)
+        started.clear()
+        _censored(y, config, kind)
+        assert len(started) == (cpus - 1 if n >= 2 * self.STEP else 0)
 
     @pytest.mark.parametrize("small_blocks", [1, 2], indirect=True, ids=["1cpu", "2cpus"])
     @pytest.mark.parametrize("n", [11, 12, 13, 7 * 12 + 5])
@@ -957,7 +969,7 @@ def cutoff_levels(y, cfg, kind):
     The level is the median of the positive counts; at the second k a count
     lies exactly on the floor ``k - _k_band(k)``, inside the band below k.
     """
-    levels = np.unique(_coefficient_pass(y, cfg, kind)[1])
+    levels = np.unique(_counts(*_pass_inputs(y, cfg, kind)))
     positive = levels[levels > 0]
     level = float(positive[positive.shape[0] // 2])
     lower = levels[levels < level]
@@ -973,14 +985,17 @@ def cutoff_levels(y, cfg, kind):
 
 
 def assert_cutoff_bits(y, config, kind, labels):
-    """The censoring pass against the k-free route and the whole-array oracle, bit for bit."""
-    value, _, _, want = _coefficient_pass(y, config, kind)
+    """The censoring pass against the k-free route, the same pass censoring nobody and
+    each row sum times its status after it, and the whole-array oracle, bit for bit."""
+    y_, z, coef = _pass_inputs(y, config, kind)
+    statuses = identification._identify(_counts(y_, z, coef), config.k).statuses
+    want = _row_sums(y_, z, coef, config.alpha, -math.inf) * statuses
     got = _censored(y, config, kind)
     assert got.tobytes() == want.tobytes()
     if config.alpha == 1.0:  # the band itself, at one alpha a k
         assert got.tobytes() == whole_array_pass(y, config, kind)[6].tobytes()
     k_free = _fgt(want, config, kind)
-    assert k_free.value == value
+    assert k_free.value == aggregation._value(y, config, kind)
     if kind == "naive":
         result = fgt_naive(y, config.cutoffs, config.structure, config.alpha, config.k)
     else:
@@ -996,8 +1011,8 @@ def assert_cutoff_bits(y, config, kind, labels):
 
 
 class TestCutoffPass:
-    """The pass that censors each row block against k's floor gives the censored row sums
-    of the k-free pass and identification after it, bit for bit, at every block edge."""
+    """The pass that censors each row block against k's floor gives the row sums of the
+    pass censoring nobody, censored after it by the statuses, bit for bit, at every block edge."""
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     @pytest.mark.parametrize(

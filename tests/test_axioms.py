@@ -336,13 +336,23 @@ class TestForkedSuite:
     )
 
     @pytest.mark.parametrize("cpus", [1, 2])
-    def test_rows_are_pinned(self, monkeypatch, cpus):
-        # the rows at 200 trials and seed 1, as the serial suite wrote them
+    @pytest.mark.parametrize(
+        "config, digest",
+        [
+            (0.0, "79cdc3ca48a3caaaaa7193b09be5221fa9237325562bad9d131b173645cf7b14"),
+            (1.0, "21cef1c9baa4a7933aa0a88369d6c1cf12efa7c0ffd95fcbf199c3bbb4a9e109"),
+            (2.0, "feb7ef148c415d6c04c5d8491b6955deceef28dce194b4597aac85bae71da128"),
+            ("pinned", "b7627e18893e52fcb55aa607fc14fb897bac5d9e8810795b9c1114679cebb18a"),
+        ],
+        ids=["alpha0", "alpha1", "alpha2", "pinned"],
+    )
+    def test_rows_are_pinned(self, monkeypatch, config, digest, cpus):
+        # the rows at 200 trials and seed 1, as the serial suite wrote them: every
+        # axiom's worst defect at three alphas, and the pinned methodology's
+        config = self.PINNED if config == "pinned" else config
         usable_cpus(monkeypatch, cpus)
-        rows = bit_rows(run_axiom_suite(1.0, GeneratorSettings(trials=200, seed=1)))
-        assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
-            "21cef1c9baa4a7933aa0a88369d6c1cf12efa7c0ffd95fcbf199c3bbb4a9e109"
-        )
+        rows = bit_rows(run_axiom_suite(config, GeneratorSettings(trials=200, seed=1)))
+        assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest
 
     @pytest.mark.parametrize(
         "config, seed",

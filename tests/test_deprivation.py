@@ -23,8 +23,8 @@ from netpoverty.deprivation import (
     _BLOCK_CELLS,
     _PARALLEL_CELLS,
     _gaps,
+    _counts,
     _row_blocks,
-    _row_sums,
 )
 from netpoverty.errors import (
     IndexOutOfRange,
@@ -430,7 +430,7 @@ class TestBlockedCounts:
         y[at] = np.broadcast_to(z, (n, d))[at]
         coef = _coefficient_values(random_structure(rng, d), random_weights(rng, d).values)
         want = np.sum(np.where(y < z, coef, 0.0), axis=1)
-        assert _row_sums(y, z, coef, 0.0)[0].tobytes() == want.tobytes()
+        assert _counts(y, z, coef).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("cpus", [1, 2, 5])
     def test_every_row_once_in_its_threads_buffer(self, monkeypatch, cpus):

@@ -28,7 +28,8 @@ from netpoverty import (
     weighted_upper_bound,
 )
 from netpoverty import core
-from netpoverty.aggregation import _coefficient_pass
+from netpoverty.deprivation import _counts
+from netpoverty.identification import _identify
 
 TOL = 1e-12
 
@@ -90,7 +91,8 @@ def mismatches(y, z, m, w, alpha, k, k_naive, labels):
     if identify(deprivation_counts(y, z, m, w), k).statuses.tolist() != poor:
         bad.append("identify")
     config = MethodologyConfig(float(alpha), k, m, w, z)
-    if _coefficient_pass(y, config)[2].statuses.tolist() != poor:
+    kernel = _identify(_counts(y, z, config.coefficients), k)
+    if kernel.statuses.tolist() != poor:
         bad.append("kernel statuses")
     for g, group in decompose_by_group(y, labels, config).group_results.items():
         rows = [row for row, label in zip(ey, labels) if label == g]
