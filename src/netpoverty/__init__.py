@@ -26,15 +26,15 @@ _EXPORTS = {
         "fgt_network_adjusted fgt_via_coefficients",
         "axioms": "AXIOMS AxiomReport GeneratorSettings apply_bistochastic_average "
         "apply_rearrangement apply_simple_increment axiom_covered run_axiom_suite",
-        "bounds": "BoundsSummary attainable_scores bounds_summary dimension_jumps "
-        "lower_bound upper_bound weighted_upper_bound",
+        "bounds": "BoundsSummary attainable_scores bounds_summary upper_bound "
+        "weighted_upper_bound",
         "core": "AchievementMatrix CutoffVector DependenceStructure MethodologyConfig "
         "WeightVector connections_of is_disconnected validate_dependence_structure "
         "validate_weights",
         "config": "ConfigDocument load_config load_config_document resolve_methodology",
         "dataio": "Dataset load_dataset recompute_fgt_value run_report",
         "deprivation": "DeprivationCounts DeprivationMatrix GapMatrix deprivation_counts "
-        "deprivation_matrix deprivation_score gap_matrix gap_sensitivity",
+        "deprivation_matrix gap_matrix",
         "identification": "PovertyStatusVector headcount_ratio identify",
         "weights": "ImpliedWeights SymmetricConsistencyReport aggregation_coefficients "
         "check_symmetric_consistency implied_weights",

@@ -288,7 +288,8 @@ def apply_rearrangement(
         new[i - 1, j - 1], new[ip - 1, j - 1] = y[ip - 1, j - 1], y[i - 1, j - 1]
     before = _comparable(y[i - 1], y[ip - 1])
     after = _comparable(new[i - 1], new[ip - 1])
-    return AchievementMatrix(new), bool(before and not after)
+    # a swap of cells of y, which was checked
+    return _adopted(AchievementMatrix, values=new), bool(before and not after)
 
 
 # --- randomized instances -----------------------------------------------------

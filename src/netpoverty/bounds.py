@@ -76,20 +76,6 @@ def upper_bound(structure: DependenceStructure) -> float:
     return weighted_upper_bound(structure)
 
 
-def lower_bound(structure: DependenceStructure) -> float:
-    """Smallest attainable nonzero unweighted count (one deprived dimension).
-
-    The jump is monotone in the column sum, so the smallest jump is the
-    jump of the smallest column sum, exactly.
-    """
-    return float(np.min(dimension_jumps(structure)))
-
-
-def dimension_jumps(structure: DependenceStructure) -> NDArray[np.float64]:
-    """Increase in the unweighted count when each dimension turns deprived, as an array."""
-    return _jumps(_column_sums(as_dependence_structure(structure)))
-
-
 def weighted_upper_bound(
     structure: DependenceStructure, weights: WeightVector | None = None
 ) -> float:
@@ -119,7 +105,7 @@ def attainable_scores(
             f"d = {d} exceeds the enumeration cap of {ENUMERATION_LIMIT}"
         )
     w = as_weight_vector(weights, d)
-    return _subset_sums(w.values * dimension_jumps(structure))
+    return _subset_sums(w.values * _jumps(_column_sums(structure)))
 
 
 def _subset_sums(values: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -135,7 +121,11 @@ def _subset_sums(values: NDArray[np.float64]) -> NDArray[np.float64]:
 def bounds_summary(
     structure: DependenceStructure, weights: WeightVector | None = None
 ) -> BoundsSummary:
-    """All bound quantities from one pass over the column sums."""
+    """All bound quantities for one structure and weight choice.
+
+    The column sums are read three times: once here for the jumps and the
+    totals, and once in each :func:`_ceiling` call.
+    """
     structure = as_dependence_structure(structure)
     d = structure.d
     w = as_weight_vector(weights, d)

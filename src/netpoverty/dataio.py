@@ -101,13 +101,26 @@ from .identification import _identify, headcount_ratio
 
 @dataclass(frozen=True)
 class Dataset:
-    """Validated achievements plus the header metadata they came with."""
+    """Validated achievements plus the header metadata they came with.
+
+    The constructor takes raw achievements too, and checks for d distinct
+    dimension names and, when given, one text id per person.
+    """
 
     achievements: AchievementMatrix
     dimension_names: tuple[str, ...]
     person_ids: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.achievements, AchievementMatrix):
+            object.__setattr__(self, "achievements", AchievementMatrix(self.achievements))
+        names, d = self.dimension_names, self.d
+        try:
+            if len(names) != d or not all(isinstance(name, str) for name in names):
+                raise TypeError
+        except TypeError:
+            raise ShapeMismatch(f"dimension_names must be {d} strings, one per dimension") from None
+        _reject_duplicates("dimension_names", names, "dimension name")
         ids = self.person_ids
         if ids is None:
             return
@@ -327,13 +340,13 @@ def _line_blocks(fh, limit: int, size: int) -> Iterator[bytes]:
         yield tail + b"\n"
 
 
-def _reject_duplicates(path, values: list[str], what: str) -> None:
+def _reject_duplicates(where, values: list[str], what: str) -> None:
     if len(set(values)) == len(values):
         return
     seen: set[str] = set()
     for value in values:
         if value in seen:
-            raise ValidationError(f"{path}: duplicate {what} {value!r}")
+            raise ValidationError(f"{where}: duplicate {what} {value!r}")
         seen.add(value)
 
 

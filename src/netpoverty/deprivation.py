@@ -60,7 +60,6 @@ from .core import (
     as_cutoff_vector,
     as_dependence_structure,
     as_weight_vector,
-    check_dimension_index,
 )
 from .errors import ShapeMismatch, ValidationError, WriteError
 
@@ -213,22 +212,6 @@ def _score_values(
 
     _row_blocks(n, d * d, score)
     return scores
-
-
-def deprivation_score(gaps, structure: DependenceStructure, j: int) -> float:
-    """Dependence-adjusted score of dimension j (1-based) for one gap row, each gap in [0, 1]."""
-    structure = as_dependence_structure(structure)
-    d = structure.d
-    j = check_dimension_index(j, d)
-    g = _frozen_array(gaps, "gap row", 1)
-    if g.shape[0] != d:
-        raise ShapeMismatch(f"gap row has length {g.shape[0]}, structure has d = {d}")
-    outside = np.flatnonzero(~((g >= 0.0) & (g <= 1.0)))  # NaN is outside too
-    if outside.size:
-        c = int(outside[0])
-        raise ValidationError(f"gap {c + 1} of the row is {float(g[c])!r}; gaps lie in [0, 1]")
-    off_row = structure.off_diagonal()[j - 1]
-    return float(g[j - 1] + np.sum(g * off_row) / (d - 1))
 
 
 def deprivation_matrix(
@@ -481,18 +464,3 @@ def deprivation_counts(
     coef = _coefficient_values(structure, as_weight_vector(weights, structure.d).values)
     return _adopted(DeprivationCounts, values=_counts(y, z.values, coef))
 
-
-def gap_sensitivity(structure: DependenceStructure, j: int, j_prime: int) -> float:
-    """Multiplier on the own-gap derivative when relative achievement j' moves.
-
-    The derivative of score j with respect to the relative achievement
-    of j' is this multiplier times the derivative of the gap itself:
-    1 for j' = j, entries[j, j'] / (d - 1) otherwise.
-    """
-    structure = as_dependence_structure(structure)
-    d = structure.d
-    j = check_dimension_index(j, d)
-    j_prime = check_dimension_index(j_prime, d)
-    if j_prime == j:
-        return 1.0
-    return float(structure.entries[j - 1, j_prime - 1] / (d - 1))

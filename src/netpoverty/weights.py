@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .bounds import dimension_jumps, upper_bound, weighted_upper_bound
+from .bounds import bounds_summary, weighted_upper_bound
 from .core import (
     DependenceStructure,
     WeightVector,
@@ -83,12 +83,9 @@ def implied_weights(structure: DependenceStructure) -> ImpliedWeights:
     module docstring).
     """
     structure = as_dependence_structure(structure)
-    d = structure.d
-    upper = upper_bound(structure)
-    w = d * dimension_jumps(structure) / upper
-    return ImpliedWeights(
-        weights=WeightVector(w), source=structure, upper=upper
-    )
+    summary = bounds_summary(structure)
+    w = structure.d * summary.jumps / summary.upper
+    return ImpliedWeights(weights=WeightVector(w), source=structure, upper=summary.upper)
 
 
 def check_symmetric_consistency(

@@ -68,7 +68,7 @@ def test_criterion_02_lemma_bounds_brute_force():
         structure = random_structure(rng, d, symmetric=bool(rng.integers(0, 2)))
         counts = oracles.pattern_counts(structure)[1:]  # every pattern but the empty one
         assert abs(max(counts) - npv.upper_bound(structure)) <= 1e-12
-        assert abs(min(counts) - npv.lower_bound(structure)) <= 1e-12
+        assert abs(min(counts) - npv.bounds_summary(structure).lower_nonzero) <= 1e-12
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     print(
@@ -81,7 +81,7 @@ def test_criterion_03_special_structures_exact():
     for d in range(2, 7):
         identity = npv.DependenceStructure.identity(d)
         assert npv.upper_bound(identity) == float(d)
-        assert npv.lower_bound(identity) == 1.0
+        assert npv.bounds_summary(identity).lower_nonzero == 1.0
         assert npv.upper_bound(npv.DependenceStructure.complete(d)) == float(2 * d)
     print("criterion  3 PASS: identity and all-ones bounds exact for d in 2..6")
 
@@ -184,33 +184,33 @@ def test_criterion_09_sensitivity_finite_differences():
         z = rng.uniform(0.5, 10, d)
         eta = float(rng.uniform(0.1, 0.9))  # common relative achievement
         y = np.full(d, eta) * z
-        gaps = np.array(oracles.gaps(y, z, alpha))
         theta = -alpha * (1 - eta) ** (alpha - 1)
 
         j = int(rng.integers(1, d + 1))
-        for jp in range(1, d + 1):
-            before = npv.deprivation_score(gaps, structure, j)
-            y2 = y.copy()
-            y2[jp - 1] = (eta + h) * z[jp - 1]
-            gaps2 = np.array(oracles.gaps(y2, z, alpha))
-            fd = (npv.deprivation_score(gaps2, structure, j) - before) / h
-            expected = theta * npv.gap_sensitivity(structure, j, jp)
+        # the base row, one row per dimension j' with relative achievement j'
+        # raised by h, and one row with every dimension but j raised by h
+        rows = np.tile(y, (d + 2, 1))
+        for jp in range(d):
+            rows[1 + jp, jp] = (eta + h) * z[jp]
+            if jp != j - 1:
+                rows[d + 1, jp] = (eta + h) * z[jp]
+        scores = npv.deprivation_matrix(rows, z, structure, alpha).values[:, j - 1]
+        # d score_j / d gap_j' from the structure: 1 for j' = j, m[j, j'] / (d - 1) otherwise
+        sensitivity = [
+            1.0 if jp == j - 1 else structure.entries[j - 1, jp] / (d - 1) for jp in range(d)
+        ]
+        for jp in range(d):
+            fd = (scores[1 + jp] - scores[0]) / h
+            expected = theta * sensitivity[jp]
             if abs(expected) > 1e-12:
                 assert abs(fd - expected) <= 1e-4 * abs(expected)
             else:
                 assert abs(fd) <= 1e-8
 
         # joint unit increase of all other relative achievements
-        total = theta * math.fsum(
-            npv.gap_sensitivity(structure, j, jp) for jp in range(1, d + 1) if jp != j
-        )
+        total = theta * math.fsum(c for jp, c in enumerate(sensitivity) if jp != j - 1)
         assert theta - 1e-12 <= total <= 0.0
-        y3 = y.copy()
-        for jp in range(d):
-            if jp != j - 1:
-                y3[jp] = (eta + h) * z[jp]
-        gaps3 = np.array(oracles.gaps(y3, z, alpha))
-        fd_total = (npv.deprivation_score(gaps3, structure, j) - npv.deprivation_score(gaps, structure, j)) / h
+        fd_total = (scores[d + 1] - scores[0]) / h
         if abs(total) > 1e-12:
             assert abs(fd_total - total) <= 1e-4 * abs(total)
         else:

@@ -60,7 +60,7 @@ PROBES = {
     # errors that used to escape as ValueError or TypeError
     "connections-of-str": (lambda: npv.connections_of(S, "x"), IndexOutOfRange),
     "settings-trials-str": (lambda: npv.GeneratorSettings(trials="x"), InvalidGeneratorSettings),
-    "gap-sensitivity-none": (lambda: npv.gap_sensitivity(S, None, 1), IndexOutOfRange),
+    "connections-of-none": (lambda: npv.connections_of(S, None), IndexOutOfRange),
     "fgt-str-achievements": (
         lambda: npv.fgt_network_adjusted([["a", "b", "c"]], Z, S, None, 1.0, 1.0),
         ShapeMismatch,
@@ -68,14 +68,6 @@ PROBES = {
     "structure-str": (
         lambda: npv.validate_dependence_structure([["a", "b"], ["c", "d"]]),
         ShapeMismatch,
-    ),
-    "score-str-gaps": (lambda: npv.deprivation_score(["x", "y", "z"], S, 1), ShapeMismatch),
-    # a gap lies in [0, 1]
-    "score-nan-gap": (lambda: npv.deprivation_score([math.nan, 0.0, 0.0], S, 1), ValidationError),
-    "score-inf-gap": (lambda: npv.deprivation_score([math.inf, 0.0, 0.0], S, 1), ValidationError),
-    "score-gap-out-of-range": (
-        lambda: npv.deprivation_score([2.0, -1.0, 0.0], S, 1),
-        ValidationError,
     ),
     "weights-ragged": (lambda: npv.validate_weights([[1], [1, 1]], 2), ShapeMismatch),
     # input that used to be silently reinterpreted
@@ -156,6 +148,23 @@ PROBES = {
     "dataset-int-ids": (
         lambda: npv.Dataset(npv.AchievementMatrix(Y), ("a", "b", "c"), (1, 2, 3)),
         ShapeMismatch,
+    ),
+    # d distinct dimension names as text; raw achievements checked as AchievementMatrix does
+    "dataset-short-names": (
+        lambda: npv.Dataset(npv.AchievementMatrix(np.zeros((2, 3))), ("a",)),
+        ShapeMismatch,
+    ),
+    "dataset-duplicate-names": (
+        lambda: npv.Dataset(npv.AchievementMatrix(Y), ("a", "a", "b")),
+        ValidationError,
+    ),
+    "dataset-int-names": (
+        lambda: npv.Dataset(npv.AchievementMatrix(Y), (1, 2, 3)),
+        ShapeMismatch,
+    ),
+    "dataset-raw-negative-achievements": (
+        lambda: npv.Dataset(np.array([[1.0, -2.0, 3.0]]), ("a", "b", "c")),
+        NegativeAchievement,
     ),
     # a report missing what recompute_fgt_value reads
     "recompute-empty": (lambda: npv.recompute_fgt_value({}), ValidationError),
@@ -329,6 +338,10 @@ PROBE_MESSAGES = {
     "increment-bool-person": "person index must be an integer, got bool",
     "increment-bool-amount": "amount must be a real number, got bool",
     "settings-trials-bool": "each generator setting must be an integer, got bool",
+    "dataset-short-names": "dimension_names must be 3 strings, one per dimension",
+    "dataset-duplicate-names": "duplicate dimension name 'a'",
+    "dataset-int-names": "dimension_names must be 3 strings, one per dimension",
+    "dataset-raw-negative-achievements": "achievement (1, 2) = -2.0 is negative",
 }
 
 
@@ -379,19 +392,15 @@ def valid_calls(config_path: Path) -> dict:
         "decompose_by_group": (npv.decompose_by_group, [Y, [0, 1, 0], CFG]),
         "deprivation_counts": (npv.deprivation_counts, [Y, Z, S, None]),
         "deprivation_matrix": (npv.deprivation_matrix, [Y, Z, S, 1.0, None]),
-        "deprivation_score": (npv.deprivation_score, [[0.5, 0.0, 0.2], S, 1]),
-        "dimension_jumps": (npv.dimension_jumps, [S]),
         "fgt_naive": (npv.fgt_naive, [Y, Z, S, 1.0, 1.0]),
         "fgt_network_adjusted": (npv.fgt_network_adjusted, [Y, Z, S, None, 1.0, 1.0]),
         "fgt_via_coefficients": (npv.fgt_via_coefficients, [Y, Z, S, None, 1.0, 1.0]),
         "gap_matrix": (npv.gap_matrix, [Y, Z, 1.0]),
-        "gap_sensitivity": (npv.gap_sensitivity, [S, 1, 2]),
         "headcount_ratio": (npv.headcount_ratio, [[0, 1]]),
         "identify": (npv.identify, [[1.0, 2.0], 1.5, 3.0]),
         "implied_weights": (npv.implied_weights, [np.eye(3)]),
         "is_disconnected": (npv.is_disconnected, [S]),
         "load_config": (npv.load_config, [config_path, 1.0, None, 0.5]),
-        "lower_bound": (npv.lower_bound, [S]),
         "resolve_methodology": (npv.resolve_methodology, [doc, 1.0, None, 0.5]),
         "run_axiom_suite": (npv.run_axiom_suite, [1.0, suite]),
         "upper_bound": (npv.upper_bound, [S]),

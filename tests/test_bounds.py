@@ -8,8 +8,6 @@ from netpoverty import (
     DependenceStructure,
     attainable_scores,
     bounds_summary,
-    dimension_jumps,
-    lower_bound,
     upper_bound,
     validate_dependence_structure,
     weighted_upper_bound,
@@ -32,13 +30,13 @@ class TestUpperBound:
 
 class TestLowerBound:
     def test_identity_gives_one(self):
-        assert lower_bound(DependenceStructure.identity(3)) == 1.0
+        assert bounds_summary(DependenceStructure.identity(3)).lower_nonzero == 1.0
 
     def test_asymmetric_example(self):
-        assert lower_bound(ASYM) == pytest.approx(1.1, abs=1e-12)
+        assert bounds_summary(ASYM).lower_nonzero == pytest.approx(1.1, abs=1e-12)
 
     def test_complete_structure(self):
-        assert lower_bound(DependenceStructure.complete(3)) == 2.0
+        assert bounds_summary(DependenceStructure.complete(3)).lower_nonzero == 2.0
 
 
 class TestBruteForceOracle:
@@ -50,19 +48,19 @@ class TestBruteForceOracle:
             m = random_structure(rng, d)
             counts = oracles.pattern_counts(m)[1:]  # every pattern but the empty one
             assert max(counts) == pytest.approx(upper_bound(m), abs=1e-12)
-            assert min(counts) == pytest.approx(lower_bound(m), abs=1e-12)
+            assert min(counts) == pytest.approx(bounds_summary(m).lower_nonzero, abs=1e-12)
 
 
 class TestDimensionJump:
     def test_identity_jump_is_one(self):
-        assert np.array_equal(dimension_jumps(DependenceStructure.identity(3)), np.ones(3))
+        assert np.array_equal(bounds_summary(DependenceStructure.identity(3)).jumps, np.ones(3))
 
     def test_column_sum_drives_jump(self):
         m = validate_dependence_structure([[1, 0.5], [0, 1]])
-        assert dimension_jumps(m).tolist() == [1.0, 1.5]
+        assert bounds_summary(m).jumps.tolist() == [1.0, 1.5]
 
     def test_asymmetric_example(self):
-        assert dimension_jumps(ASYM)[1] == pytest.approx(1.25, abs=1e-12)
+        assert bounds_summary(ASYM).jumps[1] == pytest.approx(1.25, abs=1e-12)
 
     def test_read_from_the_jump_array_bitwise(self, rng):
         from conftest import random_structure
@@ -76,8 +74,9 @@ class TestDimensionJump:
                 np.fill_diagonal(entries, 1.0)
                 m = DependenceStructure(entries)
             cols = [math.fsum(m.entries[:, j]) for j in range(d)]
-            assert lower_bound(m) == 1.0 + (min(cols) - 1.0) / (d - 1)
-            assert lower_bound(m) == min(dimension_jumps(m))
+            summary = bounds_summary(m)
+            assert summary.lower_nonzero == 1.0 + (min(cols) - 1.0) / (d - 1)
+            assert summary.lower_nonzero == min(summary.jumps)
 
 
 class TestWeightedUpperBound:
@@ -110,7 +109,7 @@ class TestWeightedUpperBound:
             d = int(rng.integers(2, 7))
             m = random_structure(rng, d)
             w = random_weights(rng, d)
-            direct = math.fsum(w.values * dimension_jumps(m))
+            direct = math.fsum(w.values * bounds_summary(m).jumps)
             assert weighted_upper_bound(m, w) == pytest.approx(direct, abs=1e-12)
 
 
@@ -142,7 +141,7 @@ class TestAttainableScores:
             m = random_structure(rng, d)
             scores = attainable_scores(m)
             nonzero = scores[scores > 0]
-            assert nonzero[0] == pytest.approx(lower_bound(m), abs=1e-12)
+            assert nonzero[0] == pytest.approx(bounds_summary(m).lower_nonzero, abs=1e-12)
 
     def test_duplicates_are_kept(self):
         scores = attainable_scores(DependenceStructure.identity(2))
@@ -157,9 +156,9 @@ class TestBoundsSummary:
     def test_fields_agree_with_operations(self):
         summary = bounds_summary(ASYM, [1.5, 1, 0.5])
         assert summary.upper == upper_bound(ASYM)
-        assert summary.lower_nonzero == lower_bound(ASYM)
+        assert summary.lower_nonzero == pytest.approx(1.1, abs=1e-12)
         assert summary.weighted_upper == weighted_upper_bound(ASYM, [1.5, 1, 0.5])
-        assert np.array_equal(summary.jumps, dimension_jumps(ASYM))
+        assert summary.jumps == pytest.approx([1.1, 1.25, 1.2], abs=1e-12)
         assert summary.entry_total == pytest.approx(4.1, abs=1e-12)
         assert summary.column_totals == pytest.approx([1.2, 1.5, 1.4], abs=1e-12)
 
@@ -172,9 +171,7 @@ class TestBoundsSummary:
             for w in (None, random_weights(rng, d)):
                 summary = bounds_summary(m, w)
                 assert summary.upper == upper_bound(m) == weighted_upper_bound(m)
-                assert summary.lower_nonzero == lower_bound(m)
                 assert summary.weighted_upper == weighted_upper_bound(m, w)
-                assert summary.jumps.tobytes() == dimension_jumps(m).tobytes()
                 assert summary.entry_total == math.fsum(summary.column_totals)
 
     def test_jump_range(self, rng):

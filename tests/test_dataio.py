@@ -170,6 +170,13 @@ class TestLoadDataset:
             Dataset(y, ("h", "e"), ("\ud83d\ude00",))
         assert Dataset(y, ("h", "e"), ("\U0001f600",)).person_ids == ("\U0001f600",)
 
+    def test_raw_achievements_are_checked_and_reported(self):
+        cfg = MethodologyConfig(1.0, 1.0, np.eye(3), None, [10.0, 10.0, 10.0])
+        raw = Dataset(np.zeros((2, 3)), ("a", "b", "c"))
+        assert isinstance(raw.achievements, AchievementMatrix)
+        built = Dataset(AchievementMatrix(np.zeros((2, 3))), ("a", "b", "c"))
+        assert "".join(stream_report(raw, cfg)) == "".join(stream_report(built, cfg))
+
 
 class TestLoadConfig:
     def test_worked_config(self, tmp_path):

@@ -12,11 +12,10 @@ from hypothesis import given, strategies as st
 
 from netpoverty import (
     DependenceStructure,
+    bounds_summary,
     deprivation_counts,
     deprivation_matrix,
-    deprivation_score,
     gap_matrix,
-    gap_sensitivity,
     validate_dependence_structure,
 )
 from netpoverty.deprivation import (
@@ -26,12 +25,7 @@ from netpoverty.deprivation import (
     _counts,
     _row_blocks,
 )
-from netpoverty.errors import (
-    IndexOutOfRange,
-    InvalidAlpha,
-    NonPositiveCutoff,
-    ShapeMismatch,
-)
+from netpoverty.errors import InvalidAlpha, NonPositiveCutoff
 
 ASYM = validate_dependence_structure([[1, 0.5, 0], [0.2, 1, 0.4], [0, 0, 1]])
 
@@ -97,25 +91,19 @@ class TestGapMatrixCells:
 
 
 class TestDeprivationScore:
-    GAPS = (0.6, 0.25, 0.0)
+    @staticmethod
+    def scores(structure):
+        """The scores of one person with gaps (0.6, 0.25, 0.0) at alpha 1."""
+        return deprivation_matrix([[4.0, 7.5, 10.0]], [10, 10, 10], structure, 1.0).values[0]
 
     def test_identity_returns_plain_gap(self):
-        assert deprivation_score(self.GAPS, DependenceStructure.identity(3), 1) == 0.6
+        assert self.scores(DependenceStructure.identity(3))[0] == 0.6
 
     def test_neighbor_effects_enter_row_weighted(self):
-        assert deprivation_score(self.GAPS, ASYM, 1) == pytest.approx(0.6625, abs=1e-12)
-        assert deprivation_score(self.GAPS, ASYM, 2) == pytest.approx(0.31, abs=1e-12)
+        assert self.scores(ASYM)[:2] == pytest.approx([0.6625, 0.31], abs=1e-12)
 
     def test_unconnected_dimension_keeps_zero(self):
-        assert deprivation_score(self.GAPS, ASYM, 3) == 0.0
-
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexOutOfRange):
-            deprivation_score(self.GAPS, ASYM, 4)
-
-    def test_gap_row_length_checked(self):
-        with pytest.raises(ShapeMismatch):
-            deprivation_score((0.5, 0.5), ASYM, 1)
+        assert self.scores(ASYM)[2] == 0.0
 
 
 class TestDeprivationMatrix:
@@ -152,17 +140,6 @@ class TestDeprivationMatrix:
             scored = deprivation_matrix(y, z, m, float(rng.uniform(0, 3)))
             assert np.all(scored.values >= 0.0)
             assert np.all(scored.values <= 2.0)
-
-    def test_matches_scalar_score_bitwise(self, rng):
-        y = rng.uniform(0, 20, (5, 3))
-        z = np.array([10.0, 10.0, 10.0])
-        scored = deprivation_matrix(y, z, ASYM, 2.0)
-        gaps = gap_matrix(y, z, 2.0)
-        for i in range(5):
-            for j in range(3):
-                assert scored.values[i, j] == deprivation_score(
-                    gaps.values[i], ASYM, j + 1
-                )
 
     def test_average_form_equivalence(self, rng):
         # the vectorised scores against the formula's explicit neighbour loop
@@ -321,7 +298,6 @@ class TestDeprivationCounts:
 
     def test_counts_zero_or_above_lower_bound(self, rng):
         from conftest import random_structure
-        from netpoverty import lower_bound
 
         for _ in range(20):
             d = int(rng.integers(2, 7))
@@ -329,7 +305,7 @@ class TestDeprivationCounts:
             z = rng.uniform(0.5, 10, d)
             y = rng.uniform(0, 2 * z, (20, d))
             counts = deprivation_counts(y, z, m).values
-            floor = lower_bound(m)
+            floor = bounds_summary(m).lower_nonzero
             assert np.all((counts == 0.0) | (counts >= floor - 1e-12))
 
     def test_row_permutation_is_bitwise(self, rng):
@@ -346,18 +322,37 @@ class TestDeprivationCounts:
             assert np.array_equal(deprivation_counts(y[perm], z, m, w).values, base[perm])
 
 
+def score_slopes(structure, gaps, h=2.0**-20):
+    """Slopes of the scores in the gaps, by finite differences of deprivation_matrix.
+
+    ``slopes[j, j']`` is the change of score j per unit of gap j'.  At
+    alpha 1 and unit cutoffs a gap is 1 - y, so lowering y[j'] by h, a
+    power of two, raises gap j' by h and leaves the others as they are.
+    """
+    d = len(gaps)
+    y = 1.0 - np.asarray(gaps)
+    rows = np.vstack([y, y - h * np.eye(d)])
+    scores = deprivation_matrix(rows, np.ones(d), structure, 1.0).values
+    return (scores[1:] - scores[0]).T / h
+
+
 class TestGapSensitivity:
+    """d score_j / d gap_j' is 1 for j' = j and m[j, j'] / (d - 1) otherwise."""
+
+    GAPS = (0.5, 0.25, 0.75)
+
     def test_own_effect_is_one(self, rng):
         from conftest import random_structure
 
-        m = random_structure(rng, 4)
-        assert gap_sensitivity(m, 2, 2) == 1.0
+        slopes = score_slopes(random_structure(rng, 4), (0.5, 0.25, 0.75, 0.125))
+        assert np.diag(slopes) == pytest.approx(np.ones(4), abs=1e-9)
 
     def test_cross_effect_is_scaled_entry(self):
-        assert gap_sensitivity(ASYM, 1, 2) == 0.25
+        assert score_slopes(ASYM, self.GAPS)[0, 1] == pytest.approx(0.25, abs=1e-9)
 
     def test_disconnected_cross_effect_is_zero(self):
-        assert gap_sensitivity(DependenceStructure.identity(3), 1, 2) == 0.0
+        slopes = score_slopes(DependenceStructure.identity(3), self.GAPS)
+        assert np.array_equal(slopes, np.eye(3))
 
     def test_total_cross_effect_in_unit_interval(self, rng):
         from conftest import random_structure
@@ -365,16 +360,16 @@ class TestGapSensitivity:
         for _ in range(20):
             d = int(rng.integers(2, 7))
             m = random_structure(rng, d)
-            for j in range(1, d + 1):
-                total = math.fsum(
-                    gap_sensitivity(m, j, jp) for jp in range(1, d + 1) if jp != j
-                )
-                assert -1e-15 <= total <= 1.0 + 1e-15
+            slopes = score_slopes(m, rng.uniform(0.05, 0.9, d))
+            expected = m.entries / (d - 1)
+            np.fill_diagonal(expected, 1.0)
+            assert slopes == pytest.approx(expected, abs=1e-9)
+            cross = slopes.sum(axis=1) - np.diag(slopes)
+            assert np.all((-1e-9 <= cross) & (cross <= 1.0 + 1e-9))
 
     def test_total_effect_one_only_at_full_row(self):
-        m = DependenceStructure.complete(3)
-        total = math.fsum(gap_sensitivity(m, 1, jp) for jp in (2, 3))
-        assert total == 1.0
+        slopes = score_slopes(DependenceStructure.complete(3), self.GAPS)
+        assert math.fsum(slopes[0, 1:]) == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("alpha", [1.0, 2.0])
@@ -391,19 +386,18 @@ def test_finite_difference_matches_sensitivity(alpha, rng):
         j = int(rng.integers(1, d + 1))
         jp = int(rng.integers(1, d + 1))
 
-        gaps = gap_matrix([y], z, alpha).values[0]
-        before = deprivation_score(gaps, m, j)
         y2 = y.copy()
         y2[jp - 1] = (eta[jp - 1] + h) * z[jp - 1]
-        gaps2 = gap_matrix([y2], z, alpha).values[0]
-        after = deprivation_score(gaps2, m, j)
+        gaps = gap_matrix([y, y2], z, alpha).values
+        scores = deprivation_matrix([y, y2], z, m, alpha).values[:, j - 1]
 
-        theta_fd = (gaps2[jp - 1] - gaps[jp - 1]) / h
+        theta_fd = (gaps[1, jp - 1] - gaps[0, jp - 1]) / h
         theta_exact = -alpha * (1 - eta[jp - 1]) ** (alpha - 1)
         assert theta_fd == pytest.approx(theta_exact, rel=1e-4)
 
-        expected = theta_fd * gap_sensitivity(m, j, jp)
-        actual = (after - before) / h
+        sensitivity = 1.0 if jp == j else m.entries[j - 1, jp - 1] / (d - 1)
+        expected = theta_fd * sensitivity
+        actual = (scores[1] - scores[0]) / h
         if abs(expected) > 1e-12:
             assert actual == pytest.approx(expected, rel=1e-4)
         else:

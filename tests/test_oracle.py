@@ -16,10 +16,10 @@ from netpoverty import (
     DependenceStructure,
     MethodologyConfig,
     WeightVector,
+    bounds_summary,
     decompose_by_group,
     deprivation_counts,
     deprivation_matrix,
-    dimension_jumps,
     fgt_naive,
     fgt_network_adjusted,
     fgt_via_coefficients,
@@ -125,7 +125,7 @@ def test_repro_value_is_22_over_13():
 
 def test_gate_rejects_source_weighted_coefficients(monkeypatch):
     # the mutation: each coefficient weighted by its own dimension, w[j] * jump[j]
-    monkeypatch.setattr(core, "_coefficient_values", lambda s, w: w * dimension_jumps(s))
+    monkeypatch.setattr(core, "_coefficient_values", lambda s, w: w * bounds_summary(s).jumps)
     y, z, m, w, _, k, _, _ = REPRO
     assert fgt_network_adjusted(y, z, m, w, 1.0, k).value == pytest.approx(1.0, abs=TOL)
     assert "fgt_network_adjusted" in mismatches(*REPRO)
