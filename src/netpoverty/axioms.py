@@ -630,9 +630,8 @@ def run_axiom_suite(
         def packed(share: int) -> bytes:  # two doubles an axiom
             return array("d", fold(share, shares)).tobytes()
 
-        parts = [map(packed, [share]) for share in range(shares)]
         try:
-            folds = array("d", b"".join(_forked(parts)))
+            folds = array("d", b"".join(_forked([partial(packed, s) for s in range(shares)])))
         except Exception:  # every worker is reaped; the serial loop alone names errors
             pass
     if folds is None:

@@ -17,8 +17,8 @@ Exit codes: 0 success, 1 validation or usage error, 2 axiom violation,
 early is not an I/O error: the output stops and the exit code is the
 command's own.  While :func:`main` runs on the main thread, SIGTERM
 raises ``SystemExit(143)``, 128 plus the signal number as a shell
-reports it, so a partial ``--out`` file is removed and every report
-worker is killed and reaped before the process ends.
+reports it, so a partial ``--out`` file is removed and every worker of
+the axiom suite is killed and reaped before the process ends.
 """
 
 from __future__ import annotations
@@ -277,14 +277,10 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         chunks, code = args.run(args)
-        try:
-            if args.out is None:
-                _write_stdout(chunks)
-            else:
-                write_text(chunks, args.out)
-        finally:
-            # a stream stopped by an exception reaps its workers now, not when collected
-            getattr(chunks, "close", lambda: None)()
+        if args.out is None:
+            _write_stdout(chunks)
+        else:
+            write_text(chunks, args.out)
         return code
     except (WriteError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

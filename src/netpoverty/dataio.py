@@ -40,21 +40,11 @@ whose matrix would pass ``_MATRIX_BYTES`` is built in halves.  A float's
 text is written from its 12 significant digits by integer arithmetic
 and tables of 3-digit groups; a value that path cannot vouch for (a
 near tie, one below 1e-4 or from 1e3 on, -0.0) takes the definition,
-``repr(float("%.12g" % v))``.  A person's record depends on that
-person's row alone, so the chunks fall into contiguous ranges, one per
-usable CPU and each of at least ``_FORK_PERSONS`` persons.  The caller
-formats the first range; every other range is formatted by a worker
-forked for it, which writes its bytes into a pipe that the caller reads
-in order, up to 64 KB a read, decoding each read.  The fork, pipe and
-reaping code is :func:`netpoverty.deprivation._forked`, which the
-axiom suite runs on too.  With one range, or with other threads
-running, nothing is forked.  However the stream ends (done, failed,
-closed or dropped), every worker is reaped before the caller goes on;
-a failed worker raises :class:`WriteError`.  There is no option.
-``compute`` writes that text; :func:`run_report` also parses it, so its
-dict is the streamed text read back.  The reference the text is tested
-against is built apart, in the tests, from the public counts, statuses,
-scores and bounds.
+``repr(float("%.12g" % v))``.  Every chunk is formatted in the calling
+process, in order; nothing is forked.  ``compute`` writes that text;
+:func:`run_report` also parses it, so its dict is the streamed text
+read back.  The reference the text is tested against is built apart,
+in the tests, from the public counts, statuses, scores and bounds.
 """
 
 from __future__ import annotations
@@ -86,7 +76,7 @@ from .core import (
     as_dependence_structure,
     validate_weights,
 )
-from .deprivation import _counts, _fork_count, _forked, _score_values
+from .deprivation import _counts, _score_values
 from .errors import (
     EmptyDataset,
     NegativeAchievement,
@@ -104,7 +94,8 @@ class Dataset:
     """Validated achievements plus the header metadata they came with.
 
     The constructor takes raw achievements too, and checks for d distinct
-    dimension names and, when given, one text id per person.
+    dimension names and, when given, n distinct text ids, one per person;
+    it stores both as tuples.
     """
 
     achievements: AchievementMatrix
@@ -114,25 +105,17 @@ class Dataset:
     def __post_init__(self) -> None:
         if not isinstance(self.achievements, AchievementMatrix):
             object.__setattr__(self, "achievements", AchievementMatrix(self.achievements))
-        names, d = self.dimension_names, self.d
-        try:
-            if len(names) != d or not all(isinstance(name, str) for name in names):
-                raise TypeError
-        except TypeError:
-            raise ShapeMismatch(f"dimension_names must be {d} strings, one per dimension") from None
-        _reject_duplicates("dimension_names", names, "dimension name")
-        ids = self.person_ids
-        if ids is None:
+        names = _distinct_texts(self.dimension_names, self.d, "dimension_names", "dimension name")
+        object.__setattr__(self, "dimension_names", names)
+        if self.person_ids is None:
             return
+        ids = _distinct_texts(self.person_ids, self.n, "person_ids", "person id")
         try:
-            if len(ids) != self.n:
-                raise TypeError
             # a report is UTF-8: a lone surrogate has no encoding there
             "".join(ids).encode("utf-8")
-        except TypeError:
-            raise ShapeMismatch(f"person_ids must be {self.n} strings, one per person") from None
         except UnicodeEncodeError:
             raise ShapeMismatch("person_ids hold a surrogate code point, not UTF-8 text") from None
+        object.__setattr__(self, "person_ids", ids)
 
     @property
     def n(self) -> int:
@@ -146,6 +129,21 @@ class Dataset:
         if self.person_ids is not None:
             return self.person_ids
         return tuple(range(1, self.n + 1))
+
+
+def _distinct_texts(texts, count: int, field: str, what: str) -> tuple[str, ...]:
+    """``texts`` as a tuple of ``count`` distinct strings, each a ``what``."""
+    try:
+        if isinstance(texts, str):  # one string, not a sequence of one-character names
+            raise TypeError
+        texts = tuple(texts)
+        if len(texts) != count or not all(isinstance(text, str) for text in texts):
+            raise TypeError
+    except TypeError:
+        each = what.split()[0]
+        raise ShapeMismatch(f"{field} must be {count} strings, one per {each}") from None
+    _reject_duplicates(field, texts, what)
+    return texts
 
 
 def load_dataset(path) -> Dataset:
@@ -407,19 +405,11 @@ def stream_report(
 
 
 #: persons formatted per chunk of streamed report text: on a shared 2-CPU
-#: VM the 100,000 x 5 benchmark report took 109.9 ms in one range at 1,024
+#: VM the 100,000 x 5 benchmark report took 109.9 ms in one process at 1,024
 #: persons a chunk, 105.2 at 2,048, 104.4 at 3,072, 107.6 at 4,096 and 113.4
 #: at 8,192 (median of 21), and its compute child 325.3 ms at 4,096 against
 #: 335.2 at 2,048 (median of 30 pairs), peaking 1.1 MB higher
 _CHUNK_PERSONS = 4096
-#: fewest persons in a range of report text: forking and reaping a worker
-#: beside the loaded benchmark input takes about 3.7 ms, near one chunk's
-#: text at d = 5; its first n persons took 20.1 ms in one range against 36.4
-#: in two at n = 16,384, 26.4 against 26.4 at 24,576, 35.8 against 33.2 at
-#: 32,768 and 54.9 against 47.7 at 49,152 (median of 31): two ranges pay
-#: from about 25,000 persons, so two ranges of this size are the fewest
-#: persons that fork
-_FORK_PERSONS = 16_384
 #: most bytes a chunk's record matrix may take: a chunk with wider rows (a
 #: long id, many dimensions) is formatted in halves, so that one long id
 #: costs about its own row rather than a chunk of rows as wide as it
@@ -562,15 +552,7 @@ def _records(ids, count_fields, poor, scores) -> bytearray:
 def _report_text(
     head: dict, person_ids, counts, statuses, scores, tail: dict
 ) -> Iterator[str]:
-    """The report as ``json.dumps(indent=2)`` writes it, one chunk of persons at a time.
-
-    The chunks fall into contiguous ranges of whole chunks, one per
-    usable CPU, each of at least ``_FORK_PERSONS`` persons; every range
-    after the first is formatted by a forked worker (see
-    :func:`netpoverty.deprivation._forked`), which sends its records'
-    bytes as :func:`_records` made them.  With threads running, or one
-    range, nothing is forked.
-    """
+    """The report as ``json.dumps(indent=2)`` writes it, one chunk of persons at a time."""
     yield json.dumps(head, indent=2)[:-2] + ',\n  "per_person": [\n'
     n = scores.shape[0]
     ids = range(1, n + 1) if person_ids is None else person_ids
@@ -585,12 +567,8 @@ def _report_text(
         text = _records(texts, level_fields[level_of[rows]], statuses[rows], scores[rows])
         return text if start else text[2:]  # the first record follows no other
 
-    starts = range(0, n, _CHUNK_PERSONS)
-    ranges = _fork_count(n, _FORK_PERSONS)
-    cuts = [len(starts) * i // ranges for i in range(ranges + 1)]
-    parts = [map(chunk, starts[a:b]) for a, b in zip(cuts, cuts[1:])]
-    # the text is ASCII: each chunk, or each read of a worker's bytes, decodes alone
-    yield from (chunk.decode() for chunk in _forked(parts))
+    # the text is ASCII: each chunk decodes alone
+    yield from (chunk(start).decode() for start in range(0, n, _CHUNK_PERSONS))
     yield "\n  ],\n" + json.dumps(tail, indent=2)[2:] + "\n"
 
 

@@ -26,9 +26,8 @@ boolean array), and censors the row sums at k's floor in the pass; the counts
 are that pass at alpha 0 with a floor that censors nobody (:func:`_counts`).
 From two tiles of rows on, :func:`_row_sums` reads the cutoffs and coefficients as
 tiles of half a block, so its elementwise steps run as flat loops, not once per row.
-Work that splits into parts of whole persons or whole trials, the report
-text and the axiom suite, runs on :func:`_forked`: one part here, each other
-in a worker process forked for it.
+The axiom suite's shares of trials run on :func:`_forked`: one share here,
+each other in a worker process forked for it.
 
 Determinism: every per-person quantity here depends only on that
 person's row and is computed through fixed reduction trees, so results
@@ -43,7 +42,6 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -309,37 +307,36 @@ def _fork_count(items: int, least: int) -> int:
     return max(1, min(_usable_cpus(), items // least))
 
 
-def _forked(parts: list) -> Iterator:
-    """The items of ``parts[0]``, made here, then of each later part, made by a forked worker.
+def _forked(jobs: list) -> list[bytes]:
+    """Each zero-argument job's bytes: ``jobs[0]`` run here, each later job in a forked worker.
 
-    Each worker makes its whole part, an iterable of bytes, then writes
-    them one by one into its own pipe, and ends by ``os._exit`` alone: it
-    never returns into the caller nor flushes an inherited buffer.  The
-    caller makes the first part meanwhile, then reads the pipes in order.
-    A read asks for 4 KB, and twice the last size after one that filled
-    it, up to 64 KB, what a pipe holds: a pipe of a few hundred bytes
-    never costs a 64 KB buffer.  A worker that exits other than 0 raises
-    :class:`WriteError`.  However the caller stops, it closes its read
-    ends, kills every worker not yet reaped, and reaps them all.
+    Each worker runs its job, writes the bytes into its own pipe, and ends
+    by ``os._exit`` alone: it never returns into the caller nor flushes an
+    inherited buffer.  The caller runs the first job meanwhile, then reads
+    the pipes to their ends in order.  A worker that exits other than 0
+    raises :class:`WriteError`.  However the caller stops, it closes its
+    read ends, kills every worker not yet reaped, and reaps them all.
     """
     workers: list[tuple[int, int]] = []  # (pid, read end), until reaped
     try:
-        for part in parts[1:]:
-            workers.append(_fork_worker(part, [fd for _, fd in workers]))
-        yield from parts[0]
+        for job in jobs[1:]:
+            workers.append(_fork_worker(job, [fd for _, fd in workers]))
+        results = [jobs[0]()]
         while workers:
             pid, fd = workers[0]
-            size = 1 << 12
-            while data := os.read(fd, size):
-                yield data
-                if len(data) == size:
-                    size = min(2 * size, 1 << 16)
+            reads = []
+            # a read's buffer is its full size until it returns: 4 KB, not the 64 KB a
+            # pipe holds, as the suite's results are a few hundred bytes
+            while data := os.read(fd, 1 << 12):
+                reads.append(data)
             status = os.waitpid(pid, 0)[1]
             del workers[0]
             os.close(fd)
             if status:
                 code = os.waitstatus_to_exitcode(status)
                 raise WriteError(f"a forked worker failed (exit code {code})")
+            results.append(b"".join(reads))
+        return results
     finally:
         if workers:
             import signal
@@ -350,8 +347,8 @@ def _forked(parts: list) -> Iterator:
                 os.waitpid(pid, 0)
 
 
-def _fork_worker(part, inherited: list[int]) -> tuple[int, int]:
-    """Fork a worker that writes ``part`` into a new pipe; its pid and the pipe's read end."""
+def _fork_worker(job, inherited: list[int]) -> tuple[int, int]:
+    """Fork a worker that writes ``job()`` into a new pipe; its pid and the pipe's read end."""
     read, write = os.pipe()
     try:
         pid = os.fork()
@@ -366,11 +363,9 @@ def _fork_worker(part, inherited: list[int]) -> tuple[int, int]:
     try:
         for fd in (read, *inherited):  # so the caller's close leaves each pipe no reader
             os.close(fd)
-        blobs = list(part)  # all made before the first write: a pipe holds 64 KB
-        for blob in blobs:
-            data = memoryview(blob)
-            while data:
-                data = data[os.write(write, data) :]
+        data = memoryview(job())
+        while data:
+            data = data[os.write(write, data) :]
         code = 0
     finally:
         os._exit(code)

@@ -65,9 +65,7 @@ def forks(monkeypatch):
 
 
 @pytest.fixture
-def small_ranges(monkeypatch, forks):
-    """Chunks of 16 persons and ranges of at least 48; the pids forked, as a list."""
+def small_chunks(monkeypatch):
+    """Report text formatted 16 persons a chunk."""
     monkeypatch.setattr(dataio, "_CHUNK_PERSONS", 16)
-    monkeypatch.setattr(dataio, "_FORK_PERSONS", 48)
-    return forks
 

@@ -12,13 +12,22 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from conftest import assert_reaped, usable_cpus
+from conftest import usable_cpus
 from hypothesis import given, settings, strategies as st
-from test_dataio import _CSV, _JSON, fail_in_workers
+from test_dataio import _CSV, _JSON, reference_report
 
-from netpoverty import DependenceStructure, MethodologyConfig, WeightVector, dataio
+from netpoverty import (
+    DependenceStructure,
+    MethodologyConfig,
+    WeightVector,
+    dataio,
+    load_config,
+    load_dataset,
+    weighted_upper_bound,
+)
 from netpoverty.bounds import ENUMERATION_LIMIT
 from netpoverty.cli import _warn_k_gap, build_parser, main
+from netpoverty.dataio import render_report
 
 WORKED_CONFIG = {
     "cutoffs": [10.0, 10.0],
@@ -93,6 +102,34 @@ class TestCompute:
         main(["compute", "--dataset", str(data), "--config", str(config), "--k-fraction", "1.0"])
         report = json.loads(capsys.readouterr().out)
         assert report["config"]["k"]["value"] == 2.5
+
+    def test_k_fraction_is_a_share_of_the_weighted_ceiling(self, tmp_path, capsys):
+        # non-uniform weights on an asymmetric structure: the weighted ceiling is
+        # not the unweighted one, so a fraction of the wrong one moves k
+        data = tmp_path / "zeros.csv"
+        data.write_text("a,b,c\n0,0,0\n0,0,0\n", encoding="utf-8")
+        dependence, weights = [[1, 1, 1], [0, 1, 0], [0, 0, 1]], [2.5, 0.25, 0.25]
+        config = tmp_path / "weighted.json"
+        doc = {"cutoffs": [1, 1, 1], "alpha": 1, "dependence": dependence, "weights": weights}
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        want = 0.5 * weighted_upper_bound(DependenceStructure(dependence), WeightVector(weights))
+        assert load_config(config, k_fraction_override=0.5).k == want
+        argv = ["compute", "--dataset", str(data), "--config", str(config), "--k-fraction", "0.5"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["k"]["value"] == want
+
+    def test_forks_nothing_on_two_cpus(self, worked, monkeypatch, forks, tmp_path):
+        # past the size from which the report text was once formatted in forked ranges
+        data, config = worked
+        rows = "".join(f"{i % 17},{i % 5}.25\n" for i in range(2 * 16_384 + 1))
+        data.write_text("health,education\n" + rows, encoding="utf-8")
+        usable_cpus(monkeypatch, 2)
+        out = tmp_path / "r.json"
+        argv = ["compute", "--dataset", str(data), "--config", str(config), "--out", str(out)]
+        assert main(argv) == 0
+        assert forks == []
+        want = render_report(reference_report(load_dataset(data), load_config(config), False))
+        assert out.read_bytes() == want.encode("utf-8")
 
     # a k far below the identification band's 1e-12 still leaves count 0 short of it
     @pytest.mark.parametrize("k", ["0.7", "1e-13"])
@@ -389,21 +426,14 @@ class TestEntry:
         assert gc.get_freeze_count() == frozen
 
 
-#: ``compute`` with two usable CPUs on any runner; with ``fail`` first, the
-#: per-chunk record formatter raises in every process but the one ``compute``
-#: runs in; with ``stall``, once the stream has yielded its first chunk of
-#: persons, that process sleeps a minute in its next call to the formatter
+#: ``compute``; with ``stall`` first, once the stream has yielded its first
+#: chunk of persons, it sleeps a minute in its next call to the formatter
 _LAUNCHER = """
-import os, sys, time
-os.sched_getaffinity = lambda pid: {0, 1}
+import sys, time
 from netpoverty import cli, dataio
-parent, records, report_text, past = os.getpid(), dataio._records, dataio._report_text, []
-def failing(*args):
-    if os.getpid() != parent:
-        raise RuntimeError("worker fault")
-    return records(*args)
+records, report_text, past = dataio._records, dataio._report_text, []
 def stalling(*args):
-    if past and os.getpid() == parent:
+    if past:
         time.sleep(60)
     return records(*args)
 def marking(*args):
@@ -412,7 +442,7 @@ def marking(*args):
         if i == 1:  # the head, then the first chunk of persons
             past.append(None)
 dataio._report_text = marking
-dataio._records = {"ok": records, "fail": failing, "stall": stalling}[sys.argv[1]]
+dataio._records = {"ok": records, "stall": stalling}[sys.argv[1]]
 sys.exit(cli.main(sys.argv[2:]))
 """
 
@@ -440,17 +470,17 @@ finally:
 
 
 def stop_past_the_first_chunk(monkeypatch, stop):
-    """Call ``stop()`` in this process's record formatter once the first chunk of persons is out."""
+    """Call ``stop()`` in the record formatter once the first chunk of persons is out."""
     records, report_text, past = dataio._records, dataio._report_text, []
 
     def marking(*args):
         for i, text in enumerate(report_text(*args)):
             yield text
             if i == 1:  # the head, then the first chunk of persons
-                past.append(os.getpid())
+                past.append(None)
 
     def stopping(*args):
-        if past == [os.getpid()]:
+        if past:
             stop()
         return records(*args)
 
@@ -476,13 +506,13 @@ def assert_group_gone(proc):
         os.killpg(proc.pid, 0)
 
 
-class TestForkedCompute:
-    """``compute`` on a report large enough to fork: no process outlives it."""
+class TestComputeChild:
+    """``compute`` in a child process, on a report of many chunks: nothing outlives it."""
 
     @pytest.fixture
     def large(self, worked):
         data, config = worked
-        # two ranges of report text, so one forked worker
+        # ten chunks of report text, far more than a pipe holds
         rows = "".join(f"{i % 17},{i % 5}.25\n" for i in range(40_000))
         data.write_text("health,education\n" + rows, encoding="utf-8")
         return ["compute", "--dataset", str(data), "--config", str(config)]
@@ -502,29 +532,9 @@ class TestForkedCompute:
         assert err == b""
         assert_group_gone(proc)
 
-    def test_report_equals_serial_report(self, large, monkeypatch, capsys):
-        proc = self.launch("ok", large)
-        out, err = proc.communicate(timeout=60)
-        assert proc.returncode == 0
-        assert err == b""
-        assert_group_gone(proc)
-        usable_cpus(monkeypatch, 1)  # one range, formatted here
-        assert main(large) == 0
-        assert out == capsys.readouterr().out.encode("utf-8")
-
-    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out-file"])
-    def test_worker_failure_exits_3(self, large, tmp_path, to_file):
-        out = tmp_path / "r.json"
-        proc = self.launch("fail", [*large, "--out", str(out)] if to_file else large)
-        _, err = proc.communicate(timeout=60)
-        assert proc.returncode == 3
-        assert_one_error_line(err.decode())
-        assert not out.exists()
-        assert_group_gone(proc)
-
     @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out-file"])
     def test_sigterm_mid_write_exits_143_and_cleans_up(self, large, tmp_path, to_file):
-        # the first chunk is written, then compute stalls with its worker running
+        # the first chunk is written, then compute stalls formatting the next
         out = tmp_path / "r.json"
         with self.launch("stall", [*large, "--out", str(out)] if to_file else large) as proc:
             try:
@@ -564,19 +574,6 @@ class TestForkedCompute:
         assert not out.exists()
         assert_group_gone(proc)
 
-    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out-file"])
-    def test_worker_failure_in_process(self, worked, small_ranges, monkeypatch, capsys, to_file):
-        data, config = worked
-        data.write_text("health,education\n" + "5,10\n3,4\n" * 100, encoding="utf-8")
-        usable_cpus(monkeypatch, 2)
-        fail_in_workers(monkeypatch)
-        out = data.parent / "r.json"
-        argv = ["compute", "--dataset", str(data), "--config", str(config)]
-        assert main([*argv, "--out", str(out)] if to_file else argv) == 3
-        assert_one_error_line(capsys.readouterr().err)
-        assert not out.exists()
-        assert len(small_ranges) == 1
-
 
 class TestSigterm:
     """While ``main`` runs, SIGTERM ends it in SystemExit(143); then the old handler is back."""
@@ -593,12 +590,11 @@ class TestSigterm:
     @pytest.mark.parametrize(
         "where", ["formatting-stdout", "formatting-out-file", "writing-stdout"]
     )
-    def test_sigterm_mid_write(self, worked, small_ranges, monkeypatch, capsys, where):
+    def test_sigterm_mid_write(self, worked, small_chunks, monkeypatch, capsys, where):
         # SIGTERM once the first chunk of persons is written: while the second is
         # formatted, or while the stream waits, suspended, for a write to stdout
         data, config = worked
         data.write_text("health,education\n" + "5,10\n3,4\n" * 100, encoding="utf-8")
-        usable_cpus(monkeypatch, 2)
 
         class TerminatingStdout(io.StringIO):
             def write(self, text):
@@ -623,8 +619,6 @@ class TestSigterm:
         assert exited.value.code == 143
         assert not out.exists()
         assert capsys.readouterr().err == ""
-        assert len(small_ranges) == 1
-        assert_reaped(small_ranges)
 
     def test_handler_restored_after_a_run(self, worked, capsys):
         data, config = worked

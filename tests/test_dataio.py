@@ -5,14 +5,13 @@ import math
 import os
 import struct
 import sys
-import threading
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import assert_reaped, usable_cpus
+from conftest import usable_cpus
 from hypothesis import given, settings, strategies as st
 
 import netpoverty
@@ -176,6 +175,25 @@ class TestLoadDataset:
         assert isinstance(raw.achievements, AchievementMatrix)
         built = Dataset(AchievementMatrix(np.zeros((2, 3))), ("a", "b", "c"))
         assert "".join(stream_report(raw, cfg)) == "".join(stream_report(built, cfg))
+
+    def test_constructor_rejects_duplicate_person_ids_as_the_loader_does(self, tmp_path):
+        with pytest.raises(ValidationError) as loaded:
+            load_dataset(write(tmp_path, "d.csv", "id,a,b\np,1,2\np,3,4\n"))
+        with pytest.raises(ValidationError, match="duplicate person id 'p'") as built:
+            Dataset(AchievementMatrix([[1, 2], [3, 4]]), ("a", "b"), ("p", "p"))
+        assert type(built.value) is type(loaded.value)
+
+    def test_a_string_is_not_a_sequence_of_dimension_names(self):
+        y = AchievementMatrix(np.zeros((2, 3)))
+        with pytest.raises(ShapeMismatch, match="dimension_names must be 3 strings"):
+            Dataset(y, "abc")
+        assert Dataset(y, ["a", "b", "c"]).dimension_names == ("a", "b", "c")
+
+    def test_a_string_is_not_a_sequence_of_person_ids(self):
+        y = AchievementMatrix(np.zeros((2, 2)))
+        with pytest.raises(ShapeMismatch, match="person_ids must be 2 strings"):
+            Dataset(y, ("a", "b"), "pq")
+        assert Dataset(y, ("a", "b"), ["p", "q"]).person_ids == ("p", "q")
 
 
 class TestLoadConfig:
@@ -466,6 +484,17 @@ class TestReports:
 _TRICKY_IDS = ('a"b', "\u00e9", "\t", "\\", "\u2028", "", "p01")
 
 
+def _distinct_ids(ids, n):
+    """n ids cycling through ``ids``, each repeat marked with its person number."""
+    taken: dict[str, None] = {}
+    for i in range(n):
+        pid = ids[i % len(ids)]
+        while pid in taken:
+            pid = f"{pid}#{i}"
+        taken[pid] = None
+    return tuple(taken)
+
+
 def _golden_inputs(seed, n, d, alpha, fraction, uniform_weights, ids):
     """A dataset and methodology whose scores take every kind of float text."""
     from conftest import random_structure, random_weights
@@ -482,7 +511,7 @@ def _golden_inputs(seed, n, d, alpha, fraction, uniform_weights, ids):
     m = random_structure(rng, d)
     w = None if uniform_weights else random_weights(rng, d)
     cfg = MethodologyConfig(alpha, fraction * weighted_upper_bound(m, w), m, w, z)
-    person_ids = None if ids is None else tuple(ids[i % len(ids)] for i in range(n))
+    person_ids = None if ids is None else _distinct_ids(ids, n)
     names = tuple(f"dim {j}" for j in range(d))
     return Dataset(AchievementMatrix(y), names, person_ids), cfg
 
@@ -744,62 +773,48 @@ class TestFloatFields:
         assert float_texts(values) == definition_texts(values)
 
 
-def assert_report_in_ranges(monkeypatch, forks, ds, cfg):
-    """The streamed report is the rendered reference, in one range and in two forced ranges."""
-    want = render_report(reference_report(ds, cfg, False))
-    usable_cpus(monkeypatch, 1)
-    assert "".join(stream_report(ds, cfg)) == want
-    assert forks == []
-    usable_cpus(monkeypatch, 2)
-    monkeypatch.setattr(dataio, "_FORK_PERSONS", 1)
-    assert "".join(stream_report(ds, cfg)) == want
-    assert len(forks) == min(ds.n, 2) - 1  # one person is one range
-    assert_reaped(forks)
+def assert_report_is_reference(ds, cfg):
+    """The streamed report is the rendered reference."""
+    assert "".join(stream_report(ds, cfg)) == render_report(reference_report(ds, cfg, False))
 
 
 class TestRecordMatrix:
     """Each chunk's records, built as one byte matrix, make the reference report's text."""
 
-    @pytest.fixture
-    def small_chunks(self, monkeypatch, forks):
-        monkeypatch.setattr(dataio, "_CHUNK_PERSONS", 16)
-        return forks
-
-    def test_escaped_and_plain_ids_in_one_chunk(self, monkeypatch, small_chunks):
+    def test_escaped_and_plain_ids_in_one_chunk(self, small_chunks):
         ids = ["p1", 'a"b', "p2", "back\\slash", "bell\x07", "caf\u00e9", "", "\u2028", "p3"] * 5
         ds, cfg = _golden_inputs(41, len(ids), 3, 1.0, 0.4, False, ids)
-        assert_report_in_ranges(monkeypatch, small_chunks, ds, cfg)
+        assert_report_is_reference(ds, cfg)
 
-    def test_plain_ids_of_one_width(self, monkeypatch, small_chunks):
+    def test_plain_ids_of_one_width(self, small_chunks):
         ids = [f"p{i:06d}" for i in range(1, 61)]
         ds, cfg = _golden_inputs(42, len(ids), 4, 1.0, 0.4, True, ids)
-        assert_report_in_ranges(monkeypatch, small_chunks, ds, cfg)
+        assert_report_is_reference(ds, cfg)
 
-    def test_no_id_column(self, monkeypatch, small_chunks):
+    def test_no_id_column(self, small_chunks):
         ds, cfg = _golden_inputs(43, 150, 3, 2.0, 0.3, False, None)
-        assert_report_in_ranges(monkeypatch, small_chunks, ds, cfg)
+        assert_report_is_reference(ds, cfg)
 
     @pytest.mark.parametrize("ids", [None, ("p", "q\n", "r")], ids=["integer-ids", "string-ids"])
     @pytest.mark.parametrize("n", [1, _CHUNK_PERSONS - 1, _CHUNK_PERSONS, _CHUNK_PERSONS + 1])
-    def test_real_chunk_boundaries(self, monkeypatch, forks, n, ids):
+    def test_real_chunk_boundaries(self, n, ids):
         if ids is not None:  # one id in three needs an escape
             ids = [f"{ids[i % 3]}{i}" for i in range(n)]
         ds, cfg = _golden_inputs(44, n, 3, 1.0, 0.4, False, ids)
-        assert_report_in_ranges(monkeypatch, forks, ds, cfg)
+        assert_report_is_reference(ds, cfg)
 
-    def test_one_id_much_longer_than_its_neighbours(self, monkeypatch, small_chunks):
+    def test_one_id_much_longer_than_its_neighbours(self, small_chunks):
         ids = [f"p{i}" for i in range(50)]
         ids[20] = "long id " * 500 + '"quoted"'
         ds, cfg = _golden_inputs(45, len(ids), 3, 1.0, 0.4, False, ids)
-        assert_report_in_ranges(monkeypatch, small_chunks, ds, cfg)
+        assert_report_is_reference(ds, cfg)
 
-    def test_id_at_the_csv_field_limit_costs_about_its_own_row(self, monkeypatch, forks):
+    def test_id_at_the_csv_field_limit_costs_about_its_own_row(self):
         # at the real chunk size: were every row of its chunk padded to its width,
         # the chunk's matrix alone would take half a gigabyte
         ids = [f"p{i}" for i in range(_CHUNK_PERSONS)]
         ids[5] = "x" * csv.field_size_limit()
         ds, cfg = _golden_inputs(48, len(ids), 5, 1.0, 0.4, False, ids)
-        usable_cpus(monkeypatch, 1)
         tracemalloc.start()
         try:
             text = "".join(stream_report(ds, cfg))
@@ -809,7 +824,7 @@ class TestRecordMatrix:
         assert text == render_report(reference_report(ds, cfg, False))
         assert peak < 4 * dataio._MATRIX_BYTES
 
-    def test_scores_at_or_above_1e3_and_below_1e_4(self, monkeypatch, small_chunks):
+    def test_scores_at_or_above_1e3_and_below_1e_4(self, small_chunks):
         # weight d - 1 on a dimension every other one feeds, 1 / (d - 1) on each of the
         # rest, which no other feeds: past 1e3 where most are deprived, below 1e-4 on a
         # shallow gap of a light dimension
@@ -827,38 +842,29 @@ class TestRecordMatrix:
         ds = Dataset(AchievementMatrix(y), tuple(f"d{j}" for j in range(d)))
         scores = deprivation_matrix(ds.achievements, z, m, 1.0, w).values
         assert scores.max() >= 1e3 and 0 < scores[scores > 0].min() < 1e-4
-        assert_report_in_ranges(monkeypatch, small_chunks, ds, cfg)
+        assert_report_is_reference(ds, cfg)
 
     @pytest.mark.parametrize("d", [2, 12])
-    def test_dimension_counts(self, monkeypatch, small_chunks, d):
+    def test_dimension_counts(self, small_chunks, d):
         ds, cfg = _golden_inputs(47 + d, 70, d, 0.5, 0.4, False, _TRICKY_IDS)
-        assert_report_in_ranges(monkeypatch, small_chunks, ds, cfg)
+        assert_report_is_reference(ds, cfg)
 
 
-def fail_in_workers(monkeypatch):
-    """Make the per-chunk record formatter raise in every process but this one."""
-    parent, records = os.getpid(), dataio._records
+class TestChunkedReport:
+    """A report of many small chunks is the reference, streamed, written and read back.
 
-    def failing(*args):
-        if os.getpid() != parent:
-            raise RuntimeError("worker fault")
-        return records(*args)
-
-    monkeypatch.setattr(dataio, "_records", failing)
-
-
-class TestForkedReport:
-    """A report whose ranges forked workers format is the serial report, byte for byte."""
+    The text is formatted in the calling process at every usable CPU count.
+    """
 
     @pytest.mark.parametrize("naive", [False, True], ids=["adjusted", "naive"])
     @pytest.mark.parametrize("ids", [None, _TRICKY_IDS], ids=["integer-ids", "string-ids"])
     @pytest.mark.parametrize("offset", [-1, 0, 7], ids=["below", "at", "past-a-chunk"])
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_equals_rendered_report(
-        self, small_ranges, monkeypatch, tmp_path, cpus, offset, ids, naive
+        self, small_chunks, forks, monkeypatch, tmp_path, cpus, offset, ids, naive
     ):
         usable_cpus(monkeypatch, cpus)
-        n = 48 * cpus + offset  # at the threshold, cpus ranges
+        n = 48 * cpus + offset  # below, at and past a multiple of three 16-person chunks
         ds, cfg = _golden_inputs(cpus, n, 3, 1.0, 0.4, False, ids)
         want = reference_report(ds, cfg, naive)
         text = render_report(want)
@@ -867,56 +873,14 @@ class TestForkedReport:
         assert _exact(run_report(ds, cfg, out_path=out, diagnostic_naive=naive)) == _exact(want)
         assert out.read_bytes() == text.encode("utf-8")
         assert _exact(run_report(ds, cfg, None, naive)) == _exact(want)
-        ranges = max(1, min(cpus, n // 48))
-        assert len(small_ranges) == 3 * (ranges - 1)
-        assert_reaped(small_ranges)
+        assert forks == []
 
-    def test_real_chunk_size(self, monkeypatch):
+    def test_real_chunk_size(self, forks, monkeypatch):
         usable_cpus(monkeypatch, 3)
-        monkeypatch.setattr(dataio, "_FORK_PERSONS", _CHUNK_PERSONS)
         ds, cfg = _golden_inputs(5, 3 * _CHUNK_PERSONS + 5, 2, 2.0, 0.5, True, _TRICKY_IDS)
         want = render_report(reference_report(ds, cfg, False))
         assert "".join(stream_report(ds, cfg)) == want
-
-    def test_threads_running_keep_it_serial(self, small_ranges, monkeypatch):
-        usable_cpus(monkeypatch, 2)
-        ds, cfg = _golden_inputs(3, 200, 3, 1.0, 0.4, False, None)
-        release = threading.Event()
-        thread = threading.Thread(target=release.wait)
-        thread.start()
-        try:
-            text = "".join(stream_report(ds, cfg))
-        finally:
-            release.set()
-            thread.join()
-        assert text == render_report(reference_report(ds, cfg, False))
-        assert small_ranges == []
-
-    @pytest.mark.parametrize("stop", ["close", "drop"])
-    def test_stopped_stream_reaps_every_worker(self, small_ranges, monkeypatch, stop):
-        usable_cpus(monkeypatch, 3)
-        ds, cfg = _golden_inputs(3, 400, 3, 1.0, 0.4, False, None)
-        chunks = stream_report(ds, cfg)
-        next(chunks), next(chunks)  # the head and the first chunk: the workers are forked
-        assert len(small_ranges) == 2
-        if stop == "close":
-            chunks.close()
-        else:
-            del chunks
-        assert_reaped(small_ranges)
-
-    def test_worker_failure_raises_and_leaves_no_file(self, small_ranges, monkeypatch, tmp_path):
-        usable_cpus(monkeypatch, 2)
-        fail_in_workers(monkeypatch)
-        ds, cfg = _golden_inputs(3, 200, 3, 1.0, 0.4, False, None)
-        out = tmp_path / "r.json"
-        with pytest.raises(WriteError, match="exit code 1"):
-            run_report(ds, cfg, out_path=out)
-        assert not out.exists()
-        with pytest.raises(WriteError, match="exit code 1"):
-            "".join(stream_report(ds, cfg))
-        assert len(small_ranges) == 2
-        assert_reaped(small_ranges)
+        assert forks == []
 
 
 class TestWriteText:

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import oracles
 import pytest
+from conftest import assert_reaped
 from hypothesis import given, strategies as st
 
 from netpoverty import (
@@ -23,9 +24,10 @@ from netpoverty.deprivation import (
     _PARALLEL_CELLS,
     _gaps,
     _counts,
+    _forked,
     _row_blocks,
 )
-from netpoverty.errors import InvalidAlpha, NonPositiveCutoff
+from netpoverty.errors import InvalidAlpha, NonPositiveCutoff, WriteError
 
 ASYM = validate_dependence_structure([[1, 0.5, 0], [0.2, 1, 0.4], [0, 0, 1]])
 
@@ -540,3 +542,44 @@ class TestBlockedGaps:
         # from the threshold on, every call starts one thread per CPU past the caller's
         threads = cpus - 1 if size == "parallel" else 0
         assert len(started) == len(alphas) * threads
+
+
+class TestForked:
+    """Each job's bytes in job order, each read whole; no worker outlives the call."""
+
+    # larger than a pipe's 64 KB buffer and than one 4 KB read
+    BLOB = bytes(range(256)) * 1024
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_bytes_in_job_order(self, forks, jobs):
+        got = _forked([lambda j=j: bytes([j]) * (j + 1) for j in range(jobs)])
+        assert got == [bytes([j]) * (j + 1) for j in range(jobs)]
+        assert len(forks) == jobs - 1
+        assert_reaped(forks)
+
+    def test_blobs_past_a_pipe_are_read_whole(self, forks):
+        blob = self.BLOB
+        assert _forked([lambda: b"", lambda: blob, lambda: blob[::-1]]) == [b"", blob, blob[::-1]]
+        assert len(forks) == 2
+        assert_reaped(forks)
+
+    def test_worker_failure_raises_and_reaps_every_worker(self, forks):
+        def fault():
+            raise RuntimeError("worker fault")
+
+        blob = self.BLOB
+        with pytest.raises(WriteError, match="exit code 1"):
+            _forked([lambda: b"a", fault, lambda: blob])
+        assert len(forks) == 2
+        assert_reaped(forks)
+
+    def test_caller_failure_kills_and_reaps_every_worker(self, forks):
+        # each worker blocks on a full pipe that no one reads until it is killed
+        def fault():
+            raise RuntimeError("caller fault")
+
+        blob = self.BLOB
+        with pytest.raises(RuntimeError, match="caller fault"):
+            _forked([fault, lambda: blob, lambda: blob])
+        assert len(forks) == 2
+        assert_reaped(forks)
